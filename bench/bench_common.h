@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/registry.h"
@@ -126,51 +125,6 @@ inline void
 printHeader(const char *title, const char *what)
 {
     std::printf("\n==== %s ====\n%s\n\n", title, what);
-}
-
-/** Schema version of the common metadata block below. Bump when a key
- * is renamed or removed (additions are backwards-compatible: every
- * BENCH_*.json consumer in CI scans line-wise for the keys it knows).
- * v3: cluster provenance (devices, link_latency_cycles, link_gbps). */
-constexpr int kBenchJsonVersion = 3;
-
-#ifndef FLEET_GIT_SHA
-#define FLEET_GIT_SHA "unknown"
-#endif
-
-/**
- * Emit the run-provenance keys shared by every BENCH_*.json, right
- * after the opening '{': which bench, which commit, which PU backend,
- * and how many host threads — so an artifact downloaded from CI is
- * attributable without its workflow context. `threads` is the
- * configured worker count (0 = one per hardware thread); pass -1 for
- * benches where host threading does not apply. Cluster provenance
- * (v3): `devices` is the simulated device count (single-device benches
- * take the default), and `link_latency` / `link_gbps` describe the
- * inter-device link model when devices > 1 (0 otherwise).
- */
-inline void
-writeRunMetadata(std::FILE *f, const char *bench_name,
-                 const char *backend, int threads, int devices = 1,
-                 uint64_t link_latency = 0, double link_gbps = 0.0)
-{
-    std::fprintf(f, "  \"bench\": \"%s\",\n", bench_name);
-    std::fprintf(f, "  \"bench_version\": %d,\n", kBenchJsonVersion);
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", FLEET_GIT_SHA);
-    std::fprintf(f, "  \"backend\": \"%s\",\n", backend);
-    if (threads >= 0)
-        std::fprintf(f, "  \"threads\": %d,\n", threads);
-    std::fprintf(f, "  \"devices\": %d,\n", devices);
-    std::fprintf(f, "  \"link_latency_cycles\": %llu,\n",
-                 static_cast<unsigned long long>(link_latency));
-    std::fprintf(f, "  \"link_gbps\": %.3f,\n", link_gbps);
-    std::fprintf(f, "  \"host_hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-#ifdef NDEBUG
-    std::fprintf(f, "  \"release_build\": true,\n");
-#else
-    std::fprintf(f, "  \"release_build\": false,\n");
-#endif
 }
 
 } // namespace bench

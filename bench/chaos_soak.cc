@@ -31,11 +31,11 @@
  *  --seed S      add a storm seed (repeatable; default 2026 2027 2028).
  */
 
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "harness.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
@@ -44,13 +44,6 @@
 using namespace fleet;
 
 namespace {
-
-struct RunOptions
-{
-    bool smoke = false;
-    std::string jsonPath;
-    std::vector<uint64_t> seeds;
-};
 
 struct SoakShape
 {
@@ -281,57 +274,36 @@ runHaltDrill(const apps::Application &app)
     return ok;
 }
 
-bool
-writeJson(const std::string &path, const std::string &app,
-          const RunOptions &opts, const SoakShape &shape,
-          const std::vector<SoakResult> &results)
+std::string
+resultsJson(const std::string &app, bool smoke, const SoakShape &shape,
+            const std::vector<SoakResult> &results)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "chaos_soak", "fast", 1);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"slots\": %d,\n", shape.slots);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"retry_max_attempts\": 3,\n");
-    std::fprintf(f, "  \"seeds\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const SoakResult &r = results[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(r.seed));
-        std::fprintf(f, "      \"jobs\": %llu,\n",
-                     static_cast<unsigned long long>(r.jobs));
-        std::fprintf(f, "      \"ok\": %llu,\n",
-                     static_cast<unsigned long long>(r.okJobs));
-        std::fprintf(f, "      \"truncated\": %llu,\n",
-                     static_cast<unsigned long long>(r.truncated));
-        std::fprintf(f, "      \"contained\": %llu,\n",
-                     static_cast<unsigned long long>(r.contained));
-        std::fprintf(f, "      \"deadline_killed\": %llu,\n",
-                     static_cast<unsigned long long>(r.deadlineKilled));
-        std::fprintf(f, "      \"retries\": %llu,\n",
-                     static_cast<unsigned long long>(r.retries));
-        std::fprintf(f, "      \"requeued\": %llu,\n",
-                     static_cast<unsigned long long>(r.requeued));
-        std::fprintf(f, "      \"quarantined_slots\": %d,\n",
-                     r.quarantinedSlots);
-        std::fprintf(f, "      \"stranded\": %llu,\n",
-                     static_cast<unsigned long long>(r.stranded));
-        std::fprintf(f, "      \"ok_mismatches\": %llu,\n",
-                     static_cast<unsigned long long>(r.okMismatches));
-        std::fprintf(f, "      \"sim_cycles\": %llu\n",
-                     static_cast<unsigned long long>(r.simCycles));
-        std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    json::Writer w;
+    w.object();
+    bench::runMetadata(w, "chaos_soak", "fast", 1);
+    w.field("smoke", smoke);
+    w.field("app", app);
+    w.field("slots", shape.slots);
+    w.field("channels", shape.channels);
+    w.field("retry_max_attempts", 3);
+    w.array("seeds");
+    for (const SoakResult &r : results)
+        w.object()
+            .field("seed", r.seed)
+            .field("jobs", r.jobs)
+            .field("ok", r.okJobs)
+            .field("truncated", r.truncated)
+            .field("contained", r.contained)
+            .field("deadline_killed", r.deadlineKilled)
+            .field("retries", r.retries)
+            .field("requeued", r.requeued)
+            .field("quarantined_slots", r.quarantinedSlots)
+            .field("stranded", r.stranded)
+            .field("ok_mismatches", r.okMismatches)
+            .field("sim_cycles", r.simCycles)
+            .end();
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -339,24 +311,14 @@ writeJson(const std::string &path, const std::string &app,
 int
 main(int argc, char **argv)
 {
-    RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            opts.seeds.push_back(std::strtoull(argv[++i], nullptr, 0));
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--seed S]...\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (opts.seeds.empty())
-        opts.seeds = {2026, 2027, 2028};
+    bench::CommonFlags opts;
+    std::vector<uint64_t> seeds;
+    if (!bench::parseFlags(argc, argv,
+                           {bench::smokeFlag(opts), bench::jsonFlag(opts),
+                            bench::flag("--seed", "S", &seeds)}))
+        return 2;
+    if (seeds.empty())
+        seeds = {2026, 2027, 2028};
 
     SoakShape shape;
     if (opts.smoke)
@@ -373,7 +335,7 @@ main(int argc, char **argv)
                 "%s\n\n",
                 app.name().c_str(), shape.slots, shape.channels,
                 static_cast<unsigned long long>(shape.jobs),
-                opts.seeds.size(), opts.smoke ? "(smoke)" : "");
+                seeds.size(), opts.smoke ? "(smoke)" : "");
 
     // Determinism variants replayed against the Fast/1 reference for
     // every seed. RtlInterp is the slow reference engine; the full run
@@ -403,7 +365,7 @@ main(int argc, char **argv)
     bool ok = true;
     std::vector<SoakResult> results;
     uint64_t total_retries = 0;
-    for (uint64_t seed : opts.seeds) {
+    for (uint64_t seed : seeds) {
         SoakResult reference =
             runSoak(app, shape, seed, system::PuBackend::Fast, 1);
         total_retries += reference.retries;
@@ -498,7 +460,8 @@ main(int argc, char **argv)
     std::printf("\n%s\n", table.str().c_str());
 
     if (!opts.jsonPath.empty() &&
-        !writeJson(opts.jsonPath, app.name(), opts, shape, results))
+        !bench::writeFile(opts.jsonPath, resultsJson(app.name(), opts.smoke,
+                                                      shape, results)))
         ok = false;
     std::printf("%s\n", ok ? "CHAOS SOAK PASS" : "CHAOS SOAK FAIL");
     return ok ? 0 : 1;

@@ -36,11 +36,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
 #include "cluster/pipeline.h"
+#include "harness.h"
 #include "lang/builder.h"
 #include "runtime/session.h"
 #include "system/pu_backend.h"
@@ -52,16 +51,6 @@ namespace {
 /** The simulated fabric clock used to express link bandwidth in GB/s
  * (the paper's F1 designs close timing at 125 MHz). */
 constexpr double kClockMhz = 125.0;
-
-struct RunOptions
-{
-    bool smoke = false;
-    std::string jsonPath;
-    std::string baselinePath;
-    int threads = 0;
-    std::string backendName = "fast";
-    system::PuBackend backend = system::PuBackend::Fast;
-};
 
 struct BenchShape
 {
@@ -127,7 +116,7 @@ struct ScalePoint
 };
 
 ScalePoint
-runScalePoint(const RunOptions &opts, const BenchShape &shape,
+runScalePoint(const bench::CommonFlags &opts, const BenchShape &shape,
               int devices, const std::vector<BitBuffer> &streams)
 {
     runtime::SessionConfig config;
@@ -195,7 +184,7 @@ percentile(const std::vector<uint64_t> &sorted, double q)
 }
 
 PipelinePoint
-runPipelinePoint(const RunOptions &opts, const BenchShape &shape,
+runPipelinePoint(const bench::CommonFlags &opts, const BenchShape &shape,
                  uint64_t bytes_per_cycle,
                  const std::vector<BitBuffer> &streams)
 {
@@ -242,174 +231,46 @@ runPipelinePoint(const RunOptions &opts, const BenchShape &shape,
     return point;
 }
 
-bool
-writeJson(const std::string &path, const RunOptions &opts,
-          const BenchShape &shape,
-          const std::vector<ScalePoint> &scale,
-          const std::vector<PipelinePoint> &pipe)
+std::string
+resultsJson(const bench::CommonFlags &opts, const BenchShape &shape,
+            const std::vector<ScalePoint> &scale,
+            const std::vector<PipelinePoint> &pipe)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
     int max_devices = 1;
     for (const auto &p : scale)
         max_devices = std::max(max_devices, p.devices);
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "cluster_scaling",
-                            opts.backendName.c_str(), opts.threads,
-                            max_devices, 200,
-                            cluster::LinkParams{}.gbps(kClockMhz));
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"slots_per_device\": %d,\n",
-                 shape.slotsPerDevice);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.jobs));
-    std::fprintf(f, "  \"scale_points\": [\n");
-    for (size_t i = 0; i < scale.size(); ++i) {
-        const ScalePoint &p = scale[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"devices\": %d,\n", p.devices);
-        std::fprintf(f, "      \"jobs_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.jobsServed));
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.simCycles));
-        std::fprintf(f, "      \"jobs_per_mcycle\": %.6f,\n",
-                     p.jobsPerMcycle);
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < scale.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"pipeline_points\": [\n");
-    for (size_t i = 0; i < pipe.size(); ++i) {
-        const PipelinePoint &p = pipe[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"bytes_per_cycle\": %llu,\n",
-                     static_cast<unsigned long long>(p.bytesPerCycle));
-        std::fprintf(f, "      \"link_gbps\": %.3f,\n", p.linkGBps);
-        std::fprintf(f, "      \"jobs_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.jobsServed));
-        std::fprintf(f, "      \"p50_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p50));
-        std::fprintf(f, "      \"p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p99));
-        std::fprintf(f, "      \"link_busy_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.linkBusyCycles));
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < pipe.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/** Exact jobs/Mcycle comparison against a previously written JSON (the
- * simulated schedule is deterministic, so any drift is real). */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<ScalePoint> &scale)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line, current_devices;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            const char *junk = " \t\",";
-            auto b = value.find_first_not_of(junk);
-            auto e = value.find_last_not_of(junk);
-            return b == std::string::npos
-                       ? std::string()
-                       : value.substr(b, e - b + 1);
-        };
-        if (auto d = grab("\"devices\""); !d.empty())
-            current_devices = d;
-        if (auto v = grab("\"jobs_per_mcycle\""); !v.empty()) {
-            if (!current_devices.empty())
-                baseline.emplace_back(current_devices, v);
-            current_devices.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &p : scale) {
-        char devices[16], now[32];
-        std::snprintf(devices, sizeof(devices), "%d", p.devices);
-        std::snprintf(now, sizeof(now), "%.6f", p.jobsPerMcycle);
-        auto it = std::find_if(baseline.begin(), baseline.end(),
-                               [&devices](const auto &b) {
-                                   return b.first == devices;
-                               });
-        if (it == baseline.end()) {
-            std::fprintf(stderr,
-                         "baseline: %d-device point missing from %s\n",
-                         p.devices, path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %d-device jobs/Mcycle changed: "
-                         "%s -> %s\n",
-                         p.devices, it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: jobs/Mcycle unchanged for all %zu scale "
-                    "points (vs %s)\n",
-                    scale.size(), path.c_str());
-    return ok;
-}
-
-/** Replay the 2-device point across thread counts and a cycle-accurate
- * backend; the per-job tuples must be bit-identical. */
-bool
-crosscheckDeterminism(const RunOptions &opts, const BenchShape &shape,
-                      const std::vector<BitBuffer> &streams,
-                      const ScalePoint &reference)
-{
-    struct Variant
-    {
-        const char *what;
-        system::PuBackend backend;
-        int threads;
-    };
-    const Variant variants[] = {
-        {"1 host thread", opts.backend, 1},
-        {"2 host threads", opts.backend, 2},
-        {"rtlinterp backend", system::PuBackend::RtlInterp,
-         opts.threads},
-    };
-    bool ok = true;
-    for (const auto &variant : variants) {
-        RunOptions vopts = opts;
-        vopts.backend = variant.backend;
-        vopts.threads = variant.threads;
-        ScalePoint replay = runScalePoint(vopts, shape, 2, streams);
-        if (replay.signature != reference.signature) {
-            std::fprintf(stderr,
-                         "DETERMINISM VIOLATION: 2-device/%s: per-job "
-                         "tuples diverged from the reference run\n",
-                         variant.what);
-            ok = false;
-        } else {
-            std::printf("determinism: 2-device/%s: %zu per-job tuples "
-                        "bit-identical\n",
-                        variant.what, replay.signature.size());
-        }
-    }
-    return ok;
+    json::Writer w;
+    w.object();
+    bench::runMetadata(w, "cluster_scaling", opts.backendName(),
+                       opts.threads, max_devices, 200,
+                       cluster::LinkParams{}.gbps(kClockMhz));
+    w.field("smoke", opts.smoke);
+    w.field("slots_per_device", shape.slotsPerDevice);
+    w.field("channels", shape.channels);
+    w.field("jobs", shape.jobs);
+    w.array("scale_points");
+    for (const ScalePoint &p : scale)
+        w.object()
+            .field("devices", p.devices)
+            .field("jobs_served", p.jobsServed)
+            .field("sim_cycles", p.simCycles)
+            .field("jobs_per_mcycle", p.jobsPerMcycle, 6)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    w.end();
+    w.array("pipeline_points");
+    for (const PipelinePoint &p : pipe)
+        w.object()
+            .field("bytes_per_cycle", p.bytesPerCycle)
+            .field("link_gbps", p.linkGBps, 3)
+            .field("jobs_served", p.jobsServed)
+            .field("p50_cycles", p.p50)
+            .field("p99_cycles", p.p99)
+            .field("link_busy_cycles", p.linkBusyCycles)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -417,37 +278,13 @@ crosscheckDeterminism(const RunOptions &opts, const BenchShape &shape,
 int
 main(int argc, char **argv)
 {
-    RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend %s (choices: %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--baseline PATH] [--threads N] "
-                         "[--backend %s]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
+    bench::CommonFlags opts;
+    if (!bench::parseFlags(argc, argv,
+                           {bench::smokeFlag(opts), bench::jsonFlag(opts),
+                            bench::baselineFlag(opts),
+                            bench::threadsFlag(opts),
+                            bench::backendFlag(opts)}))
+        return 2;
 
     BenchShape shape;
     if (opts.smoke)
@@ -460,7 +297,7 @@ main(int argc, char **argv)
         "Part B: two-stage cross-device pipeline latency vs link "
         "bandwidth.");
     std::printf("backend=%s slots/device=%d channels=%d jobs=%llu\n\n",
-                opts.backendName.c_str(), shape.slotsPerDevice,
+                opts.backendName(), shape.slotsPerDevice,
                 shape.channels,
                 static_cast<unsigned long long>(shape.jobs));
 
@@ -560,14 +397,23 @@ main(int argc, char **argv)
         ok = false;
     }
 
+    // The 2-device point, against the slow reference engine.
     if (opts.smoke &&
-        !crosscheckDeterminism(opts, shape, streams, scale[1]))
+        !bench::crosscheckDeterminism(
+            opts, system::PuBackend::RtlInterp, "2-device/",
+            "per-job tuples", scale[1].signature,
+            [&](const bench::CommonFlags &vopts) {
+                return runScalePoint(vopts, shape, 2, streams).signature;
+            }))
         ok = false;
-    if (!opts.jsonPath.empty() &&
-        !writeJson(opts.jsonPath, opts, shape, scale, pipe))
+    std::string doc = resultsJson(opts, shape, scale, pipe);
+    if (!opts.jsonPath.empty() && !bench::writeFile(opts.jsonPath, doc))
         ok = false;
+    // Exact: the simulated schedule is deterministic.
     if (!opts.baselinePath.empty() &&
-        !checkBaseline(opts.baselinePath, scale))
+        !bench::checkBaseline(opts.baselinePath, doc,
+                              {"scale_points", "devices",
+                               "jobs_per_mcycle"}))
         ok = false;
     return ok ? 0 : 1;
 }

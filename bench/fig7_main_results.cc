@@ -47,9 +47,7 @@
  */
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <thread>
 
 #include "apps/intcode.h"
@@ -59,6 +57,7 @@
 #include "bench_common.h"
 #include "compile/compiler.h"
 #include "fault/fault.h"
+#include "harness.h"
 #include "model/area.h"
 #include "model/power.h"
 #include "system/pu_backend.h"
@@ -67,23 +66,11 @@ using namespace fleet;
 
 namespace {
 
-struct RunOptions
+struct RunOptions : bench::CommonFlags
 {
-    bool smoke = false;
-    std::string jsonPath;
-    int threads = 0; ///< 0 = one per hardware thread.
-    bool faults = false;
-    uint64_t faultSeed = 0;
-    std::string baselinePath;
+    std::optional<uint64_t> faultSeed; ///< --faults: mixed fault plan.
     bool counters = false;
     std::string tracePrefix;
-    /** PU backend for the cycle-accurate runs. The fast model and every
-     * RTL engine are bit-identical (compile_crosscheck_test), so
-     * switching backends must not change any reported number — only the
-     * simulation wall-clock. `rtl` is the batched tape engine, which
-     * makes full-PU-count RTL runs practical. */
-    system::PuBackend backend = system::PuBackend::Fast;
-    std::string backendName = "fast";
 };
 
 struct AppResult
@@ -128,8 +115,8 @@ evaluateAppSmoke(const apps::Application &app, const RunOptions &opts)
     system::SystemConfig config;
     config.numChannels = channels;
     config.backend = opts.backend;
-    if (opts.faults)
-        config.faults = fault::FaultPlan::fromSeed(opts.faultSeed);
+    if (opts.faultSeed)
+        config.faults = fault::FaultPlan::fromSeed(*opts.faultSeed);
     // Observability is purely observational: enabling it changes no
     // cycle count or output (the --baseline flow proves it each run).
     config.trace.counters = opts.counters || !opts.tracePrefix.empty();
@@ -159,7 +146,7 @@ evaluateAppSmoke(const apps::Application &app, const RunOptions &opts)
         throw std::runtime_error(
             app.name() + ": RunReport differs between serial and "
                          "worker-pool runs");
-    if (!opts.faults && !parallel.report.allOk())
+    if (!opts.faultSeed && !parallel.report.allOk())
         throw std::runtime_error(app.name() + ": fault-free run failed: " +
                                  parallel.report.summary());
     return result;
@@ -251,158 +238,68 @@ evaluateApp(const apps::Application &app, const model::Device &device,
     return result;
 }
 
-/**
- * Compare each app's fault-free bytes/cycle against a previously
- * written BENCH_PR.json. The comparison is exact at the JSON's own
- * printed precision (%.6f): the simulator is deterministic, so any
- * drift is a real behaviour change, not noise. Returns true when every
- * app matches.
- */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<AppResult> &results)
+/** The per-app results as BENCH_PR.json. */
+std::string
+resultsJson(const std::vector<AppResult> &results, const RunOptions &opts)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    // Minimal scan of the JSON we write ourselves: each app object
-    // carries "app" then "bytes_per_cycle" in order.
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line;
-    std::string current_app;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            auto strip = [](std::string s) {
-                const char *junk = " \t\",";
-                auto b = s.find_first_not_of(junk);
-                auto e = s.find_last_not_of(junk);
-                return b == std::string::npos ? std::string()
-                                              : s.substr(b, e - b + 1);
-            };
-            return strip(value);
-        };
-        if (auto app = grab("\"app\""); !app.empty())
-            current_app = app;
-        if (auto bpc = grab("\"bytes_per_cycle\""); !bpc.empty()) {
-            if (current_app.empty())
-                continue;
-            baseline.emplace_back(current_app, bpc);
-            current_app.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &r : results) {
-        char now[32];
-        std::snprintf(now, sizeof(now), "%.6f", r.bytesPerCycle);
-        auto it = std::find_if(baseline.begin(), baseline.end(),
-                               [&r](const auto &b) {
-                                   return b.first == r.name;
-                               });
-        if (it == baseline.end()) {
-            std::fprintf(stderr, "baseline: %s missing from %s\n",
-                         r.name.c_str(), path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %s bytes/cycle changed: %s -> %s\n",
-                         r.name.c_str(), it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: bytes/cycle unchanged for all %zu apps "
-                    "(vs %s)\n",
-                    results.size(), path.c_str());
-    return ok;
-}
-
-bool
-writeJson(const std::string &path, const std::vector<AppResult> &results,
-          const RunOptions &opts)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
     double total_wall = 0;
     for (const auto &r : results)
         total_wall += r.simWallS;
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "fig7_main_results",
-                            opts.backendName.c_str(), opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"total_sim_wall_s\": %.6f,\n", total_wall);
-    std::fprintf(f, "  \"apps\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const AppResult &r = results[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"app\": \"%s\",\n", r.name.c_str());
-        std::fprintf(f, "      \"pus\": %d,\n", r.pus);
-        std::fprintf(f, "      \"fleet_gbps\": %.6f,\n", r.fleetGBps);
-        std::fprintf(f, "      \"bytes_per_cycle\": %.6f,\n",
-                     r.bytesPerCycle);
-        std::fprintf(f, "      \"cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.cycles));
-        std::fprintf(f, "      \"sim_wall_s\": %.6f,\n", r.simWallS);
+    json::Writer w;
+    w.object();
+    bench::runMetadata(w, "fig7_main_results", opts.backendName(),
+                       opts.threads);
+    w.field("smoke", opts.smoke);
+    w.field("total_sim_wall_s", total_wall, 6);
+    w.array("apps");
+    for (const AppResult &r : results) {
+        w.object();
+        w.field("app", r.name);
+        w.field("pus", r.pus);
+        w.field("fleet_gbps", r.fleetGBps, 6);
+        w.field("bytes_per_cycle", r.bytesPerCycle, 6);
+        w.field("cycles", r.cycles);
+        w.field("sim_wall_s", r.simWallS, 6);
         if (opts.smoke) {
-            std::fprintf(f, "      \"sim_wall_serial_s\": %.6f,\n",
-                         r.simWallSerialS);
-            std::fprintf(f, "      \"parallel_speedup\": %.3f,\n",
-                         r.simWallS > 0 ? r.simWallSerialS / r.simWallS
-                                        : 0.0);
+            w.field("sim_wall_serial_s", r.simWallSerialS, 6);
+            w.field("parallel_speedup",
+                    r.simWallS > 0 ? r.simWallSerialS / r.simWallS : 0.0,
+                    3);
         }
-        if (opts.faults) {
-            std::fprintf(f, "      \"fault_seed\": %llu,\n",
-                         static_cast<unsigned long long>(opts.faultSeed));
-            std::fprintf(f, "      \"failed_pus\": %d,\n",
-                         r.faultFailedPus);
-            std::fprintf(f, "      \"truncated_pus\": %d,\n",
-                         r.faultTruncatedPus);
+        if (opts.faultSeed) {
+            w.field("fault_seed", *opts.faultSeed);
+            w.field("failed_pus", r.faultFailedPus);
+            w.field("truncated_pus", r.faultTruncatedPus);
         }
         if (r.trace) {
-            std::fprintf(f, "      \"counters\":\n");
-            r.trace->writeCountersJson(f, "      ");
-            std::fprintf(f, ",\n");
+            w.array("counters");
+            for (const auto &channel : r.trace->channels)
+                for (const auto &set : channel.counters) {
+                    w.object(true).field("component", set.name);
+                    for (const auto &[key, value] : set.values)
+                        w.field(key, value);
+                    w.end();
+                }
+            w.end();
         }
-        std::fprintf(f, "      \"threads\": %d", r.threadsUsed);
+        w.field("threads", r.threadsUsed);
         if (!r.channels.empty()) {
-            std::fprintf(f, ",\n      \"channels\": [\n");
-            for (size_t c = 0; c < r.channels.size(); ++c) {
-                const auto &ch = r.channels[c];
-                std::fprintf(
-                    f,
-                    "        {\"cycles\": %llu, \"pus\": %d, "
-                    "\"bus_utilization\": %.4f, "
-                    "\"avg_read_queue\": %.3f, "
-                    "\"input_starved_cycles\": %llu, "
-                    "\"output_blocked_cycles\": %llu}%s\n",
-                    static_cast<unsigned long long>(ch.cycles), ch.numPus,
-                    ch.busUtilization(), ch.avgReadQueueDepth(),
-                    static_cast<unsigned long long>(ch.inputStarvedCycles),
-                    static_cast<unsigned long long>(
-                        ch.outputBlockedCycles),
-                    c + 1 < r.channels.size() ? "," : "");
-            }
-            std::fprintf(f, "      ]\n");
-        } else {
-            std::fprintf(f, "\n");
+            w.array("channels");
+            for (const auto &ch : r.channels)
+                w.object(true)
+                    .field("cycles", ch.cycles)
+                    .field("pus", ch.numPus)
+                    .field("bus_utilization", ch.busUtilization(), 4)
+                    .field("avg_read_queue", ch.avgReadQueueDepth(), 3)
+                    .field("input_starved_cycles", ch.inputStarvedCycles)
+                    .field("output_blocked_cycles", ch.outputBlockedCycles)
+                    .end();
+            w.end();
         }
-        std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+        w.end();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -411,54 +308,24 @@ int
 main(int argc, char **argv)
 {
     RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--faults") == 0 &&
-                   i + 1 < argc) {
-            opts.faults = true;
-            opts.faultSeed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--counters") == 0) {
-            opts.counters = true;
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-            opts.tracePrefix = argv[++i];
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend '%s' (want %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--threads N] [--faults SEED] "
-                         "[--baseline PATH] [--counters] "
-                         "[--trace PREFIX] "
-                         "[--backend %s]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
-    if ((opts.faults || !opts.baselinePath.empty() || opts.counters ||
+    if (!bench::parseFlags(
+            argc, argv,
+            {bench::smokeFlag(opts), bench::jsonFlag(opts),
+             bench::threadsFlag(opts),
+             bench::flag("--faults", "SEED", &opts.faultSeed),
+             bench::baselineFlag(opts),
+             bench::flag("--counters", &opts.counters),
+             bench::flag("--trace", "PREFIX", &opts.tracePrefix),
+             bench::backendFlag(opts)}))
+        return 2;
+    if ((opts.faultSeed || !opts.baselinePath.empty() || opts.counters ||
          !opts.tracePrefix.empty()) &&
         !opts.smoke) {
         std::fprintf(stderr, "--faults, --baseline, --counters and "
                              "--trace require --smoke\n");
         return 2;
     }
-    if (opts.faults && !opts.baselinePath.empty()) {
+    if (opts.faultSeed && !opts.baselinePath.empty()) {
         std::fprintf(stderr,
                      "--baseline compares the fault-free run; combine "
                      "it with --smoke only, not --faults\n");
@@ -469,16 +336,16 @@ main(int argc, char **argv)
 
     if (opts.smoke) {
         bench::printHeader(
-            opts.faults
+            opts.faultSeed
                 ? "Figure 7 (smoke, fault injection): 4-channel run per app"
                 : "Figure 7 (smoke): 4-channel engine run per app",
             "Short CI configuration: cycle-accurate simulation only (no "
             "CPU/GPU\nbaselines), single-threaded vs worker-pool "
             "wall-clock.");
-        if (opts.faults)
+        if (opts.faultSeed)
             std::printf("fault plan: FaultPlan::fromSeed(%llu)\n\n",
-                        static_cast<unsigned long long>(opts.faultSeed));
-        std::printf("PU backend: %s\n\n", opts.backendName.c_str());
+                        static_cast<unsigned long long>(*opts.faultSeed));
+        std::printf("PU backend: %s\n\n", opts.backendName());
         Table table({"App", "Streams", "GB/s", "B/cycle", "wall 1T (s)",
                      "wall NT (s)", "speedup", "threads"});
         for (auto &app : apps::allApplications()) {
@@ -522,7 +389,7 @@ main(int argc, char **argv)
                 std::printf("wrote %s\n", path.c_str());
             }
         }
-        if (opts.faults) {
+        if (opts.faultSeed) {
             std::printf("Per-app fault outcomes (identical on serial and "
                         "worker-pool runs):\n");
             for (const auto &r : results)
@@ -530,11 +397,14 @@ main(int argc, char **argv)
                             r.faultSummary.c_str());
             std::printf("\n");
         }
-        if (!opts.jsonPath.empty() &&
-            !writeJson(opts.jsonPath, results, opts))
+        std::string doc = resultsJson(results, opts);
+        if (!opts.jsonPath.empty() && !bench::writeFile(opts.jsonPath, doc))
             return 1;
+        // Exact at the printed precision (%.6f): the simulator is
+        // deterministic, so any drift is a real behaviour change.
         if (!opts.baselinePath.empty() &&
-            !checkBaseline(opts.baselinePath, results))
+            !bench::checkBaseline(opts.baselinePath, doc,
+                                  {"apps", "app", "bytes_per_cycle"}))
             return 1;
         return 0;
     }
@@ -583,7 +453,8 @@ main(int argc, char **argv)
     std::printf("%s\n", table.str().c_str());
     std::printf("Columns: ours (paper). Perf/W includes the paper's "
                 "12.5 W DRAM assumption.\n");
-    if (!opts.jsonPath.empty() && !writeJson(opts.jsonPath, results, opts))
+    if (!opts.jsonPath.empty() &&
+        !bench::writeFile(opts.jsonPath, resultsJson(results, opts)))
         return 1;
     return 0;
 }

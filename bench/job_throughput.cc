@@ -25,21 +25,14 @@
  */
 
 #include <chrono>
-#include <cstring>
 
 #include "bench_common.h"
+#include "harness.h"
 #include "runtime/session.h"
 
 using namespace fleet;
 
 namespace {
-
-struct RunOptions
-{
-    bool smoke = false;
-    std::string jsonPath;
-    int threads = 0;
-};
 
 struct DepthResult
 {
@@ -69,7 +62,7 @@ jobStreams(const apps::Application &app, uint64_t count,
 }
 
 DepthResult
-serveDepth(const apps::Application &app, const RunOptions &opts,
+serveDepth(const apps::Application &app, const bench::CommonFlags &opts,
            int num_slots, int num_channels, uint64_t region_bytes,
            int depth)
 {
@@ -116,7 +109,7 @@ serveDepth(const apps::Application &app, const RunOptions &opts,
 
 /** The anchor: the same depth-1 streams through legacy one-shot run(). */
 DepthResult
-serveOneShot(const apps::Application &app, const RunOptions &opts,
+serveOneShot(const apps::Application &app, const bench::CommonFlags &opts,
              int num_slots, int num_channels, uint64_t region_bytes)
 {
     system::SystemConfig config;
@@ -142,47 +135,35 @@ serveOneShot(const apps::Application &app, const RunOptions &opts,
     return result;
 }
 
-bool
-writeJson(const std::string &path, const std::string &app,
-          const DepthResult &oneshot,
-          const std::vector<DepthResult> &results, const RunOptions &opts)
+std::string
+resultsJson(const std::string &app, const DepthResult &oneshot,
+            const std::vector<DepthResult> &results,
+            const bench::CommonFlags &opts)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    auto row = [&](const DepthResult &r, const char *mode, bool last) {
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"mode\": \"%s\",\n", mode);
-        std::fprintf(f, "      \"queue_depth\": %d,\n", r.depth);
-        std::fprintf(f, "      \"jobs\": %llu,\n",
-                     static_cast<unsigned long long>(r.jobs));
-        std::fprintf(f, "      \"input_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(r.inputBytes));
-        std::fprintf(f, "      \"cycles\": %llu,\n",
-                     static_cast<unsigned long long>(r.cycles));
-        std::fprintf(f, "      \"jobs_per_sec\": %.3f,\n", r.jobsPerSec);
-        std::fprintf(f, "      \"bytes_per_cycle\": %.6f,\n",
-                     r.bytesPerCycle);
-        std::fprintf(f, "      \"slot_utilization\": %.4f,\n",
-                     r.slotUtilization);
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", r.simWallS);
-        std::fprintf(f, "    }%s\n", last ? "" : ",");
+    json::Writer w;
+    auto row = [&](const DepthResult &r, const char *mode) {
+        w.object()
+            .field("mode", mode)
+            .field("queue_depth", r.depth)
+            .field("jobs", r.jobs)
+            .field("input_bytes", r.inputBytes)
+            .field("cycles", r.cycles)
+            .field("jobs_per_sec", r.jobsPerSec, 3)
+            .field("bytes_per_cycle", r.bytesPerCycle, 6)
+            .field("slot_utilization", r.slotUtilization, 4)
+            .field("sim_wall_s", r.simWallS, 6)
+            .end();
     };
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "job_throughput", "fast", opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"rows\": [\n");
-    row(oneshot, "one-shot", false);
-    for (size_t i = 0; i < results.size(); ++i)
-        row(results[i], "session", i + 1 == results.size());
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    w.object();
+    bench::runMetadata(w, "job_throughput", "fast", opts.threads);
+    w.field("smoke", opts.smoke);
+    w.field("app", app);
+    w.array("rows");
+    row(oneshot, "one-shot");
+    for (const auto &r : results)
+        row(r, "session");
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -190,23 +171,11 @@ writeJson(const std::string &path, const std::string &app,
 int
 main(int argc, char **argv)
 {
-    RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--threads N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    bench::CommonFlags opts;
+    if (!bench::parseFlags(argc, argv,
+                           {bench::smokeFlag(opts), bench::jsonFlag(opts),
+                            bench::threadsFlag(opts)}))
+        return 2;
 
     const int num_slots = opts.smoke ? 8 : 16;
     const int num_channels = opts.smoke ? 2 : 4;
@@ -255,7 +224,8 @@ main(int argc, char **argv)
     std::printf("%s\n", table.str().c_str());
 
     if (!opts.jsonPath.empty() &&
-        !writeJson(opts.jsonPath, app.name(), oneshot, results, opts))
+        !bench::writeFile(opts.jsonPath,
+                          resultsJson(app.name(), oneshot, results, opts)))
         return 1;
     return 0;
 }

@@ -48,15 +48,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/registry.h"
 #include "compile/compiler.h"
+#include "harness.h"
 #include "rtl/batch_sim.h"
-#include "bench_common.h"
 #include "rtl/jit.h"
 #include "rtl/sim.h"
 #include "rtl/tape.h"
@@ -74,21 +73,6 @@ now()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** Minimal JSON string escaping for status messages. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            c = ' ';
-        out += c;
-    }
-    return out;
 }
 
 /** FNV-1a fold of one observed output tuple. */
@@ -317,79 +301,56 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
     return r;
 }
 
-bool
-writeJson(const std::string &path, const std::vector<AppResult> &results,
-          bool smoke)
+std::string
+resultsJson(const std::vector<AppResult> &results, bool smoke)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
+    json::Writer w;
+    w.object();
     // Single-PU engine microbench: host threading does not apply, and
     // the "backend" axis *is* the result rows (interp vs tape vs batch).
-    bench::writeRunMetadata(f, "micro_rtl_engines", "rtl-engines", -1);
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    bench::runMetadata(w, "micro_rtl_engines", "rtl-engines", -1);
+    w.field("smoke", smoke);
     // Canonical engine names from the shared backend registry, in row
     // order (interp / tape / batch / jit columns below).
-    std::fprintf(
-        f, "  \"engines\": [\"%s\", \"%s\", \"%s\", \"%s\"],\n",
-        system::puBackendName(system::PuBackend::RtlInterp),
-        system::puBackendName(system::PuBackend::RtlTape),
-        system::puBackendName(system::PuBackend::Rtl),
-        system::puBackendName(system::PuBackend::RtlJit));
-    std::fprintf(f, "  \"apps\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const AppResult &r = results[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"app\": \"%s\",\n", r.name.c_str());
-        std::fprintf(f, "      \"circuit_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.circuitNodes));
-        std::fprintf(f, "      \"tape_ops\": %llu,\n",
-                     static_cast<unsigned long long>(r.tapeOps));
-        std::fprintf(f, "      \"nodes_eliminated\": %llu,\n",
-                     static_cast<unsigned long long>(r.nodesEliminated));
-        std::fprintf(f, "      \"opt_source_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optSourceNodes));
-        std::fprintf(f, "      \"opt_result_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optResultNodes));
-        std::fprintf(f, "      \"opt_dead_nodes\": %llu,\n",
-                     static_cast<unsigned long long>(r.optDeadNodes));
-        std::fprintf(f, "      \"lanes\": %d,\n", r.lanes);
-        std::fprintf(f, "      \"cycles\": %d,\n", r.cycles);
-        std::fprintf(f, "      \"interp_s\": %.6f,\n", r.interpS);
-        std::fprintf(f, "      \"tape_s\": %.6f,\n", r.tapeS);
-        std::fprintf(f, "      \"batch_s\": %.6f,\n", r.batchS);
-        std::fprintf(f, "      \"tape_speedup\": %.3f,\n", r.tapeSpeedup);
-        std::fprintf(f, "      \"batch_per_pu_speedup\": %.3f,\n",
-                     r.batchPerPuSpeedup);
-        std::fprintf(f, "      \"jit_available\": %s,\n",
-                     r.jitAvailable ? "true" : "false");
+    w.array("engines", true);
+    for (auto engine : {system::PuBackend::RtlInterp,
+                        system::PuBackend::RtlTape, system::PuBackend::Rtl,
+                        system::PuBackend::RtlJit})
+        w.element(system::puBackendName(engine));
+    w.end();
+    w.array("apps");
+    for (const AppResult &r : results) {
+        w.object();
+        w.field("app", r.name);
+        w.field("circuit_nodes", r.circuitNodes);
+        w.field("tape_ops", r.tapeOps);
+        w.field("nodes_eliminated", r.nodesEliminated);
+        w.field("opt_source_nodes", r.optSourceNodes);
+        w.field("opt_result_nodes", r.optResultNodes);
+        w.field("opt_dead_nodes", r.optDeadNodes);
+        w.field("lanes", r.lanes);
+        w.field("cycles", r.cycles);
+        w.field("interp_s", r.interpS, 6);
+        w.field("tape_s", r.tapeS, 6);
+        w.field("batch_s", r.batchS, 6);
+        w.field("tape_speedup", r.tapeSpeedup, 3);
+        w.field("batch_per_pu_speedup", r.batchPerPuSpeedup, 3);
+        w.field("jit_available", r.jitAvailable);
         if (r.jitAvailable) {
-            std::fprintf(f, "      \"jit_s\": %.6f,\n", r.jitS);
-            std::fprintf(f, "      \"jit_compile_s\": %.6f,\n",
-                         r.jitCompileS);
-            std::fprintf(f, "      \"jit_from_disk_cache\": %s,\n",
-                         r.jitFromDiskCache ? "true" : "false");
-            std::fprintf(f, "      \"jit_over_batch_speedup\": %.3f,\n",
-                         r.jitOverBatchSpeedup);
-            std::fprintf(f, "      \"jit_per_pu_speedup\": %.3f,\n",
-                         r.jitPerPuSpeedup);
-            std::fprintf(f, "      \"jit_amort_cycles\": %.0f,\n",
-                         r.jitAmortCycles);
+            w.field("jit_s", r.jitS, 6);
+            w.field("jit_compile_s", r.jitCompileS, 6);
+            w.field("jit_from_disk_cache", r.jitFromDiskCache);
+            w.field("jit_over_batch_speedup", r.jitOverBatchSpeedup, 3);
+            w.field("jit_per_pu_speedup", r.jitPerPuSpeedup, 3);
+            w.field("jit_amort_cycles", r.jitAmortCycles, 0);
         } else {
-            std::fprintf(f, "      \"jit_status\": \"%s\",\n",
-                         jsonEscape(r.jitStatus).c_str());
+            w.field("jit_status", r.jitStatus);
         }
-        std::fprintf(f, "      \"equivalent\": %s\n",
-                     r.equivalent ? "true" : "false");
-        std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+        w.field("equivalent", r.equivalent);
+        w.end();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -397,32 +358,15 @@ writeJson(const std::string &path, const std::vector<AppResult> &results,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string json_path;
+    bench::CommonFlags opts;
     int lanes = 64;
-    int cycles = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-            lanes = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--cycles") == 0 &&
-                   i + 1 < argc) {
-            cycles = std::atoi(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] [--lanes N] "
-                         "[--cycles N]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (lanes < 1) {
-        std::fprintf(stderr, "--lanes must be >= 1\n");
+    int cycles = 0; // 0 = the mode's default
+    if (!bench::parseFlags(argc, argv,
+                           {bench::smokeFlag(opts), bench::jsonFlag(opts),
+                            bench::flag("--lanes", "N", &lanes, 1),
+                            bench::flag("--cycles", "N", &cycles, 1)}))
         return 2;
-    }
+    const bool smoke = opts.smoke;
     if (cycles == 0)
         cycles = smoke ? 3000 : 20000;
 
@@ -507,7 +451,8 @@ main(int argc, char **argv)
                     why ? why->jitStatus.c_str() : "unknown");
     }
 
-    if (!json_path.empty() && !writeJson(json_path, results, smoke))
+    if (!opts.jsonPath.empty() &&
+        !bench::writeFile(opts.jsonPath, resultsJson(results, smoke)))
         return 1;
 
     if (!all_equivalent) {

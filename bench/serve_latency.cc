@@ -54,10 +54,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <fstream>
+#include <optional>
 
 #include "bench_common.h"
+#include "harness.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "system/pu_backend.h"
@@ -66,16 +66,9 @@ using namespace fleet;
 
 namespace {
 
-struct RunOptions
+struct RunOptions : bench::CommonFlags
 {
-    bool smoke = false;
-    std::string jsonPath;
-    std::string baselinePath;
-    int threads = 0;
-    std::string backendName = "fast";
-    system::PuBackend backend = system::PuBackend::Fast;
-    bool faults = false;
-    uint64_t faultSeed = 0;
+    std::optional<uint64_t> faultSeed; ///< --faults: storm + recovery.
 };
 
 struct PointResult
@@ -134,11 +127,11 @@ serviceConfig(const RunOptions &opts, const BenchShape &shape)
     config.maxQueueDepth = shape.maxQueueDepth;
     config.policy = serve::AdmissionPolicy::Reject;
     config.backgroundThread = false; // paced: deterministic pacing
-    if (opts.faults) {
+    if (opts.faultSeed) {
         // Fault storm with the full recovery stack armed (ISSUE 7):
         // the measured distribution then prices in retry delay.
         config.session.system.faults =
-            fault::FaultPlan::fromSeed(opts.faultSeed);
+            fault::FaultPlan::fromSeed(*opts.faultSeed);
         config.retry.maxAttempts = 3;
         config.retry.backoffCycles = 64;
         config.session.quarantineAfterFaults = 3;
@@ -155,7 +148,7 @@ calibrateServiceCycles(const apps::Application &app,
     // Calibrate fault-free even under --faults so rho keeps meaning
     // offered load / *healthy* pool capacity across both modes.
     RunOptions clean = opts;
-    clean.faults = false;
+    clean.faultSeed.reset();
     serve::ServiceConfig config = serviceConfig(clean, shape);
     serve::FleetService service(app.program(), config);
     uint64_t bytes =
@@ -291,190 +284,47 @@ runPoint(const apps::Application &app, const RunOptions &opts,
     return result;
 }
 
-bool
-writeJson(const std::string &path, const std::string &app,
-          const RunOptions &opts, const BenchShape &shape,
-          const std::vector<PointResult> &points)
+std::string
+resultsJson(const std::string &app, const RunOptions &opts,
+            const BenchShape &shape, const std::vector<PointResult> &points)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "serve_latency",
-                            opts.backendName.c_str(), opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"slots\": %d,\n", shape.slots);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"max_queue_depth\": %zu,\n", shape.maxQueueDepth);
-    std::fprintf(f, "  \"policy\": \"reject\",\n");
-    if (opts.faults)
-        std::fprintf(f, "  \"fault_seed\": %llu,\n",
-                     static_cast<unsigned long long>(opts.faultSeed));
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const PointResult &p = points[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"label\": \"%s\",\n", p.label.c_str());
-        std::fprintf(f, "      \"process\": \"%s\",\n",
-                     serve::arrivalProcessName(p.process));
-        std::fprintf(f, "      \"rho\": %.3f,\n", p.rho);
-        std::fprintf(f, "      \"mean_interarrival_cycles\": %.3f,\n",
-                     p.meanInterarrival);
-        std::fprintf(f, "      \"jobs\": %llu,\n",
-                     static_cast<unsigned long long>(p.jobs));
-        std::fprintf(f, "      \"served\": %llu,\n",
-                     static_cast<unsigned long long>(p.served));
-        std::fprintf(f, "      \"rejected\": %llu,\n",
-                     static_cast<unsigned long long>(p.rejected));
-        std::fprintf(f, "      \"failed\": %llu,\n",
-                     static_cast<unsigned long long>(p.failed));
-        std::fprintf(f, "      \"retries\": %llu,\n",
-                     static_cast<unsigned long long>(p.retries));
-        std::fprintf(f, "      \"reject_rate\": %.4f,\n", p.rejectRate);
-        std::fprintf(f, "      \"p50_total_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p50));
-        std::fprintf(f, "      \"p95_total_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p95));
-        std::fprintf(f, "      \"p99_total_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.p99));
-        std::fprintf(f, "      \"mean_queue_wait_cycles\": %.3f,\n",
-                     p.meanQueueWait);
-        std::fprintf(f, "      \"mean_service_cycles\": %.3f,\n",
-                     p.meanService);
-        std::fprintf(f, "      \"slot_occupancy\": %.4f,\n",
-                     p.slotOccupancy);
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.simCycles));
-        std::fprintf(f, "      \"jobs_per_sec\": %.3f,\n", p.jobsPerSec);
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/**
- * Gate current p99s against a previously written BENCH_LAT.json. The
- * simulated distribution is deterministic, so the comparison is exact:
- * any drift is a real serving-behaviour change. Line-wise scan of our
- * own format ("label" then "p99_total_cycles" per point object),
- * tolerant of added keys.
- */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<PointResult> &points)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line, current_label;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            const char *junk = " \t\",";
-            auto b = value.find_first_not_of(junk);
-            auto e = value.find_last_not_of(junk);
-            return b == std::string::npos
-                       ? std::string()
-                       : value.substr(b, e - b + 1);
-        };
-        if (auto label = grab("\"label\""); !label.empty())
-            current_label = label;
-        if (auto p99 = grab("\"p99_total_cycles\""); !p99.empty()) {
-            if (!current_label.empty())
-                baseline.emplace_back(current_label, p99);
-            current_label.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &p : points) {
-        char now[32];
-        std::snprintf(now, sizeof(now), "%llu",
-                      static_cast<unsigned long long>(p.p99));
-        auto it = std::find_if(
-            baseline.begin(), baseline.end(),
-            [&p](const auto &b) { return b.first == p.label; });
-        if (it == baseline.end()) {
-            std::fprintf(stderr, "baseline: point %s missing from %s\n",
-                         p.label.c_str(), path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %s p99 changed: %s -> %s cycles\n",
-                         p.label.c_str(), it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: p99 unchanged for all %zu load points "
-                    "(vs %s)\n",
-                    points.size(), path.c_str());
-    return ok;
-}
-
-/** Replay one point under a different backend / thread count and fence
- * the per-job simulated latency tuples bit-for-bit. */
-bool
-crosscheckDeterminism(const apps::Application &app,
-                      const RunOptions &opts, const BenchShape &shape,
-                      const PointResult &reference, double mean_service)
-{
-    struct Variant
-    {
-        const char *what;
-        std::string backendName;
-        system::PuBackend backend;
-        int threads;
-    };
-    std::vector<Variant> variants = {
-        {"1 host thread", opts.backendName, opts.backend, 1},
-        {"2 host threads", opts.backendName, opts.backend, 2},
-    };
-    auto cross = opts.backend == system::PuBackend::Fast
-                     ? system::PuBackend::Rtl
-                     : system::PuBackend::Fast;
-    variants.push_back({opts.backend == system::PuBackend::Fast
-                            ? "rtl backend"
-                            : "fast backend",
-                        system::puBackendName(cross), cross,
-                        opts.threads});
-
-    bool ok = true;
-    for (const auto &variant : variants) {
-        RunOptions vopts = opts;
-        vopts.backendName = variant.backendName;
-        vopts.backend = variant.backend;
-        vopts.threads = variant.threads;
-        PointResult replay =
-            runPoint(app, vopts, shape, reference.process,
-                     reference.rho, mean_service);
-        if (replay.signature != reference.signature) {
-            std::fprintf(stderr,
-                         "DETERMINISM VIOLATION: %s: per-job latency "
-                         "tuples diverged from the reference run\n",
-                         variant.what);
-            ok = false;
-        } else {
-            std::printf("determinism: %s: %zu per-job latency tuples "
-                        "bit-identical\n",
-                        variant.what, replay.signature.size());
-        }
-    }
-    return ok;
+    json::Writer w;
+    w.object();
+    bench::runMetadata(w, "serve_latency", opts.backendName(),
+                       opts.threads);
+    w.field("smoke", opts.smoke);
+    w.field("app", app);
+    w.field("slots", shape.slots);
+    w.field("channels", shape.channels);
+    w.field("max_queue_depth", shape.maxQueueDepth);
+    w.field("policy", "reject");
+    if (opts.faultSeed)
+        w.field("fault_seed", *opts.faultSeed);
+    w.array("points");
+    for (const PointResult &p : points)
+        w.object()
+            .field("label", p.label)
+            .field("process", serve::arrivalProcessName(p.process))
+            .field("rho", p.rho, 3)
+            .field("mean_interarrival_cycles", p.meanInterarrival, 3)
+            .field("jobs", p.jobs)
+            .field("served", p.served)
+            .field("rejected", p.rejected)
+            .field("failed", p.failed)
+            .field("retries", p.retries)
+            .field("reject_rate", p.rejectRate, 4)
+            .field("p50_total_cycles", p.p50)
+            .field("p95_total_cycles", p.p95)
+            .field("p99_total_cycles", p.p99)
+            .field("mean_queue_wait_cycles", p.meanQueueWait, 3)
+            .field("mean_service_cycles", p.meanService, 3)
+            .field("slot_occupancy", p.slotOccupancy, 4)
+            .field("sim_cycles", p.simCycles)
+            .field("jobs_per_sec", p.jobsPerSec, 3)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -483,40 +333,13 @@ int
 main(int argc, char **argv)
 {
     RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--faults") == 0 &&
-                   i + 1 < argc) {
-            opts.faults = true;
-            opts.faultSeed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend %s (choices: %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--baseline PATH] [--threads N] "
-                         "[--backend %s] [--faults SEED]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
+    if (!bench::parseFlags(
+            argc, argv,
+            {bench::smokeFlag(opts), bench::jsonFlag(opts),
+             bench::baselineFlag(opts), bench::threadsFlag(opts),
+             bench::backendFlag(opts),
+             bench::flag("--faults", "SEED", &opts.faultSeed)}))
+        return 2;
 
     BenchShape shape;
     std::vector<std::pair<serve::ArrivalProcess, double>> sweep;
@@ -547,7 +370,7 @@ main(int argc, char **argv)
         "load / pool capacity (calibrated).");
     std::printf("app=%s backend=%s slots=%d channels=%d queue=%zu "
                 "jobs/point=%llu\n\n",
-                app.name().c_str(), opts.backendName.c_str(),
+                app.name().c_str(), opts.backendName(),
                 shape.slots, shape.channels, shape.maxQueueDepth,
                 static_cast<unsigned long long>(shape.jobsPerPoint));
 
@@ -597,7 +420,7 @@ main(int argc, char **argv)
                          static_cast<unsigned long long>(p.p99));
             ok = false;
         }
-        if (p.failed != 0 && !opts.faults) {
+        if (p.failed != 0 && !opts.faultSeed) {
             std::fprintf(stderr, "GATE: %s: %llu jobs failed\n",
                          p.label.c_str(),
                          static_cast<unsigned long long>(p.failed));
@@ -617,16 +440,26 @@ main(int argc, char **argv)
         // and host thread counts.
         const PointResult &reference =
             points.size() > 1 ? points[1] : points[0];
-        if (!crosscheckDeterminism(app, opts, shape, reference,
-                                   mean_service))
+        auto other = opts.backend == system::PuBackend::Fast
+                         ? system::PuBackend::Rtl
+                         : system::PuBackend::Fast;
+        if (!bench::crosscheckDeterminism(
+                opts, other, "", "per-job latency tuples",
+                reference.signature, [&](const RunOptions &vopts) {
+                    return runPoint(app, vopts, shape, reference.process,
+                                    reference.rho, mean_service)
+                        .signature;
+                }))
             ok = false;
     }
 
-    if (!opts.jsonPath.empty() &&
-        !writeJson(opts.jsonPath, app.name(), opts, shape, points))
+    std::string doc = resultsJson(app.name(), opts, shape, points);
+    if (!opts.jsonPath.empty() && !bench::writeFile(opts.jsonPath, doc))
         ok = false;
+    // Exact: the simulated distribution is deterministic.
     if (!opts.baselinePath.empty() &&
-        !checkBaseline(opts.baselinePath, points))
+        !bench::checkBaseline(opts.baselinePath, doc,
+                              {"points", "label", "p99_total_cycles"}))
         ok = false;
     return ok ? 0 : 1;
 }

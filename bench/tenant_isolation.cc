@@ -35,10 +35,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 
 #include "bench_common.h"
+#include "harness.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "system/pu_backend.h"
@@ -46,16 +45,6 @@
 using namespace fleet;
 
 namespace {
-
-struct RunOptions
-{
-    bool smoke = false;
-    std::string jsonPath;
-    std::string baselinePath;
-    int threads = 0;
-    std::string backendName = "fast";
-    system::PuBackend backend = system::PuBackend::Fast;
-};
 
 struct BenchShape
 {
@@ -97,7 +86,7 @@ percentile(const std::vector<uint64_t> &sorted, double q)
 }
 
 serve::ServiceConfig
-serviceConfig(const RunOptions &opts, const BenchShape &shape,
+serviceConfig(const bench::CommonFlags &opts, const BenchShape &shape,
               runtime::SchedulerPolicy policy)
 {
     serve::ServiceConfig config;
@@ -122,7 +111,7 @@ serviceConfig(const RunOptions &opts, const BenchShape &shape,
  * trickle is released on its seeded schedule; with `isolated` the
  * flood is withheld (the baseline the gates compare against). */
 PolicyResult
-runPolicy(const apps::Application &app, const RunOptions &opts,
+runPolicy(const apps::Application &app, const bench::CommonFlags &opts,
           const BenchShape &shape, const char *label,
           runtime::SchedulerPolicy policy, bool isolated)
 {
@@ -230,173 +219,37 @@ runPolicy(const apps::Application &app, const RunOptions &opts,
     return result;
 }
 
-bool
-writeJson(const std::string &path, const std::string &app,
-          const RunOptions &opts, const BenchShape &shape,
-          const std::vector<PolicyResult> &points)
+std::string
+resultsJson(const std::string &app, const bench::CommonFlags &opts,
+            const BenchShape &shape, const std::vector<PolicyResult> &points)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\n");
-    bench::writeRunMetadata(f, "tenant_isolation",
-                            opts.backendName.c_str(), opts.threads);
-    std::fprintf(f, "  \"smoke\": %s,\n", opts.smoke ? "true" : "false");
-    std::fprintf(f, "  \"app\": \"%s\",\n", app.c_str());
-    std::fprintf(f, "  \"slots\": %d,\n", shape.slots);
-    std::fprintf(f, "  \"channels\": %d,\n", shape.channels);
-    std::fprintf(f, "  \"victim_jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.victimJobs));
-    std::fprintf(f, "  \"flood_jobs\": %llu,\n",
-                 static_cast<unsigned long long>(shape.floodJobs));
-    std::fprintf(f, "  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const PolicyResult &p = points[i];
-        std::fprintf(f, "    {\n");
-        std::fprintf(f, "      \"label\": \"%s\",\n", p.label.c_str());
-        std::fprintf(f, "      \"isolated\": %s,\n",
-                     p.isolated ? "true" : "false");
-        std::fprintf(f, "      \"victim_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimServed));
-        std::fprintf(f, "      \"flood_served\": %llu,\n",
-                     static_cast<unsigned long long>(p.floodServed));
-        std::fprintf(f, "      \"victim_p50_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP50));
-        std::fprintf(f, "      \"victim_p95_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP95));
-        std::fprintf(f, "      \"victim_p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.victimP99));
-        std::fprintf(f, "      \"victim_mean_wait_cycles\": %.3f,\n",
-                     p.victimMeanWait);
-        std::fprintf(f, "      \"flood_p99_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.floodP99));
-        std::fprintf(f, "      \"sim_cycles\": %llu,\n",
-                     static_cast<unsigned long long>(p.simCycles));
-        std::fprintf(f, "      \"sim_wall_s\": %.6f\n", p.simWallS);
-        std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
-/** Exact victim-p99 comparison against a previously written JSON (the
- * simulated schedule is deterministic, so any drift is real). */
-bool
-checkBaseline(const std::string &path,
-              const std::vector<PolicyResult> &points)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-        return false;
-    }
-    std::vector<std::pair<std::string, std::string>> baseline;
-    std::string line, current_label;
-    while (std::getline(in, line)) {
-        auto grab = [&line](const char *key) -> std::string {
-            auto pos = line.find(key);
-            if (pos == std::string::npos)
-                return "";
-            pos = line.find(':', pos);
-            if (pos == std::string::npos)
-                return "";
-            std::string value = line.substr(pos + 1);
-            const char *junk = " \t\",";
-            auto b = value.find_first_not_of(junk);
-            auto e = value.find_last_not_of(junk);
-            return b == std::string::npos
-                       ? std::string()
-                       : value.substr(b, e - b + 1);
-        };
-        if (auto label = grab("\"label\""); !label.empty())
-            current_label = label;
-        if (auto p99 = grab("\"victim_p99_cycles\""); !p99.empty()) {
-            if (!current_label.empty())
-                baseline.emplace_back(current_label, p99);
-            current_label.clear();
-        }
-    }
-    bool ok = true;
-    for (const auto &p : points) {
-        char now[32];
-        std::snprintf(now, sizeof(now), "%llu",
-                      static_cast<unsigned long long>(p.victimP99));
-        auto it = std::find_if(
-            baseline.begin(), baseline.end(),
-            [&p](const auto &b) { return b.first == p.label; });
-        if (it == baseline.end()) {
-            std::fprintf(stderr, "baseline: point %s missing from %s\n",
-                         p.label.c_str(), path.c_str());
-            ok = false;
-        } else if (it->second != now) {
-            std::fprintf(stderr,
-                         "baseline: %s victim p99 changed: %s -> %s "
-                         "cycles\n",
-                         p.label.c_str(), it->second.c_str(), now);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("baseline: victim p99 unchanged for all %zu policy "
-                    "points (vs %s)\n",
-                    points.size(), path.c_str());
-    return ok;
-}
-
-/** Replay a policy point across thread counts and the other backend;
- * the per-job tuples must be bit-identical. */
-bool
-crosscheckDeterminism(const apps::Application &app,
-                      const RunOptions &opts, const BenchShape &shape,
-                      const char *label,
-                      runtime::SchedulerPolicy policy,
-                      const PolicyResult &reference)
-{
-    struct Variant
-    {
-        const char *what;
-        std::string backendName;
-        system::PuBackend backend;
-        int threads;
-    };
-    std::vector<Variant> variants = {
-        {"1 host thread", opts.backendName, opts.backend, 1},
-        {"2 host threads", opts.backendName, opts.backend, 2},
-    };
-    auto cross = opts.backend == system::PuBackend::Fast
-                     ? system::PuBackend::Rtl
-                     : system::PuBackend::Fast;
-    variants.push_back({opts.backend == system::PuBackend::Fast
-                            ? "rtl backend"
-                            : "fast backend",
-                        system::puBackendName(cross), cross,
-                        opts.threads});
-
-    bool ok = true;
-    for (const auto &variant : variants) {
-        RunOptions vopts = opts;
-        vopts.backendName = variant.backendName;
-        vopts.backend = variant.backend;
-        vopts.threads = variant.threads;
-        PolicyResult replay =
-            runPolicy(app, vopts, shape, label, policy, false);
-        if (replay.signature != reference.signature) {
-            std::fprintf(stderr,
-                         "DETERMINISM VIOLATION: %s/%s: per-job tuples "
-                         "diverged from the reference run\n",
-                         label, variant.what);
-            ok = false;
-        } else {
-            std::printf("determinism: %s/%s: %zu per-job tuples "
-                        "bit-identical\n",
-                        label, variant.what, replay.signature.size());
-        }
-    }
-    return ok;
+    json::Writer w;
+    w.object();
+    bench::runMetadata(w, "tenant_isolation", opts.backendName(),
+                       opts.threads);
+    w.field("smoke", opts.smoke);
+    w.field("app", app);
+    w.field("slots", shape.slots);
+    w.field("channels", shape.channels);
+    w.field("victim_jobs", shape.victimJobs);
+    w.field("flood_jobs", shape.floodJobs);
+    w.array("points");
+    for (const PolicyResult &p : points)
+        w.object()
+            .field("label", p.label)
+            .field("isolated", p.isolated)
+            .field("victim_served", p.victimServed)
+            .field("flood_served", p.floodServed)
+            .field("victim_p50_cycles", p.victimP50)
+            .field("victim_p95_cycles", p.victimP95)
+            .field("victim_p99_cycles", p.victimP99)
+            .field("victim_mean_wait_cycles", p.victimMeanWait, 3)
+            .field("flood_p99_cycles", p.floodP99)
+            .field("sim_cycles", p.simCycles)
+            .field("sim_wall_s", p.simWallS, 6)
+            .end();
+    w.end().end();
+    return w.str();
 }
 
 } // namespace
@@ -404,37 +257,13 @@ crosscheckDeterminism(const apps::Application &app,
 int
 main(int argc, char **argv)
 {
-    RunOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            opts.smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            opts.baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            auto parsed = system::parsePuBackend(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown backend %s (choices: %s)\n",
-                             argv[i], system::kPuBackendChoices);
-                return 2;
-            }
-            opts.backend = *parsed;
-            opts.backendName = system::puBackendName(*parsed);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH] "
-                         "[--baseline PATH] [--threads N] "
-                         "[--backend %s]\n",
-                         argv[0], system::kPuBackendChoices);
-            return 2;
-        }
-    }
+    bench::CommonFlags opts;
+    if (!bench::parseFlags(argc, argv,
+                           {bench::smokeFlag(opts), bench::jsonFlag(opts),
+                            bench::baselineFlag(opts),
+                            bench::threadsFlag(opts),
+                            bench::backendFlag(opts)}))
+        return 2;
 
     BenchShape shape;
     if (opts.smoke)
@@ -451,7 +280,7 @@ main(int argc, char **argv)
         "latency vs a victim-only isolated baseline.");
     std::printf("app=%s backend=%s slots=%d channels=%d victim=%llu "
                 "flood=%llu\n\n",
-                app.name().c_str(), opts.backendName.c_str(),
+                app.name().c_str(), opts.backendName(),
                 shape.slots, shape.channels,
                 static_cast<unsigned long long>(shape.victimJobs),
                 static_cast<unsigned long long>(shape.floodJobs));
@@ -548,20 +377,32 @@ main(int argc, char **argv)
     }
 
     if (opts.smoke && fifo && wfq) {
-        if (!crosscheckDeterminism(app, opts, shape, "fifo",
-                                   runtime::SchedulerPolicy::Fifo,
-                                   *fifo))
+        auto other = opts.backend == system::PuBackend::Fast
+                         ? system::PuBackend::Rtl
+                         : system::PuBackend::Fast;
+        auto crosscheck = [&](const PolicyResult &reference,
+                              runtime::SchedulerPolicy policy) {
+            return bench::crosscheckDeterminism(
+                opts, other, reference.label + "/", "per-job tuples",
+                reference.signature, [&](const bench::CommonFlags &vopts) {
+                    return runPolicy(app, vopts, shape,
+                                     reference.label.c_str(), policy, false)
+                        .signature;
+                });
+        };
+        if (!crosscheck(*fifo, runtime::SchedulerPolicy::Fifo))
             ok = false;
-        if (!crosscheckDeterminism(app, opts, shape, "wfq",
-                                   runtime::SchedulerPolicy::Wfq, *wfq))
+        if (!crosscheck(*wfq, runtime::SchedulerPolicy::Wfq))
             ok = false;
     }
 
-    if (!opts.jsonPath.empty() &&
-        !writeJson(opts.jsonPath, app.name(), opts, shape, points))
+    std::string doc = resultsJson(app.name(), opts, shape, points);
+    if (!opts.jsonPath.empty() && !bench::writeFile(opts.jsonPath, doc))
         ok = false;
+    // Exact: the simulated schedule is deterministic.
     if (!opts.baselinePath.empty() &&
-        !checkBaseline(opts.baselinePath, points))
+        !bench::checkBaseline(opts.baselinePath, doc,
+                              {"points", "label", "victim_p99_cycles"}))
         ok = false;
     return ok ? 0 : 1;
 }

@@ -14,7 +14,17 @@ using lang::LValue;
 
 FunctionalSimulator::FunctionalSimulator(const lang::Program &program,
                                          SimOptions options)
-    : program_(program), flat_(lang::flatten(program_)), options_(options)
+    : FunctionalSimulator(
+          program,
+          std::make_shared<const lang::FlatProgram>(lang::flatten(program)),
+          options)
+{
+}
+
+FunctionalSimulator::FunctionalSimulator(
+    const lang::Program &program,
+    std::shared_ptr<const lang::FlatProgram> flat, SimOptions options)
+    : program_(program), flat_(std::move(flat)), options_(options)
 {
     reset();
 }
@@ -129,7 +139,7 @@ FunctionalSimulator::runVcycle(RunResult &result,
                                std::vector<uint8_t> *signature)
 {
     if (signature)
-        signature->assign(flat_.assigns.size() + flat_.emits.size(), 0);
+        signature->assign(flat_->assigns.size() + flat_->emits.size(), 0);
 
     // New virtual cycle: invalidate the expression memo.
     ++evalEpoch_;
@@ -137,12 +147,12 @@ FunctionalSimulator::runVcycle(RunResult &result,
     // 1. Evaluate while conditions: while any holds, only loop bodies run
     //    and the input token is not consumed.
     bool while_active = false;
-    for (const auto &cond : flat_.whileConds)
+    for (const auto &cond : flat_->whileConds)
         while_active = while_active || eval(cond) != 0;
 
     // 2. BRAM read accounting: at most one distinct address per BRAM.
     std::vector<int64_t> read_addr(program_.brams.size(), -1);
-    for (const auto &occ : flat_.bramReads) {
+    for (const auto &occ : flat_->bramReads) {
         if (!evalGate(occ.cond, occ.insideWhile, while_active))
             continue;
         const auto &bram = program_.bram(occ.bramId);
@@ -179,8 +189,8 @@ FunctionalSimulator::runVcycle(RunResult &result,
     // elements; track (id, index) pairs.
     std::vector<std::pair<int, uint64_t>> vreg_written;
 
-    for (size_t a = 0; a < flat_.assigns.size(); ++a) {
-        const auto &assign = flat_.assigns[a];
+    for (size_t a = 0; a < flat_->assigns.size(); ++a) {
+        const auto &assign = flat_->assigns[a];
         if (!evalGate(assign.cond, assign.insideWhile, while_active))
             continue;
         if (signature)
@@ -248,14 +258,14 @@ FunctionalSimulator::runVcycle(RunResult &result,
 
     // 4. Emits: at most one per virtual cycle.
     bool emitted = false;
-    for (size_t m = 0; m < flat_.emits.size(); ++m) {
-        const auto &emit = flat_.emits[m];
+    for (size_t m = 0; m < flat_->emits.size(); ++m) {
+        const auto &emit = flat_->emits[m];
         if (!evalGate(emit.cond, emit.insideWhile, while_active))
             continue;
         if (emitted)
             violation("multiple emits in one virtual cycle");
         if (signature)
-            (*signature)[flat_.assigns.size() + m] = 1;
+            (*signature)[flat_->assigns.size() + m] = 1;
         emitted = true;
         result.output.appendBits(eval(emit.value),
                                  program_.outputTokenWidth);

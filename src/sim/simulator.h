@@ -23,6 +23,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,15 @@ class FunctionalSimulator
   public:
     explicit FunctionalSimulator(const lang::Program &program,
                                  SimOptions options = {});
+    /**
+     * Run on `flat`, which must be lang::flatten(program). Flattening
+     * mints new expression nodes, each taking a process-wide eval id
+     * that sizes the memo, so callers that build many simulators of
+     * one program (FastPu re-arms) flatten once and share the result.
+     */
+    FunctionalSimulator(const lang::Program &program,
+                        std::shared_ptr<const lang::FlatProgram> flat,
+                        SimOptions options = {});
 
     /**
      * Run the program over a complete input stream (tokens packed at the
@@ -94,7 +104,7 @@ class FunctionalSimulator
     /// @}
 
     const lang::Program &program() const { return program_; }
-    const lang::FlatProgram &flat() const { return flat_; }
+    const lang::FlatProgram &flat() const { return *flat_; }
 
   private:
     struct State
@@ -116,7 +126,7 @@ class FunctionalSimulator
     [[noreturn]] void violation(const std::string &message) const;
 
     lang::Program program_;
-    lang::FlatProgram flat_;
+    std::shared_ptr<const lang::FlatProgram> flat_;
     SimOptions options_;
 
     State state_;

@@ -386,6 +386,10 @@ FleetSystem::build(int num_slots)
             engines[g] =
                 std::make_shared<const RtlTapeEngine>(programs_[g]);
     };
+    // One flattened program per hosted program, shared by its FastPus
+    // across every re-arm (see FastPu).
+    std::vector<std::shared_ptr<const lang::FlatProgram>> flats(
+        programs_.size());
     // Group the SoA-batched slots by (channel, program): one RtlBatch
     // per group, attached with the channel-local lanes it drives. A
     // single-program all-Rtl session degenerates to the legacy one
@@ -399,6 +403,9 @@ FleetSystem::build(int num_slots)
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
+            if (!flats[g])
+                flats[g] = std::make_shared<const lang::FlatProgram>(
+                    lang::flatten(programs_[g]));
             break;
           case PuBackend::RtlInterp:
             needCompiled(g);
@@ -471,7 +478,8 @@ FleetSystem::build(int num_slots)
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
             pus[p] = std::make_unique<FastPu>(
-                programs_[g], sessionMode_ ? BitBuffer{} : streams_[p]);
+                programs_[g], sessionMode_ ? BitBuffer{} : streams_[p],
+                flats[g]);
             break;
           case PuBackend::RtlInterp:
             pus[p] = std::make_unique<RtlPu>(*compiled[g]);

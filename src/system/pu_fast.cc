@@ -5,9 +5,13 @@
 namespace fleet {
 namespace system {
 
-FastPu::FastPu(const lang::Program &program, const BitBuffer &stream)
+FastPu::FastPu(const lang::Program &program, const BitBuffer &stream,
+               std::shared_ptr<const lang::FlatProgram> flat)
     : inputTokenWidth_(program.inputTokenWidth),
-      outputTokenWidth_(program.outputTokenWidth), program_(&program)
+      outputTokenWidth_(program.outputTokenWidth), program_(&program),
+      flat_(flat ? std::move(flat)
+                 : std::make_shared<const lang::FlatProgram>(
+                       lang::flatten(program)))
 {
     rearm(stream);
 }
@@ -17,7 +21,7 @@ FastPu::rearm(const BitBuffer &stream)
 {
     sim::SimOptions options;
     options.recordTrace = true;
-    sim::FunctionalSimulator simulator(*program_, options);
+    sim::FunctionalSimulator simulator(*program_, flat_, options);
     result_ = simulator.run(stream);
     streamTokens_ = result_.tokens;
     reset();

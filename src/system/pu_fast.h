@@ -13,7 +13,10 @@
  * simulation cost, enabling the full-system benchmark sweeps.
  */
 
+#include <memory>
+
 #include "lang/ast.h"
+#include "lang/flatten.h"
 #include "sim/simulator.h"
 #include "system/pu.h"
 #include "util/bitbuf.h"
@@ -26,9 +29,13 @@ class FastPu : public ProcessingUnit
   public:
     /**
      * Pre-run the functional simulator on `stream` (the exact token
-     * stream this unit will be fed) and build the replay model.
+     * stream this unit will be fed) and build the replay model. `flat`
+     * is lang::flatten(program), shared by every unit of the program;
+     * null flattens here. Every rearm() reuses it, so re-arms mint no
+     * expression eval ids and the simulator memo stays bounded.
      */
-    FastPu(const lang::Program &program, const BitBuffer &stream);
+    FastPu(const lang::Program &program, const BitBuffer &stream,
+           std::shared_ptr<const lang::FlatProgram> flat = nullptr);
 
     /**
      * Re-target the replay model at a new stream (job runtime re-arm):
@@ -54,6 +61,7 @@ class FastPu : public ProcessingUnit
     int outputTokenWidth_;
     /** Not owned; must outlive the unit (rearm() re-simulates it). */
     const lang::Program *program_;
+    std::shared_ptr<const lang::FlatProgram> flat_;
     sim::RunResult result_;
     uint64_t streamTokens_;
 

@@ -181,27 +181,6 @@ TraceReport::countersSummary() const
     return os.str();
 }
 
-void
-TraceReport::writeCountersJson(std::FILE *f, const char *indent) const
-{
-    std::fprintf(f, "%s[\n", indent);
-    bool first = true;
-    for (const auto &channel : channels) {
-        for (const auto &set : channel.counters) {
-            if (!first)
-                std::fprintf(f, ",\n");
-            first = false;
-            std::fprintf(f, "%s  {\"component\": \"%s\"", indent,
-                         set.name.c_str());
-            for (const auto &[key, value] : set.values)
-                std::fprintf(f, ", \"%s\": %llu", key.c_str(),
-                             static_cast<unsigned long long>(value));
-            std::fprintf(f, "}");
-        }
-    }
-    std::fprintf(f, "\n%s]", indent);
-}
-
 bool
 operator==(const TraceReport &a, const TraceReport &b)
 {

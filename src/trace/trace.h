@@ -236,13 +236,6 @@ struct TraceReport
 
     /** Human-readable per-channel counter digest (for --counters). */
     std::string countersSummary() const;
-
-    /**
-     * Append the counters as JSON (an array of {"component": ...,
-     * counters...} objects) onto an already-open file — the
-     * BENCH_PR.json flow. `indent` prefixes every emitted line.
-     */
-    void writeCountersJson(std::FILE *f, const char *indent) const;
 };
 
 bool operator==(const TraceReport &a, const TraceReport &b);

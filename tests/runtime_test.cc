@@ -39,6 +39,14 @@ goldenOutput(const lang::Program &program, const BitBuffer &stream)
     return simulator.run(stream).output;
 }
 
+/** The next process-wide expression eval id (mints exactly one). */
+int64_t
+nextEvalId()
+{
+    lang::Expr probe = lang::constExpr(0, 1);
+    return lang::exprEvalId(probe.get());
+}
+
 // ---------------------------------------------------------------------------
 // JobQueue
 // ---------------------------------------------------------------------------
@@ -536,6 +544,39 @@ TEST(RuntimeSession, HaltedChannelStrandsItsJobsOthersKeepServing)
         ASSERT_TRUE(reports4[j] == reports[j])
             << "job " << j << " diverges at 4 threads";
     ASSERT_TRUE(report4 == report);
+}
+
+TEST(Session, FastRearmsMintNoEvalIds)
+{
+    // Every Fast re-arm pre-runs a new functional simulator whose memo
+    // is sized by the largest eval id it touches. Re-arms must reuse the
+    // program's one flattening; minting new nodes per arm would make
+    // each arm cost more than the last for the life of the process.
+    lang::Program program = testprogs::blockFrequencies(16);
+    SessionConfig config;
+    config.system.numChannels = 1;
+    config.system.numThreads = 1;
+    config.system.inputRegionBytes = 256;
+    config.numSlots = 1;
+    Session session(program, config);
+    Rng rng(0xe7a1);
+    std::vector<BitBuffer> streams;
+    for (int j = 0; j < 201; ++j)
+        streams.push_back(randomStream(rng, 64));
+    session.submit(streams[0]);
+    session.drain();
+    const int64_t after_first = nextEvalId();
+    for (int j = 1; j < 201; ++j)
+        session.submit(streams[j]);
+    session.drain();
+    EXPECT_EQ(nextEvalId(), after_first + 1);
+    const system::RunReport &report = session.finish();
+    EXPECT_TRUE(report.allOk()) << report.summary();
+    ASSERT_EQ(session.reports().size(), 201u);
+    for (int j : {0, 200})
+        EXPECT_TRUE(session.reports()[j].output ==
+                    goldenOutput(program, streams[j]))
+            << "job " << j;
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Golden-schema test for the Chrome trace_event export (ISSUE 3): write
  * a real traced run with RunReport::writeTrace, parse the file back
- * with the test-local JSON parser, and validate the schema Perfetto /
+ * with the shared bench JSON reader (bench/json.h), and validate the schema Perfetto /
  * chrome://tracing relies on — event phases, pid/tid mapping to
  * channels and PU lanes, metadata naming, and monotonically
  * non-decreasing timestamps within every (pid, tid) lane. The event
@@ -23,7 +23,7 @@
 #include <string>
 
 #include "apps/registry.h"
-#include "json_lite.h"
+#include "json.h"
 #include "system/fleet_system.h"
 #include "util/rng.h"
 
@@ -76,7 +76,7 @@ class TraceSchemaTest : public ::testing::Test
         std::string text = readFile(path_);
         ASSERT_FALSE(text.empty());
         std::string error;
-        ASSERT_TRUE(testjson::parse(text, root_, &error)) << error;
+        ASSERT_TRUE(json::parse(text, root_, &error)) << error;
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
@@ -84,7 +84,7 @@ class TraceSchemaTest : public ::testing::Test
     std::unique_ptr<FleetSystem> fleet_;
     const RunReport *report_ = nullptr;
     std::string path_;
-    testjson::Value root_;
+    json::Value root_;
 };
 
 TEST_F(TraceSchemaTest, TopLevelEnvelope)
@@ -92,17 +92,17 @@ TEST_F(TraceSchemaTest, TopLevelEnvelope)
     ASSERT_TRUE(root_.isObject());
     EXPECT_EQ(root_.getString("displayTimeUnit"), "ms");
 
-    const testjson::Value *events = root_.find("traceEvents");
+    const json::Value *events = root_.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
     EXPECT_FALSE(events->array.empty());
 
-    const testjson::Value *other = root_.find("otherData");
+    const json::Value *other = root_.find("otherData");
     ASSERT_NE(other, nullptr);
     ASSERT_TRUE(other->isObject());
     EXPECT_EQ(other->getInt("cycles_per_us"), 1);
     EXPECT_EQ(other->getInt("dropped_spans"), 0);
-    const testjson::Value *mhz = other->find("clock_mhz");
+    const json::Value *mhz = other->find("clock_mhz");
     ASSERT_NE(mhz, nullptr);
     EXPECT_DOUBLE_EQ(mhz->number, report_->trace->clockMHz);
 }
@@ -110,7 +110,7 @@ TEST_F(TraceSchemaTest, TopLevelEnvelope)
 TEST_F(TraceSchemaTest, EveryEventIsWellFormed)
 {
     static const std::set<std::string> known_phases = {"M", "X", "i", "C"};
-    for (const testjson::Value &event : root_.find("traceEvents")->array) {
+    for (const json::Value &event : root_.find("traceEvents")->array) {
         ASSERT_TRUE(event.isObject());
         std::string ph = event.getString("ph");
         EXPECT_TRUE(known_phases.count(ph)) << "unknown ph " << ph;
@@ -127,7 +127,7 @@ TEST_F(TraceSchemaTest, EveryEventIsWellFormed)
             EXPECT_EQ(event.getString("s"), "t");
         }
         if (ph == "C") {
-            const testjson::Value *args = event.find("args");
+            const json::Value *args = event.find("args");
             ASSERT_NE(args, nullptr);
             EXPECT_GE(args->getInt("depth"), 0);
         }
@@ -138,7 +138,7 @@ TEST_F(TraceSchemaTest, MetadataNamesChannelsAndLanes)
 {
     std::map<int64_t, std::string> process_names;
     std::map<std::pair<int64_t, int64_t>, std::string> thread_names;
-    for (const testjson::Value &event : root_.find("traceEvents")->array) {
+    for (const json::Value &event : root_.find("traceEvents")->array) {
         if (event.getString("ph") != "M")
             continue;
         std::string name = event.find("args")->getString("name");
@@ -165,7 +165,7 @@ TEST_F(TraceSchemaTest, MetadataNamesChannelsAndLanes)
 TEST_F(TraceSchemaTest, TimestampsMonotonicPerLane)
 {
     std::map<std::pair<int64_t, int64_t>, int64_t> last_ts;
-    for (const testjson::Value &event : root_.find("traceEvents")->array) {
+    for (const json::Value &event : root_.find("traceEvents")->array) {
         std::string ph = event.getString("ph");
         if (ph == "M")
             continue;
@@ -187,7 +187,7 @@ TEST_F(TraceSchemaTest, ExportIsLossless)
     // TraceReport: every span, marker, and counter sample made it out.
     uint64_t spans = 0, markers = 0, samples = 0;
     std::set<std::string> span_names;
-    for (const testjson::Value &event : root_.find("traceEvents")->array) {
+    for (const json::Value &event : root_.find("traceEvents")->array) {
         std::string ph = event.getString("ph");
         if (ph == "X") {
             ++spans;
