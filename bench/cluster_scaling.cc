@@ -172,17 +172,6 @@ struct PipelinePoint
     double simWallS = 0;
 };
 
-uint64_t
-percentile(const std::vector<uint64_t> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    size_t rank = static_cast<size_t>(q * double(sorted.size()));
-    if (rank >= sorted.size())
-        rank = sorted.size() - 1;
-    return sorted[rank];
-}
-
 PipelinePoint
 runPipelinePoint(const bench::CommonFlags &opts, const BenchShape &shape,
                  uint64_t bytes_per_cycle,
@@ -223,8 +212,8 @@ runPipelinePoint(const bench::CommonFlags &opts, const BenchShape &shape,
         totals.push_back(report.totalCycles());
     }
     std::sort(totals.begin(), totals.end());
-    point.p50 = percentile(totals, 0.50);
-    point.p99 = percentile(totals, 0.99);
+    point.p50 = bench::percentile(totals, 0.50);
+    point.p99 = bench::percentile(totals, 0.99);
     point.linkBusyCycles =
         pipeline.cluster().link(0, 1).counters().busyCycles;
     point.simCycles = pipeline.cycles();

@@ -486,6 +486,22 @@ crosscheckDeterminism(const Options &opts, system::PuBackend other,
     return ok;
 }
 
+// ---------------------------------------------------------------------------
+// Latency statistics
+
+/** Nearest-rank percentile of ascending `sorted`: the element at
+ * floor(q * size), clamped to the last; 0 when empty. */
+inline uint64_t
+percentile(const std::vector<uint64_t> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0;
+    size_t rank = static_cast<size_t>(q * double(sorted.size()));
+    if (rank >= sorted.size())
+        rank = sorted.size() - 1;
+    return sorted[rank];
+}
+
 } // namespace bench
 } // namespace fleet
 

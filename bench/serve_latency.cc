@@ -104,17 +104,6 @@ struct BenchShape
     size_t maxQueueDepth = 32;
 };
 
-uint64_t
-percentile(const std::vector<uint64_t> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    size_t rank = static_cast<size_t>(q * double(sorted.size()));
-    if (rank >= sorted.size())
-        rank = sorted.size() - 1;
-    return sorted[rank];
-}
-
 serve::ServiceConfig
 serviceConfig(const RunOptions &opts, const BenchShape &shape)
 {
@@ -257,9 +246,9 @@ runPoint(const apps::Application &app, const RunOptions &opts,
     result.rejectRate =
         result.jobs > 0 ? double(result.rejected) / double(result.jobs)
                         : 0;
-    result.p50 = percentile(totals, 0.50);
-    result.p95 = percentile(totals, 0.95);
-    result.p99 = percentile(totals, 0.99);
+    result.p50 = bench::percentile(totals, 0.50);
+    result.p95 = bench::percentile(totals, 0.95);
+    result.p99 = bench::percentile(totals, 0.99);
     result.meanQueueWait =
         result.served ? double(wait_sum) / double(result.served) : 0;
     result.meanService =

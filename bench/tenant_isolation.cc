@@ -74,17 +74,6 @@ struct PolicyResult
     std::vector<std::array<uint64_t, 6>> signature;
 };
 
-uint64_t
-percentile(const std::vector<uint64_t> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    size_t rank = static_cast<size_t>(q * double(sorted.size()));
-    if (rank >= sorted.size())
-        rank = sorted.size() - 1;
-    return sorted[rank];
-}
-
 serve::ServiceConfig
 serviceConfig(const bench::CommonFlags &opts, const BenchShape &shape,
               runtime::SchedulerPolicy policy)
@@ -202,14 +191,14 @@ runPolicy(const apps::Application &app, const bench::CommonFlags &opts,
     }
     std::sort(victim_totals.begin(), victim_totals.end());
     std::sort(flood_totals.begin(), flood_totals.end());
-    result.victimP50 = percentile(victim_totals, 0.50);
-    result.victimP95 = percentile(victim_totals, 0.95);
-    result.victimP99 = percentile(victim_totals, 0.99);
+    result.victimP50 = bench::percentile(victim_totals, 0.50);
+    result.victimP95 = bench::percentile(victim_totals, 0.95);
+    result.victimP99 = bench::percentile(victim_totals, 0.99);
     result.victimMeanWait =
         result.victimServed
             ? double(victim_wait) / double(result.victimServed)
             : 0;
-    result.floodP99 = percentile(flood_totals, 0.99);
+    result.floodP99 = bench::percentile(flood_totals, 0.99);
     result.simCycles = service.stats().simCycles;
     for (const auto &report : service.session().reports())
         result.signature.push_back(

@@ -3,9 +3,8 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "lang/flatten.h"
+#include "sim/plan.h"
 #include "sim/simulator.h"
 #include "util/bits.h"
 
@@ -15,19 +14,20 @@ namespace baseline {
 namespace {
 
 /** DAG-aware node count of an expression set (shared subtrees counted
- * once, as a compiler would emit them once). */
+ * once, as a compiler would emit them once). Plan nodes are the
+ * program's distinct expression nodes. */
 void
-countDag(const lang::Expr &e,
-         std::unordered_set<const lang::ExprNode *> &visited,
-         uint64_t &count)
+countDag(const sim::EvalPlan &plan, uint32_t node,
+         std::vector<uint8_t> &visited, uint64_t &count)
 {
-    if (!e || visited.count(e.get()))
+    if (node == sim::EvalPlan::kNone || visited[node])
         return;
-    visited.insert(e.get());
+    visited[node] = 1;
     ++count;
-    countDag(e->a, visited, count);
-    countDag(e->b, visited, count);
-    countDag(e->c, visited, count);
+    const auto &n = plan.nodes[node];
+    countDag(plan, n.a, visited, count);
+    countDag(plan, n.b, visited, count);
+    countDag(plan, n.c, visited, count);
 }
 
 } // namespace
@@ -38,24 +38,20 @@ simulateWarps(const lang::Program &program,
               const SimtParams &params)
 {
     SimtResult result;
-    lang::FlatProgram flat = lang::flatten(program);
-    const size_t num_actions = flat.assigns.size() + flat.emits.size();
+    // One plan for every lane of every warp.
+    auto plan = std::make_shared<const sim::EvalPlan>(program);
+    const size_t num_assigns = plan->assigns.size();
+    const size_t num_actions = num_assigns + plan->emits.size();
 
-    // Expressions of each action, for signature costing.
-    std::vector<std::vector<lang::Expr>> action_exprs(num_actions);
-    for (size_t a = 0; a < flat.assigns.size(); ++a) {
-        const auto &assign = flat.assigns[a];
-        if (assign.cond)
-            action_exprs[a].push_back(assign.cond);
-        action_exprs[a].push_back(assign.value);
-        if (assign.target.index)
-            action_exprs[a].push_back(assign.target.index);
+    // Expression roots of each action, for signature costing.
+    std::vector<std::vector<uint32_t>> action_exprs(num_actions);
+    for (size_t a = 0; a < num_assigns; ++a) {
+        const auto &assign = plan->assigns[a];
+        action_exprs[a] = {assign.gate.cond, assign.value, assign.index};
     }
-    for (size_t m = 0; m < flat.emits.size(); ++m) {
-        const auto &emit = flat.emits[m];
-        if (emit.cond)
-            action_exprs[flat.assigns.size() + m].push_back(emit.cond);
-        action_exprs[flat.assigns.size() + m].push_back(emit.value);
+    for (size_t m = 0; m < plan->emits.size(); ++m) {
+        const auto &emit = plan->emits[m];
+        action_exprs[num_assigns + m] = {emit.gate.cond, emit.value};
     }
 
     std::unordered_map<std::string, uint64_t> cost_memo;
@@ -64,19 +60,18 @@ simulateWarps(const lang::Program &program,
         auto it = cost_memo.find(key);
         if (it != cost_memo.end())
             return it->second;
-        std::unordered_set<const lang::ExprNode *> visited;
+        std::vector<uint8_t> visited(plan->size(), 0);
         uint64_t count = 0;
         for (size_t a = 0; a < num_actions; ++a) {
             if (!sig[a])
                 continue;
-            for (const auto &expr : action_exprs[a])
-                countDag(expr, visited, count);
+            for (uint32_t expr : action_exprs[a])
+                countDag(*plan, expr, visited, count);
             ++count; // The commit/emit itself.
             // Local-array writes are read-modify-write with bank
             // conflicts on a GPU.
-            if (a < flat.assigns.size() &&
-                flat.assigns[a].target.kind ==
-                    lang::LValue::Kind::BramElem) {
+            if (a < num_assigns &&
+                plan->assigns[a].kind == lang::LValue::Kind::BramElem) {
                 count += params.bramWriteExtraInsts;
             }
         }
@@ -94,8 +89,8 @@ simulateWarps(const lang::Program &program,
                                         streams.size() - base);
         std::vector<std::unique_ptr<sim::FunctionalSimulator>> sims;
         for (size_t l = 0; l < lanes; ++l) {
-            sims.push_back(std::make_unique<sim::FunctionalSimulator>(
-                program));
+            sims.push_back(
+                std::make_unique<sim::FunctionalSimulator>(plan));
             sims.back()->beginStream(streams[base + l]);
         }
 

@@ -154,28 +154,6 @@ concatExpr(Expr hi, Expr lo)
     return makeNode(std::move(n));
 }
 
-int64_t
-exprEvalId(const ExprNode *node)
-{
-    // Simulators for independent units share AST nodes and may be
-    // constructed concurrently (FleetSystem builds PUs on its worker
-    // pool), so the lazy assignment must be atomic. Losers of the CAS
-    // waste a counter value; ids only need to be unique and stable per
-    // node, not dense.
-    static std::atomic<int64_t> counter{0};
-    std::atomic_ref<int64_t> id(node->evalId);
-    int64_t v = id.load(std::memory_order_acquire);
-    if (v >= 0)
-        return v;
-    int64_t fresh = counter.fetch_add(1);
-    int64_t expected = -1;
-    if (id.compare_exchange_strong(expected, fresh,
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire))
-        return fresh;
-    return expected;
-}
-
 bool
 exprEqual(const Expr &a, const Expr &b)
 {
@@ -217,9 +195,10 @@ containsBramRead(const Expr &e)
 {
     if (!e)
         return false;
-    // Same sharing story as exprEvalId: nodes may be queried from
-    // concurrent threads. The answer is deterministic, so racing
-    // writers store the same value; atomics make that well-defined.
+    // Programs share AST nodes, and independent flattenings and
+    // compilations of them may run on concurrent threads. The answer is
+    // deterministic, so racing writers store the same value; atomics
+    // make that well-defined.
     std::atomic_ref<int8_t> memo(e->hasBramReadMemo);
     int8_t m = memo.load(std::memory_order_acquire);
     if (m >= 0)

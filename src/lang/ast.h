@@ -71,7 +71,7 @@ struct BramDecl
 struct ExprNode;
 using Expr = std::shared_ptr<const ExprNode>;
 
-enum class ExprKind
+enum class ExprKind : uint8_t
 {
     Const,          ///< Literal value.
     Input,          ///< Current input token.
@@ -90,14 +90,6 @@ struct ExprNode
 {
     ExprKind kind;
     int width;
-
-    /**
-     * Process-unique node id, assigned lazily by the functional
-     * simulator's per-virtual-cycle memo table. Expressions form DAGs
-     * (builders reuse Value subtrees), so evaluation must cache per node
-     * or deep chains blow up exponentially.
-     */
-    mutable int64_t evalId = -1;
 
     /** Memo for containsBramRead() (-1 unknown, else 0/1); expressions
      * are immutable DAGs, so the answer never changes. */
@@ -137,9 +129,6 @@ Expr concatExpr(Expr hi, Expr lo);
 
 /** Structural equality of expression DAGs (used to merge BRAM reads). */
 bool exprEqual(const Expr &a, const Expr &b);
-
-/** Assign (or return) the node's process-unique eval id. */
-int64_t exprEvalId(const ExprNode *node);
 
 /** True if any BramRead node appears in the expression. */
 bool containsBramRead(const Expr &e);

@@ -815,9 +815,10 @@ JitProgram::compile(const TapeProgram &tape, const JitOptions &opts,
             if (auto sp = it->second.lock())
                 return sp;
     }
-    Status avail = availability(opts);
-    if (!avail.ok()) {
-        *status = avail;
+    // The compiler is discovered only when a compile actually runs
+    // (probing it spawns a shell); a cached artifact needs none.
+    if (jitDisabled()) {
+        *status = availability(opts);
         return nullptr;
     }
 
@@ -897,6 +898,12 @@ JitProgram::compile(const TapeProgram &tape, const JitOptions &opts,
         }
     }
     if (!loaded) {
+        Status why;
+        const std::string cc = discoverCompiler(opts, &why);
+        if (cc.empty()) {
+            *status = why;
+            return nullptr;
+        }
         std::string src;
         try {
             src = emitSource(tape, opts.lanes);
@@ -916,12 +923,6 @@ JitProgram::compile(const TapeProgram &tape, const JitOptions &opts,
                                            csrc.string());
                 return nullptr;
             }
-        }
-        Status why;
-        const std::string cc = discoverCompiler(opts, &why);
-        if (cc.empty()) {
-            *status = why;
-            return nullptr;
         }
         const fs::path tmp =
             dir / (stem + ".tmp" + std::to_string(uint64_t(getpid())) +

@@ -83,8 +83,9 @@ class JitProgram
     /**
      * Ok when a JIT compile can plausibly succeed right now: platform
      * supported, not disabled via FLEET_JIT_DISABLE, and a working C
-     * compiler found. InvalidArgument with the reason otherwise. Cheap
-     * enough to call per system construction.
+     * compiler found. InvalidArgument with the reason otherwise. The
+     * compiler probe spawns a shell; compile() does not call this and
+     * probes only when it has to compile.
      */
     static Status availability(const JitOptions &opts = {});
 
@@ -94,7 +95,7 @@ class JitProgram
      * InvalidArgument, a compile or load error is InternalError. The
      * returned program is shared: a second compile of the same
      * (tape, lanes) in this process returns the same instance, and a
-     * cached on-disk artifact is reused without invoking the compiler.
+     * cached on-disk artifact is reused without looking for a compiler.
      */
     static std::shared_ptr<const JitProgram>
     compile(const TapeProgram &tape, const JitOptions &opts = {},

@@ -8,41 +8,37 @@
 namespace fleet {
 namespace sim {
 
-using lang::Expr;
 using lang::ExprKind;
 using lang::LValue;
 
 FunctionalSimulator::FunctionalSimulator(const lang::Program &program,
                                          SimOptions options)
-    : FunctionalSimulator(
-          program,
-          std::make_shared<const lang::FlatProgram>(lang::flatten(program)),
-          options)
+    : FunctionalSimulator(std::make_shared<const EvalPlan>(program),
+                          options)
 {
 }
 
 FunctionalSimulator::FunctionalSimulator(
-    const lang::Program &program,
-    std::shared_ptr<const lang::FlatProgram> flat, SimOptions options)
-    : program_(program), flat_(std::move(flat)), options_(options)
+    std::shared_ptr<const EvalPlan> plan, SimOptions options)
+    : plan_(std::move(plan)), options_(options)
 {
-    reset();
+    const EvalPlan &plan_ref = *plan_;
+    memo_.assign(plan_ref.size(), Slot{0, 0});
+    for (size_t i = 0; i < plan_ref.size(); ++i) {
+        if (plan_ref.nodes[i].kind == ExprKind::Const)
+            memo_[i] = Slot{plan_ref.nodes[i].imm, ~uint64_t(0)};
+    }
+    const size_t brams = plan_ref.program.brams.size();
+    readAddr_.resize(brams);
+    bramWriteAddr_.resize(brams);
+    regWriteEpoch_.assign(plan_ref.program.regs.size(), 0);
 }
 
 void
 FunctionalSimulator::reset()
 {
-    state_.regs.clear();
-    for (const auto &reg : program_.regs)
-        state_.regs.push_back(reg.init);
-    state_.vregs.clear();
-    for (const auto &vreg : program_.vregs) {
-        state_.vregs.emplace_back(vreg.elements, vreg.init);
-    }
-    state_.brams.clear();
-    for (const auto &bram : program_.brams)
-        state_.brams.emplace_back(bram.elements, 0);
-    prevWriteAddr_.assign(program_.brams.size(), -1);
+    state_ = plan_->initState;
+    prevWriteAddr_.assign(plan_->program.brams.size(), -1);
     currentToken_ = 0;
     streamFinished_ = false;
     tokenIndex_ = 0;
@@ -51,242 +47,205 @@ FunctionalSimulator::reset()
 void
 FunctionalSimulator::violation(const std::string &message) const
 {
-    fatal(program_.name, ": restriction violation at ",
+    fatal(plan_->program.name, ": restriction violation at ",
           streamFinished_ ? "cleanup cycle" : "token",
           streamFinished_ ? std::string() : " " + std::to_string(tokenIndex_),
           ": ", message);
 }
 
-uint64_t
-FunctionalSimulator::eval(const Expr &e) const
+inline uint64_t
+FunctionalSimulator::value(uint32_t node)
 {
-    // Leaves are cheaper to recompute than to cache.
-    switch (e->kind) {
-      case ExprKind::Const:
-      case ExprKind::Input:
-      case ExprKind::StreamFinished:
-      case ExprKind::RegRead:
-        return evalUncached(e);
-      default:
-        break;
-    }
-    int64_t id = lang::exprEvalId(e.get());
-    if (uint64_t(id) >= evalCache_.size()) {
-        evalCache_.resize(id + 64, 0);
-        evalEpochs_.resize(id + 64, 0);
-    }
-    if (evalEpochs_[id] == evalEpoch_)
-        return evalCache_[id];
-    uint64_t value = evalUncached(e);
-    evalEpochs_[id] = evalEpoch_;
-    evalCache_[id] = value;
-    return value;
+    const Slot &slot = memo_[node];
+    return slot.epoch >= epoch_ ? slot.value : evalNode(node);
 }
 
 uint64_t
-FunctionalSimulator::evalUncached(const Expr &e) const
+FunctionalSimulator::evalNode(uint32_t node)
 {
-    switch (e->kind) {
+    const EvalPlan::Node &n = plan_->nodes[node];
+    uint64_t v = 0;
+    switch (n.kind) {
       case ExprKind::Const:
-        return e->value;
+        v = n.imm;
+        break;
       case ExprKind::Input:
-        return currentToken_;
+        v = currentToken_;
+        break;
       case ExprKind::StreamFinished:
-        return streamFinished_ ? 1 : 0;
+        v = streamFinished_ ? 1 : 0;
+        break;
       case ExprKind::RegRead:
-        return state_.regs[e->stateId];
-      case ExprKind::VecRegRead: {
-        uint64_t idx = eval(e->a);
-        const auto &vec = state_.vregs[e->stateId];
-        // Out-of-range reads return 0, matching the hardware mux tree's
-        // don't-care behaviour.
-        return idx < vec.size() ? vec[idx] : 0;
-      }
+        v = state_[n.imm];
+        break;
+      case ExprKind::VecRegRead:
       case ExprKind::BramRead: {
-        uint64_t addr = eval(e->a);
-        const auto &mem = state_.brams[e->stateId];
-        return addr < mem.size() ? mem[addr] : 0;
+        // Out-of-range reads return 0, matching the hardware mux tree's
+        // don't-care behaviour; gated BRAM reads are range-checked
+        // separately via the plan's bramReads.
+        uint64_t idx = value(n.a);
+        v = idx < n.aux ? state_[n.imm + idx] : 0;
+        break;
       }
       case ExprKind::Bin:
-        return evalBinOp(e->binOp, eval(e->a), e->a->width, eval(e->b),
-                         e->b->width);
+        v = evalBinOp(BinOp(n.op), value(n.a), n.aWidth, value(n.b),
+                      n.bWidth);
+        break;
       case ExprKind::Un:
-        return evalUnOp(e->unOp, eval(e->a), e->a->width);
+        v = evalUnOp(UnOp(n.op), value(n.a), n.aWidth);
+        break;
       case ExprKind::Mux:
         // Only the selected leg is evaluated; read accounting is handled
-        // separately via the flattened BramReadOcc list, whose gating
-        // conditions replicate exactly this mux-path behaviour.
-        return eval(e->c) != 0 ? eval(e->a) : eval(e->b);
+        // separately via the plan's bramReads, whose gating conditions
+        // replicate exactly this mux-path behaviour.
+        v = value(n.c) != 0 ? value(n.a) : value(n.b);
+        break;
       case ExprKind::Slice:
-        return bitsOf(eval(e->a), e->sliceLo, e->width);
+        v = (value(n.a) >> n.imm) & n.aux;
+        break;
       case ExprKind::Concat:
-        return (eval(e->a) << e->b->width) | eval(e->b);
+        v = (value(n.a) << n.bWidth) | value(n.b);
+        break;
     }
-    panic("FunctionalSimulator::eval: unknown expression kind");
+    memo_[node] = Slot{v, epoch_};
+    return v;
 }
 
-bool
-FunctionalSimulator::evalGate(const Expr &cond, bool inside_while,
-                              bool while_active) const
+inline bool
+FunctionalSimulator::gateOpen(const EvalPlan::Gate &gate, bool while_active)
 {
-    if (!inside_while && while_active)
+    if (!gate.insideWhile && while_active)
         return false;
-    return !cond || eval(cond) != 0;
+    return gate.cond == EvalPlan::kNone || value(gate.cond) != 0;
 }
 
 bool
 FunctionalSimulator::runVcycle(RunResult &result,
                                std::vector<uint8_t> *signature)
 {
+    const EvalPlan &plan = *plan_;
+    const lang::Program &program = plan.program;
     if (signature)
-        signature->assign(flat_->assigns.size() + flat_->emits.size(), 0);
+        signature->assign(plan.assigns.size() + plan.emits.size(), 0);
 
-    // New virtual cycle: invalidate the expression memo.
-    ++evalEpoch_;
+    // New virtual cycle: invalidate the memo, then evaluate the gate
+    // cone every cycle needs, in topological order.
+    ++epoch_;
+    for (uint32_t node : plan.eager)
+        value(node);
 
-    // 1. Evaluate while conditions: while any holds, only loop bodies run
-    //    and the input token is not consumed.
+    // 1. While conditions: while any holds, only loop bodies run and the
+    //    input token is not consumed.
     bool while_active = false;
-    for (const auto &cond : flat_->whileConds)
-        while_active = while_active || eval(cond) != 0;
+    for (uint32_t cond : plan.whileConds) {
+        if (value(cond) != 0) {
+            while_active = true;
+            break;
+        }
+    }
+    if (!while_active) {
+        for (uint32_t node : plan.eagerOutsideWhile)
+            value(node);
+    }
 
     // 2. BRAM read accounting: at most one distinct address per BRAM.
-    std::vector<int64_t> read_addr(program_.brams.size(), -1);
-    for (const auto &occ : flat_->bramReads) {
-        if (!evalGate(occ.cond, occ.insideWhile, while_active))
+    std::fill(readAddr_.begin(), readAddr_.end(), -1);
+    for (const auto &occ : plan.bramReads) {
+        if (!gateOpen(occ.gate, while_active))
             continue;
-        const auto &bram = program_.bram(occ.bramId);
-        uint64_t addr = eval(occ.addr);
+        const auto &bram = program.bram(occ.bramId);
+        uint64_t addr = value(occ.addr);
         if (addr >= uint64_t(bram.elements)) {
             violation("BRAM " + bram.name + " read address " +
                       std::to_string(addr) + " out of range (" +
                       std::to_string(bram.elements) + " elements)");
         }
-        if (read_addr[occ.bramId] >= 0 &&
-            read_addr[occ.bramId] != int64_t(addr)) {
+        if (readAddr_[occ.bramId] >= 0 &&
+            readAddr_[occ.bramId] != int64_t(addr)) {
             violation("BRAM " + bram.name +
                       " read at two addresses in one virtual cycle (" +
-                      std::to_string(read_addr[occ.bramId]) + " and " +
+                      std::to_string(readAddr_[occ.bramId]) + " and " +
                       std::to_string(addr) + ")");
         }
-        read_addr[occ.bramId] = int64_t(addr);
+        readAddr_[occ.bramId] = int64_t(addr);
         if (prevWriteAddr_[occ.bramId] == int64_t(addr))
             result.usedBramForwarding = true;
     }
 
     // 3. Gather assignments (committed only at the end of the cycle).
-    struct PendingWrite
-    {
-        LValue::Kind kind;
-        int stateId;
-        uint64_t index;
-        uint64_t value;
-    };
-    std::vector<PendingWrite> writes;
-    std::vector<bool> reg_written(program_.regs.size(), false);
-    std::vector<int64_t> bram_write_addr(program_.brams.size(), -1);
-    // Vector-register elements allow concurrent writes to distinct
-    // elements; track (id, index) pairs.
-    std::vector<std::pair<int, uint64_t>> vreg_written;
-
-    for (size_t a = 0; a < flat_->assigns.size(); ++a) {
-        const auto &assign = flat_->assigns[a];
-        if (!evalGate(assign.cond, assign.insideWhile, while_active))
+    writes_.clear();
+    vregWritten_.clear();
+    std::fill(bramWriteAddr_.begin(), bramWriteAddr_.end(), -1);
+    for (size_t a = 0; a < plan.assigns.size(); ++a) {
+        const auto &assign = plan.assigns[a];
+        if (!gateOpen(assign.gate, while_active))
             continue;
         if (signature)
             (*signature)[a] = 1;
-        PendingWrite write;
-        write.kind = assign.target.kind;
-        write.stateId = assign.target.stateId;
-        write.index = 0;
-        switch (assign.target.kind) {
+        uint64_t index = 0;
+        switch (assign.kind) {
           case LValue::Kind::Reg:
-            if (reg_written[write.stateId]) {
-                violation("register " + program_.reg(write.stateId).name +
+            if (regWriteEpoch_[assign.stateId] == epoch_) {
+                violation("register " + program.reg(assign.stateId).name +
                           " assigned twice in one virtual cycle");
             }
-            reg_written[write.stateId] = true;
+            regWriteEpoch_[assign.stateId] = epoch_;
             break;
           case LValue::Kind::VecElem: {
-            const auto &vreg = program_.vreg(write.stateId);
-            write.index = eval(assign.target.index);
-            if (write.index >= uint64_t(vreg.elements)) {
+            const auto &vreg = program.vreg(assign.stateId);
+            index = value(assign.index);
+            if (index >= assign.elements) {
                 violation("vector register " + vreg.name + " write index " +
-                          std::to_string(write.index) + " out of range");
+                          std::to_string(index) + " out of range");
             }
-            auto key = std::make_pair(write.stateId, write.index);
-            if (std::find(vreg_written.begin(), vreg_written.end(), key) !=
-                vreg_written.end()) {
+            if (std::find(vregWritten_.begin(), vregWritten_.end(),
+                          assign.base + index) != vregWritten_.end()) {
                 violation("vector register " + vreg.name + " element " +
-                          std::to_string(write.index) +
+                          std::to_string(index) +
                           " assigned twice in one virtual cycle");
             }
-            vreg_written.push_back(key);
+            vregWritten_.push_back(assign.base + index);
             break;
           }
           case LValue::Kind::BramElem: {
-            const auto &bram = program_.bram(write.stateId);
-            write.index = eval(assign.target.index);
-            if (write.index >= uint64_t(bram.elements)) {
+            const auto &bram = program.bram(assign.stateId);
+            index = value(assign.index);
+            if (index >= assign.elements) {
                 violation("BRAM " + bram.name + " write address " +
-                          std::to_string(write.index) + " out of range");
+                          std::to_string(index) + " out of range");
             }
-            if (bram_write_addr[write.stateId] >= 0) {
+            if (bramWriteAddr_[assign.stateId] >= 0) {
                 violation("BRAM " + bram.name +
                           " written twice in one virtual cycle");
             }
-            bram_write_addr[write.stateId] = int64_t(write.index);
+            bramWriteAddr_[assign.stateId] = int64_t(index);
             break;
           }
         }
-        uint64_t value = eval(assign.value);
-        int target_width = 0;
-        switch (assign.target.kind) {
-          case LValue::Kind::Reg:
-            target_width = program_.reg(write.stateId).width;
-            break;
-          case LValue::Kind::VecElem:
-            target_width = program_.vreg(write.stateId).width;
-            break;
-          case LValue::Kind::BramElem:
-            target_width = program_.bram(write.stateId).width;
-            break;
-        }
-        write.value = truncTo(value, target_width);
-        writes.push_back(write);
+        writes_.push_back(PendingWrite{
+            assign.base + index, truncTo(value(assign.value), assign.width)});
     }
 
     // 4. Emits: at most one per virtual cycle.
     bool emitted = false;
-    for (size_t m = 0; m < flat_->emits.size(); ++m) {
-        const auto &emit = flat_->emits[m];
-        if (!evalGate(emit.cond, emit.insideWhile, while_active))
+    for (size_t m = 0; m < plan.emits.size(); ++m) {
+        const auto &emit = plan.emits[m];
+        if (!gateOpen(emit.gate, while_active))
             continue;
         if (emitted)
             violation("multiple emits in one virtual cycle");
         if (signature)
-            (*signature)[flat_->assigns.size() + m] = 1;
+            (*signature)[plan.assigns.size() + m] = 1;
         emitted = true;
-        result.output.appendBits(eval(emit.value),
-                                 program_.outputTokenWidth);
+        result.output.appendBits(value(emit.value),
+                                 program.outputTokenWidth);
         ++result.emits;
     }
 
     // 5. Commit.
-    for (const auto &write : writes) {
-        switch (write.kind) {
-          case LValue::Kind::Reg:
-            state_.regs[write.stateId] = write.value;
-            break;
-          case LValue::Kind::VecElem:
-            state_.vregs[write.stateId][write.index] = write.value;
-            break;
-          case LValue::Kind::BramElem:
-            state_.brams[write.stateId][write.index] = write.value;
-            break;
-        }
-    }
-    prevWriteAddr_ = bram_write_addr;
+    for (const auto &write : writes_)
+        state_[write.offset] = write.value;
+    prevWriteAddr_.swap(bramWriteAddr_);
 
     ++result.vcycles;
     if (options_.recordTrace) {
@@ -303,15 +262,26 @@ FunctionalSimulator::runVcycle(RunResult &result,
 void
 FunctionalSimulator::beginStream(const BitBuffer &input)
 {
-    if (input.sizeBits() % program_.inputTokenWidth != 0) {
-        fatal(program_.name, ": input stream of ", input.sizeBits(),
-              " bits is not a whole number of ", program_.inputTokenWidth,
+    ownedInput_ = input;
+    begin(ownedInput_);
+}
+
+void
+FunctionalSimulator::begin(const BitBuffer &input)
+{
+    const lang::Program &program = plan_->program;
+    if (input.sizeBits() % program.inputTokenWidth != 0) {
+        fatal(program.name, ": input stream of ", input.sizeBits(),
+              " bits is not a whole number of ", program.inputTokenWidth,
               "-bit tokens");
     }
     reset();
-    input_ = input;
-    tokenCount_ = input.sizeBits() / program_.inputTokenWidth;
+    input_ = &input;
+    tokenCount_ = input.sizeBits() / program.inputTokenWidth;
     result_ = RunResult();
+    // Every token takes at least one virtual cycle, plus the cleanup.
+    if (options_.recordTrace)
+        result_.trace.reserve(tokenCount_ + 1);
     vcyclesThisToken_ = 0;
     if (tokenCount_ == 0) {
         phase_ = Phase::Cleanup;
@@ -319,15 +289,16 @@ FunctionalSimulator::beginStream(const BitBuffer &input)
         currentToken_ = 0;
     } else {
         phase_ = Phase::Tokens;
-        currentToken_ = input_.readBits(0, program_.inputTokenWidth);
+        currentToken_ = input.readBits(0, program.inputTokenWidth);
     }
 }
 
 uint8_t
 FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 {
+    const lang::Program &program = plan_->program;
     if (phase_ == Phase::Done)
-        fatal(program_.name, ": stepVcycle after stream completion");
+        fatal(program.name, ": stepVcycle after stream completion");
     uint64_t emits_before = result_.emits;
     bool consumed = runVcycle(result_, signature);
     uint8_t flags = 0;
@@ -338,7 +309,7 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 
     if (!consumed) {
         if (++vcyclesThisToken_ > options_.maxVcyclesPerToken) {
-            fatal(program_.name, ": while loop exceeded ",
+            fatal(program.name, ": while loop exceeded ",
                   options_.maxVcyclesPerToken,
                   " virtual cycles for one token (infinite loop?)");
         }
@@ -349,9 +320,9 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
         ++result_.tokens;
         ++tokenIndex_;
         if (tokenIndex_ < tokenCount_) {
-            currentToken_ = input_.readBits(
-                tokenIndex_ * program_.inputTokenWidth,
-                program_.inputTokenWidth);
+            currentToken_ = input_->readBits(
+                tokenIndex_ * program.inputTokenWidth,
+                program.inputTokenWidth);
         } else {
             // Stream-finished cleanup: the logic runs once more with a
             // dummy token, including any while iterations it triggers.
@@ -368,9 +339,17 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 RunResult
 FunctionalSimulator::run(const BitBuffer &input)
 {
-    beginStream(input);
-    while (!streamDone())
-        stepVcycle();
+    // Reads `input` in place: never leave the stepping interface on it.
+    begin(input);
+    try {
+        while (!streamDone())
+            stepVcycle();
+    } catch (...) {
+        phase_ = Phase::Done;
+        input_ = nullptr;
+        throw;
+    }
+    input_ = nullptr;
     return std::move(result_);
 }
 

@@ -5,9 +5,9 @@
  * @file
  * Functional ("software") simulator for Fleet programs, corresponding to
  * the software simulator of Sections 3 and 6 of the paper. It executes
- * virtual cycles directly on the AST with concurrent semantics, produces
- * the output token stream, and detects the dynamic restriction violations
- * the language imposes:
+ * virtual cycles with concurrent semantics, produces the output token
+ * stream, and detects the dynamic restriction violations the language
+ * imposes:
  *
  *  - more than one distinct BRAM read address per BRAM per virtual cycle,
  *  - more than one write per BRAM per virtual cycle,
@@ -20,6 +20,15 @@
  * (system/pu_fast.h), and it reports whether any virtual cycle read a BRAM
  * address written by the immediately preceding virtual cycle — the paper's
  * check for eliding the BRAM forwarding register.
+ *
+ * The simulator runs from the program's EvalPlan (sim/plan.h), shared by
+ * every simulator of the program. Each virtual cycle first evaluates the
+ * plan's eager gate cone in one loop, then the actions; values behind a
+ * mux leg or a gate (assigned and emitted values, addresses, indices) are
+ * evaluated on demand through an epoch memo of plan.size() entries, so
+ * unselected legs and closed gates cost nothing. All per-cycle state is
+ * sized by the plan: there are no process-wide expression ids, and a
+ * simulator costs the same however many others the process has built.
  */
 
 #include <cstdint>
@@ -28,7 +37,7 @@
 #include <vector>
 
 #include "lang/ast.h"
-#include "lang/flatten.h"
+#include "sim/plan.h"
 #include "util/bitbuf.h"
 
 namespace fleet {
@@ -69,15 +78,11 @@ class FunctionalSimulator
   public:
     explicit FunctionalSimulator(const lang::Program &program,
                                  SimOptions options = {});
-    /**
-     * Run on `flat`, which must be lang::flatten(program). Flattening
-     * mints new expression nodes, each taking a process-wide eval id
-     * that sizes the memo, so callers that build many simulators of
-     * one program (FastPu re-arms) flatten once and share the result.
-     */
-    FunctionalSimulator(const lang::Program &program,
-                        std::shared_ptr<const lang::FlatProgram> flat,
-                        SimOptions options = {});
+    /** Run from a plan shared with other simulators of its program;
+     * callers that build many (FastPu re-arms, SIMT lanes) lower the
+     * program once. */
+    explicit FunctionalSimulator(std::shared_ptr<const EvalPlan> plan,
+                                 SimOptions options = {});
 
     /**
      * Run the program over a complete input stream (tokens packed at the
@@ -103,56 +108,74 @@ class FunctionalSimulator
     const RunResult &partialResult() const { return result_; }
     /// @}
 
-    const lang::Program &program() const { return program_; }
-    const lang::FlatProgram &flat() const { return *flat_; }
+    const lang::Program &program() const { return plan_->program; }
+    const EvalPlan &plan() const { return *plan_; }
+    /** Entries of per-virtual-cycle evaluation state: plan().size(). */
+    size_t evalStateSize() const { return memo_.size(); }
 
   private:
-    struct State
-    {
-        std::vector<uint64_t> regs;
-        std::vector<std::vector<uint64_t>> vregs;
-        std::vector<std::vector<uint64_t>> brams;
-    };
-
     enum class Phase { Tokens, Cleanup, Done };
 
+    /** One memo entry: a node's value, valid while epoch is current. */
+    struct Slot
+    {
+        uint64_t value;
+        uint64_t epoch;
+    };
+
+    struct PendingWrite
+    {
+        uint64_t offset; ///< Flat-state word.
+        uint64_t value;
+    };
+
     void reset();
-    uint64_t eval(const lang::Expr &e) const;
-    uint64_t evalUncached(const lang::Expr &e) const;
-    bool evalGate(const lang::Expr &cond, bool inside_while,
-                  bool while_active) const;
+    /** Begin a stream read in place from `input`. */
+    void begin(const BitBuffer &input);
+    uint64_t value(uint32_t node);
+    uint64_t evalNode(uint32_t node);
+    bool gateOpen(const EvalPlan::Gate &gate, bool while_active);
     /** Execute one virtual cycle; returns true if the token was consumed. */
     bool runVcycle(RunResult &result, std::vector<uint8_t> *signature);
     [[noreturn]] void violation(const std::string &message) const;
 
-    lang::Program program_;
-    std::shared_ptr<const lang::FlatProgram> flat_;
+    std::shared_ptr<const EvalPlan> plan_;
     SimOptions options_;
 
-    State state_;
+    /** Registers, vector registers and BRAMs (EvalPlan::initState). */
+    std::vector<uint64_t> state_;
     uint64_t currentToken_ = 0;
     bool streamFinished_ = false;
     uint64_t tokenIndex_ = 0;
 
-    // Single-step stream state.
-    BitBuffer input_;
+    // Single-step stream state: input_ is the caller's buffer during
+    // run() and ownedInput_, a copy, after beginStream().
+    const BitBuffer *input_ = nullptr;
+    BitBuffer ownedInput_;
     uint64_t tokenCount_ = 0;
     Phase phase_ = Phase::Done;
     uint64_t vcyclesThisToken_ = 0;
     RunResult result_;
 
-    /** (bramId, addr) written by the previous virtual cycle, or addr==-1. */
+    /** Per-BRAM address written by the previous virtual cycle, or -1. */
     std::vector<int64_t> prevWriteAddr_;
 
     /**
-     * Per-virtual-cycle evaluation memo. Expressions are DAGs with heavy
-     * sharing (e.g. the Smith-Waterman row chain), so values are cached
-     * per node per virtual cycle; the epoch counter invalidates the cache
-     * without clearing it.
+     * Per-virtual-cycle evaluation memo, one slot per plan node.
+     * Expressions are DAGs with heavy sharing (e.g. the Smith-Waterman
+     * row chain), so each node is evaluated at most once per virtual
+     * cycle; bumping epoch_ invalidates every slot without clearing.
+     * Constant slots carry an epoch that never expires.
      */
-    mutable std::vector<uint64_t> evalCache_;
-    mutable std::vector<uint64_t> evalEpochs_;
-    uint64_t evalEpoch_ = 1;
+    std::vector<Slot> memo_;
+    uint64_t epoch_ = 0;
+
+    // Per-cycle scratch, reused across cycles.
+    std::vector<int64_t> readAddr_;
+    std::vector<int64_t> bramWriteAddr_;
+    std::vector<uint64_t> regWriteEpoch_;
+    std::vector<uint64_t> vregWritten_; ///< Flat-state words written.
+    std::vector<PendingWrite> writes_;
 };
 
 } // namespace sim

@@ -386,10 +386,12 @@ FleetSystem::build(int num_slots)
             engines[g] =
                 std::make_shared<const RtlTapeEngine>(programs_[g]);
     };
-    // One flattened program per hosted program, shared by its FastPus
-    // across every re-arm (see FastPu).
-    std::vector<std::shared_ptr<const lang::FlatProgram>> flats(
+    // One evaluation plan per hosted program, shared by its FastPus
+    // across every re-arm (see FastPu). Session slots all start on the
+    // empty stream, so its pre-run is shared per program too.
+    std::vector<std::shared_ptr<const sim::EvalPlan>> plans(
         programs_.size());
+    std::vector<sim::RunResult> emptyRuns(programs_.size());
     // Group the SoA-batched slots by (channel, program): one RtlBatch
     // per group, attached with the channel-local lanes it drives. A
     // single-program all-Rtl session degenerates to the legacy one
@@ -403,9 +405,12 @@ FleetSystem::build(int num_slots)
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
-            if (!flats[g])
-                flats[g] = std::make_shared<const lang::FlatProgram>(
-                    lang::flatten(programs_[g]));
+            if (!plans[g]) {
+                plans[g] =
+                    std::make_shared<const sim::EvalPlan>(programs_[g]);
+                if (sessionMode_)
+                    emptyRuns[g] = FastPu::prerun(plans[g], BitBuffer{});
+            }
             break;
           case PuBackend::RtlInterp:
             needCompiled(g);
@@ -477,9 +482,10 @@ FleetSystem::build(int num_slots)
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
-            pus[p] = std::make_unique<FastPu>(
-                programs_[g], sessionMode_ ? BitBuffer{} : streams_[p],
-                flats[g]);
+            pus[p] = sessionMode_
+                         ? std::make_unique<FastPu>(plans[g], emptyRuns[g])
+                         : std::make_unique<FastPu>(programs_[g],
+                                                    streams_[p], plans[g]);
             break;
           case PuBackend::RtlInterp:
             pus[p] = std::make_unique<RtlPu>(*compiled[g]);

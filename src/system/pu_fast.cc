@@ -6,23 +6,43 @@ namespace fleet {
 namespace system {
 
 FastPu::FastPu(const lang::Program &program, const BitBuffer &stream,
-               std::shared_ptr<const lang::FlatProgram> flat)
+               std::shared_ptr<const sim::EvalPlan> plan)
     : inputTokenWidth_(program.inputTokenWidth),
-      outputTokenWidth_(program.outputTokenWidth), program_(&program),
-      flat_(flat ? std::move(flat)
-                 : std::make_shared<const lang::FlatProgram>(
-                       lang::flatten(program)))
+      outputTokenWidth_(program.outputTokenWidth),
+      plan_(plan ? std::move(plan)
+                 : std::make_shared<const sim::EvalPlan>(program))
 {
     rearm(stream);
+}
+
+FastPu::FastPu(std::shared_ptr<const sim::EvalPlan> plan,
+               sim::RunResult functional)
+    : inputTokenWidth_(plan->program.inputTokenWidth),
+      outputTokenWidth_(plan->program.outputTokenWidth),
+      plan_(std::move(plan))
+{
+    replay(std::move(functional));
+}
+
+sim::RunResult
+FastPu::prerun(std::shared_ptr<const sim::EvalPlan> plan,
+               const BitBuffer &stream)
+{
+    sim::SimOptions options;
+    options.recordTrace = true;
+    return sim::FunctionalSimulator(std::move(plan), options).run(stream);
 }
 
 void
 FastPu::rearm(const BitBuffer &stream)
 {
-    sim::SimOptions options;
-    options.recordTrace = true;
-    sim::FunctionalSimulator simulator(*program_, flat_, options);
-    result_ = simulator.run(stream);
+    replay(prerun(plan_, stream));
+}
+
+void
+FastPu::replay(sim::RunResult functional)
+{
+    result_ = std::move(functional);
     streamTokens_ = result_.tokens;
     reset();
 }

@@ -11,12 +11,18 @@
  * implements. Cycle counts and port activity are identical to RtlPu —
  * enforced by the cross-check test suite — at a fraction of the
  * simulation cost, enabling the full-system benchmark sweeps.
+ *
+ * Every unit of a program shares one immutable sim::EvalPlan, built once
+ * per hosted program; each (re-)arm runs a fresh simulator from it, so
+ * an arm's cost depends on its program and stream only, never on how
+ * many units or arms came before it. Units that start on the same
+ * stream can share one pre-run (see prerun()).
  */
 
 #include <memory>
 
 #include "lang/ast.h"
-#include "lang/flatten.h"
+#include "sim/plan.h"
 #include "sim/simulator.h"
 #include "system/pu.h"
 #include "util/bitbuf.h"
@@ -29,13 +35,25 @@ class FastPu : public ProcessingUnit
   public:
     /**
      * Pre-run the functional simulator on `stream` (the exact token
-     * stream this unit will be fed) and build the replay model. `flat`
-     * is lang::flatten(program), shared by every unit of the program;
-     * null flattens here. Every rearm() reuses it, so re-arms mint no
-     * expression eval ids and the simulator memo stays bounded.
+     * stream this unit will be fed) and build the replay model. `plan`
+     * is the program's evaluation plan, shared by every unit of the
+     * program and reused by every rearm(); null builds one here.
      */
     FastPu(const lang::Program &program, const BitBuffer &stream,
-           std::shared_ptr<const lang::FlatProgram> flat = nullptr);
+           std::shared_ptr<const sim::EvalPlan> plan = nullptr);
+
+    /**
+     * Replay `functional`, a prerun() of the plan's program: units that
+     * start on the same stream (every session slot of a program starts
+     * on the empty one) share one pre-run.
+     */
+    FastPu(std::shared_ptr<const sim::EvalPlan> plan,
+           sim::RunResult functional);
+
+    /** The functional run a unit replays: `stream` through `plan` with
+     * the per-virtual-cycle trace recorded. */
+    static sim::RunResult prerun(std::shared_ptr<const sim::EvalPlan> plan,
+                                 const BitBuffer &stream);
 
     /**
      * Re-target the replay model at a new stream (job runtime re-arm):
@@ -57,11 +75,11 @@ class FastPu : public ProcessingUnit
     const sim::RunResult &functionalResult() const { return result_; }
 
   private:
+    void replay(sim::RunResult functional);
+
     int inputTokenWidth_;
     int outputTokenWidth_;
-    /** Not owned; must outlive the unit (rearm() re-simulates it). */
-    const lang::Program *program_;
-    std::shared_ptr<const lang::FlatProgram> flat_;
+    std::shared_ptr<const sim::EvalPlan> plan_;
     sim::RunResult result_;
     uint64_t streamTokens_;
 

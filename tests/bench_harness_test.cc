@@ -408,6 +408,17 @@ TEST(BenchDeterminism, ReplaysThreeVariantsAndFlagsDivergence)
                                        diverge));
 }
 
+TEST(BenchStats, PercentileIsNearestRank)
+{
+    EXPECT_EQ(percentile({}, 0.99), 0u);
+    const std::vector<uint64_t> sorted = {10, 20, 30, 40};
+    EXPECT_EQ(percentile(sorted, 0.0), 10u);
+    EXPECT_EQ(percentile(sorted, 0.50), 30u);
+    EXPECT_EQ(percentile(sorted, 0.74), 30u);
+    EXPECT_EQ(percentile(sorted, 0.99), 40u);
+    EXPECT_EQ(percentile(sorted, 1.0), 40u);
+}
+
 } // namespace
 } // namespace bench
 } // namespace fleet

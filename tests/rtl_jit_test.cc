@@ -162,6 +162,28 @@ TEST(RtlJitCache, DiskArtifactReusedWithoutRecompiling)
     expectFunctional(tape, second);
 }
 
+TEST(RtlJitCache, DiskHitNeedsNoCompiler)
+{
+    // A cached artifact loads without looking for a compiler: probing
+    // one spawns a shell, which a cache hit must not pay for.
+    auto tape = sumTape();
+    rtl::JitOptions opts;
+    opts.lanes = 4;
+    opts.cacheDir = freshCacheDir("nocc-hit");
+    Status status;
+    auto first = rtl::JitProgram::compile(*tape, opts, &status);
+    if (!first)
+        GTEST_SKIP() << "jit unavailable: " << status.toString();
+    first.reset();
+    rtl::JitProgram::dropInProcessCacheForTests();
+
+    opts.compiler = "/nonexistent/fleet-test-has-no-such-compiler";
+    auto second = rtl::JitProgram::compile(*tape, opts, &status);
+    ASSERT_NE(second, nullptr) << status.toString();
+    EXPECT_TRUE(second->fromDiskCache());
+    expectFunctional(tape, second);
+}
+
 TEST(RtlJitCache, CorruptedArtifactTriggersFreshCompile)
 {
     auto tape = sumTape();

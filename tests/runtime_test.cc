@@ -39,14 +39,6 @@ goldenOutput(const lang::Program &program, const BitBuffer &stream)
     return simulator.run(stream).output;
 }
 
-/** The next process-wide expression eval id (mints exactly one). */
-int64_t
-nextEvalId()
-{
-    lang::Expr probe = lang::constExpr(0, 1);
-    return lang::exprEvalId(probe.get());
-}
-
 // ---------------------------------------------------------------------------
 // JobQueue
 // ---------------------------------------------------------------------------
@@ -546,30 +538,36 @@ TEST(RuntimeSession, HaltedChannelStrandsItsJobsOthersKeepServing)
     ASSERT_TRUE(report4 == report);
 }
 
-TEST(Session, FastRearmsMintNoEvalIds)
+TEST(Session, FastRearmStateSizedByPlan)
 {
-    // Every Fast re-arm pre-runs a new functional simulator whose memo
-    // is sized by the largest eval id it touches. Re-arms must reuse the
-    // program's one flattening; minting new nodes per arm would make
-    // each arm cost more than the last for the life of the process.
+    // Every Fast arm pre-runs a functional simulator. Its per-cycle
+    // state must be sized by its program's plan alone, not by how many
+    // simulators the process built before it (other programs here, and
+    // earlier arms below): otherwise each arm would cost more than the
+    // last for the life of the process.
+    Rng rng(0xe7a1);
     lang::Program program = testprogs::blockFrequencies(16);
+    const size_t fresh_nodes = sim::EvalPlan(program).size();
+    for (int block = 1; block <= 40; ++block) {
+        sim::FunctionalSimulator other(testprogs::blockFrequencies(block));
+        other.run(randomStream(rng, 8));
+    }
+    auto plan = std::make_shared<const sim::EvalPlan>(program);
+    EXPECT_EQ(plan->size(), fresh_nodes);
+    EXPECT_EQ(sim::FunctionalSimulator(plan).evalStateSize(), plan->size());
+
     SessionConfig config;
     config.system.numChannels = 1;
     config.system.numThreads = 1;
     config.system.inputRegionBytes = 256;
     config.numSlots = 1;
     Session session(program, config);
-    Rng rng(0xe7a1);
     std::vector<BitBuffer> streams;
     for (int j = 0; j < 201; ++j)
         streams.push_back(randomStream(rng, 64));
-    session.submit(streams[0]);
+    for (const BitBuffer &stream : streams)
+        session.submit(stream);
     session.drain();
-    const int64_t after_first = nextEvalId();
-    for (int j = 1; j < 201; ++j)
-        session.submit(streams[j]);
-    session.drain();
-    EXPECT_EQ(nextEvalId(), after_first + 1);
     const system::RunReport &report = session.finish();
     EXPECT_TRUE(report.allOk()) << report.summary();
     ASSERT_EQ(session.reports().size(), 201u);
@@ -577,6 +575,7 @@ TEST(Session, FastRearmsMintNoEvalIds)
         EXPECT_TRUE(session.reports()[j].output ==
                     goldenOutput(program, streams[j]))
             << "job " << j;
+    EXPECT_EQ(sim::FunctionalSimulator(plan).evalStateSize(), fresh_nodes);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "apps/registry.h"
+#include "baseline/simt.h"
 #include "lang/builder.h"
 #include "sim/simulator.h"
 #include "test_programs.h"
@@ -332,6 +334,267 @@ TEST(Simulator, RunIsRepeatable)
     RunResult second = simulator.run(input);
     EXPECT_TRUE(first.output == second.output);
     EXPECT_EQ(first.vcycles, second.vcycles);
+}
+
+/** The message of the FatalError a run throws ("" if none). */
+std::string
+runError(const Program &program, const BitBuffer &input,
+         SimOptions options = {})
+{
+    FunctionalSimulator simulator(program, options);
+    try {
+        simulator.run(input);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Simulator, UnselectedMuxLegReadsNeverViolate)
+{
+    // The else leg reads BRAM and vector elements out of range whenever
+    // the token is >= 3, but only the then leg is selected for those
+    // tokens: the leg is never evaluated and its reads never counted.
+    ProgramBuilder b("legs", 8, 8);
+    Bram m = b.bram("m", 10, 8);
+    VecReg v = b.vreg("v", 3, 8, 5);
+    Value in = b.input();
+    Value leg = m[in.slice(3, 0)] + v[in.slice(1, 0)];
+    b.emit(mux(in >= 3, in, leg));
+    Program program = b.finish();
+    BitBuffer input = tokens8({0, 11, 1, 15, 2, 7, 12, 3});
+    EXPECT_EQ(runError(program, input), "");
+    FunctionalSimulator simulator(program);
+    RunResult result = simulator.run(input);
+    // Cleanup token 0 selects the in-range leg: 0 + 5.
+    const std::vector<uint64_t> expected = {5, 11, 5, 15, 5, 7, 12, 3, 5};
+    ASSERT_EQ(result.emits, expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(result.output.readBits(i * 8, 8), expected[i]) << i;
+    EXPECT_FALSE(result.usedBramForwarding);
+
+    // The same reads selected are out of range: the BRAM read is a
+    // violation, the vector read a don't-care 0 (hardware mux tree).
+    ProgramBuilder bad("legs", 8, 8);
+    Bram bm = bad.bram("m", 10, 8);
+    VecReg bv = bad.vreg("v", 3, 8, 5);
+    Value bin = bad.input();
+    bad.emit(mux(bin >= 3, bm[bin.slice(3, 0)], bv[bin.slice(1, 0)]));
+    EXPECT_EQ(runError(bad.finish(), tokens8({3, 11})),
+              "legs: restriction violation at token 1: BRAM m read "
+              "address 11 out of range (10 elements)");
+}
+
+TEST(Simulator, ViolationMessagesAreExact)
+{
+    const BitBuffer one = tokens8({1});
+    {
+        ProgramBuilder b("bad", 8, 8);
+        b.emit(b.input());
+        b.emit(b.input());
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at token 0: multiple "
+                  "emits in one virtual cycle");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        b.if_(b.streamFinished(), [&] {
+            b.emit(Value::lit(1, 8));
+            b.emit(Value::lit(2, 8));
+        });
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at cleanup cycle: multiple "
+                  "emits in one virtual cycle");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        Value r = b.reg("r", 8);
+        b.assign(r, 1);
+        b.assign(r, 2);
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at token 0: register r "
+                  "assigned twice in one virtual cycle");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        Bram m = b.bram("m", 16, 8);
+        Value r = b.reg("r", 8);
+        b.assign(r, (m[Value::lit(0, 4)] + m[Value::lit(1, 4)]).resize(8));
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at token 0: BRAM m read at "
+                  "two addresses in one virtual cycle (0 and 1)");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        Bram m = b.bram("m", 10, 8);
+        b.emit(m[b.input().slice(3, 0)]);
+        EXPECT_EQ(runError(b.finish(), tokens8({9, 12})),
+                  "bad: restriction violation at token 1: BRAM m read "
+                  "address 12 out of range (10 elements)");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        Bram m = b.bram("m", 16, 8);
+        b.assign(m[Value::lit(0, 4)], 1);
+        b.assign(m[Value::lit(1, 4)], 2);
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at token 0: BRAM m written "
+                  "twice in one virtual cycle");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        Bram m = b.bram("m", 10, 8);
+        b.assign(m[b.input().slice(3, 0)], 1);
+        EXPECT_EQ(runError(b.finish(), tokens8({2, 4, 15})),
+                  "bad: restriction violation at token 2: BRAM m write "
+                  "address 15 out of range");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        VecReg v = b.vreg("v", 3, 8);
+        b.assign(v[b.input().slice(1, 0)], 1);
+        EXPECT_EQ(runError(b.finish(), tokens8({0, 3})),
+                  "bad: restriction violation at token 1: vector register "
+                  "v write index 3 out of range");
+    }
+    {
+        ProgramBuilder b("bad", 8, 8);
+        VecReg v = b.vreg("v", 4, 8);
+        b.assign(v[Value::lit(0, 2)], 1);
+        b.assign(v[Value::lit(0, 2)], 2);
+        EXPECT_EQ(runError(b.finish(), one),
+                  "bad: restriction violation at token 0: vector register "
+                  "v element 0 assigned twice in one virtual cycle");
+    }
+    {
+        ProgramBuilder b("spin", 8, 8);
+        Value r = b.reg("r", 1, 0);
+        b.while_(r == 0, [&] { b.assign(r, Value::lit(0, 1)); });
+        SimOptions options;
+        options.maxVcyclesPerToken = 1000;
+        EXPECT_EQ(runError(b.finish(), one, options),
+                  "spin: while loop exceeded 1000 virtual cycles for one "
+                  "token (infinite loop?)");
+    }
+    {
+        ProgramBuilder b("t", 16, 16);
+        b.emit(b.input());
+        BitBuffer input;
+        input.appendBits(0, 24);
+        EXPECT_EQ(runError(b.finish(), input),
+                  "t: input stream of 24 bits is not a whole number of "
+                  "16-bit tokens");
+    }
+    {
+        FunctionalSimulator simulator(testprogs::identity());
+        simulator.beginStream(BitBuffer());
+        simulator.stepVcycle();
+        try {
+            simulator.stepVcycle();
+            ADD_FAILURE() << "stepVcycle after completion must throw";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "Identity: stepVcycle after stream completion");
+        }
+    }
+}
+
+TEST(Simulator, SharedDagEvaluatesInLinearTime)
+{
+    // Every chain node feeds both operands of the next level, so a walk
+    // without per-cycle memoization would take 2^depth steps. One chain
+    // gates the emit (eager cone), the other is the emitted value
+    // (evaluated on demand).
+    const int kDepth = 2000;
+    ProgramBuilder b("deep", 8, 8);
+    Value in = b.input();
+    Value key = Value::lit(0x5a, 8);
+    Value gate = in;
+    Value out = in;
+    for (int i = 0; i < kDepth; ++i) {
+        gate = gate + (gate ^ key);
+        out = (out ^ in) + out;
+    }
+    b.if_(gate != 0, [&] { b.emit(out); });
+    FunctionalSimulator simulator(b.finish());
+    EXPECT_LE(simulator.plan().size(), size_t(4 * kDepth + 16));
+    EXPECT_EQ(simulator.evalStateSize(), simulator.plan().size());
+
+    BitBuffer input = tokens8({1, 2, 3, 0x5a, 200});
+    RunResult result = simulator.run(input);
+    std::vector<uint64_t> expected;
+    for (uint64_t token : {1, 2, 3, 0x5a, 200, 0}) {
+        uint64_t g = token, o = token;
+        for (int i = 0; i < kDepth; ++i) {
+            g = (g + (g ^ 0x5a)) & 0xff;
+            o = ((o ^ token) + o) & 0xff;
+        }
+        if (g != 0)
+            expected.push_back(o);
+    }
+    ASSERT_EQ(result.emits, expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(result.output.readBits(i * 8, 8), expected[i]) << i;
+}
+
+uint64_t
+fnv1a(uint64_t h, const uint8_t *data, size_t size)
+{
+    for (size_t i = 0; i < size; ++i) {
+        h ^= data[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Simulator, SimtSignaturesMatchGoldens)
+{
+    // Per-vcycle action signatures and flags (the SIMT model's input)
+    // and the warp model built on them, digested per app; the goldens
+    // were recorded from the AST-walking simulator this one replaced.
+    struct Golden
+    {
+        const char *app;
+        uint64_t signatures;
+        uint64_t warpInstructions;
+        uint64_t convergedInstructions;
+        uint64_t warpSteps;
+    };
+    const Golden goldens[] = {
+        {"JsonParsing", 0xefd7f54d0b56dc4bull, 257348, 135897, 1219},
+        {"IntegerCoding", 0xfb71893d72901f86ull, 595288, 551380, 819},
+        {"DecisionTree", 0x0b162c9e3b7258f4ull, 177058, 149655, 2320},
+        {"SmithWaterman", 0xe09e0ab6d105c493ull, 380868, 328798, 548},
+        {"Regex", 0xe405dc60237a6dd3ull, 133540, 85160, 514},
+        {"BloomFilter", 0x9e08b1ba689ba243ull, 991766, 991766, 8450},
+    };
+    for (const Golden &golden : goldens) {
+        auto app = apps::makeApplication(golden.app);
+        Program program = app->program();
+        Rng rng(77);
+        FunctionalSimulator simulator(program);
+        uint64_t digest = 1469598103934665603ull;
+        std::vector<uint8_t> signature;
+        for (int s = 0; s < 2; ++s) {
+            simulator.beginStream(app->generateStream(rng, 1024));
+            while (!simulator.streamDone()) {
+                uint8_t flags = simulator.stepVcycle(&signature);
+                digest = fnv1a(digest, signature.data(), signature.size());
+                digest = fnv1a(digest, &flags, 1);
+            }
+        }
+        std::vector<BitBuffer> streams;
+        Rng warp_rng(2015);
+        for (int s = 0; s < 40; ++s)
+            streams.push_back(app->generateStream(warp_rng, 256));
+        baseline::SimtResult simt = baseline::simulateWarps(program, streams);
+        EXPECT_EQ(digest, golden.signatures) << golden.app;
+        EXPECT_EQ(simt.warpInstructions, golden.warpInstructions)
+            << golden.app;
+        EXPECT_EQ(simt.convergedInstructions, golden.convergedInstructions)
+            << golden.app;
+        EXPECT_EQ(simt.warpSteps, golden.warpSteps) << golden.app;
+    }
 }
 
 } // namespace
