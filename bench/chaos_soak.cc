@@ -122,36 +122,18 @@ runSoak(const apps::Application &app, const SoakShape &shape,
 
     serve::FleetService service(
         app.program(), soakConfig(shape, seed, backend, threads));
-    std::vector<serve::JobTicket> tickets;
-    tickets.reserve(arrivals.size());
-
-    // Warp-offset open-loop driver (see bench/serve_latency.cc): the
-    // session clock only advances while jobs run, so idle gaps warp
-    // forward to the next scheduled arrival.
-    size_t next = 0;
-    uint64_t offset = arrivals.empty() ? 0 : arrivals.front().cycle;
-    for (;;) {
-        uint64_t now = service.stats().simCycles;
-        while (next < arrivals.size() &&
-               arrivals[next].cycle <= now + offset) {
+    // Open-loop release starting at the first arrival; every
+    // deadlineEvery-th job carries a deadline. The streams are copied:
+    // the golden check below reads them again.
+    std::vector<serve::JobTicket> tickets = bench::releaseOpenLoop(
+        service, arrivals, streams,
+        arrivals.empty() ? 0 : arrivals.front().cycle, [&](size_t j) {
             serve::SubmitOptions options;
             if (shape.deadlineEvery > 0 &&
-                next % shape.deadlineEvery == shape.deadlineEvery - 1)
+                j % shape.deadlineEvery == shape.deadlineEvery - 1)
                 options.deadlineCycles = shape.deadlineCycles;
-            tickets.push_back(service.submitAt(
-                BitBuffer(streams[next]),
-                arrivals[next].cycle - offset, options));
-            ++next;
-        }
-        bool work = service.pump();
-        if (!work) {
-            if (next >= arrivals.size())
-                break;
-            uint64_t vnow = now + offset;
-            if (arrivals[next].cycle > vnow)
-                offset += arrivals[next].cycle - vnow;
-        }
-    }
+            return options;
+        });
     service.shutdown();
 
     SoakResult result;
@@ -340,8 +322,8 @@ main(int argc, char **argv)
     // Determinism variants replayed against the Fast/1 reference for
     // every seed. RtlInterp is the slow reference engine; the full run
     // covers it, smoke keeps CI latency down with the other four
-    // (rtljit silently demotes to rtltape when no host compiler is
-    // available — the determinism fence holds either way).
+    // (rtljit silently demotes to the interpreted batch when no host
+    // compiler is available — the determinism fence holds either way).
     struct Variant
     {
         system::PuBackend backend;
@@ -356,7 +338,7 @@ main(int argc, char **argv)
     std::vector<Variant> variants = {
         makeVariant(system::PuBackend::Fast, 4),
         makeVariant(system::PuBackend::Rtl, 4),
-        makeVariant(system::PuBackend::RtlTape, 1),
+        makeVariant(system::PuBackend::Rtl, 1),
         makeVariant(system::PuBackend::RtlJit, 2),
     };
     if (!opts.smoke)

@@ -30,7 +30,7 @@
  *  --baseline PATH compare jobs/Mcycle per device count against a
  *                  previous JSON; exact match required.
  *  --threads N     host worker threads (0 = one per hardware thread).
- *  --backend B     fast | rtl | rtltape | rtlinterp | rtljit.
+ *  --backend B     fast | rtl | rtlinterp | rtljit.
  */
 
 #include <algorithm>

@@ -39,8 +39,8 @@
  *                 Chrome trace_event JSON per app (PREFIX_<app>.json,
  *                 openable in Perfetto). Implies counter collection.
  *  --backend B    PU backend: fast (default), rtl (batched tape engine),
- *                 rtltape (scalar tape per PU), rtlinterp (per-node
- *                 interpreter), rtljit (native-compiled tape, ISSUE 9).
+ *                 rtlinterp (per-node interpreter), rtljit
+ *                 (native-compiled tape, ISSUE 9).
  *                 All are bit-identical, so every reported number except
  *                 wall-clock must match across backends — combine with
  *                 --baseline to prove it in CI.

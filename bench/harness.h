@@ -18,7 +18,8 @@
  *    behaviour change, not noise);
  *  - the determinism crosscheck: replay a reference point on 1 and 2
  *    host threads and on another PU backend, and require the simulated
- *    per-job signature to be bit-identical.
+ *    per-job signature to be bit-identical;
+ *  - the open-loop release driver of the serving benches.
  */
 
 #include <cerrno>
@@ -32,9 +33,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json.h"
+#include "serve/load_gen.h"
+#include "serve/service.h"
 #include "system/pu_backend.h"
 
 namespace fleet {
@@ -484,6 +488,51 @@ crosscheckDeterminism(const Options &opts, system::PuBackend other,
         }
     }
     return ok;
+}
+
+// ---------------------------------------------------------------------------
+// Open-loop release
+
+/**
+ * Release `arrivals` into `service` on the simulated clock and pump it
+ * until every job is done; returns one ticket per arrival, in order.
+ * Job j is submitted (stream `streams[j]`, options `optionsFor(j)`)
+ * once the session clock plus a warp offset reaches its arrival cycle.
+ * The session clock only advances while jobs run, so whenever the
+ * service goes idle before the next arrival, the offset warps forward
+ * to it (standard event-driven queue simulation); within busy periods
+ * arrival spacing is preserved exactly. `offset` is the starting warp:
+ * 0 keeps the schedule's own origin, arrivals.front().cycle starts the
+ * session at the first arrival.
+ */
+template <typename OptionsFor>
+std::vector<serve::JobTicket>
+releaseOpenLoop(serve::FleetService &service,
+                const std::vector<serve::Arrival> &arrivals,
+                std::vector<BitBuffer> streams, uint64_t offset,
+                OptionsFor optionsFor)
+{
+    std::vector<serve::JobTicket> tickets;
+    tickets.reserve(arrivals.size());
+    size_t next = 0;
+    for (;;) {
+        uint64_t now = service.stats().simCycles;
+        while (next < arrivals.size() &&
+               arrivals[next].cycle <= now + offset) {
+            tickets.push_back(service.submitAt(
+                std::move(streams[next]), arrivals[next].cycle - offset,
+                optionsFor(next)));
+            ++next;
+        }
+        if (service.pump())
+            continue;
+        if (next >= arrivals.size())
+            break;
+        uint64_t vnow = now + offset;
+        if (arrivals[next].cycle > vnow)
+            offset += arrivals[next].cycle - vnow;
+    }
+    return tickets;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 /**
  * @file
- * Microbenchmark of the four RTL simulation engines on the six paper
- * applications: the per-node interpreter (rtl/sim.h), the compiled
- * scalar tape (rtl/tape.h), the PU-batched structure-of-arrays
- * evaluator (rtl/batch_sim.h), and the native JIT-compiled batch
+ * Microbenchmark of the three RTL simulation engines on the six paper
+ * applications: the per-node interpreter (rtl/sim.h), the PU-batched
+ * structure-of-arrays evaluator over the compiled op tape
+ * (rtl/tape.h, rtl/batch_sim.h), and the native JIT-compiled batch
  * (rtl/jit.h — the batch evaluator with the tape lowered to a compiled
  * shared object). Each engine is driven through the same port-level
  * stimulus — random tokens, always-valid input, always-ready output —
  * and its outputs are folded into a running hash, so the benchmark
  * doubles as an engine-equivalence check: all engines (and every batch
- * lane against its own scalar replay) must produce the same hash or
+ * lane against its own one-lane replay) must produce the same hash or
  * the run fails.
  *
  * Reported speedups:
- *  - tape:  interpreter time / scalar-tape time, one PU.
  *  - batch: per-PU speedup at `lanes` PUs per group, i.e.
  *           (interpreter time x lanes) / batched time — the ratio of
  *           simulating `lanes` units with the interpreter vs. one
@@ -31,14 +30,14 @@
  * Modes:
  *  --smoke       short CI configuration; also *gates*: exits non-zero on
  *                any equivalence failure, and (in NDEBUG builds, where
- *                timing is meaningful) on tape speedup < 1.3x, batched
- *                per-PU speedup < 5x, or jit speedup over batch < 1.5x
- *                — regression floors ~30% under the measured minima
- *                (tape 1.8-2.4x, batch 8.4-19x per PU, jit 2-4x over
- *                batch) — so a performance regression fails the bench
- *                job the same way a correctness one does. The jit gate
- *                is skipped (loudly) when no host toolchain is
- *                available or FLEET_JIT_DISABLE is set.
+ *                timing is meaningful) on batched per-PU speedup < 5x
+ *                or jit speedup over batch < 1.5x — regression floors
+ *                ~30% under the measured minima (batch 8.4-19x per
+ *                PU, jit 2-4x over batch) — so a performance
+ *                regression fails the bench job the same way a
+ *                correctness one does. The jit gate is skipped
+ *                (loudly) when no host toolchain is available or
+ *                FLEET_JIT_DISABLE is set.
  *  --json PATH   write per-app results as JSON.
  *  --lanes N     batch width (default 64, the paper's PUs-per-group
  *                order of magnitude).
@@ -91,8 +90,7 @@ struct Stimulus
 /**
  * Drive `cycles` cycles of seeded random stimulus through any engine
  * with the Simulator cycle contract, hashing the four output ports each
- * cycle. The template keeps one driver for all three engines (the
- * batched engine is adapted below).
+ * cycle (the batched engines have their own driver below).
  */
 template <typename Sim>
 uint64_t
@@ -121,7 +119,7 @@ drive(Sim &sim, const Stimulus &st, uint64_t seed, int cycles)
 }
 
 /** Same stimulus and hash, all lanes advancing through one evalAll()
- * and one step() per cycle; lane l replays the scalar run with seed
+ * and one step() per cycle; lane l replays the single-PU run with seed
  * base_seed + l. Returns the per-lane hashes. */
 std::vector<uint64_t>
 driveBatch(rtl::BatchSimulator &batch, const Stimulus &st,
@@ -178,9 +176,7 @@ struct AppResult
     int lanes = 0;
     int cycles = 0;
     double interpS = 0;
-    double tapeS = 0;
     double batchS = 0;
-    double tapeSpeedup = 0;
     double batchPerPuSpeedup = 0;
     // Native JIT batch (absent when the toolchain is unavailable).
     bool jitAvailable = false;
@@ -235,22 +231,20 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
         r.jitStatus = jit_status.toString();
     }
 
-    // Engine equivalence first (untimed): the interpreter, the tape, and
-    // batch lane 0 replay seed `seed`; every other batch lane replays
-    // its own scalar-tape run. The jit batch must match the interpreted
-    // batch lane-for-lane.
+    // Engine equivalence first (untimed): the interpreter and batch
+    // lane 0 replay seed `seed`; every other batch lane l must match a
+    // one-lane batch replaying seed `seed + l`. The jit batch must match
+    // the interpreted batch lane-for-lane.
     rtl::Simulator interp(unit.circuit);
-    rtl::TapeSimulator tape(tape_program);
     rtl::BatchSimulator batch(tape_program, lanes);
     const int check_cycles = std::min(cycles, 2000);
     uint64_t h_interp = drive(interp, st, seed, check_cycles);
-    uint64_t h_tape = drive(tape, st, seed, check_cycles);
     auto h_lanes = driveBatch(batch, st, seed, check_cycles);
-    r.equivalent = h_interp == h_tape && h_lanes[0] == h_interp;
+    r.equivalent = h_lanes[0] == h_interp;
     for (int l = 1; l < lanes && r.equivalent; ++l) {
-        rtl::TapeSimulator replay(tape_program);
-        r.equivalent = h_lanes[l] == drive(replay, st, seed + l,
-                                           check_cycles);
+        rtl::BatchSimulator replay(tape_program, 1);
+        r.equivalent =
+            h_lanes[l] == driveBatch(replay, st, seed + l, check_cycles)[0];
     }
     rtl::BatchSimulator jbatch(tape_program, lanes);
     if (jit) {
@@ -277,7 +271,6 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
         return best;
     };
     r.interpS = bestOf([&] { return drive(interp, st, seed, cycles); });
-    r.tapeS = bestOf([&] { return drive(tape, st, seed, cycles); });
     r.batchS = bestOf(
         [&] { return driveBatch(batch, st, seed, cycles)[lanes - 1]; });
     if (jit)
@@ -287,7 +280,6 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
     if (sink == 0) // Keep the measured work observable.
         std::printf("(hash sink collision)\n");
 
-    r.tapeSpeedup = r.tapeS > 0 ? r.interpS / r.tapeS : 0;
     r.batchPerPuSpeedup =
         r.batchS > 0 ? r.interpS * lanes / r.batchS : 0;
     if (jit) {
@@ -307,15 +299,14 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
     json::Writer w;
     w.object();
     // Single-PU engine microbench: host threading does not apply, and
-    // the "backend" axis *is* the result rows (interp vs tape vs batch).
+    // the "backend" axis *is* the result rows (interp vs batch vs jit).
     bench::runMetadata(w, "micro_rtl_engines", "rtl-engines", -1);
     w.field("smoke", smoke);
     // Canonical engine names from the shared backend registry, in row
-    // order (interp / tape / batch / jit columns below).
+    // order (interp / batch / jit columns below).
     w.array("engines", true);
     for (auto engine : {system::PuBackend::RtlInterp,
-                        system::PuBackend::RtlTape, system::PuBackend::Rtl,
-                        system::PuBackend::RtlJit})
+                        system::PuBackend::Rtl, system::PuBackend::RtlJit})
         w.element(system::puBackendName(engine));
     w.end();
     w.array("apps");
@@ -331,9 +322,7 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
         w.field("lanes", r.lanes);
         w.field("cycles", r.cycles);
         w.field("interp_s", r.interpS, 6);
-        w.field("tape_s", r.tapeS, 6);
         w.field("batch_s", r.batchS, 6);
-        w.field("tape_speedup", r.tapeSpeedup, 3);
         w.field("batch_per_pu_speedup", r.batchPerPuSpeedup, 3);
         w.field("jit_available", r.jitAvailable);
         if (r.jitAvailable) {
@@ -370,26 +359,24 @@ main(int argc, char **argv)
     if (cycles == 0)
         cycles = smoke ? 3000 : 20000;
 
-    std::printf("\n==== RTL engines: interpreter vs tape vs batched "
-                "vs jit (x%d) ====\n"
+    std::printf("\n==== RTL engines: interpreter vs batched vs jit "
+                "(x%d) ====\n"
                 "Same stimulus per engine; outputs hashed for "
                 "equivalence.\n\n",
                 lanes);
 
     std::vector<AppResult> results;
     Table table({"App", "nodes", "tape ops", "elim", "interp (s)",
-                 "tape (s)", "batch (s)", "jit (s)", "tape x",
-                 "batch x/PU", "jit/batch", "compile (ms)", "amort (cyc)",
-                 "equiv"});
+                 "batch (s)", "jit (s)", "batch x/PU", "jit/batch",
+                 "compile (ms)", "amort (cyc)", "equiv"});
     bool all_equivalent = true;
     bool jit_everywhere = true;
-    double min_tape = 1e300, min_batch = 1e300, min_jit = 1e300;
+    double min_batch = 1e300, min_jit = 1e300;
     int jit_apps = 0, jit_fast_apps = 0;
     for (auto &app : apps::allApplications()) {
         AppResult r = evaluateApp(*app, lanes, cycles, 42);
         all_equivalent = all_equivalent && r.equivalent;
         jit_everywhere = jit_everywhere && r.jitAvailable;
-        min_tape = std::min(min_tape, r.tapeSpeedup);
         min_batch = std::min(min_batch, r.batchPerPuSpeedup);
         if (r.jitAvailable) {
             min_jit = std::min(min_jit, r.jitOverBatchSpeedup);
@@ -397,12 +384,9 @@ main(int argc, char **argv)
             if (r.jitOverBatchSpeedup >= 1.5)
                 ++jit_fast_apps;
         }
-        char ti[32], tt[32], tb[32], tj[32], st[32], sb[32], sj[32],
-            cm[32], am[32];
+        char ti[32], tb[32], tj[32], sb[32], sj[32], cm[32], am[32];
         std::snprintf(ti, sizeof(ti), "%.3f", r.interpS);
-        std::snprintf(tt, sizeof(tt), "%.3f", r.tapeS);
         std::snprintf(tb, sizeof(tb), "%.3f", r.batchS);
-        std::snprintf(st, sizeof(st), "%.1fx", r.tapeSpeedup);
         std::snprintf(sb, sizeof(sb), "%.1fx", r.batchPerPuSpeedup);
         if (r.jitAvailable) {
             std::snprintf(tj, sizeof(tj), "%.3f", r.jitS);
@@ -424,10 +408,8 @@ main(int argc, char **argv)
             .cell(std::to_string(r.tapeOps))
             .cell(std::to_string(r.nodesEliminated))
             .cell(ti)
-            .cell(tt)
             .cell(tb)
             .cell(tj)
-            .cell(st)
             .cell(sb)
             .cell(sj)
             .cell(cm)
@@ -447,7 +429,7 @@ main(int argc, char **argv)
                 why = &r;
         std::printf("NOTE: rtl-jit unavailable on this host (%s); jit "
                     "column and gate skipped, runtime falls back to "
-                    "rtltape.\n\n",
+                    "the interpreted batch (rtl).\n\n",
                     why ? why->jitStatus.c_str() : "unknown");
     }
 
@@ -463,18 +445,11 @@ main(int argc, char **argv)
     if (smoke) {
 #ifdef NDEBUG
         // Regression floors, set with ~30% headroom under the measured
-        // minima across the six apps on the CI reference host (tape
-        // 1.8-2.4x, batch 8.4-19x per PU at 64 lanes; see
-        // DESIGN.md). They catch a real engine regression — e.g. losing
-        // vectorization or the 32-bit lane path — without flaking on
-        // machine-to-machine timing variance.
-        if (min_tape < 1.3) {
-            std::fprintf(stderr,
-                         "FAIL: tape speedup regressed below 1.3x "
-                         "(min %.2fx)\n",
-                         min_tape);
-            return 1;
-        }
+        // minima across the six apps on the CI reference host (batch
+        // 8.4-19x per PU at 64 lanes; see DESIGN.md). They catch a
+        // real engine regression — e.g. losing vectorization or the
+        // 32-bit lane path — without flaking on machine-to-machine
+        // timing variance.
         if (min_batch < 5.0) {
             std::fprintf(stderr,
                          "FAIL: batched per-PU speedup regressed below "
@@ -497,16 +472,14 @@ main(int argc, char **argv)
             return 1;
         }
         if (jit_everywhere)
-            std::printf("gates passed: tape >= 1.3x (min %.1fx), batch "
-                        ">= 5x per PU (min %.1fx), jit >= 1.5x over "
-                        "batch on %d/%d apps (min %.1fx)\n",
-                        min_tape, min_batch, jit_fast_apps, jit_apps,
-                        min_jit);
+            std::printf("gates passed: batch >= 5x per PU (min %.1fx), "
+                        "jit >= 1.5x over batch on %d/%d apps (min "
+                        "%.1fx)\n",
+                        min_batch, jit_fast_apps, jit_apps, min_jit);
         else
-            std::printf("gates passed: tape >= 1.3x (min %.1fx), batch "
-                        ">= 5x per PU (min %.1fx); JIT GATE SKIPPED "
-                        "(toolchain unavailable)\n",
-                        min_tape, min_batch);
+            std::printf("gates passed: batch >= 5x per PU (min %.1fx); "
+                        "JIT GATE SKIPPED (toolchain unavailable)\n",
+                        min_batch);
 #else
         std::printf("speedup gates skipped (debug build; timing not "
                     "meaningful)\n");

@@ -40,7 +40,7 @@
  *                    exact match required (the simulator is
  *                    deterministic), nonzero exit on drift.
  *  --threads N       host worker threads (0 = one per hardware thread).
- *  --backend B       fast | rtl | rtltape | rtlinterp | rtljit
+ *  --backend B       fast | rtl | rtlinterp | rtljit
  *                    (system/pu_backend.h; rtl* are cycle-accurate).
  *  --faults SEED     run every load point under the FaultPlan storm
  *                    keyed by SEED with the recovery stack armed
@@ -194,32 +194,13 @@ runPoint(const apps::Application &app, const RunOptions &opts,
 
     serve::FleetService service(app.program(),
                                 serviceConfig(opts, shape));
-    std::vector<serve::JobTicket> tickets;
-    tickets.reserve(arrivals.size());
 
     auto start = std::chrono::steady_clock::now();
-    size_t next = 0;
-    // Warp offset between the schedule's timeline and the session
-    // clock; jumps forward over idle gaps (see the file comment).
-    uint64_t offset = arrivals.empty() ? 0 : arrivals.front().cycle;
-    for (;;) {
-        uint64_t now = service.stats().simCycles;
-        while (next < arrivals.size() &&
-               arrivals[next].cycle <= now + offset) {
-            tickets.push_back(service.submitAt(
-                std::move(streams[next]),
-                arrivals[next].cycle - offset));
-            ++next;
-        }
-        bool work = service.pump();
-        if (!work) {
-            if (next >= arrivals.size())
-                break;
-            uint64_t vnow = now + offset;
-            if (arrivals[next].cycle > vnow)
-                offset += arrivals[next].cycle - vnow;
-        }
-    }
+    // The session starts at the first arrival (see the file comment).
+    std::vector<serve::JobTicket> tickets = bench::releaseOpenLoop(
+        service, arrivals, std::move(streams),
+        arrivals.empty() ? 0 : arrivals.front().cycle,
+        [](size_t) { return serve::SubmitOptions{}; });
     service.shutdown();
     result.simWallS = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)

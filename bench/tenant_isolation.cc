@@ -28,7 +28,7 @@
  *  --baseline PATH compare victim p99 per policy against a previous
  *                  JSON; exact match required, nonzero exit on drift.
  *  --threads N     host worker threads (0 = one per hardware thread).
- *  --backend B     fast | rtl | rtltape | rtlinterp | rtljit
+ *  --backend B     fast | rtl | rtlinterp | rtljit
  *                  (system/pu_backend.h; rtl* are cycle-accurate).
  */
 
@@ -145,28 +145,12 @@ runPolicy(const apps::Application &app, const bench::CommonFlags &opts,
             flood_tickets.push_back(
                 service.submitAt(std::move(stream), 0, flood_opts));
 
-    size_t next = 0;
-    uint64_t offset = 0;
-    for (;;) {
-        uint64_t now = service.stats().simCycles;
-        while (next < victim_arrivals.size() &&
-               victim_arrivals[next].cycle <= now + offset) {
-            victim_tickets.push_back(service.submitAt(
-                std::move(victim_streams[next]),
-                victim_arrivals[next].cycle - offset, victim_opts));
-            ++next;
-        }
-        bool work = service.pump();
-        if (!work) {
-            if (next >= victim_arrivals.size())
-                break;
-            // Idle warp to the next victim arrival (the isolated
-            // baseline has real gaps; the flooded runs rarely idle).
-            uint64_t vnow = now + offset;
-            if (victim_arrivals[next].cycle > vnow)
-                offset += victim_arrivals[next].cycle - vnow;
-        }
-    }
+    // Victims arrive on the schedule's own origin; idle gaps warp to
+    // the next victim arrival (the isolated baseline has real gaps; the
+    // flooded runs rarely idle).
+    victim_tickets = bench::releaseOpenLoop(
+        service, victim_arrivals, std::move(victim_streams), 0,
+        [&](size_t) { return victim_opts; });
     service.shutdown();
     result.simWallS = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)

@@ -10,11 +10,12 @@
  *                   run (bytes moved, DRAM beats, stall breakdown);
  *   --trace PATH    also record span events and write a Chrome
  *                   trace_event JSON to PATH (open in Perfetto);
- *   --backend B     PU backend (fast | rtl | rtltape | rtlinterp |
- *                   rtljit — system/pu_backend.h). Every backend is
+ *   --backend B     PU backend (fast | rtl | rtlinterp | rtljit —
+ *                   system/pu_backend.h). Every backend is
  *                   bit-identical; rtljit compiles the tape to native
- *                   code at session start and falls back to rtltape
- *                   when no host compiler is available.
+ *                   code at session start and falls back to rtl (the
+ *                   interpreted batch) when no host compiler is
+ *                   available.
  *
  * stripTraceFlags() removes these from argv before the example's own
  * positional parsing, so `./quickstart 16 4096 --counters` works.

@@ -4,10 +4,10 @@
 /**
  * @file
  * The cluster layer (ISSUE 10): N simulated devices — each a
- * session-mode FleetSystem behind the system::Device interface — plus
- * a directed Link (link.h) between every ordered device pair, exposed
- * to the runtime as ONE device-shaped pool under *global* slot and
- * channel indices (device-major: device 0's slots first).
+ * session-mode FleetSystem — plus a directed Link (link.h) between
+ * every ordered device pair, exposed to the runtime as ONE
+ * device-shaped pool under *global* slot and channel indices
+ * (device-major: device 0's slots first).
  *
  * Design rule: the Cluster adds indexing, links, and report assembly —
  * never behaviour. Every session-protocol call forwards to exactly one
@@ -100,9 +100,7 @@ class Cluster
     Cluster &operator=(Cluster &&) = default;
 
     int numDevices() const { return static_cast<int>(devices_.size()); }
-    system::Device &device(int d) { return *devices_[d]; }
-    const system::Device &device(int d) const { return *devices_[d]; }
-    /** The concrete simulator under device `d` (offline inspection). */
+    /** The simulator of device `d`. */
     system::FleetSystem &deviceSystem(int d) { return *devices_[d]; }
     const system::FleetSystem &deviceSystem(int d) const
     {

@@ -287,7 +287,7 @@ stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
              std::vector<AlignedVec<T>> &bram_mems, T *latch_tmp,
              const int L, int lane_lo, int lane_hi)
 {
-    // Same commit ordering as TapeSimulator::step(): BRAM reads latch
+    // Same commit ordering as rtl::Simulator::step(): BRAM reads latch
     // first (read-first semantics) and no slot is overwritten until
     // every consumer of the pre-edge comb values has been read.
     for (size_t i = 0; i < t.brams.size(); ++i) {

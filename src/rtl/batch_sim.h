@@ -12,11 +12,10 @@
  * the same op tape together instead of each replica re-dispatching the
  * whole netlist.
  *
- * Lanes are fully independent (separate registers, BRAMs, inputs); the
- * batch is bit-identical to running `lanes` scalar TapeSimulators side
- * by side. evalLane()/stepLane() run a single lane standalone, so one
- * lane can also serve as an ordinary ProcessingUnit in single-PU
- * testbenches.
+ * Lanes are fully independent (separate registers, BRAMs, inputs); each
+ * lane is bit-identical to the rtl::Simulator reference interpreter.
+ * evalLane()/stepLane() run a single lane standalone, so one lane can
+ * also serve as an ordinary ProcessingUnit in single-PU testbenches.
  */
 
 #include <cstddef>

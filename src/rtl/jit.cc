@@ -305,7 +305,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     out << "/* Generated by the fleet rtl jit emitter (rtl/jit.cc), "
            "version "
         << kEmitterVersion << ".\n"
-        << " * Semantics mirror rtl::evalTapeOps / TapeSimulator::step\n"
+        << " * Semantics mirror rtl::evalTapeOps / BatchSimulator::step\n"
         << " * bit for bit; lanes = " << lanes << ", elem = " << EB
         << " bits. Do not edit. */\n"
         << "#include <stdint.h>\n"
@@ -566,7 +566,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     }
     out << "}\n\n";
 
-    // ----- Clock edge: the exact TapeSimulator::step() commit order —
+    // ----- Clock edge: the exact BatchSimulator::step() commit order —
     // BRAM read-first latches and writes, register commits (reading
     // pre-edge slot values), then publish latches and register outputs.
     //

@@ -40,8 +40,8 @@
  * fall back to a fresh compile. Compilation is best-effort by design:
  * every failure path (FLEET_JIT_DISABLE=1, no toolchain, compile or
  * dlopen error) returns a Status instead of throwing, and the system
- * layer (system/fleet_system.cc) degrades the slot to the RtlTape
- * interpreter with a structured log line.
+ * layer (system/fleet_system.cc) degrades the group to the interpreted
+ * batch (PuBackend::Rtl) with a structured log line.
  *
  * Environment knobs:
  *   FLEET_JIT_DISABLE    nonempty & != "0": report unavailable.
@@ -129,7 +129,7 @@ class JitProgram
     /**
      * Clock edge for lanes [lane_lo, lane_hi): BRAM read-first latches
      * + writes, register commits, then publish — the exact
-     * TapeSimulator::step() ordering. `bram_mems[i]` is BRAM i's SoA
+     * BatchSimulator::step() ordering. `bram_mems[i]` is BRAM i's SoA
      * array ([addr * lanes + lane]).
      */
     void step(void *slots, void *regs, void *const *bram_mems,

@@ -512,75 +512,5 @@ TapeProgram::slotOf(NodeId source_node) const
     return s;
 }
 
-TapeSimulator::TapeSimulator(std::shared_ptr<const TapeProgram> tape)
-    : tape_(std::move(tape))
-{
-    slots_.resize(tape_->numSlots, 0);
-    regValues_.resize(tape_->regs.size(), 0);
-    for (const auto &b : tape_->brams)
-        bramMems_.emplace_back(b.elements, 0);
-    latchTmp_.resize(tape_->brams.size(), 0);
-    reset();
-}
-
-TapeSimulator::TapeSimulator(const Circuit &circuit, bool optimize)
-    : TapeSimulator(std::make_shared<const TapeProgram>(
-          TapeProgram::compile(circuit, optimize)))
-{
-}
-
-void
-TapeSimulator::reset()
-{
-    std::fill(slots_.begin(), slots_.end(), 0);
-    for (const auto &[s, v] : tape_->constSlots)
-        slots_[s] = v;
-    for (size_t i = 0; i < tape_->regs.size(); ++i) {
-        regValues_[i] = tape_->regs[i].init;
-        slots_[tape_->regs[i].out] = tape_->regs[i].init;
-    }
-    for (auto &mem : bramMems_)
-        std::fill(mem.begin(), mem.end(), 0);
-    cycles_ = 0;
-}
-
-void
-TapeSimulator::step()
-{
-    const TapeProgram &t = *tape_;
-    // BRAM reads latch before writes land (read-first), and nothing is
-    // published into a slot until every consumer of this cycle's comb
-    // values (other BRAM ports, register next/enable) has been read.
-    for (size_t i = 0; i < t.brams.size(); ++i) {
-        const auto &b = t.brams[i];
-        uint64_t rd_addr = slots_[b.rdAddr];
-        latchTmp_[i] = rd_addr < b.elements ? bramMems_[i][rd_addr] : 0;
-        if (slots_[b.wrEn] != 0) {
-            uint64_t wr_addr = slots_[b.wrAddr];
-            if (wr_addr < b.elements)
-                bramMems_[i][wr_addr] = slots_[b.wrData];
-        }
-    }
-    for (size_t i = 0; i < t.regs.size(); ++i) {
-        const auto &r = t.regs[i];
-        if (r.enable < 0 || slots_[r.enable] != 0)
-            regValues_[i] = slots_[r.next];
-    }
-    for (size_t i = 0; i < t.brams.size(); ++i)
-        slots_[t.brams[i].rdData] = latchTmp_[i];
-    for (size_t i = 0; i < t.regs.size(); ++i)
-        slots_[t.regs[i].out] = regValues_[i];
-    ++cycles_;
-}
-
-uint64_t
-TapeSimulator::bramWord(int bram_index, int addr) const
-{
-    const auto &mem = bramMems_.at(bram_index);
-    if (addr < 0 || addr >= static_cast<int>(mem.size()))
-        panic("rtl: tape: bramWord address out of range");
-    return mem[addr];
-}
-
 } // namespace rtl
 } // namespace fleet

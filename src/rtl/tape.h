@@ -19,15 +19,14 @@
  * shifts, sign-extension shifts, and constant shift amounts are baked
  * into the op at compile time instead of being re-derived every cycle.
  *
- * TapeSimulator mirrors the rtl::Simulator cycle contract exactly
- * (setInput -> evalComb -> observe -> step) and is bit-identical to it
- * on every observable: node values, register values, BRAM words.
- * BatchSimulator (rtl/batch_sim.h) evaluates the same TapeProgram
- * across many circuit replicas in structure-of-arrays layout.
+ * BatchSimulator (rtl/batch_sim.h) evaluates a TapeProgram across one
+ * or many circuit replicas in structure-of-arrays layout, with the
+ * rtl::Simulator cycle contract (setInput -> eval -> observe -> step)
+ * and bit-identical to it on every observable: output ports, register
+ * values, BRAM words.
  */
 
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -65,13 +64,13 @@ enum class TapeOpcode : uint8_t
      * Lane-uniform variants: identical semantics to the base opcode,
      * but the tape compiler has proven the flagged operand is a
      * constant slot, i.e. it holds the same value in every lane of a
-     * BatchSimulator. The scalar evaluator treats them exactly like the
-     * base opcode; the batched evaluator hoists the operand load out of
-     * the per-lane loop (one scalar read + broadcast instead of a full
-     * lane-stride stream), which matters because the SoA sweep is
-     * memory-bound. Commutative ops are canonicalized so the uniform
-     * operand is B; const-vs-const ops never reach the tape (folded at
-     * circuit construction).
+     * BatchSimulator. The single-lane evaluator (evalTapeOps) treats
+     * them exactly like the base opcode; the SoA sweep hoists the
+     * operand load out of the per-lane loop (one scalar read +
+     * broadcast instead of a full lane-stride stream), which matters
+     * because the SoA sweep is memory-bound. Commutative ops are
+     * canonicalized so the uniform operand is B; const-vs-const ops
+     * never reach the tape (folded at circuit construction).
      */
     BinAddU, BinSubU, BinMulU,          ///< B uniform.
     BinAndU, BinOrU, BinXorU,           ///< B uniform.
@@ -150,8 +149,7 @@ struct TapeProgram
      * the memory traffic of the SoA sweep and twice the SIMD lanes per
      * vector. Ports, registers, BRAMs and reports stay bit-identical to
      * the interpreter; value() on an interior node wider than 32 bits
-     * may return only its low 32 bits. Scalar evaluation always uses
-     * uint64_t and is exact on every node.
+     * may return only its low 32 bits.
      */
     bool fits32 = false;
 
@@ -189,9 +187,8 @@ struct TapeProgram
 
 /**
  * Evaluate a tape over a strided slot array: slot s of lane `offset`
- * lives at slots[s * stride + offset]. Shared by the scalar
- * TapeSimulator (stride 1, T = uint64_t) and BatchSimulator's
- * single-lane path (stride = lanes, T per TapeProgram::fits32).
+ * lives at slots[s * stride + offset]. BatchSimulator's single-lane
+ * path runs it with stride = lanes and T per TapeProgram::fits32.
  *
  * The element type T only has to be wide enough for every node of the
  * circuit: all semantics below are width-masked, so narrowing the
@@ -294,48 +291,6 @@ evalTapeOps(const std::vector<TapeOp> &ops, T *slots, size_t stride,
         at(op.dst) = v;
     }
 }
-
-/**
- * Scalar tape evaluator with the exact cycle contract of rtl::Simulator:
- * setInput -> evalComb -> observe -> step. value()/regValue()/bramWord()
- * take *source-circuit* identifiers, so code written against Simulator
- * ports over unchanged.
- */
-class TapeSimulator
-{
-  public:
-    explicit TapeSimulator(std::shared_ptr<const TapeProgram> tape);
-    /** Convenience: compile-and-own. */
-    explicit TapeSimulator(const Circuit &circuit, bool optimize = true);
-
-    void reset();
-    void setInput(int port_index, uint64_t value)
-    {
-        int32_t s = tape_->inputSlot[port_index];
-        if (s >= 0)
-            slots_[s] = truncTo(value, tape_->inputWidth[port_index]);
-    }
-    void evalComb() { evalTapeOps(tape_->ops, slots_.data(), 1, 0); }
-    /** Value of a source-circuit node as of the last evalComb(). */
-    uint64_t value(NodeId source_node) const
-    {
-        return slots_[tape_->slotOf(source_node)];
-    }
-    void step();
-
-    uint64_t regValue(int reg_index) const { return regValues_[reg_index]; }
-    uint64_t bramWord(int bram_index, int addr) const;
-    uint64_t cycles() const { return cycles_; }
-    const TapeProgram &tape() const { return *tape_; }
-
-  private:
-    std::shared_ptr<const TapeProgram> tape_;
-    std::vector<uint64_t> slots_;
-    std::vector<uint64_t> regValues_;
-    std::vector<std::vector<uint64_t>> bramMems_;
-    std::vector<uint64_t> latchTmp_; ///< Per-BRAM read-first scratch.
-    uint64_t cycles_ = 0;
-};
 
 } // namespace rtl
 } // namespace fleet

@@ -28,7 +28,7 @@
  *
  * Placement hints: JobTag::preferredLane steers a job toward slots with
  * a matching SlotBinding::lane (e.g. latency-critical work onto lanes
- * bound to the Fast backend, audit jobs onto RtlTape lanes). Hints are
+ * bound to the Fast backend, audit jobs onto RtlInterp lanes). Hints are
  * preferences, not partitions — the Session's second arm sweep relaxes
  * them so no live slot idles while compatible work is queued.
  */

@@ -381,7 +381,7 @@ class Session
     /** One device's containment/throughput counters. */
     system::SystemStats deviceStats(int device) const
     {
-        return cluster_.device(device).stats();
+        return cluster_.deviceSystem(device).stats();
     }
     /** Halt a *global* channel mid-session (fault-drill hook; the
      * serving layer's injectChannelHalt routes through this). */

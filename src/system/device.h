@@ -3,22 +3,11 @@
 
 /**
  * @file
- * The device abstraction (ISSUE 10): one simulated FPGA card — a fixed
- * pool of processing-unit slots behind the session-mode protocol that
- * runtime::Session speaks. Extracted from FleetSystem so the cluster
- * layer (src/cluster) can treat "a device" as an interface: a Cluster
- * owns N Devices plus the inter-device links and re-exports the same
- * protocol under global slot indices, and the runtime above it never
- * cares whether a slot lives on device 0 or device 7.
- *
- * Everything here is *simulated-state only*: a Device implementation
- * must keep the contract that armJob / stepEpoch / retireJob outcomes
- * are a pure function of (programs, config, arm sequence) — bit
- * identical across host thread counts and PU backends — or every
- * determinism fence above it breaks. FleetSystem (fleet_system.h) is
- * the one real implementation; the interface is the seam where a
- * remote device, an RTL-cosimulated card, or a recorded replay could
- * plug in without touching the runtime.
+ * The per-device vocabulary shared by FleetSystem (fleet_system.h), the
+ * cluster layer and the job runtime: which engine evaluates a slot's
+ * PU (PuBackend), how a session slot is bound (SlotBinding), and one
+ * device's throughput counters (SystemStats). FleetSystem itself is the
+ * one simulated device; a cluster::Cluster owns N of them.
  */
 
 #include <cstdint>
@@ -26,10 +15,6 @@
 #include <vector>
 
 #include "system/channel_shard.h"
-#include "system/run_report.h"
-#include "trace/trace.h"
-#include "util/bitbuf.h"
-#include "util/status.h"
 
 namespace fleet {
 namespace system {
@@ -41,14 +26,14 @@ enum class PuBackend
     Rtl,  ///< Compiled RTL: optimizer + op tape, evaluated batched
           ///< (structure-of-arrays) across each channel's PUs. The
           ///< default cycle-accurate backend.
-    RtlTape,   ///< Compiled RTL, one scalar tape evaluator per PU.
     RtlInterp, ///< Per-node RTL interpreter (the reference engine).
     RtlJit, ///< Compiled RTL lowered to native code (rtl/jit.h): each
             ///< channel's PU population runs a shared-object kernel
             ///< generated and compiled at construction (arm) time,
-            ///< bit-identical to Rtl/RtlTape/RtlInterp. Falls back to
-            ///< RtlTape per slot when no host toolchain is available
-            ///< (slotBackend() reports the backend actually used).
+            ///< bit-identical to Rtl/RtlInterp. Falls back to the
+            ///< interpreted batch (Rtl) when no host toolchain is
+            ///< available (slotBackend() reports the backend actually
+            ///< used).
 };
 
 /**
@@ -66,7 +51,7 @@ struct SlotBinding
     /**
      * Placement-lane label the scheduler's JobTag::preferredLane hints
      * match against (e.g. lane 0 = latency-critical Fast slots, lane 1
-     * = audit RtlTape slots). Never inspected by the simulator itself.
+     * = audit RtlInterp slots). Never inspected by the simulator itself.
      */
     int lane = 0;
     /** Per-slot backend; empty = SystemConfig::backend. */
@@ -96,81 +81,6 @@ struct SystemStats
     double bytesPerCycle() const
     {
         return cycles ? double(inputBytes) / double(cycles) : 0.0;
-    }
-};
-
-/**
- * One simulated device's session-mode protocol (see FleetSystem for
- * the authoritative per-method documentation). Slot indices are local
- * to the device; the cluster layer maps global indices down.
- */
-class Device
-{
-  public:
-    virtual ~Device() = default;
-
-    /** Start the session clock: beginRun on every shard. */
-    virtual void beginSession() = 0;
-
-    /** Arm a parked slot with a job (errors returned, not thrown). */
-    virtual Status armJob(int pu, BitBuffer stream, uint64_t job_id) = 0;
-
-    /** Step every Active shard up to `epoch_cycles` cycles. */
-    virtual void stepEpoch(uint64_t epoch_cycles) = 0;
-
-    /** True once `pu`'s armed job drained (output readable). */
-    virtual bool puDrained(int pu) const = 0;
-
-    /** Shard state of the channel owning `pu`. */
-    virtual ShardState puShardState(int pu) const = 0;
-    /** The halt status of the channel owning `pu` (Ok if healthy). */
-    virtual const Status &puShardStatus(int pu) const = 0;
-
-    /** A drained job's flushed output (read before retireJob). */
-    virtual BitBuffer jobOutput(int pu) const = 0;
-
-    /** Retire a drained job and park the slot. */
-    virtual RetiredJob retireJob(int pu) = 0;
-
-    /** Abandon `pu`'s in-flight job with `status`. */
-    virtual Status cancelJob(int pu, Status status) = 0;
-
-    /** Force channel `c` into the Halted state with `status`. */
-    virtual void forceHaltChannel(int c, Status status) = 0;
-
-    /** Settle every shard and assemble the session RunReport. */
-    virtual const RunReport &finishSession() = 0;
-
-    /** Attach scheduler-level tracks (call before finishSession). */
-    virtual void setSessionTracks(
-        std::vector<trace::CounterTrack> tracks) = 0;
-
-    virtual SystemStats stats() const = 0;
-
-    virtual int numPus() const = 0;
-    virtual int numShards() const = 0;
-    /** The memory channel that owns `pu`. */
-    virtual int puChannel(int pu) const = 0;
-
-    virtual int numPrograms() const = 0;
-    virtual uint32_t slotProgramIndex(int pu) const = 0;
-    virtual int slotLane(int pu) const = 0;
-    virtual PuBackend slotBackend(int pu) const = 0;
-
-    /** Live cycle count of channel `c`'s shard (the session clock is
-     * the max over shards — see sessionCycles). */
-    virtual uint64_t shardCycles(int c) const = 0;
-
-    /** The device's session clock: max over its shards so far. */
-    uint64_t sessionCycles() const
-    {
-        uint64_t max_cycles = 0;
-        for (int c = 0; c < numShards(); ++c) {
-            uint64_t cycles = shardCycles(c);
-            if (cycles > max_cycles)
-                max_cycles = cycles;
-        }
-        return max_cycles;
     }
 };
 

@@ -366,7 +366,7 @@ FleetSystem::build(int num_slots)
     }
 
     // Instantiate the processing units. Each hosted program's RTL is
-    // compiled exactly once (circuit, and for the tape engines the
+    // compiled exactly once (circuit, and for the batched engines the
     // optimizer + tape) and shared by every slot bound to it. FastPu
     // construction pre-runs the functional simulator over the unit's
     // whole stream — the dominant construction cost — and units are
@@ -415,9 +415,6 @@ FleetSystem::build(int num_slots)
           case PuBackend::RtlInterp:
             needCompiled(g);
             break;
-          case PuBackend::RtlTape:
-            needEngine(g);
-            break;
           case PuBackend::Rtl:
             needEngine(g);
             rtlGroups[puShard_[p]][g].push_back(p);
@@ -454,8 +451,8 @@ FleetSystem::build(int num_slots)
     // in-process registry and across processes by the on-disk artifact
     // cache. Compilation is best-effort: any failure (FLEET_JIT_DISABLE,
     // no toolchain, compile/dlopen error) demotes the group to the
-    // scalar tape interpreter with one structured log line per program
-    // — never an abort — and slotBackend() reports the demotion.
+    // interpreted batch with one structured log line per program —
+    // never an abort — and slotBackend() reports the demotion.
     std::vector<char> jitFallbackLogged(programs_.size(), 0);
     for (int ch = 0; ch < channels; ++ch) {
         for (auto &[g, globals] : jitGroups[ch]) {
@@ -464,17 +461,16 @@ FleetSystem::build(int num_slots)
             Status jit_status;
             auto jit = rtl::JitProgram::compile(*engines[g]->tape(),
                                                 jopts, &jit_status);
-            if (jit) {
-                attachGroup(ch, g, globals, std::move(jit));
-                continue;
+            if (!jit) {
+                if (!jitFallbackLogged[g]) {
+                    jitFallbackLogged[g] = 1;
+                    inform("rtl-jit: fallback backend=rtl program=", g,
+                           " reason=", jit_status.toString());
+                }
+                for (int p : globals)
+                    slotBackends_[p] = PuBackend::Rtl;
             }
-            if (!jitFallbackLogged[g]) {
-                jitFallbackLogged[g] = 1;
-                inform("rtl-jit: fallback backend=rtltape program=", g,
-                       " reason=", jit_status.toString());
-            }
-            for (int p : globals)
-                slotBackends_[p] = PuBackend::RtlTape;
+            attachGroup(ch, g, globals, std::move(jit));
         }
     }
     std::vector<std::unique_ptr<ProcessingUnit>> pus(num_slots);
@@ -489,9 +485,6 @@ FleetSystem::build(int num_slots)
             break;
           case PuBackend::RtlInterp:
             pus[p] = std::make_unique<RtlPu>(*compiled[g]);
-            break;
-          case PuBackend::RtlTape:
-            pus[p] = std::make_unique<TapeRtlPu>(engines[g]);
             break;
           case PuBackend::Rtl:
           case PuBackend::RtlJit:
@@ -875,6 +868,15 @@ FleetSystem::stats() const
         for (const auto &shard : shards_)
             stats.channels.push_back(shard->stats());
     return stats;
+}
+
+uint64_t
+FleetSystem::sessionCycles() const
+{
+    uint64_t max_cycles = 0;
+    for (const auto &shard : shards_)
+        max_cycles = std::max(max_cycles, shard->cycles());
+    return max_cycles;
 }
 
 } // namespace system

@@ -53,9 +53,8 @@
 namespace fleet {
 namespace system {
 
-// PuBackend, SlotBinding, and SystemStats moved to system/device.h
-// (ISSUE 10) alongside the Device interface; this header re-exports
-// them transitively for every existing include site.
+// PuBackend, SlotBinding, and SystemStats live in system/device.h;
+// this header re-exports them transitively for every include site.
 
 struct SystemConfig
 {
@@ -116,7 +115,7 @@ struct SystemConfig
     SystemConfig() { outputCtrl.blockingAddressing = false; }
 };
 
-class FleetSystem : public Device
+class FleetSystem
 {
   public:
     /**
@@ -195,7 +194,7 @@ class FleetSystem : public Device
     bool sessionMode() const { return sessionMode_; }
 
     /** Start the session clock: beginRun on every shard. */
-    void beginSession() override;
+    void beginSession();
 
     /**
      * Arm a parked slot with a job: applies the fault plan's per-job
@@ -207,24 +206,24 @@ class FleetSystem : public Device
      * InvalidArgument when the stream is not whole tokens or exceeds
      * the input region.
      */
-    Status armJob(int pu, BitBuffer stream, uint64_t job_id) override;
+    Status armJob(int pu, BitBuffer stream, uint64_t job_id);
 
     /** Step every Active shard up to `epoch_cycles` cycles (worker
      * pool). Shards park early when they drain; the schedule depends
      * only on simulated state, so any thread count is bit-identical. */
-    void stepEpoch(uint64_t epoch_cycles) override;
+    void stepEpoch(uint64_t epoch_cycles);
 
     /** True once `pu`'s armed job drained (finished or contained, input
      * lane idle, every output bit flushed — the region is readable). */
-    bool puDrained(int pu) const override;
+    bool puDrained(int pu) const;
 
     /** Shard state of the channel owning `pu`. */
-    ShardState puShardState(int pu) const override
+    ShardState puShardState(int pu) const
     {
         return shards_[puShard_[pu]]->state();
     }
     /** The halt status of the channel owning `pu` (Ok if healthy). */
-    const Status &puShardStatus(int pu) const override
+    const Status &puShardStatus(int pu) const
     {
         return shards_[puShard_[pu]]->haltStatus();
     }
@@ -233,12 +232,12 @@ class FleetSystem : public Device
      * A drained job's flushed output. Read *before* retireJob +
      * re-arm: the slot's output region is reused by the next job.
      */
-    BitBuffer jobOutput(int pu) const override;
+    BitBuffer jobOutput(int pu) const;
 
     /** Retire a drained job: capture its outcome (with the truncation
      * surfaced as StreamTruncated, as in one-shot runs) and park the
      * slot for the next armJob. */
-    RetiredJob retireJob(int pu) override;
+    RetiredJob retireJob(int pu);
 
     /**
      * Abandon `pu`'s in-flight job with `status` (ISSUE 7: per-job
@@ -249,7 +248,7 @@ class FleetSystem : public Device
      * is nothing to cancel (slot parked, already drained, or its
      * channel not active).
      */
-    Status cancelJob(int pu, Status status) override;
+    Status cancelJob(int pu, Status status);
 
     /**
      * Force channel `c` into the Halted state with `status` (ISSUE 7:
@@ -257,11 +256,11 @@ class FleetSystem : public Device
      * channel strand exactly as they would under a real watchdog trip,
      * exercising the recovery layer's re-queue path deterministically.
      */
-    void forceHaltChannel(int c, Status status) override;
+    void forceHaltChannel(int c, Status status);
 
     /** Settle every shard and assemble the session's RunReport (channel
      * outcomes, last-job PU outcomes, trace). Call once, last. */
-    const RunReport &finishSession() override;
+    const RunReport &finishSession();
 
     /**
      * Hand the scheduler's own observability tracks (queue depth, jobs
@@ -270,11 +269,11 @@ class FleetSystem : public Device
      * TraceReport as TraceReport::sessionTracks. No-op content-wise
      * when tracing is disabled. Call before finishSession.
      */
-    void setSessionTracks(std::vector<trace::CounterTrack> tracks) override;
+    void setSessionTracks(std::vector<trace::CounterTrack> tracks);
 
     /// @}
 
-    SystemStats stats() const override;
+    SystemStats stats() const;
 
     /** Per-PU stall breakdown (valid after run()). */
     const PuStats &puStats(int pu) const
@@ -282,23 +281,23 @@ class FleetSystem : public Device
         return shards_[puShard_[pu]]->puStats(puLocal_[pu]);
     }
 
-    int numPus() const override { return static_cast<int>(puShard_.size()); }
-    int numShards() const override { return static_cast<int>(shards_.size()); }
+    int numPus() const { return static_cast<int>(puShard_.size()); }
+    int numShards() const { return static_cast<int>(shards_.size()); }
     /** The memory channel that owns `pu`. */
-    int puChannel(int pu) const override { return puShard_[pu]; }
+    int puChannel(int pu) const { return puShard_[pu]; }
 
     /// @name Per-slot program bindings (ISSUE 8).
     /// @{
-    int numPrograms() const override
+    int numPrograms() const
     {
         return static_cast<int>(programs_.size());
     }
-    uint32_t slotProgramIndex(int pu) const override
+    uint32_t slotProgramIndex(int pu) const
     {
         return bindings_[pu].program;
     }
-    int slotLane(int pu) const override { return bindings_[pu].lane; }
-    PuBackend slotBackend(int pu) const override
+    int slotLane(int pu) const { return bindings_[pu].lane; }
+    PuBackend slotBackend(int pu) const
     {
         return slotBackends_[pu];
     }
@@ -315,10 +314,13 @@ class FleetSystem : public Device
     const ChannelShard &shard(int c) const { return *shards_[c]; }
 
     /** Live cycle count of channel `c`'s shard. */
-    uint64_t shardCycles(int c) const override
+    uint64_t shardCycles(int c) const
     {
         return shards_[c]->cycles();
     }
+
+    /** The device's session clock: max over its shards so far. */
+    uint64_t sessionCycles() const;
 
   private:
     /** Worker threads to use for `jobs` independent jobs. */

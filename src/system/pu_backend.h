@@ -8,8 +8,8 @@
  * benches, the examples — parses `--backend` through parsePuBackend()
  * and prints through puBackendName(), instead of each carrying its own
  * copy of the string switch. Parsing is case-insensitive and ignores
- * '-'/'_' separators, so the historical spellings ("rtl-tape",
- * "rtl-interp") keep working alongside the canonical ones.
+ * '-'/'_' separators, so the historical spellings ("rtl-interp",
+ * "rtl-jit") keep working alongside the canonical ones.
  */
 
 #include <cctype>
@@ -24,7 +24,7 @@ namespace system {
 
 /** Canonical spellings, for usage strings. */
 inline constexpr const char kPuBackendChoices[] =
-    "fast|rtl|rtltape|rtlinterp|rtljit";
+    "fast|rtl|rtlinterp|rtljit";
 
 inline std::optional<PuBackend>
 parsePuBackend(std::string_view name)
@@ -37,8 +37,6 @@ parsePuBackend(std::string_view name)
         return PuBackend::Fast;
     if (n == "rtl" || n == "rtlbatch" || n == "batch")
         return PuBackend::Rtl;
-    if (n == "rtltape" || n == "tape")
-        return PuBackend::RtlTape;
     if (n == "rtlinterp" || n == "interp")
         return PuBackend::RtlInterp;
     if (n == "rtljit" || n == "jit")
@@ -52,7 +50,6 @@ puBackendName(PuBackend b)
     switch (b) {
       case PuBackend::Fast:      return "fast";
       case PuBackend::Rtl:       return "rtl";
-      case PuBackend::RtlTape:   return "rtltape";
       case PuBackend::RtlInterp: return "rtlinterp";
       case PuBackend::RtlJit:    return "rtljit";
     }

@@ -24,52 +24,6 @@ RtlTapeEngine::appendCounters(trace::CounterSet &out, int batch_width) const
     out.set("batch_width", uint64_t(batch_width));
 }
 
-TapeRtlPu::TapeRtlPu(std::shared_ptr<const RtlTapeEngine> engine)
-    : engine_(std::move(engine)), sim_(engine_->tape())
-{
-}
-
-TapeRtlPu::TapeRtlPu(const lang::Program &program)
-    : TapeRtlPu(std::make_shared<const RtlTapeEngine>(program))
-{
-}
-
-void
-TapeRtlPu::reset()
-{
-    sim_.reset();
-}
-
-PuOutputs
-TapeRtlPu::eval(const PuInputs &inputs)
-{
-    const auto &unit = engine_->unit();
-    sim_.setInput(unit.inInputToken, inputs.inputToken);
-    sim_.setInput(unit.inInputValid, inputs.inputValid ? 1 : 0);
-    sim_.setInput(unit.inInputFinished, inputs.inputFinished ? 1 : 0);
-    sim_.setInput(unit.inOutputReady, inputs.outputReady ? 1 : 0);
-    sim_.evalComb();
-
-    PuOutputs out;
-    out.inputReady = sim_.value(unit.outInputReady) != 0;
-    out.outputToken = sim_.value(unit.outOutputToken);
-    out.outputValid = sim_.value(unit.outOutputValid) != 0;
-    out.outputFinished = sim_.value(unit.outOutputFinished) != 0;
-    return out;
-}
-
-void
-TapeRtlPu::step()
-{
-    sim_.step();
-}
-
-void
-TapeRtlPu::appendCounters(trace::CounterSet &out) const
-{
-    engine_->appendCounters(out, 1);
-}
-
 RtlBatch::RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes)
     : engine_(std::move(engine)), sim_(engine_->tape(), lanes)
 {

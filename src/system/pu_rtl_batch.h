@@ -9,8 +9,6 @@
  *  - RtlTapeEngine: the program compiled once — circuit, optimizer run,
  *    tape — shared by every PU replica instead of re-deriving it per
  *    unit;
- *  - TapeRtlPu: a scalar tape-backed ProcessingUnit (drop-in for RtlPu,
- *    bit-identical to it on every cycle);
  *  - RtlBatch + RtlBatchLane: all PUs of a channel evaluated as lanes
  *    of one structure-of-arrays BatchSimulator. ChannelShard drives the
  *    whole group per cycle (setLaneInputs* -> evalAll -> laneOutputs*
@@ -47,34 +45,6 @@ class RtlTapeEngine
   private:
     compile::CompiledUnit unit_;
     std::shared_ptr<const rtl::TapeProgram> tape_;
-};
-
-/** Scalar tape-compiled PU: RtlPu semantics, dense-dispatch evaluation. */
-class TapeRtlPu : public ProcessingUnit
-{
-  public:
-    explicit TapeRtlPu(std::shared_ptr<const RtlTapeEngine> engine);
-    explicit TapeRtlPu(const lang::Program &program);
-
-    void reset() override;
-    PuOutputs eval(const PuInputs &inputs) override;
-    void step() override;
-    int inputTokenWidth() const override
-    {
-        return engine_->unit().inputTokenWidth;
-    }
-    int outputTokenWidth() const override
-    {
-        return engine_->unit().outputTokenWidth;
-    }
-    void appendCounters(trace::CounterSet &out) const override;
-
-    const RtlTapeEngine &engine() const { return *engine_; }
-    const rtl::TapeSimulator &sim() const { return sim_; }
-
-  private:
-    std::shared_ptr<const RtlTapeEngine> engine_;
-    rtl::TapeSimulator sim_;
 };
 
 /**
@@ -117,8 +87,7 @@ class RtlBatch
  * ProcessingUnit view of one batch lane. When its ChannelShard has the
  * batch attached, eval()/step() are bypassed in favour of the group
  * calls; standalone (e.g. under the single-PU testbench) the lane
- * evaluates and steps only itself and is bit-identical to a scalar
- * TapeRtlPu.
+ * evaluates and steps only itself and is bit-identical to an RtlPu.
  */
 class RtlBatchLane : public ProcessingUnit
 {

@@ -25,7 +25,6 @@ using system::RtlBatch;
 using system::RtlBatchLane;
 using system::RtlPu;
 using system::RtlTapeEngine;
-using system::TapeRtlPu;
 using system::TestbenchOptions;
 using system::TestbenchResult;
 using system::runPu;
@@ -42,10 +41,11 @@ randomStream(int token_width, int tokens, uint64_t seed)
 
 /**
  * The core cross-check of the paper's testing infrastructure: the
- * functional simulator, all three compiled-RTL engines (per-node
- * interpreter, scalar op tape, batched SoA evaluator), and the fast
- * replay model must produce identical outputs, and every cycle model
- * must agree on the exact cycle count, under every stall profile.
+ * functional simulator, the compiled-RTL engines (per-node
+ * interpreter, and the batched SoA evaluator at one lane and at an
+ * interior lane of three), and the fast replay model must produce
+ * identical outputs, and every cycle model must agree on the exact
+ * cycle count, under every stall profile.
  */
 void
 crossCheck(const Program &program, const BitBuffer &input)
@@ -56,7 +56,8 @@ crossCheck(const Program &program, const BitBuffer &input)
     RtlPu rtl_pu(program);
     FastPu fast_pu(program, input);
     auto engine = std::make_shared<const RtlTapeEngine>(program);
-    TapeRtlPu tape_pu(engine);
+    auto single = std::make_shared<RtlBatch>(engine, 1);
+    RtlBatchLane single_pu(single, 0);
     // Exercise the batched engine at an interior lane so slot striding
     // (values[node][pu]) is actually tested, not just lane 0.
     auto batch = std::make_shared<RtlBatch>(engine, 3);
@@ -71,15 +72,15 @@ crossCheck(const Program &program, const BitBuffer &input)
     for (const auto &profile : profiles) {
         TestbenchResult rtl_result = runPu(rtl_pu, input, profile);
         TestbenchResult fast_result = runPu(fast_pu, input, profile);
-        TestbenchResult tape_result = runPu(tape_pu, input, profile);
+        TestbenchResult single_result = runPu(single_pu, input, profile);
         TestbenchResult batch_result = runPu(batch_pu, input, profile);
         ASSERT_TRUE(rtl_result.output == golden.output)
             << program.name << ": RTL output mismatch (validProb="
             << profile.inputValidProb << ")";
         ASSERT_TRUE(fast_result.output == golden.output)
             << program.name << ": fast-model output mismatch";
-        ASSERT_TRUE(tape_result.output == golden.output)
-            << program.name << ": tape-engine output mismatch (validProb="
+        ASSERT_TRUE(single_result.output == golden.output)
+            << program.name << ": one-lane batch output mismatch (validProb="
             << profile.inputValidProb << ")";
         ASSERT_TRUE(batch_result.output == golden.output)
             << program.name << ": batched-engine output mismatch "
@@ -88,14 +89,14 @@ crossCheck(const Program &program, const BitBuffer &input)
             << program.name << ": cycle-count mismatch between RTL and "
             << "fast model (validProb=" << profile.inputValidProb
             << ", readyProb=" << profile.outputReadyProb << ")";
-        ASSERT_EQ(rtl_result.cycles, tape_result.cycles)
+        ASSERT_EQ(rtl_result.cycles, single_result.cycles)
             << program.name << ": cycle-count mismatch between "
-            << "interpreter and tape engine";
+            << "interpreter and one-lane batch";
         ASSERT_EQ(rtl_result.cycles, batch_result.cycles)
             << program.name << ": cycle-count mismatch between "
             << "interpreter and batched engine";
-        ASSERT_EQ(rtl_result.inputTokens, tape_result.inputTokens);
-        ASSERT_EQ(rtl_result.outputTokens, tape_result.outputTokens);
+        ASSERT_EQ(rtl_result.inputTokens, single_result.inputTokens);
+        ASSERT_EQ(rtl_result.outputTokens, single_result.outputTokens);
         ASSERT_EQ(rtl_result.inputTokens, batch_result.inputTokens);
         ASSERT_EQ(rtl_result.outputTokens, batch_result.outputTokens);
     }

@@ -271,7 +271,6 @@ TEST_P(RandomProgramCrossCheck, AllBackendsAgree)
     system::RtlPu rtl_pu(program);
     system::FastPu fast_pu(program, input);
     auto engine = std::make_shared<const system::RtlTapeEngine>(program);
-    system::TapeRtlPu tape_pu(engine);
     auto batch = std::make_shared<system::RtlBatch>(engine, 4);
     system::RtlBatchLane batch_pu(batch, 2);
 
@@ -282,20 +281,15 @@ TEST_P(RandomProgramCrossCheck, AllBackendsAgree)
     for (const auto &profile : profiles) {
         auto rtl_result = system::runPu(rtl_pu, input, profile);
         auto fast_result = system::runPu(fast_pu, input, profile);
-        auto tape_result = system::runPu(tape_pu, input, profile);
         auto batch_result = system::runPu(batch_pu, input, profile);
         ASSERT_TRUE(rtl_result.output == golden.output)
             << "seed " << seed << ": RTL output mismatch";
         ASSERT_TRUE(fast_result.output == golden.output)
             << "seed " << seed << ": fast-model output mismatch";
-        ASSERT_TRUE(tape_result.output == golden.output)
-            << "seed " << seed << ": tape-engine output mismatch";
         ASSERT_TRUE(batch_result.output == golden.output)
             << "seed " << seed << ": batched-engine output mismatch";
         ASSERT_EQ(rtl_result.cycles, fast_result.cycles)
             << "seed " << seed << ": cycle-count mismatch";
-        ASSERT_EQ(rtl_result.cycles, tape_result.cycles)
-            << "seed " << seed << ": interpreter/tape cycle mismatch";
         ASSERT_EQ(rtl_result.cycles, batch_result.cycles)
             << "seed " << seed << ": interpreter/batch cycle mismatch";
     }
@@ -480,7 +474,7 @@ TEST_P(RandomProgramEngineEquivalence, RtlEnginesBitIdentical)
         return c;
     };
 
-    // The per-node interpreter is the reference; the tape and batched
+    // The per-node interpreter is the reference; the batched and jit
     // engines must match it bit for bit — outputs, cycle count, and
     // every trace counter that is not an engine-identity key — at one
     // thread and at N threads.
@@ -492,11 +486,11 @@ TEST_P(RandomProgramEngineEquivalence, RtlEnginesBitIdentical)
         << "seed " << seed << ": " << interp_report.summary();
 
     // RtlJit exercises the native kernel when a host toolchain is
-    // available and the documented fallback demotion to RtlTape when
-    // not (e.g. the FLEET_JIT_DISABLE=1 CI leg) — identical outputs
-    // either way, so the assertion holds in both modes.
-    const system::PuBackend engines[] = {system::PuBackend::RtlTape,
-                                         system::PuBackend::Rtl,
+    // available and the documented fallback demotion to the
+    // interpreted batch when not (e.g. the FLEET_JIT_DISABLE=1 CI
+    // leg) — identical outputs either way, so the assertion holds in
+    // both modes.
+    const system::PuBackend engines[] = {system::PuBackend::Rtl,
                                          system::PuBackend::RtlJit};
     for (system::PuBackend backend : engines) {
         for (int threads : {1, 4}) {

@@ -244,9 +244,10 @@ TEST(RtlJitFallback, MissingCompilerFailsWithStatusNotAbort)
 }
 
 /** The system-level contract for the FLEET_JIT_DISABLE CI leg: a
- * RtlJit binding silently runs on the RtlTape interpreter, with
- * correct outputs and slotBackend() reporting the demotion. */
-TEST(RtlJitFallback, SystemDemotesToRtlTapeAndStillCompletes)
+ * RtlJit binding silently runs on the interpreted batch, one batch per
+ * channel, with correct outputs and slotBackend() reporting the
+ * demotion. */
+TEST(RtlJitFallback, SystemDemotesToRtlBatchAndStillCompletes)
 {
     ScopedEnv disable("FLEET_JIT_DISABLE", "1");
     lang::Program program = testprogs::streamSum();
@@ -262,11 +263,27 @@ TEST(RtlJitFallback, SystemDemotesToRtlTapeAndStillCompletes)
     system::SystemConfig config;
     config.numChannels = 2;
     config.backend = system::PuBackend::RtlJit;
+    config.trace.counters = true;
     system::FleetSystem system(program, config, streams);
-    ASSERT_TRUE(system.run().allOk());
+    const system::RunReport &report = system.run();
+    ASSERT_TRUE(report.allOk());
     for (int p = 0; p < int(streams.size()); ++p)
-        EXPECT_EQ(system.slotBackend(p), system::PuBackend::RtlTape)
+        EXPECT_EQ(system.slotBackend(p), system::PuBackend::Rtl)
             << "PU " << p << " should have been demoted";
+
+    // Each channel's demoted slots still share one batch.
+    ASSERT_NE(report.trace, nullptr);
+    const uint64_t lanes = streams.size() / config.numChannels;
+    int pu_sets = 0;
+    for (const auto &channel : report.trace->channels)
+        for (const auto &set : channel.counters) {
+            if (set.name.find("/pu") == std::string::npos)
+                continue;
+            ++pu_sets;
+            EXPECT_EQ(set.get("batch_width"), lanes) << set.name;
+            EXPECT_FALSE(set.has("backend_rtl_jit")) << set.name;
+        }
+    EXPECT_EQ(pu_sets, int(streams.size()));
 
     sim::FunctionalSimulator functional(program);
     for (size_t p = 0; p < streams.size(); ++p) {

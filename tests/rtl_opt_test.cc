@@ -15,9 +15,9 @@
  * (ISSUE 4). The optimizer (rtl/opt.h) may only rewrite a circuit into
  * one with identical observable behaviour: every output, register, and
  * BRAM word must match the unoptimized interpreter cycle for cycle. The
- * same random circuits double as an equivalence suite for the tape and
- * batched evaluators, independent of the compiler front end feeding
- * them processing-unit circuits.
+ * same random circuits double as an equivalence suite for the tape
+ * lowering and the batched evaluator, independent of the compiler
+ * front end feeding them processing-unit circuits.
  */
 
 namespace fleet {
@@ -29,7 +29,6 @@ using rtl::NodeId;
 using rtl::OptResult;
 using rtl::Simulator;
 using rtl::TapeProgram;
-using rtl::TapeSimulator;
 
 /** Random well-formed circuit: a node soup over a few inputs, registers,
  * and BRAMs, with constants mixed in to give the folder something to do,
@@ -158,8 +157,36 @@ randomCircuit(uint64_t seed)
     return c;
 }
 
+/**
+ * A one-lane BatchSimulator behind the scalar Simulator interface, so
+ * lockstep() can drive the tape through the standalone-lane path
+ * (evalLane/stepLane) that single-PU testbenches use.
+ */
+class OneLaneBatch
+{
+  public:
+    explicit OneLaneBatch(TapeProgram tape)
+        : sim_(std::make_shared<const TapeProgram>(std::move(tape)), 1)
+    {
+    }
+
+    void reset() { sim_.reset(); }
+    void setInput(int port, uint64_t v) { sim_.setInput(0, port, v); }
+    void evalComb() { sim_.evalLane(0); }
+    uint64_t value(NodeId node) const { return sim_.value(0, node); }
+    void step() { sim_.stepLane(0); }
+    uint64_t regValue(int reg) const { return sim_.regValue(0, reg); }
+    uint64_t bramWord(int bram, int addr) const
+    {
+        return sim_.bramWord(0, bram, addr);
+    }
+
+  private:
+    BatchSimulator sim_;
+};
+
 /** Drive `cycles` cycles of common random input through both simulators
- * (templated so Simulator/TapeSimulator mix freely), comparing every
+ * (templated so Simulator/OneLaneBatch mix freely), comparing every
  * output each cycle and the full architectural state at the end. */
 template <typename SimA, typename SimB>
 void
@@ -225,7 +252,7 @@ TEST_P(RtlOptRandom, TapeMatchesInterpreter)
     uint64_t seed = GetParam();
     Circuit source = randomCircuit(seed);
     Simulator golden(source);
-    TapeSimulator tape(source);
+    OneLaneBatch tape(TapeProgram::compile(source, /*optimize=*/true));
     lockstep(source, golden, source, tape, seed * 37 + 5, 300);
 }
 
@@ -234,7 +261,7 @@ TEST_P(RtlOptRandom, UnoptimizedTapeMatchesInterpreter)
     uint64_t seed = GetParam();
     Circuit source = randomCircuit(seed);
     Simulator golden(source);
-    TapeSimulator tape(source, /*optimize=*/false);
+    OneLaneBatch tape(TapeProgram::compile(source, /*optimize=*/false));
     lockstep(source, golden, source, tape, seed * 41 + 3, 200);
 }
 

@@ -264,8 +264,6 @@ TEST(RuntimeSession, BitIdenticalAcrossBackendsAndThreadCounts)
     };
     const Variant variants[] = {
         {system::PuBackend::Fast, 4, "Fast/4"},
-        {system::PuBackend::RtlTape, 1, "RtlTape/1"},
-        {system::PuBackend::RtlTape, 4, "RtlTape/4"},
         {system::PuBackend::Rtl, 1, "RtlBatch/1"},
         {system::PuBackend::Rtl, 4, "RtlBatch/4"},
     };

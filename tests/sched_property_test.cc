@@ -5,7 +5,7 @@
  *
  *  1. *Schedule determinism*: for every policy, the job→slot schedule,
  *     the JobReports, and the settled RunReport (traces included) are
- *     bit-identical across PU backends ({Fast, RtlTape}) and host
+ *     bit-identical across PU backends ({Fast, Rtl}) and host
  *     thread counts ({1, N}).
  *  2. *Work conservation*: after any scheduler round, no parked live
  *     slot coexists with a queued job its program binding could run —
@@ -282,8 +282,8 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
         };
         const Variant variants[] = {
             {system::PuBackend::Fast, 4, "Fast/4"},
-            {system::PuBackend::RtlTape, 1, "RtlTape/1"},
-            {system::PuBackend::RtlTape, 4, "RtlTape/4"},
+            {system::PuBackend::Rtl, 1, "RtlBatch/1"},
+            {system::PuBackend::Rtl, 4, "RtlBatch/4"},
         };
         for (const Variant &variant : variants) {
             auto [reports, run_report] =
@@ -481,7 +481,7 @@ TEST(MultiProgram, PlacementHintsSteerButNeverIdleSlots)
 TEST(MultiProgram, MixedBackendsPerSlotStayBitIdentical)
 {
     // Placement the issue asks for: latency lanes on the Fast backend,
-    // audit lanes on the scalar RTL tape — in one session. Outputs
+    // audit lanes on the unbatched RTL interpreter — in one session. Outputs
     // still match the functional golden, and the whole schedule is
     // invariant to host thread count.
     auto program = testprogs::blockFrequencies(16);
@@ -489,7 +489,7 @@ TEST(MultiProgram, MixedBackendsPerSlotStayBitIdentical)
     for (int p = 0; p < 6; ++p) {
         bindings[p].lane = p < 3 ? 0 : 1;
         bindings[p].backend = p < 3 ? system::PuBackend::Fast
-                                    : system::PuBackend::RtlTape;
+                                    : system::PuBackend::RtlInterp;
     }
     Rng rng(55);
     std::vector<BitBuffer> streams;

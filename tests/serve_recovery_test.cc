@@ -184,7 +184,7 @@ TEST(ServeRetry, RecoveryScheduleBitIdenticalAcrossBackendsAndThreads)
     };
     const Variant variants[] = {
         {system::PuBackend::Fast, 4, "Fast/4"},
-        {system::PuBackend::RtlTape, 1, "RtlTape/1"},
+        {system::PuBackend::Rtl, 1, "RtlBatch/1"},
         {system::PuBackend::Rtl, 4, "RtlBatch/4"},
     };
     for (const Variant &variant : variants) {

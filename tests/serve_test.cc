@@ -502,7 +502,7 @@ TEST(ServeLatency, SimulatedLatenciesBitIdenticalAcrossBackendsAndThreads)
     };
     const Variant variants[] = {
         {system::PuBackend::Fast, 4, "Fast/4"},
-        {system::PuBackend::RtlTape, 1, "RtlTape/1"},
+        {system::PuBackend::Rtl, 1, "RtlBatch/1"},
         {system::PuBackend::Rtl, 4, "RtlBatch/4"},
     };
     for (const Variant &variant : variants) {
@@ -714,14 +714,14 @@ TEST(ServeTenants, SchedulerChoiceIsDeterministicAcrossHosts)
         for (const auto &report : base)
             ASSERT_TRUE(report.ok()) << report.status.toString();
         auto fast4 = runPolicy(policy, system::PuBackend::Fast, 4);
-        auto tape1 = runPolicy(policy, system::PuBackend::RtlTape, 1);
+        auto rtl1 = runPolicy(policy, system::PuBackend::Rtl, 1);
         for (size_t j = 0; j < base.size(); ++j) {
             ASSERT_TRUE(fast4[j] == base[j])
                 << runtime::schedulerPolicyName(policy) << " Fast/4 job "
                 << j;
-            ASSERT_TRUE(tape1[j] == base[j])
+            ASSERT_TRUE(rtl1[j] == base[j])
                 << runtime::schedulerPolicyName(policy)
-                << " RtlTape/1 job " << j;
+                << " RtlBatch/1 job " << j;
         }
         per_policy.push_back(std::move(base));
     }

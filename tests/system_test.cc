@@ -2,6 +2,7 @@
 
 #include "sim/simulator.h"
 #include "system/fleet_system.h"
+#include "system/pu_backend.h"
 #include "test_programs.h"
 #include "util/rng.h"
 
@@ -154,6 +155,25 @@ TEST(FleetSystem, RtlAndFastBackendsAgreeExactly)
     for (int p = 0; p < fast_system.numPus(); ++p)
         EXPECT_TRUE(fast_system.output(p) == rtl_system.output(p));
     expectOutputsMatchFunctional(program, streams, fast_system);
+}
+
+TEST(PuBackendNames, ParseRoundTripsEveryBackend)
+{
+    const PuBackend all[] = {PuBackend::Fast, PuBackend::Rtl,
+                             PuBackend::RtlJit, PuBackend::RtlInterp};
+    for (PuBackend b : all) {
+        std::optional<PuBackend> parsed = parsePuBackend(puBackendName(b));
+        ASSERT_TRUE(parsed.has_value()) << puBackendName(b);
+        EXPECT_EQ(*parsed, b) << puBackendName(b);
+    }
+    EXPECT_EQ(std::string(kPuBackendChoices), "fast|rtl|rtlinterp|rtljit");
+    // Spellings are case- and separator-insensitive.
+    EXPECT_EQ(parsePuBackend("RTL-Interp"), PuBackend::RtlInterp);
+    EXPECT_EQ(parsePuBackend("rtl_jit"), PuBackend::RtlJit);
+    // Names of no backend are rejected, not mapped to a neighbour.
+    EXPECT_FALSE(parsePuBackend("rtltape").has_value());
+    EXPECT_FALSE(parsePuBackend("tape").has_value());
+    EXPECT_FALSE(parsePuBackend("rtl-tape").has_value());
 }
 
 TEST(FleetSystem, WideTokensEndToEnd)
