@@ -27,6 +27,14 @@
  * optimizer regressions show up in the bench artifact, not just in
  * unit tests.
  *
+ * Beside the RTL engines it measures the fast PU model's engine, the
+ * functional simulator (sim/simulator.h): its evaluation plan's size
+ * before and after folding and hash-consing, and its throughput in
+ * virtual cycles per second over the app's generated streams (trace
+ * recording on, as in FastPu's pre-run). Its output on every stream
+ * must equal Application::golden or the run fails; there is no speed
+ * gate on it.
+ *
  * Modes:
  *  --smoke       short CI configuration; also *gates*: exits non-zero on
  *                any equivalence failure, and (in NDEBUG builds, where
@@ -42,6 +50,8 @@
  *  --lanes N     batch width (default 64, the paper's PUs-per-group
  *                order of magnitude).
  *  --cycles N    simulated cycles per engine (default 20000; smoke 3000).
+ *
+ * The functional streams are 8 per app of 16 KiB (smoke 2 KiB).
  */
 
 #include <algorithm>
@@ -49,15 +59,18 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "apps/registry.h"
 #include "compile/compiler.h"
 #include "harness.h"
+#include "lang/flatten.h"
 #include "rtl/batch_sim.h"
 #include "rtl/jit.h"
 #include "rtl/sim.h"
 #include "rtl/tape.h"
+#include "sim/simulator.h"
 #include "system/pu_backend.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -191,11 +204,91 @@ struct AppResult
     double jitAmortCycles = 0;
     std::string jitStatus; // why unavailable, for the JSON artifact
     bool equivalent = false;
+    // Functional simulator: plan nodes before (distinct expression
+    // nodes of the flattened program) and after folding and
+    // hash-consing, throughput, and the golden-output check.
+    uint64_t funcSourceNodes = 0;
+    uint64_t funcPlanNodes = 0;
+    uint64_t funcVcycles = 0;
+    double funcS = 0;
+    double funcMvcyclesPerS = 0;
+    bool funcGolden = false;
 };
+
+/** Distinct expression nodes reachable from the flattened program's
+ * roots: the functional plan's size before folding and hash-consing. */
+uint64_t
+flatExprNodes(const lang::Program &program)
+{
+    const lang::FlatProgram flat = lang::flatten(program);
+    std::unordered_set<const lang::ExprNode *> seen;
+    std::vector<const lang::ExprNode *> stack;
+    auto visit = [&](const lang::Expr &e) {
+        if (e && seen.insert(e.get()).second)
+            stack.push_back(e.get());
+    };
+    for (const auto &cond : flat.whileConds)
+        visit(cond);
+    for (const auto &occ : flat.bramReads) {
+        visit(occ.cond);
+        visit(occ.addr);
+    }
+    for (const auto &assign : flat.assigns) {
+        visit(assign.cond);
+        visit(assign.target.index);
+        visit(assign.value);
+    }
+    for (const auto &emit : flat.emits) {
+        visit(emit.cond);
+        visit(emit.value);
+    }
+    while (!stack.empty()) {
+        const lang::ExprNode *node = stack.back();
+        stack.pop_back();
+        visit(node->a);
+        visit(node->b);
+        visit(node->c);
+    }
+    return seen.size();
+}
+
+/** Fill the functional-simulator fields of `r`: best of `reps` passes
+ * over `streams`, each checked against the app's golden output. */
+void
+evaluateFunctional(const apps::Application &app,
+                   const std::vector<BitBuffer> &streams, int reps,
+                   AppResult &r)
+{
+    const lang::Program program = app.program();
+    r.funcSourceNodes = flatExprNodes(program);
+    auto plan = std::make_shared<const sim::EvalPlan>(program);
+    r.funcPlanNodes = plan->size();
+    sim::SimOptions options;
+    options.recordTrace = true;
+    r.funcGolden = true;
+    for (const BitBuffer &stream : streams) {
+        sim::FunctionalSimulator simulator(plan, options);
+        r.funcGolden =
+            r.funcGolden && simulator.run(stream).output == app.golden(stream);
+    }
+    r.funcS = 1e300;
+    for (int rep = 0; rep < reps; ++rep) {
+        uint64_t vcycles = 0;
+        double t0 = now();
+        for (const BitBuffer &stream : streams) {
+            sim::FunctionalSimulator simulator(plan, options);
+            vcycles += simulator.run(stream).vcycles;
+        }
+        r.funcS = std::min(r.funcS, now() - t0);
+        r.funcVcycles = vcycles;
+    }
+    r.funcMvcyclesPerS =
+        r.funcS > 0 ? double(r.funcVcycles) / r.funcS / 1e6 : 0;
+}
 
 AppResult
 evaluateApp(const apps::Application &app, int lanes, int cycles,
-            uint64_t seed)
+            uint64_t seed, uint64_t stream_bytes)
 {
     AppResult r;
     r.name = app.name();
@@ -280,6 +373,12 @@ evaluateApp(const apps::Application &app, int lanes, int cycles,
     if (sink == 0) // Keep the measured work observable.
         std::printf("(hash sink collision)\n");
 
+    Rng stream_rng(seed);
+    std::vector<BitBuffer> streams;
+    for (int s = 0; s < 8; ++s)
+        streams.push_back(app.generateStream(stream_rng, stream_bytes));
+    evaluateFunctional(app, streams, kReps, r);
+
     r.batchPerPuSpeedup =
         r.batchS > 0 ? r.interpS * lanes / r.batchS : 0;
     if (jit) {
@@ -336,6 +435,12 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
             w.field("jit_status", r.jitStatus);
         }
         w.field("equivalent", r.equivalent);
+        w.field("functional_source_nodes", r.funcSourceNodes);
+        w.field("functional_plan_nodes", r.funcPlanNodes);
+        w.field("functional_vcycles", r.funcVcycles);
+        w.field("functional_s", r.funcS, 6);
+        w.field("functional_mvcycles_per_s", r.funcMvcyclesPerS, 3);
+        w.field("functional_golden", r.funcGolden);
         w.end();
     }
     w.end().end();
@@ -369,13 +474,18 @@ main(int argc, char **argv)
     Table table({"App", "nodes", "tape ops", "elim", "interp (s)",
                  "batch (s)", "jit (s)", "batch x/PU", "jit/batch",
                  "compile (ms)", "amort (cyc)", "equiv"});
+    Table functional({"App", "expr nodes", "plan nodes", "vcycles",
+                      "time (s)", "Mvcycles/s", "golden"});
     bool all_equivalent = true;
+    bool all_golden = true;
     bool jit_everywhere = true;
     double min_batch = 1e300, min_jit = 1e300;
     int jit_apps = 0, jit_fast_apps = 0;
     for (auto &app : apps::allApplications()) {
-        AppResult r = evaluateApp(*app, lanes, cycles, 42);
+        AppResult r = evaluateApp(*app, lanes, cycles, 42,
+                                  smoke ? 2048 : 16384);
         all_equivalent = all_equivalent && r.equivalent;
+        all_golden = all_golden && r.funcGolden;
         jit_everywhere = jit_everywhere && r.jitAvailable;
         min_batch = std::min(min_batch, r.batchPerPuSpeedup);
         if (r.jitAvailable) {
@@ -415,6 +525,17 @@ main(int argc, char **argv)
             .cell(cm)
             .cell(am)
             .cell(r.equivalent ? "yes" : "NO");
+        char tf[32], mf[32];
+        std::snprintf(tf, sizeof(tf), "%.3f", r.funcS);
+        std::snprintf(mf, sizeof(mf), "%.2f", r.funcMvcyclesPerS);
+        functional.row()
+            .cell(r.name)
+            .cell(std::to_string(r.funcSourceNodes))
+            .cell(std::to_string(r.funcPlanNodes))
+            .cell(std::to_string(r.funcVcycles))
+            .cell(tf)
+            .cell(mf)
+            .cell(r.funcGolden ? "yes" : "NO");
         std::fflush(stdout);
         results.push_back(std::move(r));
     }
@@ -422,6 +543,9 @@ main(int argc, char **argv)
     std::printf("(compile * = reused from the on-disk jit cache; amort "
                 "= group-cycles for the native compile to pay back vs "
                 "the interpreted batch)\n\n");
+    std::printf("Functional simulator (fast PU model engine), 8 "
+                "generated streams per app, trace on:\n%s\n",
+                functional.str().c_str());
     if (!jit_everywhere) {
         const AppResult *why = nullptr;
         for (const AppResult &r : results)
@@ -440,6 +564,11 @@ main(int argc, char **argv)
     if (!all_equivalent) {
         std::fprintf(stderr,
                      "FAIL: engine outputs diverged (see table)\n");
+        return 1;
+    }
+    if (!all_golden) {
+        std::fprintf(stderr, "FAIL: functional simulator output differs "
+                             "from the golden model (see table)\n");
         return 1;
     }
     if (smoke) {

@@ -3,7 +3,9 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "lang/flatten.h"
 #include "sim/plan.h"
 #include "sim/simulator.h"
 #include "util/bits.h"
@@ -14,20 +16,20 @@ namespace baseline {
 namespace {
 
 /** DAG-aware node count of an expression set (shared subtrees counted
- * once, as a compiler would emit them once). Plan nodes are the
- * program's distinct expression nodes. */
+ * once, as a compiler would emit them once). It walks the program's
+ * own expression nodes, not the simulator's plan, which folds and
+ * merges them: the instruction count models the source program. */
 void
-countDag(const sim::EvalPlan &plan, uint32_t node,
-         std::vector<uint8_t> &visited, uint64_t &count)
+countDag(const lang::ExprNode *node,
+         std::unordered_set<const lang::ExprNode *> &visited,
+         uint64_t &count)
 {
-    if (node == sim::EvalPlan::kNone || visited[node])
+    if (!node || !visited.insert(node).second)
         return;
-    visited[node] = 1;
     ++count;
-    const auto &n = plan.nodes[node];
-    countDag(plan, n.a, visited, count);
-    countDag(plan, n.b, visited, count);
-    countDag(plan, n.c, visited, count);
+    countDag(node->a.get(), visited, count);
+    countDag(node->b.get(), visited, count);
+    countDag(node->c.get(), visited, count);
 }
 
 } // namespace
@@ -40,18 +42,22 @@ simulateWarps(const lang::Program &program,
     SimtResult result;
     // One plan for every lane of every warp.
     auto plan = std::make_shared<const sim::EvalPlan>(program);
-    const size_t num_assigns = plan->assigns.size();
-    const size_t num_actions = num_assigns + plan->emits.size();
-
-    // Expression roots of each action, for signature costing.
-    std::vector<std::vector<uint32_t>> action_exprs(num_actions);
+    // Expression roots of each action, for signature costing, from the
+    // flattened program (actions in the plan's order: assignments, then
+    // emits). `flat` owns the conjoined conditions the roots point to.
+    const lang::FlatProgram flat = lang::flatten(program);
+    const size_t num_assigns = flat.assigns.size();
+    const size_t num_actions = num_assigns + flat.emits.size();
+    std::vector<std::vector<const lang::ExprNode *>> action_exprs(
+        num_actions);
     for (size_t a = 0; a < num_assigns; ++a) {
-        const auto &assign = plan->assigns[a];
-        action_exprs[a] = {assign.gate.cond, assign.value, assign.index};
+        const auto &assign = flat.assigns[a];
+        action_exprs[a] = {assign.cond.get(), assign.value.get(),
+                           assign.target.index.get()};
     }
-    for (size_t m = 0; m < plan->emits.size(); ++m) {
-        const auto &emit = plan->emits[m];
-        action_exprs[num_assigns + m] = {emit.gate.cond, emit.value};
+    for (size_t m = 0; m < flat.emits.size(); ++m) {
+        const auto &emit = flat.emits[m];
+        action_exprs[num_assigns + m] = {emit.cond.get(), emit.value.get()};
     }
 
     std::unordered_map<std::string, uint64_t> cost_memo;
@@ -60,18 +66,19 @@ simulateWarps(const lang::Program &program,
         auto it = cost_memo.find(key);
         if (it != cost_memo.end())
             return it->second;
-        std::vector<uint8_t> visited(plan->size(), 0);
+        std::unordered_set<const lang::ExprNode *> visited;
         uint64_t count = 0;
         for (size_t a = 0; a < num_actions; ++a) {
             if (!sig[a])
                 continue;
-            for (uint32_t expr : action_exprs[a])
-                countDag(*plan, expr, visited, count);
+            for (const lang::ExprNode *expr : action_exprs[a])
+                countDag(expr, visited, count);
             ++count; // The commit/emit itself.
             // Local-array writes are read-modify-write with bank
             // conflicts on a GPU.
             if (a < num_assigns &&
-                plan->assigns[a].kind == lang::LValue::Kind::BramElem) {
+                flat.assigns[a].target.kind ==
+                    lang::LValue::Kind::BramElem) {
                 count += params.bramWriteExtraInsts;
             }
         }

@@ -8,7 +8,6 @@
 namespace fleet {
 namespace sim {
 
-using lang::ExprKind;
 using lang::LValue;
 
 FunctionalSimulator::FunctionalSimulator(const lang::Program &program,
@@ -25,7 +24,7 @@ FunctionalSimulator::FunctionalSimulator(
     const EvalPlan &plan_ref = *plan_;
     memo_.assign(plan_ref.size(), Slot{0, 0});
     for (size_t i = 0; i < plan_ref.size(); ++i) {
-        if (plan_ref.nodes[i].kind == ExprKind::Const)
+        if (plan_ref.nodes[i].op == EvalPlan::Op::Const)
             memo_[i] = Slot{plan_ref.nodes[i].imm, ~uint64_t(0)};
     }
     const size_t brams = plan_ref.program.brams.size();
@@ -60,53 +59,79 @@ FunctionalSimulator::value(uint32_t node)
     return slot.epoch >= epoch_ ? slot.value : evalNode(node);
 }
 
-uint64_t
-FunctionalSimulator::evalNode(uint32_t node)
+template <bool Eager>
+inline uint64_t
+FunctionalSimulator::compute(const EvalPlan::Node &n)
 {
-    const EvalPlan::Node &n = plan_->nodes[node];
-    uint64_t v = 0;
-    switch (n.kind) {
-      case ExprKind::Const:
-        v = n.imm;
-        break;
-      case ExprKind::Input:
-        v = currentToken_;
-        break;
-      case ExprKind::StreamFinished:
-        v = streamFinished_ ? 1 : 0;
-        break;
-      case ExprKind::RegRead:
-        v = state_[n.imm];
-        break;
-      case ExprKind::VecRegRead:
-      case ExprKind::BramRead: {
+    using Op = EvalPlan::Op;
+    // Operand reads. In the eager loops every non-mux-leg operand is an
+    // eager node earlier in topological order (or a constant), so its
+    // slot is current and needs no epoch compare; mux legs are lazy.
+    auto a = [&] { return Eager ? memo_[n.a].value : value(n.a); };
+    auto b = [&] { return Eager ? memo_[n.b].value : value(n.b); };
+    auto c = [&] { return Eager ? memo_[n.c].value : value(n.c); };
+    switch (n.op) {
+      case Op::Const: return n.imm;
+      case Op::Input: return currentToken_;
+      case Op::StreamFinished: return streamFinished_ ? 1 : 0;
+      case Op::State: return state_[n.imm];
+      case Op::Indexed: {
         // Out-of-range reads return 0, matching the hardware mux tree's
         // don't-care behaviour; gated BRAM reads are range-checked
         // separately via the plan's bramReads.
-        uint64_t idx = value(n.a);
-        v = idx < n.aux ? state_[n.imm + idx] : 0;
-        break;
+        const uint64_t index = a();
+        return index < n.aux ? state_[n.imm + index] : 0;
       }
-      case ExprKind::Bin:
-        v = evalBinOp(BinOp(n.op), value(n.a), n.aWidth, value(n.b),
-                      n.bWidth);
-        break;
-      case ExprKind::Un:
-        v = evalUnOp(UnOp(n.op), value(n.a), n.aWidth);
-        break;
-      case ExprKind::Mux:
+      case Op::Mux:
         // Only the selected leg is evaluated; read accounting is handled
         // separately via the plan's bramReads, whose gating conditions
         // replicate exactly this mux-path behaviour.
-        v = value(n.c) != 0 ? value(n.a) : value(n.b);
-        break;
-      case ExprKind::Slice:
-        v = (value(n.a) >> n.imm) & n.aux;
-        break;
-      case ExprKind::Concat:
-        v = (value(n.a) << n.bWidth) | value(n.b);
-        break;
+        return c() != 0 ? value(n.a) : value(n.b);
+      case Op::Slice: return (a() >> n.imm) & n.aux;
+      case Op::Concat: return (a() << n.bWidth) | b();
+      // The operators, as util/ops.h defines them, with the result mask
+      // (aux) precomputed.
+      case Op::Add: return (a() + b()) & n.aux;
+      case Op::Sub: return (a() - b()) & n.aux;
+      case Op::Mul: return (a() * b()) & n.aux;
+      case Op::And: return a() & b();
+      case Op::Or: return a() | b();
+      case Op::Xor: return a() ^ b();
+      case Op::Shl: {
+        const uint64_t x = a(), s = b();
+        return s >= n.aWidth ? 0 : (x << s) & n.aux;
+      }
+      case Op::Shr: {
+        const uint64_t x = a(), s = b();
+        return s >= 64 ? 0 : (x >> s) & n.aux;
+      }
+      case Op::Eq: return a() == b();
+      case Op::Ne: return a() != b();
+      case Op::Ult: return a() < b();
+      case Op::Ule: return a() <= b();
+      case Op::Ugt: return a() > b();
+      case Op::Uge: return a() >= b();
+      case Op::Slt:
+        return signExtend64(a(), n.aWidth) < signExtend64(b(), n.bWidth);
+      case Op::Sle:
+        return signExtend64(a(), n.aWidth) <= signExtend64(b(), n.bWidth);
+      case Op::Sgt:
+        return signExtend64(a(), n.aWidth) > signExtend64(b(), n.bWidth);
+      case Op::Sge:
+        return signExtend64(a(), n.aWidth) >= signExtend64(b(), n.bWidth);
+      case Op::LAnd: return a() != 0 && b() != 0;
+      case Op::LOr: return a() != 0 || b() != 0;
+      case Op::Not: return ~a() & n.aux;
+      case Op::LNot: return a() == 0;
+      case Op::Neg: return (~a() + 1) & n.aux;
     }
+    panic("FunctionalSimulator: unknown plan opcode");
+}
+
+uint64_t
+FunctionalSimulator::evalNode(uint32_t node)
+{
+    const uint64_t v = compute<false>(plan_->nodes[node]);
     memo_[node] = Slot{v, epoch_};
     return v;
 }
@@ -116,7 +141,9 @@ FunctionalSimulator::gateOpen(const EvalPlan::Gate &gate, bool while_active)
 {
     if (!gate.insideWhile && while_active)
         return false;
-    return gate.cond == EvalPlan::kNone || value(gate.cond) != 0;
+    // Gate conditions are eager roots: by the time any gate is read its
+    // slot is current (out-of-loop ones only once no loop is active).
+    return gate.cond == EvalPlan::kNone || memo_[gate.cond].value != 0;
 }
 
 bool
@@ -132,20 +159,20 @@ FunctionalSimulator::runVcycle(RunResult &result,
     // cone every cycle needs, in topological order.
     ++epoch_;
     for (uint32_t node : plan.eager)
-        value(node);
+        memo_[node] = Slot{compute<true>(plan.nodes[node]), epoch_};
 
     // 1. While conditions: while any holds, only loop bodies run and the
-    //    input token is not consumed.
+    //    input token is not consumed. (Eager roots: see gateOpen.)
     bool while_active = false;
     for (uint32_t cond : plan.whileConds) {
-        if (value(cond) != 0) {
+        if (memo_[cond].value != 0) {
             while_active = true;
             break;
         }
     }
     if (!while_active) {
         for (uint32_t node : plan.eagerOutsideWhile)
-            value(node);
+            memo_[node] = Slot{compute<true>(plan.nodes[node]), epoch_};
     }
 
     // 2. BRAM read accounting: at most one distinct address per BRAM.

@@ -22,13 +22,18 @@
  * check for eliding the BRAM forwarding register.
  *
  * The simulator runs from the program's EvalPlan (sim/plan.h), shared by
- * every simulator of the program. Each virtual cycle first evaluates the
- * plan's eager gate cone in one loop, then the actions; values behind a
- * mux leg or a gate (assigned and emitted values, addresses, indices) are
- * evaluated on demand through an epoch memo of plan.size() entries, so
- * unselected legs and closed gates cost nothing. All per-cycle state is
- * sized by the plan: there are no process-wide expression ids, and a
- * simulator costs the same however many others the process has built.
+ * every simulator of the program, already folded and hash-consed. Each
+ * virtual cycle first evaluates the plan's eager gate cone in one loop,
+ * then the actions; values behind a mux leg or a gate (assigned and
+ * emitted values, addresses, indices) are evaluated on demand through an
+ * epoch memo of plan.size() entries, so unselected legs and closed gates
+ * cost nothing. A node evaluates as one dispatch on its fused opcode.
+ * In the eager loop its operands are read straight from the memo with
+ * no epoch compare: each one is an eager node earlier in topological
+ * order, or a constant, so its slot is already current (mux legs stay
+ * lazy and go through the memo). All per-cycle state is sized by the
+ * plan: there are no process-wide expression ids, and a simulator costs
+ * the same however many others the process has built.
  */
 
 #include <cstdint>
@@ -134,6 +139,10 @@ class FunctionalSimulator
     void begin(const BitBuffer &input);
     uint64_t value(uint32_t node);
     uint64_t evalNode(uint32_t node);
+    /** A node's value from its operands: read unchecked from the memo
+     * if Eager (the eager loops), else through value(). */
+    template <bool Eager>
+    uint64_t compute(const EvalPlan::Node &n);
     bool gateOpen(const EvalPlan::Gate &gate, bool while_active);
     /** Execute one virtual cycle; returns true if the token was consumed. */
     bool runVcycle(RunResult &result, std::vector<uint8_t> *signature);
