@@ -38,6 +38,8 @@ InputController::InputController(dram::DramChannel &channel,
     slots_.resize(params_.numBurstRegs);
     for (auto &slot : slots_)
         slot.data.resize(params_.burstBits / 8);
+    // At most one push per burst register per tick.
+    touched_.reserve(slots_.size());
 }
 
 bool
@@ -160,6 +162,7 @@ InputController::drainSlots()
             got += piece;
         }
         pu.buffer.push(value, chunk);
+        touched_.push_back(slot.pu);
         slot.drainedBits += chunk;
         pu.bitsBuffered += chunk;
         bitsDelivered_ += chunk;
@@ -270,6 +273,7 @@ InputController::issueAddresses()
 void
 InputController::tick()
 {
+    touched_.clear();
     drainSlots();
     acceptBeat();
     issueAddresses();

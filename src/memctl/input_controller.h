@@ -55,6 +55,10 @@ class InputController
     /** Advance one cycle (call before the channel's tick()). */
     void tick();
 
+    /** PUs whose input buffer the last tick() pushed into (may repeat).
+     * The channel loop wakes their sleeping units from this list. */
+    const std::vector<int> &touchedLanes() const { return touched_; }
+
     /** A corrupted beat caught by the per-beat parity check. */
     struct ParityEvent
     {
@@ -166,6 +170,7 @@ class InputController
     int beatsPerBurst_;
     uint64_t bitsDelivered_ = 0;
     uint64_t arIssued_ = 0;
+    std::vector<int> touched_;
 };
 
 } // namespace memctl

@@ -29,15 +29,36 @@ OutputController::OutputController(dram::DramChannel &channel,
         capacity += uint64_t(params_.tokenBits) - 1;
     for (auto &region : regions)
         pus_.push_back(PuState{region, BitFifo(capacity)});
+    puFilling_.assign(pus_.size(), 0);
     slots_.resize(params_.numBurstRegs);
     for (auto &slot : slots_)
         slot.data.resize(params_.burstBits / 8);
+    // At most one pop per burst register per tick.
+    touched_.reserve(slots_.size());
+}
+
+void
+OutputController::push(int pu, uint64_t value, int bits)
+{
+    pus_[pu].buffer.push(value, bits);
+    refreshIssuable(pus_[pu]);
 }
 
 void
 OutputController::setPuFinished(int pu)
 {
     pus_[pu].finished = true;
+    refreshIssuable(pus_[pu]);
+}
+
+void
+OutputController::refreshIssuable(PuState &pu)
+{
+    // A failed PU is skipped for good; a finished one with nothing
+    // uncommitted is too, and burstReady() is false for it anyway.
+    bool issuable = !pu.failed && burstReady(pu);
+    issuable_ += int(issuable) - int(pu.issuable);
+    pu.issuable = issuable;
 }
 
 std::optional<OutputController::OverflowEvent>
@@ -80,6 +101,7 @@ OutputController::rearmPu(int pu_index)
     pu.finished = false;
     pu.flushIssued = false;
     pu.failed = false;
+    refreshIssuable(pu);
 }
 
 bool
@@ -123,6 +145,10 @@ OutputController::issueAddresses()
     }
     if (!channel_.awReady())
         return;
+    // Nothing issuable: the non-blocking walk would skip every PU and
+    // leave rrPointer_ where it started.
+    if (!params_.blockingAddressing && issuable_ == 0)
+        return;
 
     int examined = 0;
     int count = static_cast<int>(pus_.size());
@@ -154,6 +180,7 @@ OutputController::issueAddresses()
             pu.failed = true;
             pu.finished = true;
             pu.flushIssued = true;
+            refreshIssuable(pu);
             overflowEvents_.push_back(
                 OverflowEvent{rrPointer_, pu.region.regionBytes});
             rrPointer_ = (rrPointer_ + 1) % count;
@@ -169,6 +196,7 @@ OutputController::issueAddresses()
         pu.burstsIssued++;
         pu.bitsAccepted += payload;
         pu.bitsPendingFill += payload;
+        refreshIssuable(pu);
         ++awIssued_;
         rrPointer_ = (rrPointer_ + 1) % count;
         return;
@@ -203,16 +231,17 @@ void
 OutputController::fillSlots()
 {
     // A PU's bursts must pop its buffer in issue order; while an earlier
-    // burst for the same PU is still filling, later ones wait.
-    std::vector<bool> pu_filling(pus_.size(), false);
+    // burst for the same PU is still filling, later ones wait. A pop
+    // moves bits from the buffer to the burst register, so the PU's
+    // uncommitted bits and hence its issuable bit are unchanged.
     for (auto &pending : orderQueue_) {
-        bool earlier_incomplete = pu_filling[pending.pu];
+        bool earlier_incomplete = puFilling_[pending.pu];
         bool this_incomplete =
             pending.slot < 0 ||
             slots_[pending.slot].filledBits <
                 slots_[pending.slot].payloadBits;
         if (this_incomplete)
-            pu_filling[pending.pu] = true;
+            puFilling_[pending.pu] = 1;
         if (pending.slot < 0 || earlier_incomplete)
             continue;
         BurstSlot &slot = slots_[pending.slot];
@@ -226,6 +255,7 @@ OutputController::fillSlots()
             continue; // Shouldn't starve: payload was buffered at issue.
         uint64_t value = pu.buffer.pop(chunk);
         pu.bitsPendingFill -= chunk;
+        touched_.push_back(pending.pu);
         uint64_t bit_off = slot.filledBits;
         for (int put = 0; put < chunk;) {
             uint64_t byte = (bit_off + put) / 8;
@@ -238,6 +268,8 @@ OutputController::fillSlots()
         slot.filledBits += chunk;
         bitsCollected_ += chunk;
     }
+    for (const auto &pending : orderQueue_)
+        puFilling_[pending.pu] = 0;
 }
 
 void
@@ -266,6 +298,7 @@ OutputController::transmit()
 void
 OutputController::tick()
 {
+    touched_.clear();
     issueAddresses();
     assignSlots();
     fillSlots();

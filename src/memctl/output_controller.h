@@ -39,9 +39,13 @@ class OutputController
                      const ControllerParams &params,
                      std::vector<StreamRegion> regions);
 
-    /** Per-PU output buffer the processing unit emits tokens into. */
-    BitFifo &buffer(int pu) { return pus_[pu].buffer; }
+    /** Per-PU output buffer the processing unit emits tokens into.
+     * Read-only: tokens enter through push(), which keeps the
+     * addressing unit's issuable count exact. */
     const BitFifo &buffer(int pu) const { return pus_[pu].buffer; }
+
+    /** The PU emits `bits` bits of `value` into its output buffer. */
+    void push(int pu, uint64_t value, int bits);
 
     /** Inform the controller the PU asserted output_finished. */
     void setPuFinished(int pu);
@@ -89,6 +93,10 @@ class OutputController
     /** Advance one cycle (call before the channel's tick()). */
     void tick();
 
+    /** PUs whose output buffer the last tick() popped (may repeat). The
+     * channel loop wakes their sleeping units from this list. */
+    const std::vector<int> &touchedLanes() const { return touched_; }
+
     /// @name Statistics.
     /// @{
     uint64_t bitsCollected() const { return bitsCollected_; }
@@ -115,6 +123,7 @@ class OutputController
         bool flushIssued = false; ///< Final partial burst issued.
         bool failed = false;      ///< Contained overflow: uncommitted
                                   ///< bits are dropped, not flushed.
+        bool issuable = false;    ///< Counted in issuable_.
     };
 
     struct PendingBurst
@@ -141,6 +150,9 @@ class OutputController
     void transmit();
     void issueAddresses();
     bool burstReady(const PuState &pu) const;
+    /** Re-derive one PU's issuable bit after its buffer accounting or
+     * protocol state changed, keeping issuable_ exact. */
+    void refreshIssuable(PuState &pu);
 
     dram::DramChannel &channel_;
     ControllerParams params_;
@@ -149,9 +161,15 @@ class OutputController
     std::deque<PendingBurst> orderQueue_;
     std::deque<OverflowEvent> overflowEvents_;
     int rrPointer_ = 0;
+    /** PUs the addressing unit could act on: not skipped for good and
+     * burstReady. Zero lets the non-blocking walk return at once. */
+    int issuable_ = 0;
     int beatsPerBurst_;
     uint64_t bitsCollected_ = 0;
     uint64_t awIssued_ = 0;
+    std::vector<int> touched_;
+    /** fillSlots scratch: PUs with an earlier burst still filling. */
+    std::vector<uint8_t> puFilling_;
 };
 
 } // namespace memctl

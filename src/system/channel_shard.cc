@@ -52,6 +52,7 @@ ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index,
     // PU index. Session arms overwrite this per job (rearmPu).
     slot.jobId = static_cast<uint64_t>(global_index);
     pus_.push_back(std::move(slot));
+    asleep_.push_back(0);
     if (trace_)
         trace_->addPu(global_index);
 }
@@ -84,6 +85,43 @@ ChannelShard::containPu(int local, Status status)
     outputCtrl_->setPuFinished(local);
 }
 
+void
+ChannelShard::creditSleep(PuSlot &slot, uint64_t through)
+{
+    uint64_t slept = through - slot.sleptFrom;
+    slot.sleptFrom = through;
+    if (slot.finishedSeen)
+        return;
+    if (trace::inputStarved(slot.lastOut.inputReady,
+                            slot.lastIn.inputValid,
+                            slot.lastIn.inputFinished))
+        slot.stats.inputStarvedCycles += slept;
+    if (trace::outputBlocked(slot.lastOut.outputValid,
+                             slot.lastIn.outputReady))
+        slot.stats.outputBlockedCycles += slept;
+}
+
+void
+ChannelShard::wakeLane(int local, uint64_t through)
+{
+    if (!asleep_[local])
+        return;
+    PuSlot &slot = pus_[local];
+    creditSleep(slot, through);
+    asleep_[local] = 0;
+    if (!slot.finishedSeen)
+        --sleepingUnfinished_;
+}
+
+void
+ChannelShard::settleSleepers(uint64_t through)
+{
+    for (size_t l = 0; l < pus_.size(); ++l) {
+        if (asleep_[l])
+            creditSleep(pus_[l], through);
+    }
+}
+
 bool
 ChannelShard::cancelPu(int local, Status status)
 {
@@ -94,6 +132,7 @@ ChannelShard::cancelPu(int local, Status status)
         return false;
     if (puDrained(local))
         return false; // Already drained: the job won, retire it.
+    wakeLane(local, cycles_);
     containPu(local, std::move(status));
     return true;
 }
@@ -192,6 +231,8 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
         }
     }
     cycleIn_.assign(pus_.size(), PuInputs{});
+    asleep_.assign(pus_.size(), 0);
+    sleepingUnfinished_ = 0;
     state_ = ShardState::Active;
 }
 
@@ -202,11 +243,18 @@ ChannelShard::step(uint64_t budget)
         return state_;
     const int in_width = inWidth_;
     const int out_width = outWidth_;
+    // Traced shards keep every lane awake: the trace records a phase
+    // per lane per cycle.
+    const bool may_sleep = !trace_;
+    // Phase 2's progress through the current cycle, so an exception
+    // credits sleeping lanes exactly as far as the per-cycle path got.
+    size_t phase2_at = 0;
 
     try {
         for (; budget > 0 && cycles_ < maxCycles_; ++cycles_, --budget) {
             bool activity = false;
             bool all_finished = true;
+            phase2_at = 0;
 
             // Phase 1: latch every live PU's view of its controller
             // buffers. These are pure reads of per-PU state, so
@@ -214,6 +262,8 @@ ChannelShard::step(uint64_t budget)
             // to the interleaved order — and lets the batched engine
             // evaluate every lane in one vectorized sweep.
             for (size_t l = 0; l < pus_.size(); ++l) {
+                if (asleep_[l])
+                    continue;
                 PuSlot &slot = pus_[l];
                 if (slot.failed || slot.parked)
                     continue;
@@ -238,6 +288,9 @@ ChannelShard::step(uint64_t budget)
             // Phase 2: act on each PU's outputs (handshakes mutate only
             // that PU's buffers), classify the cycle, track completion.
             for (size_t l = 0; l < pus_.size(); ++l) {
+                if (asleep_[l])
+                    continue; // Untraced: nothing to record.
+                phase2_at = l;
                 PuSlot &slot = pus_[l];
                 if (slot.failed || slot.parked) {
                     // Contained or awaiting a job: quarantined from the
@@ -249,7 +302,6 @@ ChannelShard::step(uint64_t budget)
                 }
                 const bool was_finished = slot.finishedSeen;
                 auto &in_buf = inputCtrl_->buffer(static_cast<int>(l));
-                auto &out_buf = outputCtrl_->buffer(static_cast<int>(l));
 
                 const PuInputs &in = cycleIn_[l];
                 PuOutputs out =
@@ -262,7 +314,8 @@ ChannelShard::step(uint64_t budget)
 
                 bool produced = false, consumed = false;
                 if (out.outputValid && in.outputReady) {
-                    out_buf.push(out.outputToken, out_width);
+                    outputCtrl_->push(static_cast<int>(l), out.outputToken,
+                                      out_width);
                     slot.emittedBits += out_width;
                     produced = true;
                     activity = true;
@@ -304,17 +357,35 @@ ChannelShard::step(uint64_t budget)
                     trace_->puCycle(static_cast<int>(l), cycles_, phase);
                 }
                 all_finished = all_finished && slot.finishedSeen;
+                if (may_sleep && !produced && !consumed &&
+                    was_finished == slot.finishedSeen &&
+                    laneOfLocal_[l].first < 0 && slot.pu->quiet()) {
+                    asleep_[l] = 1;
+                    slot.sleptFrom = cycles_ + 1;
+                    if (!slot.finishedSeen)
+                        ++sleepingUnfinished_;
+                }
             }
+            phase2_at = pus_.size();
+            all_finished = all_finished && sleepingUnfinished_ == 0;
 
             inputCtrl_->tick();
             outputCtrl_->tick();
             channel_->tick();
+            // A buffer a controller touched changes its lane's inputs:
+            // wake the lane for the next cycle, crediting this one.
+            for (int l : inputCtrl_->touchedLanes())
+                wakeLane(l, cycles_ + 1);
+            for (int l : outputCtrl_->touchedLanes())
+                wakeLane(l, cycles_ + 1);
             // One vectorized clock edge per batched group. Failed lanes
             // advance too, but nothing observes them again. Unbatched
             // slots step per-unit.
             for (BatchBinding &binding : batches_)
                 binding.batch->step();
             for (size_t l = 0; l < pus_.size(); ++l) {
+                if (asleep_[l])
+                    continue; // Quiet: step() would change nothing.
                 PuSlot &slot = pus_[l];
                 if (laneOfLocal_[l].first < 0 && !slot.failed &&
                     !slot.parked) {
@@ -328,6 +399,7 @@ ChannelShard::step(uint64_t budget)
             while (auto parity = inputCtrl_->takeParityEvent()) {
                 if (pus_[parity->pu].finishedSeen)
                     continue; // Already done; stale beat is harmless.
+                wakeLane(parity->pu, cycles_ + 1);
                 std::ostringstream os;
                 os << "PU " << pus_[parity->pu].globalIndex
                    << ": parity error on read beat at channel address "
@@ -342,6 +414,7 @@ ChannelShard::step(uint64_t budget)
                    << ": output exceeds its " << overflow->regionBytes
                    << "-byte region (declare a larger maxOutputExpansion "
                       "or set SystemConfig::outputRegionBytes)";
+                wakeLane(overflow->pu, cycles_ + 1);
                 containPu(overflow->pu,
                           Status::make(StatusCode::OutputOverflow,
                                        os.str()));
@@ -360,6 +433,8 @@ ChannelShard::step(uint64_t budget)
                 lastActivityCycle_ = cycles_;
                 lastBeats_ = beats;
             } else if (cycles_ - lastActivityCycle_ > watchdogBudget_) {
+                for (size_t l = 0; l < pus_.size(); ++l)
+                    wakeLane(static_cast<int>(l), cycles_ + 1);
                 haltStatus_ = Status::make(
                     StatusCode::WatchdogStall,
                     watchdogDump(cycles_ - lastActivityCycle_));
@@ -374,10 +449,13 @@ ChannelShard::step(uint64_t budget)
             if (all_finished && outputCtrl_->done() &&
                 inputCtrl_->inflightBursts() == 0) {
                 ++cycles_;
+                settleSleepers(cycles_);
                 state_ = ShardState::Idle;
                 return state_;
             }
         }
+        phase2_at = 0; // Every stepped cycle completed.
+        settleSleepers(cycles_);
         if (cycles_ >= maxCycles_) {
             std::ostringstream os;
             os << "channel " << channelIndex_ << " did not finish within "
@@ -393,6 +471,12 @@ ChannelShard::step(uint64_t budget)
         haltStatus_ =
             Status::make(StatusCode::InternalError, error.what());
         state_ = ShardState::Halted;
+    }
+    if (state_ == ShardState::Halted) {
+        // A failure mid-cycle: lanes phase 2 passed count this cycle.
+        for (size_t l = 0; l < pus_.size(); ++l)
+            wakeLane(static_cast<int>(l),
+                     cycles_ + (l < phase2_at ? 1 : 0));
     }
     return state_;
 }
@@ -458,6 +542,7 @@ ChannelShard::retireJob(int local)
     if (!puDrained(local))
         panic("ChannelShard: retireJob(", local,
               ") before the job drained");
+    wakeLane(local, cycles_);
 
     RetiredJob job;
     job.jobId = slot.jobId;
@@ -503,6 +588,7 @@ ChannelShard::retireJob(int local)
 void
 ChannelShard::parkPu(int local)
 {
+    wakeLane(local, cycles_);
     PuSlot &slot = pus_[local];
     slot.parked = true;
     slot.hasJob = false;
@@ -523,6 +609,7 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
         panic("ChannelShard: rearmPu(", local,
               ") on a slot that still holds a job");
 
+    wakeLane(local, cycles_);
     inputCtrl_->rearmPu(local, stream_bits);
     outputCtrl_->rearmPu(local);
     slot.pu->reset();

@@ -36,6 +36,13 @@
  * mid-flight — the multi-stream job runtime (runtime/session.h) is
  * built on exactly this seam. run() == beginRun + step(unbounded) +
  * finishRun, so the one-shot path is bit-identical by construction.
+ *
+ * Sleeping lanes: the cost of a cycle scales with the lanes that can
+ * make progress. An untraced, unbatched unit that is quiet() — starved,
+ * output-blocked or finished — sleeps until a controller touches its
+ * buffers, and its stall counters are credited in bulk before anyone
+ * reads them. Traced shards keep every lane on the per-cycle path, and
+ * the two are bit-identical (lane_sleep_test).
  */
 
 #include <cstdint>
@@ -341,13 +348,24 @@ class ChannelShard
         /** Snapshot at arm — per-job stall slices are deltas. */
         PuStats statsAtArm;
         PuOutcome outcome;
-        /** Last cycle's handshake, for the watchdog's stall diagnosis. */
+        /** Last cycle's handshake, for the watchdog's stall diagnosis.
+         * Constant while the lane sleeps. */
         PuInputs lastIn;
         PuOutputs lastOut;
+        /** While asleep: the first cycle whose stall counts are not yet
+         * credited to stats. */
+        uint64_t sleptFrom = 0;
     };
 
     /** Quarantine one PU: kill it in both controllers, record why. */
     void containPu(int local, Status status);
+    /** Credit a sleeping lane's stall counters for every cycle before
+     * `through`, exactly as the per-cycle path counts them. */
+    void creditSleep(PuSlot &slot, uint64_t through);
+    /** Credit and wake `local` if it sleeps (no-op otherwise). */
+    void wakeLane(int local, uint64_t through);
+    /** Credit every sleeping lane through `through`; they stay asleep. */
+    void settleSleepers(uint64_t through);
     /** Effective watchdog threshold for the currently armed set. */
     void recomputeWatchdogBudget();
     /** Fill stats_ from whatever state the run reached. */
@@ -380,6 +398,18 @@ class ChannelShard
     std::vector<std::pair<int, int>> laneOfLocal_;
     /** Per-cycle scratch: every live PU's gathered input ports. */
     std::vector<PuInputs> cycleIn_;
+    /**
+     * Per-local sleep flag, dense so the per-cycle loops skip a
+     * sleeping lane without touching its PuSlot. A lane sleeps after a
+     * cycle in which it was unbatched and untraced, did not produce,
+     * consume or finish, and its unit was quiet(): its inputs then
+     * hold until a controller touches its buffers, so every skipped
+     * cycle would repeat the last one. The controllers' touched lists
+     * wake it; its stall counts are credited in bulk (creditSleep).
+     */
+    std::vector<uint8_t> asleep_;
+    /** Sleeping lanes that have not finished (they block Idle). */
+    int sleepingUnfinished_ = 0;
     uint64_t cycles_ = 0;
     ChannelStats stats_;
 

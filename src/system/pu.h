@@ -4,11 +4,14 @@
 /**
  * @file
  * Cycle-level port interface of a Fleet processing unit — exactly the
- * ready-valid IO interface of Section 4 of the paper. Two implementations
- * exist and are cross-checked cycle-for-cycle, mirroring the paper's
- * "full-system RTL simulation vs. software simulator" testing setup:
+ * ready-valid IO interface of Section 4 of the paper. Three
+ * implementations exist and are cross-checked cycle-for-cycle, mirroring
+ * the paper's "full-system RTL simulation vs. software simulator" testing
+ * setup:
  *
- *  - RtlPu (pu_rtl.h): interprets the compiled RTL circuit; and
+ *  - RtlPu (pu_rtl.h): interprets the compiled RTL circuit;
+ *  - RtlBatchLane (pu_rtl_batch.h): one lane of a channel's batched
+ *    compiled-RTL engine (interpreted tape or jit kernel); and
  *  - FastPu (pu_fast.h): replays a functional-simulator virtual-cycle
  *    trace through the same handshake state machine (fast timing model
  *    for large full-system sweeps).
@@ -54,6 +57,16 @@ class ProcessingUnit
 
     /** Clock edge; commits state using the inputs passed to eval(). */
     virtual void step() = 0;
+
+    /**
+     * Valid after eval(): true when step() under the evaluated inputs
+     * would leave every piece of unit state unchanged, so the unit
+     * repeats this cycle's outputs for as long as its inputs hold. The
+     * channel loop puts such a unit to sleep until a controller touches
+     * its buffers (channel_shard.h). A unit may always answer false
+     * (the default); answering true wrongly breaks cycle exactness.
+     */
+    virtual bool quiet() const { return false; }
 
     virtual int inputTokenWidth() const = 0;
     virtual int outputTokenWidth() const = 0;

@@ -110,6 +110,19 @@ FastPu::step()
     }
 }
 
+bool
+FastPu::quiet() const
+{
+    if (lastVdone_)
+        return false; // A virtual cycle completes: the trace advances.
+    if (!lastInputReady_)
+        return true; // Output-blocked mid virtual cycle.
+    // Ready for a token: quiet only when none is offered and the v/f
+    // update below (v = !f && finished, f |= finished) changes neither.
+    return !lastInputs_.inputValid && !v_ &&
+           (f_ || !lastInputs_.inputFinished);
+}
+
 void
 FastPu::appendCounters(trace::CounterSet &out) const
 {

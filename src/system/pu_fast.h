@@ -67,6 +67,9 @@ class FastPu : public ProcessingUnit
     void reset() override;
     PuOutputs eval(const PuInputs &inputs) override;
     void step() override;
+    /** Starved, output-blocked or finished: no virtual cycle completes
+     * and the v/f registers are at a fixed point. */
+    bool quiet() const override;
     int inputTokenWidth() const override { return inputTokenWidth_; }
     int outputTokenWidth() const override { return outputTokenWidth_; }
     void appendCounters(trace::CounterSet &out) const override;

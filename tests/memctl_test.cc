@@ -241,7 +241,7 @@ TEST(OutputController, CollectsAndFlushesAllOutput)
         for (int p = 0; p < pus; ++p) {
             if (emitted[p] < total[p] && ctrl.buffer(p).freeBits() >= 8 &&
                 rng.nextChance(1, p + 1)) {
-                ctrl.buffer(p).push(uint8_t(emitted[p] * 3 + p), 8);
+                ctrl.push(p, uint8_t(emitted[p] * 3 + p), 8);
                 if (++emitted[p] == total[p])
                     ctrl.setPuFinished(p);
             }
@@ -288,8 +288,8 @@ TEST(OutputController, NonDividingTokenWidthNeedsNoDoubleBuffer)
         for (int cycle = 0; cycle < 30000 && !done; ++cycle) {
             if (emitted < kTokens &&
                 ctrl.buffer(0).freeBits() >= kTokenBits) {
-                ctrl.buffer(0).push((emitted * 5 + 3) & mask64(kTokenBits),
-                                    kTokenBits);
+                ctrl.push(0, (emitted * 5 + 3) & mask64(kTokenBits),
+                          kTokenBits);
                 if (++emitted == kTokens)
                     ctrl.setPuFinished(0);
             }
@@ -408,7 +408,7 @@ TEST(OutputController, NonblockingSkipsSlowProducer)
     for (int cycle = 0; cycle < 4000; ++cycle) {
         // PU 0 silent; PU 1 emits 32 bits/cycle.
         if (ctrl.buffer(1).freeBits() >= 32)
-            ctrl.buffer(1).push(cycle, 32);
+            ctrl.push(1, cycle, 32);
         ctrl.tick();
         ch.tick();
         if (cycle == 3999)
@@ -424,11 +424,68 @@ TEST(OutputController, NonblockingSkipsSlowProducer)
     OutputController ctrl2(ch2, blocking, regions);
     for (int cycle = 0; cycle < 4000; ++cycle) {
         if (ctrl2.buffer(1).freeBits() >= 32)
-            ctrl2.buffer(1).push(cycle, 32);
+            ctrl2.push(1, cycle, 32);
         ctrl2.tick();
         ch2.tick();
     }
     EXPECT_EQ(ch2.beatsWritten(), 0u);
+}
+
+TEST(OutputController, NonblockingIssueOrderIsRoundRobin)
+{
+    // The addressing unit serves ready PUs round-robin, and a cycle
+    // with nothing to issue leaves its pointer where it was: each burst
+    // goes to the first ready PU at or after the one following the
+    // previous issue. Readiness is tracked from outside — a PU's
+    // uncommitted bits are the bits pushed minus payloadBits().
+    dram::DramChannel ch(fastDram(), 1 << 20);
+    ControllerParams params;
+    params.blockingAddressing = false;
+    const int pus = 4;
+    std::vector<StreamRegion> regions;
+    for (int p = 0; p < pus; ++p)
+        regions.push_back({uint64_t(p) * 65536, 65536, 0});
+    OutputController ctrl(ch, params, regions);
+
+    std::vector<uint64_t> pushed(pus, 0);
+    Rng rng(41);
+    int next = 0, issues = 0, contended = 0;
+    for (int cycle = 0; cycle < 6000; ++cycle) {
+        // Bursty producers: silent stretches, then every PU at a
+        // similar rate, so several PUs are often ready at once.
+        bool producing = cycle % 900 < 300;
+        for (int p = 0; p < pus; ++p) {
+            if (producing && rng.nextChance(5 + p, 8) &&
+                ctrl.buffer(p).freeBits() >= 32) {
+                ctrl.push(p, cycle, 32);
+                pushed[p] += 32;
+            }
+        }
+        std::vector<uint64_t> before(pus);
+        std::vector<bool> ready(pus);
+        int num_ready = 0;
+        for (int p = 0; p < pus; ++p) {
+            before[p] = ctrl.payloadBits(p);
+            ready[p] = pushed[p] - before[p] >= uint64_t(params.burstBits);
+            num_ready += ready[p];
+        }
+        ctrl.tick();
+        ch.tick();
+        for (int p = 0; p < pus; ++p) {
+            if (ctrl.payloadBits(p) == before[p])
+                continue;
+            ASSERT_TRUE(ready[p]) << "cycle " << cycle;
+            int expect = next;
+            while (!ready[expect])
+                expect = (expect + 1) % pus;
+            EXPECT_EQ(p, expect) << "cycle " << cycle;
+            next = (p + 1) % pus;
+            ++issues;
+            contended += num_ready > 1;
+        }
+    }
+    EXPECT_GT(issues, 40);
+    EXPECT_GT(contended, 10);
 }
 
 TEST(OutputController, OverflowingRegionContained)
@@ -441,7 +498,7 @@ TEST(OutputController, OverflowingRegionContained)
     OutputController ctrl(ch, params, regions);
     for (int cycle = 0; cycle < 2000; ++cycle) {
         if (ctrl.buffer(0).freeBits() >= 32)
-            ctrl.buffer(0).push(0xdeadbeef, 32);
+            ctrl.push(0, 0xdeadbeef, 32);
         ctrl.tick();
         ch.tick();
     }
@@ -604,9 +661,8 @@ TEST(OutputController, RearmFlushesConsecutiveStreamsBitExact)
         for (int cycle = 0; cycle < 60000; ++cycle) {
             if (emitted < tokens &&
                 ctrl.buffer(0).freeBits() >= uint64_t(kTokenBits)) {
-                ctrl.buffer(0).push((emitted * mult + add) &
-                                        mask64(kTokenBits),
-                                    kTokenBits);
+                ctrl.push(0, (emitted * mult + add) & mask64(kTokenBits),
+                          kTokenBits);
                 if (++emitted == tokens)
                     ctrl.setPuFinished(0);
             }
@@ -650,7 +706,7 @@ TEST(OutputController, RearmAfterOverflowClearsContainment)
     OutputController ctrl(ch, params, regions);
     for (int cycle = 0; cycle < 2000; ++cycle) {
         if (ctrl.buffer(0).freeBits() >= 32)
-            ctrl.buffer(0).push(0xdeadbeef, 32);
+            ctrl.push(0, 0xdeadbeef, 32);
         ctrl.tick();
         ch.tick();
     }
@@ -666,7 +722,7 @@ TEST(OutputController, RearmAfterOverflowClearsContainment)
     const uint64_t kWords = 16; // 64 bytes < 128-byte region
     for (int cycle = 0; cycle < 4000; ++cycle) {
         if (emitted < kWords && ctrl.buffer(0).freeBits() >= 32) {
-            ctrl.buffer(0).push(emitted * 9 + 1, 32);
+            ctrl.push(0, emitted * 9 + 1, 32);
             if (++emitted == kWords)
                 ctrl.setPuFinished(0);
         }
@@ -692,7 +748,7 @@ TEST(OutputController, RearmBeforeFlushPanics)
     params.blockingAddressing = false;
     std::vector<StreamRegion> regions = {{0, 4096, 0}};
     OutputController ctrl(ch, params, regions);
-    ctrl.buffer(0).push(0xff, 8); // un-flushed output in flight
+    ctrl.push(0, 0xff, 8); // un-flushed output in flight
     EXPECT_THROW(ctrl.rearmPu(0), PanicError);
 }
 
