@@ -28,12 +28,12 @@
  * unit tests.
  *
  * Beside the RTL engines it measures the fast PU model's engine, the
- * functional simulator (sim/simulator.h): its evaluation plan's size
- * before and after folding and hash-consing, and its throughput in
- * virtual cycles per second over the app's generated streams (trace
- * recording on, as in FastPu's pre-run). Its output on every stream
- * must equal Application::golden or the run fails; there is no speed
- * gate on it.
+ * functional simulator (sim/simulator.h): the flattened program's
+ * expression nodes beside its evaluation plan's nodes, the time to
+ * build that plan (best of kPlanBuilds), and its throughput in virtual
+ * cycles per second over the app's generated streams (trace recording
+ * on, as in FastPu's pre-run). Its output on every stream must equal
+ * Application::golden or the run fails; there is no speed gate on it.
  *
  * Modes:
  *  --smoke       short CI configuration; also *gates*: exits non-zero on
@@ -204,11 +204,12 @@ struct AppResult
     double jitAmortCycles = 0;
     std::string jitStatus; // why unavailable, for the JSON artifact
     bool equivalent = false;
-    // Functional simulator: plan nodes before (distinct expression
-    // nodes of the flattened program) and after folding and
-    // hash-consing, throughput, and the golden-output check.
+    // Functional simulator: distinct expression nodes of the flattened
+    // program, plan nodes, the plan's build time, throughput, and the
+    // golden-output check.
     uint64_t funcSourceNodes = 0;
     uint64_t funcPlanNodes = 0;
+    double funcPlanBuildUs = 0;
     uint64_t funcVcycles = 0;
     double funcS = 0;
     double funcMvcyclesPerS = 0;
@@ -216,7 +217,8 @@ struct AppResult
 };
 
 /** Distinct expression nodes reachable from the flattened program's
- * roots: the functional plan's size before folding and hash-consing. */
+ * roots: the program's size as the compiler sees it, before the plan
+ * lowers its statement tree, folds and hash-conses. */
 uint64_t
 flatExprNodes(const lang::Program &program)
 {
@@ -252,6 +254,9 @@ flatExprNodes(const lang::Program &program)
     return seen.size();
 }
 
+/** Plan builds timed per app; the best is reported. */
+constexpr int kPlanBuilds = 50;
+
 /** Fill the functional-simulator fields of `r`: best of `reps` passes
  * over `streams`, each checked against the app's golden output. */
 void
@@ -261,6 +266,14 @@ evaluateFunctional(const apps::Application &app,
 {
     const lang::Program program = app.program();
     r.funcSourceNodes = flatExprNodes(program);
+    // Built as FleetSystem builds it, from a copy of the program.
+    double best = 1e300;
+    for (int i = 0; i < kPlanBuilds; ++i) {
+        const double t0 = now();
+        auto built = std::make_shared<const sim::EvalPlan>(program);
+        best = std::min(best, now() - t0);
+    }
+    r.funcPlanBuildUs = best * 1e6;
     auto plan = std::make_shared<const sim::EvalPlan>(program);
     r.funcPlanNodes = plan->size();
     sim::SimOptions options;
@@ -437,6 +450,7 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
         w.field("equivalent", r.equivalent);
         w.field("functional_source_nodes", r.funcSourceNodes);
         w.field("functional_plan_nodes", r.funcPlanNodes);
+        w.field("functional_plan_build_us", r.funcPlanBuildUs, 2);
         w.field("functional_vcycles", r.funcVcycles);
         w.field("functional_s", r.funcS, 6);
         w.field("functional_mvcycles_per_s", r.funcMvcyclesPerS, 3);
@@ -474,8 +488,8 @@ main(int argc, char **argv)
     Table table({"App", "nodes", "tape ops", "elim", "interp (s)",
                  "batch (s)", "jit (s)", "batch x/PU", "jit/batch",
                  "compile (ms)", "amort (cyc)", "equiv"});
-    Table functional({"App", "expr nodes", "plan nodes", "vcycles",
-                      "time (s)", "Mvcycles/s", "golden"});
+    Table functional({"App", "expr nodes", "plan nodes", "build (us)",
+                      "vcycles", "time (s)", "Mvcycles/s", "golden"});
     bool all_equivalent = true;
     bool all_golden = true;
     bool jit_everywhere = true;
@@ -525,13 +539,15 @@ main(int argc, char **argv)
             .cell(cm)
             .cell(am)
             .cell(r.equivalent ? "yes" : "NO");
-        char tf[32], mf[32];
+        char tp[32], tf[32], mf[32];
+        std::snprintf(tp, sizeof(tp), "%.1f", r.funcPlanBuildUs);
         std::snprintf(tf, sizeof(tf), "%.3f", r.funcS);
         std::snprintf(mf, sizeof(mf), "%.2f", r.funcMvcyclesPerS);
         functional.row()
             .cell(r.name)
             .cell(std::to_string(r.funcSourceNodes))
             .cell(std::to_string(r.funcPlanNodes))
+            .cell(tp)
             .cell(std::to_string(r.funcVcycles))
             .cell(tf)
             .cell(mf)

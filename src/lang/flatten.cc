@@ -26,36 +26,6 @@ ne0(const Expr &e)
     return binExpr(BinOp::Ne, e, constExpr(0, e->width));
 }
 
-/** Collect BRAM reads in an expression, tracking mux-select gating. */
-void
-collectReads(const Expr &e, const Expr &cond, bool inside_while,
-             std::vector<BramReadOcc> &out)
-{
-    if (!e)
-        return;
-    // Expressions are DAGs with heavy sharing; pruning read-free
-    // subtrees keeps this walk linear in practice.
-    if (!containsBramRead(e))
-        return;
-    switch (e->kind) {
-      case ExprKind::BramRead:
-        out.push_back(BramReadOcc{e->stateId, e->a, cond, inside_while});
-        collectReads(e->a, cond, inside_while, out);
-        return;
-      case ExprKind::Mux:
-        collectReads(e->c, cond, inside_while, out);
-        collectReads(e->a, andCond(cond, ne0(e->c)), inside_while, out);
-        collectReads(e->b, andCond(cond, unExpr(UnOp::LNot, ne0(e->c))),
-                     inside_while, out);
-        return;
-      default:
-        collectReads(e->a, cond, inside_while, out);
-        collectReads(e->b, cond, inside_while, out);
-        collectReads(e->c, cond, inside_while, out);
-        return;
-    }
-}
-
 class Flattener
 {
   public:
@@ -76,21 +46,23 @@ class Flattener
             out_.assigns.push_back(
                 FlatAssign{cond, inside_while, assign->target,
                            assign->value});
-            collectReads(assign->value, cond, inside_while, out_.bramReads);
-            if (assign->target.index) {
-                collectReads(assign->target.index, cond, inside_while,
+            collectBramReads(assign->value, cond, inside_while,
                              out_.bramReads);
+            if (assign->target.index) {
+                collectBramReads(assign->target.index, cond, inside_while,
+                                 out_.bramReads);
             }
         } else if (const auto *emit = std::get_if<EmitStmt>(&stmt.node)) {
             out_.emits.push_back(FlatEmit{cond, inside_while, emit->value});
-            collectReads(emit->value, cond, inside_while, out_.bramReads);
+            collectBramReads(emit->value, cond, inside_while,
+                             out_.bramReads);
         } else if (const auto *if_stmt = std::get_if<IfStmt>(&stmt.node)) {
             // Arms are mutually exclusive in priority order: each arm's
             // condition is conjoined with the negation of all earlier arms.
             Expr not_earlier;
             for (const auto &[arm_cond, arm_block] : if_stmt->arms) {
-                collectReads(arm_cond, andCond(cond, not_earlier),
-                             inside_while, out_.bramReads);
+                collectBramReads(arm_cond, andCond(cond, not_earlier),
+                                 inside_while, out_.bramReads);
                 Expr taken = andCond(not_earlier, ne0(arm_cond));
                 flattenBlock(arm_block, andCond(cond, taken), inside_while);
                 not_earlier = andCond(
@@ -103,7 +75,7 @@ class Flattener
         } else if (const auto *wh = std::get_if<WhileStmt>(&stmt.node)) {
             if (inside_while)
                 panic("flatten: nested while survived builder checks");
-            collectReads(wh->cond, cond, inside_while, out_.bramReads);
+            collectBramReads(wh->cond, cond, inside_while, out_.bramReads);
             Expr eff = andCond(cond, ne0(wh->cond));
             out_.whileConds.push_back(eff);
             flattenBlock(wh->body, eff, true);
@@ -116,6 +88,36 @@ class Flattener
 };
 
 } // namespace
+
+void
+collectBramReads(const Expr &e, const Expr &cond, bool inside_while,
+                 std::vector<BramReadOcc> &out)
+{
+    if (!e)
+        return;
+    // Expressions are DAGs with heavy sharing; pruning read-free
+    // subtrees keeps this walk linear in practice.
+    if (!containsBramRead(e))
+        return;
+    switch (e->kind) {
+      case ExprKind::BramRead:
+        out.push_back(BramReadOcc{e->stateId, e->a, cond, inside_while});
+        collectBramReads(e->a, cond, inside_while, out);
+        return;
+      case ExprKind::Mux:
+        collectBramReads(e->c, cond, inside_while, out);
+        collectBramReads(e->a, andCond(cond, ne0(e->c)), inside_while, out);
+        collectBramReads(e->b,
+                         andCond(cond, unExpr(UnOp::LNot, ne0(e->c))),
+                         inside_while, out);
+        return;
+      default:
+        collectBramReads(e->a, cond, inside_while, out);
+        collectBramReads(e->b, cond, inside_while, out);
+        collectBramReads(e->c, cond, inside_while, out);
+        return;
+    }
+}
 
 FlatProgram
 flatten(const Program &program)

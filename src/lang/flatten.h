@@ -11,9 +11,10 @@
  *
  * Conditions stored here do NOT yet include the `while_done` factor;
  * instead each action carries an `insideWhile` flag. Consumers (the
- * functional simulator and the compiler) combine `cond` with the
- * program-wide `while_done` signal exactly as the generated RTL does
- * (Figure 4, lines 17-18 and 33).
+ * compiler and the static checks) combine `cond` with the program-wide
+ * `while_done` signal exactly as the generated RTL does (Figure 4,
+ * lines 17-18 and 33). The functional simulator walks the statement
+ * tree instead (sim/plan.h), numbering actions in this file's order.
  */
 
 #include <vector>
@@ -66,6 +67,14 @@ struct FlatProgram
 
 /** Conjoin two conditions where null means "true". */
 Expr andCond(const Expr &a, const Expr &b);
+
+/**
+ * Append the BRAM reads in `e` to `out` in flatten() order, each gated
+ * by `cond` conjoined with the mux selects on its path (a read in a mux
+ * leg happens only when that leg is selected).
+ */
+void collectBramReads(const Expr &e, const Expr &cond, bool insideWhile,
+                      std::vector<BramReadOcc> &out);
 
 /** Flatten a program (does not check restrictions; see lang/check.h). */
 FlatProgram flatten(const Program &program);

@@ -1,9 +1,11 @@
 #include "sim/plan.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "lang/flatten.h"
 #include "util/bits.h"
+#include "util/logging.h"
 
 namespace fleet {
 namespace sim {
@@ -24,7 +26,8 @@ constexpr uint32_t kNone = EvalPlan::kNone;
  * node once. Two open-addressed tables over power-of-two arrays make
  * that and the structural lookup cheap, with a handful of allocations
  * per plan and none per node: expression nodes by address (their plan
- * index in a side vector), and plan nodes by structure.
+ * index in a side vector), and plan nodes by structure. Keyed by
+ * address, every expression lowered must outlive the Lowering.
  */
 class Lowering
 {
@@ -389,6 +392,361 @@ class Lowering
     std::vector<Frame> stack_;
 };
 
+/**
+ * Lowers the statement tree into the plan's walk (see plan.h), and
+ * each expression it meets through the Lowering. It tracks which nodes
+ * the steps emitted so far are sure to have computed at the current
+ * point: those a condition's cone leaves out.
+ */
+class WalkBuilder
+{
+  public:
+    WalkBuilder(EvalPlan &plan, Lowering &lowering,
+                const std::vector<uint64_t> &vreg_base,
+                const std::vector<uint64_t> &bram_base)
+        : plan_(plan), lowering_(lowering), vregBase_(vreg_base),
+          bramBase_(bram_base)
+    {
+        // Room up front, as in Lowering, so the scratch is allocated
+        // once instead of grown by copies.
+        avail_.reserve(plan.nodes.capacity());
+        availLog_.reserve(kScratch);
+        stack_.reserve(kScratch);
+        runRoots_.reserve(kScratch);
+        exits_.reserve(kScratch);
+        plan.cones.reserve(kScratch);
+    }
+
+    void
+    lowerBody(const lang::Block &body)
+    {
+        // After the last statement that holds a loop, nothing can enter
+        // one: a loop cycle ends there.
+        size_t last_loop = body.size();
+        for (size_t i = 0; i < body.size(); ++i)
+            if (holdsWhile(*body[i]))
+                last_loop = i;
+        for (size_t i = 0; i < body.size(); ++i) {
+            statement(*body[i], false);
+            if (i == last_loop && i + 1 < body.size())
+                control(Step::Kind::LoopExit);
+        }
+        closeRun();
+        // A branch to a jump goes where the jump goes: a nested arm's
+        // exit skips the jumps of the arms around it.
+        std::vector<Step> &walk = plan_.walk;
+        for (Step &step : walk) {
+            if (step.kind != Step::Kind::Test &&
+                step.kind != Step::Kind::While &&
+                step.kind != Step::Kind::Jump)
+                continue;
+            while (step.target < walk.size() &&
+                   walk[step.target].kind == Step::Kind::Jump)
+                step.target = walk[step.target].target;
+        }
+    }
+
+  private:
+    using Step = EvalPlan::Step;
+
+    static constexpr size_t kScratch = 256;
+
+    static bool
+    holdsWhile(const lang::Stmt &stmt)
+    {
+        if (std::holds_alternative<lang::WhileStmt>(stmt.node))
+            return true;
+        const auto *if_stmt = std::get_if<lang::IfStmt>(&stmt.node);
+        if (!if_stmt)
+            return false;
+        auto any = [](const lang::Block &block) {
+            for (const auto &s : block)
+                if (holdsWhile(*s))
+                    return true;
+            return false;
+        };
+        for (const auto &arm : if_stmt->arms)
+            if (any(arm.second))
+                return true;
+        return any(if_stmt->elseBlock);
+    }
+
+    void
+    block(const lang::Block &stmts, bool inside_while)
+    {
+        for (const auto &stmt : stmts)
+            statement(*stmt, inside_while);
+        closeRun();
+    }
+
+    void
+    statement(const lang::Stmt &stmt, bool inside_while)
+    {
+        if (const auto *assign = std::get_if<lang::AssignStmt>(&stmt.node)) {
+            EvalPlan::Assign a;
+            a.kind = assign->target.kind;
+            a.stateId = assign->target.stateId;
+            a.index = lowering_.lower(assign->target.index);
+            a.value = lowering_.lower(assign->value);
+            switch (a.kind) {
+              case lang::LValue::Kind::Reg:
+                a.base = uint64_t(a.stateId);
+                a.elements = 1;
+                a.width = plan_.program.reg(a.stateId).width;
+                break;
+              case lang::LValue::Kind::VecElem:
+                a.base = vregBase_[a.stateId];
+                a.elements =
+                    uint64_t(plan_.program.vreg(a.stateId).elements);
+                a.width = plan_.program.vreg(a.stateId).width;
+                break;
+              case lang::LValue::Kind::BramElem:
+                a.base = bramBase_[a.stateId];
+                a.elements =
+                    uint64_t(plan_.program.bram(a.stateId).elements);
+                a.width = plan_.program.bram(a.stateId).width;
+                break;
+            }
+            actions(inside_while).assigns.end++;
+            plan_.assigns.push_back(a);
+            runRoots_.push_back(a.index);
+            runRoots_.push_back(a.value);
+            reads(assign->value, inside_while);
+            reads(assign->target.index, inside_while);
+        } else if (const auto *emit =
+                       std::get_if<lang::EmitStmt>(&stmt.node)) {
+            actions(inside_while).emits.end++;
+            plan_.emits.push_back(
+                EvalPlan::Emit{lowering_.lower(emit->value)});
+            runRoots_.push_back(plan_.emits.back().value);
+            reads(emit->value, inside_while);
+        } else if (const auto *if_stmt =
+                       std::get_if<lang::IfStmt>(&stmt.node)) {
+            ifChain(*if_stmt, inside_while);
+        } else if (const auto *wh =
+                       std::get_if<lang::WhileStmt>(&stmt.node)) {
+            if (inside_while)
+                panic("EvalPlan: nested while survived builder checks");
+            reads(wh->cond, inside_while);
+            const uint32_t test = condition(Step::Kind::While, wh->cond);
+            sawWhile_ = true;
+            // The condition stays computed after the loop: every cycle
+            // that reaches the loop tests it.
+            const size_t after_test = availLog_.size();
+            block(wh->body, true);
+            forget(after_test);
+            plan_.walk[test].target = label();
+        } else {
+            panic("EvalPlan: unknown statement kind");
+        }
+    }
+
+    void
+    ifChain(const lang::IfStmt &if_stmt, bool inside_while)
+    {
+        // One Test per arm in priority order, each going to the next
+        // arm when false; a taken arm's body jumps past the rest (its
+        // jump waits on exits_, above those of the enclosing chains).
+        // An arm's test runs only when every earlier one did, so their
+        // cones stay computed for it.
+        const size_t first_exit = exits_.size();
+        size_t after_first = availLog_.size();
+        uint32_t test = kNone;
+        for (const auto &[cond, body] : if_stmt.arms) {
+            if (test != kNone) {
+                exits_.push_back(control(Step::Kind::Jump));
+                plan_.walk[test].target = label();
+            }
+            reads(cond, inside_while);
+            test = condition(Step::Kind::Test, cond);
+            const size_t after_test = availLog_.size();
+            if (exits_.size() == first_exit)
+                after_first = after_test;
+            block(body, inside_while);
+            forget(after_test);
+        }
+        if (!if_stmt.elseBlock.empty()) {
+            if (test != kNone) {
+                exits_.push_back(control(Step::Kind::Jump));
+                plan_.walk[test].target = label();
+            }
+            block(if_stmt.elseBlock, inside_while);
+        } else if (test != kNone) {
+            plan_.walk[test].target = label();
+        }
+        const uint32_t end = label();
+        for (size_t k = first_exit; k < exits_.size(); ++k)
+            plan_.walk[exits_[k]].target = end;
+        exits_.resize(first_exit);
+        // Of the chain, only the first arm's test runs in every cycle
+        // that reaches the statement.
+        forget(after_first);
+    }
+
+    /** Emit a Test or While step for `cond`; returns its index. */
+    uint32_t
+    condition(Step::Kind kind, const lang::Expr &cond)
+    {
+        closeRun();
+        Step step;
+        step.kind = kind;
+        step.cond = lowering_.lower(cond);
+        stack_.push_back(step.cond);
+        cone(step);
+        plan_.walk.push_back(step);
+        return uint32_t(plan_.walk.size() - 1);
+    }
+
+    /**
+     * Give `step` the cone of the roots on stack_: the nodes reached
+     * through everything but mux legs, less those already computed, in
+     * topological order. They are marked computed.
+     */
+    void
+    cone(Step &step)
+    {
+        avail_.resize(plan_.nodes.size(), 0);
+        step.coneBegin = uint32_t(plan_.cones.size());
+        // Depth first, stopping at the nodes already computed; a node
+        // is marked when first reached, so it is visited once.
+        while (!stack_.empty()) {
+            const uint32_t i = stack_.back();
+            stack_.pop_back();
+            if (i == kNone || avail_[i] || plan_.nodes[i].op == Op::Const)
+                continue;
+            avail_[i] = 1;
+            availLog_.push_back(i);
+            plan_.cones.push_back(i);
+            const Node &n = plan_.nodes[i];
+            stack_.push_back(n.c);
+            if (n.op != Op::Mux) {
+                stack_.push_back(n.a);
+                stack_.push_back(n.b);
+            }
+        }
+        // Node order is topological (operands first), and evaluating
+        // in it walks the memo forwards.
+        const auto begin = plan_.cones.begin() + step.coneBegin;
+        std::sort(begin, plan_.cones.end());
+        step.coneEnd = uint32_t(plan_.cones.size());
+    }
+
+    /**
+     * End the open Actions step: give it the cone of its actions'
+     * values, indices, addresses and read gates. A cycle that reaches
+     * the step computes it unless the step is out of loop and the cycle
+     * is a loop cycle, which no cycle before the first While is.
+     */
+    void
+    closeRun()
+    {
+        if (!run_)
+            return;
+        run_ = false;
+        const size_t before = availLog_.size();
+        stack_.swap(runRoots_);
+        cone(plan_.walk.back());
+        runRoots_.clear();
+        if (plan_.walk.back().kind == Step::Kind::Actions && sawWhile_)
+            forget(before);
+    }
+
+    /** Emit a control step; returns its index. */
+    uint32_t
+    control(Step::Kind kind)
+    {
+        closeRun();
+        Step step;
+        step.kind = kind;
+        plan_.walk.push_back(step);
+        return uint32_t(plan_.walk.size() - 1);
+    }
+
+    /** The index of the next step, as a jump target. */
+    uint32_t
+    label()
+    {
+        closeRun();
+        return uint32_t(plan_.walk.size());
+    }
+
+    /** The Actions step the next action joins: the last step, if it
+     * is one of this class and no jump lands after it. */
+    Step &
+    actions(bool inside_while)
+    {
+        const Step::Kind kind =
+            inside_while ? Step::Kind::LoopActions : Step::Kind::Actions;
+        if (!run_ || plan_.walk.back().kind != kind) {
+            closeRun();
+            Step step;
+            step.kind = kind;
+            step.reads.begin = step.reads.end =
+                uint32_t(plan_.bramReads.size());
+            step.assigns.begin = step.assigns.end =
+                uint32_t(plan_.assigns.size());
+            step.emits.begin = step.emits.end =
+                uint32_t(plan_.emits.size());
+            plan_.walk.push_back(step);
+            run_ = true;
+        }
+        return plan_.walk.back();
+    }
+
+    void
+    reads(const lang::Expr &e, bool inside_while)
+    {
+        if (!e || !lang::containsBramRead(e))
+            return;
+        // The occurrences stay in occs_ until the walk is built: the
+        // Lowering knows expressions by address, so a gate freed here
+        // could come back at that address as another read's gate.
+        const size_t first = occs_.size();
+        lang::collectBramReads(e, nullptr, inside_while, occs_);
+        for (size_t k = first; k < occs_.size(); ++k) {
+            const lang::BramReadOcc &occ = occs_[k];
+            actions(inside_while).reads.end++;
+            plan_.bramReads.push_back(EvalPlan::BramRead{
+                lowering_.lower(occ.cond), occ.bramId,
+                lowering_.lower(occ.addr)});
+            // A gated read's address waits for its gate.
+            const EvalPlan::BramRead &read = plan_.bramReads.back();
+            runRoots_.push_back(read.gate != kNone ? read.gate
+                                                   : read.addr);
+        }
+    }
+
+    /** Drop the computed marks made since the log was `size` long. */
+    void
+    forget(size_t size)
+    {
+        while (availLog_.size() > size) {
+            avail_[availLog_.back()] = 0;
+            availLog_.pop_back();
+        }
+    }
+
+    EvalPlan &plan_;
+    Lowering &lowering_;
+    const std::vector<uint64_t> &vregBase_;
+    const std::vector<uint64_t> &bramBase_;
+    /** Per node: computed on every path to the current point. */
+    std::vector<uint8_t> avail_;
+    /** Nodes marked in avail_, in marking order (undone by forget). */
+    std::vector<uint32_t> availLog_;
+    std::vector<uint32_t> stack_;
+    /** Every read occurrence met so far; they own its gates. */
+    std::vector<lang::BramReadOcc> occs_;
+    /** True while the last step is an Actions step actions may join. */
+    bool run_ = false;
+    /** The open Actions step's roots (see closeRun). */
+    std::vector<uint32_t> runRoots_;
+    /** Exit jumps of the `if` chains being lowered, innermost last. */
+    std::vector<uint32_t> exits_;
+    /** True once a While step is emitted. */
+    bool sawWhile_ = false;
+};
+
 } // namespace
 
 EvalPlan::EvalPlan(lang::Program prog) : program(std::move(prog))
@@ -412,96 +770,9 @@ EvalPlan::EvalPlan(lang::Program prog) : program(std::move(prog))
         initState.insert(initState.end(), size_t(bram.elements), 0);
     }
 
-    const lang::FlatProgram flat = lang::flatten(program);
     Lowering lowering(nodes, vreg_base, bram_base, program);
-    whileConds.reserve(flat.whileConds.size());
-    bramReads.reserve(flat.bramReads.size());
-    assigns.reserve(flat.assigns.size());
-    emits.reserve(flat.emits.size());
-    for (const auto &cond : flat.whileConds)
-        whileConds.push_back(lowering.lower(cond));
-    for (const auto &occ : flat.bramReads) {
-        bramReads.push_back(BramRead{
-            Gate{lowering.lower(occ.cond), occ.insideWhile}, occ.bramId,
-            lowering.lower(occ.addr)});
-    }
-    for (const auto &assign : flat.assigns) {
-        Assign a;
-        a.gate = Gate{lowering.lower(assign.cond), assign.insideWhile};
-        a.kind = assign.target.kind;
-        a.stateId = assign.target.stateId;
-        a.index = lowering.lower(assign.target.index);
-        a.value = lowering.lower(assign.value);
-        switch (a.kind) {
-          case lang::LValue::Kind::Reg:
-            a.base = uint64_t(a.stateId);
-            a.elements = 1;
-            a.width = program.reg(a.stateId).width;
-            break;
-          case lang::LValue::Kind::VecElem:
-            a.base = vreg_base[a.stateId];
-            a.elements = uint64_t(program.vreg(a.stateId).elements);
-            a.width = program.vreg(a.stateId).width;
-            break;
-          case lang::LValue::Kind::BramElem:
-            a.base = bram_base[a.stateId];
-            a.elements = uint64_t(program.bram(a.stateId).elements);
-            a.width = program.bram(a.stateId).width;
-            break;
-        }
-        assigns.push_back(a);
-    }
-    for (const auto &emit : flat.emits) {
-        emits.push_back(Emit{Gate{lowering.lower(emit.cond),
-                                  emit.insideWhile},
-                             lowering.lower(emit.value)});
-    }
-
-    // Eager cones: every operand of a marked node except mux legs (a
-    // mux evaluates its selected leg on demand). Cycles with an active
-    // while loop skip out-of-loop gates, so their cone is a separate
-    // list; a node in both cones belongs to the always-eager one. Users
-    // follow their operands in the node order, so one backward sweep
-    // propagates the marks.
-    enum : uint8_t { kLazy, kOutsideWhile, kEager };
-    std::vector<uint8_t> mark(nodes.size(), kLazy);
-    auto markRoot = [&](const Gate &gate) {
-        if (gate.cond != kNone) {
-            uint8_t m = gate.insideWhile ? kEager : kOutsideWhile;
-            mark[gate.cond] = std::max(mark[gate.cond], m);
-        }
-    };
-    for (uint32_t cond : whileConds)
-        markRoot(Gate{cond, true});
-    for (const auto &occ : bramReads)
-        markRoot(occ.gate);
-    for (const auto &assign : assigns)
-        markRoot(assign.gate);
-    for (const auto &emit : emits)
-        markRoot(emit.gate);
-    for (size_t i = nodes.size(); i-- > 0;) {
-        const uint8_t m = mark[i];
-        if (m == kLazy)
-            continue;
-        const Node &n = nodes[i];
-        const bool mux = n.op == Op::Mux;
-        for (uint32_t op : {n.c, mux ? kNone : n.a, mux ? kNone : n.b})
-            if (op != kNone)
-                mark[op] = std::max(mark[op], m);
-    }
-    size_t counts[3] = {0, 0, 0};
-    for (uint32_t i = 0; i < nodes.size(); ++i)
-        counts[mark[i]] += nodes[i].op != Op::Const;
-    eager.reserve(counts[kEager]);
-    eagerOutsideWhile.reserve(counts[kOutsideWhile]);
-    for (uint32_t i = 0; i < nodes.size(); ++i) {
-        if (nodes[i].op == Op::Const)
-            continue; // Constants never change; see FunctionalSimulator.
-        if (mark[i] == kEager)
-            eager.push_back(i);
-        else if (mark[i] == kOutsideWhile)
-            eagerOutsideWhile.push_back(i);
-    }
+    WalkBuilder(*this, lowering, vreg_base, bram_base)
+        .lowerBody(program.body);
 }
 
 } // namespace sim

@@ -3,11 +3,10 @@
 
 /**
  * @file
- * Evaluation plan of a Fleet program for the functional simulator: the
- * program's flattened (condition, action) form (lang/flatten.h) lowered
- * once into a dense, immutable node array in topological order
- * (operands before users); the roots themselves (while conditions,
- * BRAM-read occurrences, assignments, emits) refer to entries by index.
+ * Evaluation plan of a Fleet program for the functional simulator: its
+ * expressions lowered once into a dense, immutable node array in
+ * topological order (operands before users), and its statement tree
+ * lowered into a linear walk whose steps refer to nodes by index.
  *
  * Lowering simplifies as it goes, in the same single walk over the
  * expression DAG:
@@ -28,12 +27,31 @@
  * one) with its result mask precomputed, so evaluating it is a single
  * dispatch.
  *
- * The plan also splits the nodes by how a virtual cycle evaluates them.
- * The cone of the conditions every cycle evaluates anyway — while
- * conditions and action gates, followed through everything except mux
- * legs — is listed in topological order for one eager loop; everything
- * else (mux legs, assigned and emitted values, addresses and indices)
- * is evaluated on demand through a per-cycle memo.
+ * The walk keeps the program's `if` tree instead of flattening it into
+ * per-action conjunctions (lang/flatten.h, Section 4 of the paper):
+ * hardware evaluates every gate in every cycle, but a virtual cycle in
+ * software only needs the conditions on the path it takes. An `if` /
+ * `elif` chain becomes one Test per arm in priority order, each jumping
+ * to the next arm when false; a `while` becomes a While step, a Test
+ * whose taken body marks the cycle as a loop cycle; straight-line
+ * statements become Actions steps naming ranges of the plan's BRAM-read
+ * occurrences, assignments and emits. Actions are numbered in
+ * lang::flatten's order, so a cycle's open actions, visited in walk
+ * order, are in that order too. A BRAM read keeps only the gate of the
+ * mux selects on its path inside its expression.
+ *
+ * Each Test or While step carries the cone of its condition, and each
+ * Actions step the cone of its actions' values, indices, addresses and
+ * read gates (a gated read's address waits for its gate): the nodes
+ * reached from those roots through everything except mux legs, in
+ * topological order, less the nodes that steps dominating it already
+ * computed. Those are the enclosing tests, the earlier arms of its
+ * chain, the first arm or while condition of each earlier statement in
+ * its block, and the Actions steps among them that every cycle
+ * reaching them runs (in-loop ones, and out-of-loop ones before the
+ * first loop). The simulator evaluates a cone with no memo check;
+ * what no cone holds (mux legs, gated addresses) is evaluated on
+ * demand through a per-cycle memo.
  *
  * A plan is built once per program and shared read-only by every
  * simulator of it (FastPu re-arms, SIMT lanes); per-cycle simulator
@@ -124,16 +142,8 @@ struct EvalPlan
         uint64_t aux = 0;
     };
 
-    /** An action's gate: its `if`-path condition and while class. */
-    struct Gate
-    {
-        uint32_t cond; ///< kNone: unconditional within its class.
-        bool insideWhile;
-    };
-
     struct Assign
     {
-        Gate gate;
         lang::LValue::Kind kind;
         int stateId;
         uint32_t index; ///< Element index / address; kNone for Reg.
@@ -145,18 +155,49 @@ struct EvalPlan
 
     struct Emit
     {
-        Gate gate;
         uint32_t value;
     };
 
     struct BramRead
     {
-        Gate gate;
+        /** The mux selects on the read's path within its expression;
+         * kNone: the read happens whenever its statement runs. */
+        uint32_t gate;
         int bramId;
         uint32_t addr;
     };
 
-    /** Flatten and lower `program` (kept by value for its declarations). */
+    /** Half-open range of action indices. */
+    struct Range
+    {
+        uint32_t begin = 0, end = 0;
+    };
+
+    struct Step
+    {
+        enum class Kind : uint8_t
+        {
+            /** Evaluate the cone; go to target if cond is 0. */
+            Test,
+            /** A Test whose taken body is a loop body. */
+            While,
+            Jump,        ///< Go to target.
+            Actions,     ///< Open actions outside every loop body.
+            LoopActions, ///< Open actions inside a loop body.
+            /** End the walk in a loop cycle: no later step enters a
+             * loop body, so the rest is dead in it. */
+            LoopExit,
+        };
+        Kind kind = Kind::Actions;
+        uint32_t cond = kNone;
+        /** The step's cone: cones[coneBegin, coneEnd). */
+        uint32_t coneBegin = 0, coneEnd = 0;
+        uint32_t target = 0;
+        /** Actions, LoopActions: the actions opened. */
+        Range reads, assigns, emits;
+    };
+
+    /** Lower `program` (kept by value for its declarations). */
     explicit EvalPlan(lang::Program program);
 
     /** Number of nodes; the size of a simulator's per-cycle memo. */
@@ -165,17 +206,15 @@ struct EvalPlan
     lang::Program program;
     std::vector<Node> nodes;
 
-    std::vector<uint32_t> whileConds;
+    /** Actions, numbered in lang::flatten's order. */
     std::vector<Assign> assigns;
     std::vector<Emit> emits;
     std::vector<BramRead> bramReads;
 
-    /** Non-constant nodes evaluated eagerly every virtual cycle: the
-     * cone of the while conditions and of in-loop gates. Topological. */
-    std::vector<uint32_t> eager;
-    /** The rest of the gate cone, evaluated eagerly only in cycles no
-     * while loop is active (out-of-loop gates are dead otherwise). */
-    std::vector<uint32_t> eagerOutsideWhile;
+    /** The statement tree as steps, run from 0 to the end. */
+    std::vector<Step> walk;
+    /** The steps' cone nodes, topological per step. */
+    std::vector<uint32_t> cones;
 
     /**
      * Reset value of the flat state: registers at offsets [0, regs),

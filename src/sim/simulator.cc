@@ -30,7 +30,12 @@ FunctionalSimulator::FunctionalSimulator(
     const size_t brams = plan_ref.program.brams.size();
     readAddr_.resize(brams);
     bramWriteAddr_.resize(brams);
-    regWriteEpoch_.assign(plan_ref.program.regs.size(), 0);
+    // Registers and vector-register elements lead the flat state.
+    size_t stamped = plan_ref.program.regs.size();
+    for (const auto &vreg : plan_ref.program.vregs)
+        stamped += size_t(vreg.elements);
+    writeEpoch_.assign(stamped, 0);
+    opened_.resize(plan_ref.walk.size());
 }
 
 void
@@ -59,14 +64,17 @@ FunctionalSimulator::value(uint32_t node)
     return slot.epoch >= epoch_ ? slot.value : evalNode(node);
 }
 
+// Inlined into its one caller per mode (evalCone, evalNode) at every
+// optimization level: a call per node would cost as much as the node.
 template <bool Eager>
-inline uint64_t
+[[gnu::always_inline]] inline uint64_t
 FunctionalSimulator::compute(const EvalPlan::Node &n)
 {
     using Op = EvalPlan::Op;
-    // Operand reads. In the eager loops every non-mux-leg operand is an
-    // eager node earlier in topological order (or a constant), so its
-    // slot is current and needs no epoch compare; mux legs are lazy.
+    // Operand reads. In a cone every non-mux-leg operand is a node
+    // earlier in the cone, a node a dominating step's cone computed, or
+    // a constant, so its slot is current and needs no epoch compare;
+    // mux legs are lazy.
     auto a = [&] { return Eager ? memo_[n.a].value : value(n.a); };
     auto b = [&] { return Eager ? memo_[n.b].value : value(n.b); };
     auto c = [&] { return Eager ? memo_[n.c].value : value(n.c); };
@@ -136,140 +144,168 @@ FunctionalSimulator::evalNode(uint32_t node)
     return v;
 }
 
-inline bool
-FunctionalSimulator::gateOpen(const EvalPlan::Gate &gate, bool while_active)
+inline void
+FunctionalSimulator::evalCone(const EvalPlan::Step &step)
 {
-    if (!gate.insideWhile && while_active)
-        return false;
-    // Gate conditions are eager roots: by the time any gate is read its
-    // slot is current (out-of-loop ones only once no loop is active).
-    return gate.cond == EvalPlan::kNone || memo_[gate.cond].value != 0;
+    const uint32_t *cone = plan_->cones.data();
+    const EvalPlan::Node *nodes = plan_->nodes.data();
+    Slot *memo = memo_.data();
+    const uint64_t epoch = epoch_;
+    for (uint32_t k = step.coneBegin; k < step.coneEnd; ++k)
+        memo[cone[k]] = Slot{compute<true>(nodes[cone[k]]), epoch};
 }
 
 bool
 FunctionalSimulator::runVcycle(RunResult &result,
                                std::vector<uint8_t> *signature)
 {
+    using Kind = EvalPlan::Step::Kind;
     const EvalPlan &plan = *plan_;
     const lang::Program &program = plan.program;
     if (signature)
         signature->assign(plan.assigns.size() + plan.emits.size(), 0);
 
-    // New virtual cycle: invalidate the memo, then evaluate the gate
-    // cone every cycle needs, in topological order.
+    // New virtual cycle: invalidate the memo, then walk the statement
+    // tree, evaluating the cones of the conditions on the path taken
+    // and of the Actions steps it opens. Once a loop body is entered (a
+    // loop cycle), out-of-loop actions are dropped: only loop bodies
+    // run, and the input token is not consumed.
     ++epoch_;
-    for (uint32_t node : plan.eager)
-        memo_[node] = Slot{compute<true>(plan.nodes[node]), epoch_};
-
-    // 1. While conditions: while any holds, only loop bodies run and the
-    //    input token is not consumed. (Eager roots: see gateOpen.)
     bool while_active = false;
-    for (uint32_t cond : plan.whileConds) {
-        if (memo_[cond].value != 0) {
-            while_active = true;
-            break;
+    const EvalPlan::Step *walk = plan.walk.data();
+    const uint32_t steps = uint32_t(plan.walk.size());
+    uint32_t *opened = opened_.data();
+    uint32_t opens = 0;
+    for (uint32_t pc = 0; pc < steps;) {
+        const EvalPlan::Step &step = walk[pc];
+        const Kind kind = step.kind;
+        if (kind == Kind::Test || kind == Kind::While) {
+            evalCone(step);
+            if (memo_[step.cond].value == 0) {
+                pc = step.target;
+                continue;
+            }
+            if (kind == Kind::While && !while_active) {
+                while_active = true;
+                opens = 0;
+            }
+        } else if (kind == Kind::Jump) {
+            pc = step.target;
+            continue;
+        } else if (kind == Kind::LoopExit) {
+            if (while_active)
+                break;
+        } else if (kind == Kind::LoopActions || !while_active) {
+            evalCone(step);
+            opened[opens++] = pc;
         }
-    }
-    if (!while_active) {
-        for (uint32_t node : plan.eagerOutsideWhile)
-            memo_[node] = Slot{compute<true>(plan.nodes[node]), epoch_};
+        ++pc;
     }
 
-    // 2. BRAM read accounting: at most one distinct address per BRAM.
+    // Check and apply the open actions: reads, then assignments, then
+    // emits, each in lang::flatten's order, so the first violation a
+    // cycle reports is the flattened program's. BRAM read accounting:
+    // at most one distinct address per BRAM.
     std::fill(readAddr_.begin(), readAddr_.end(), -1);
-    for (const auto &occ : plan.bramReads) {
-        if (!gateOpen(occ.gate, while_active))
-            continue;
-        const auto &bram = program.bram(occ.bramId);
-        uint64_t addr = value(occ.addr);
-        if (addr >= uint64_t(bram.elements)) {
-            violation("BRAM " + bram.name + " read address " +
-                      std::to_string(addr) + " out of range (" +
-                      std::to_string(bram.elements) + " elements)");
-        }
-        if (readAddr_[occ.bramId] >= 0 &&
-            readAddr_[occ.bramId] != int64_t(addr)) {
-            violation("BRAM " + bram.name +
-                      " read at two addresses in one virtual cycle (" +
-                      std::to_string(readAddr_[occ.bramId]) + " and " +
-                      std::to_string(addr) + ")");
-        }
-        readAddr_[occ.bramId] = int64_t(addr);
-        if (prevWriteAddr_[occ.bramId] == int64_t(addr))
-            result.usedBramForwarding = true;
-    }
-
-    // 3. Gather assignments (committed only at the end of the cycle).
-    writes_.clear();
-    vregWritten_.clear();
-    std::fill(bramWriteAddr_.begin(), bramWriteAddr_.end(), -1);
-    for (size_t a = 0; a < plan.assigns.size(); ++a) {
-        const auto &assign = plan.assigns[a];
-        if (!gateOpen(assign.gate, while_active))
-            continue;
-        if (signature)
-            (*signature)[a] = 1;
-        uint64_t index = 0;
-        switch (assign.kind) {
-          case LValue::Kind::Reg:
-            if (regWriteEpoch_[assign.stateId] == epoch_) {
-                violation("register " + program.reg(assign.stateId).name +
-                          " assigned twice in one virtual cycle");
+    for (uint32_t k = 0; k < opens; ++k) {
+        const EvalPlan::Range &range = walk[opened[k]].reads;
+        for (uint32_t r = range.begin; r < range.end; ++r) {
+            const auto &occ = plan.bramReads[r];
+            if (occ.gate != EvalPlan::kNone && value(occ.gate) == 0)
+                continue;
+            const auto &bram = program.bram(occ.bramId);
+            uint64_t addr = value(occ.addr);
+            if (addr >= uint64_t(bram.elements)) {
+                violation("BRAM " + bram.name + " read address " +
+                          std::to_string(addr) + " out of range (" +
+                          std::to_string(bram.elements) + " elements)");
             }
-            regWriteEpoch_[assign.stateId] = epoch_;
-            break;
-          case LValue::Kind::VecElem: {
-            const auto &vreg = program.vreg(assign.stateId);
-            index = value(assign.index);
-            if (index >= assign.elements) {
-                violation("vector register " + vreg.name + " write index " +
-                          std::to_string(index) + " out of range");
-            }
-            if (std::find(vregWritten_.begin(), vregWritten_.end(),
-                          assign.base + index) != vregWritten_.end()) {
-                violation("vector register " + vreg.name + " element " +
-                          std::to_string(index) +
-                          " assigned twice in one virtual cycle");
-            }
-            vregWritten_.push_back(assign.base + index);
-            break;
-          }
-          case LValue::Kind::BramElem: {
-            const auto &bram = program.bram(assign.stateId);
-            index = value(assign.index);
-            if (index >= assign.elements) {
-                violation("BRAM " + bram.name + " write address " +
-                          std::to_string(index) + " out of range");
-            }
-            if (bramWriteAddr_[assign.stateId] >= 0) {
+            if (readAddr_[occ.bramId] >= 0 &&
+                readAddr_[occ.bramId] != int64_t(addr)) {
                 violation("BRAM " + bram.name +
-                          " written twice in one virtual cycle");
+                          " read at two addresses in one virtual cycle (" +
+                          std::to_string(readAddr_[occ.bramId]) + " and " +
+                          std::to_string(addr) + ")");
             }
-            bramWriteAddr_[assign.stateId] = int64_t(index);
-            break;
-          }
+            readAddr_[occ.bramId] = int64_t(addr);
+            if (prevWriteAddr_[occ.bramId] == int64_t(addr))
+                result.usedBramForwarding = true;
         }
-        writes_.push_back(PendingWrite{
-            assign.base + index, truncTo(value(assign.value), assign.width)});
     }
 
-    // 4. Emits: at most one per virtual cycle.
+    // Gather assignments (committed only at the end of the cycle).
+    writes_.clear();
+    std::fill(bramWriteAddr_.begin(), bramWriteAddr_.end(), -1);
+    for (uint32_t k = 0; k < opens; ++k) {
+        const EvalPlan::Range &range = walk[opened[k]].assigns;
+        for (uint32_t a = range.begin; a < range.end; ++a) {
+            const auto &assign = plan.assigns[a];
+            if (signature)
+                (*signature)[a] = 1;
+            uint64_t index = 0;
+            switch (assign.kind) {
+              case LValue::Kind::Reg:
+                if (writeEpoch_[assign.base] == epoch_) {
+                    violation("register " +
+                              program.reg(assign.stateId).name +
+                              " assigned twice in one virtual cycle");
+                }
+                writeEpoch_[assign.base] = epoch_;
+                break;
+              case LValue::Kind::VecElem: {
+                const auto &vreg = program.vreg(assign.stateId);
+                index = value(assign.index);
+                if (index >= assign.elements) {
+                    violation("vector register " + vreg.name +
+                              " write index " + std::to_string(index) +
+                              " out of range");
+                }
+                if (writeEpoch_[assign.base + index] == epoch_) {
+                    violation("vector register " + vreg.name +
+                              " element " + std::to_string(index) +
+                              " assigned twice in one virtual cycle");
+                }
+                writeEpoch_[assign.base + index] = epoch_;
+                break;
+              }
+              case LValue::Kind::BramElem: {
+                const auto &bram = program.bram(assign.stateId);
+                index = value(assign.index);
+                if (index >= assign.elements) {
+                    violation("BRAM " + bram.name + " write address " +
+                              std::to_string(index) + " out of range");
+                }
+                if (bramWriteAddr_[assign.stateId] >= 0) {
+                    violation("BRAM " + bram.name +
+                              " written twice in one virtual cycle");
+                }
+                bramWriteAddr_[assign.stateId] = int64_t(index);
+                break;
+              }
+            }
+            writes_.push_back(
+                PendingWrite{assign.base + index,
+                             truncTo(value(assign.value), assign.width)});
+        }
+    }
+
+    // Emits: at most one per virtual cycle.
     bool emitted = false;
-    for (size_t m = 0; m < plan.emits.size(); ++m) {
-        const auto &emit = plan.emits[m];
-        if (!gateOpen(emit.gate, while_active))
-            continue;
-        if (emitted)
-            violation("multiple emits in one virtual cycle");
-        if (signature)
-            (*signature)[plan.assigns.size() + m] = 1;
-        emitted = true;
-        result.output.appendBits(value(emit.value),
-                                 program.outputTokenWidth);
-        ++result.emits;
+    for (uint32_t k = 0; k < opens; ++k) {
+        const EvalPlan::Range &range = walk[opened[k]].emits;
+        for (uint32_t m = range.begin; m < range.end; ++m) {
+            if (emitted)
+                violation("multiple emits in one virtual cycle");
+            if (signature)
+                (*signature)[plan.assigns.size() + m] = 1;
+            emitted = true;
+            result.output.appendBits(value(plan.emits[m].value),
+                                     program.outputTokenWidth);
+            ++result.emits;
+        }
     }
 
-    // 5. Commit.
+    // Commit.
     for (const auto &write : writes_)
         state_[write.offset] = write.value;
     prevWriteAddr_.swap(bramWriteAddr_);

@@ -23,17 +23,20 @@
  *
  * The simulator runs from the program's EvalPlan (sim/plan.h), shared by
  * every simulator of the program, already folded and hash-consed. Each
- * virtual cycle first evaluates the plan's eager gate cone in one loop,
- * then the actions; values behind a mux leg or a gate (assigned and
- * emitted values, addresses, indices) are evaluated on demand through an
- * epoch memo of plan.size() entries, so unselected legs and closed gates
- * cost nothing. A node evaluates as one dispatch on its fused opcode.
- * In the eager loop its operands are read straight from the memo with
- * no epoch compare: each one is an eager node earlier in topological
- * order, or a constant, so its slot is already current (mux legs stay
- * lazy and go through the memo). All per-cycle state is sized by the
- * plan: there are no process-wide expression ids, and a simulator costs
- * the same however many others the process has built.
+ * virtual cycle follows the plan's walk of the statement tree: it
+ * evaluates only the conditions on the path it takes and the values of
+ * the actions under them, each step's as one loop over its cone, and
+ * collects those actions as ranges; then it checks and applies them.
+ * Mux legs and gated read addresses are evaluated on demand through an
+ * epoch memo of plan.size() entries, so unselected legs and untaken
+ * branches cost nothing. A node evaluates as one dispatch on its fused
+ * opcode. In a cone its operands are read straight from the memo with
+ * no epoch compare: each one is earlier in the cone, computed by a
+ * dominating step's cone, or a constant, so its slot is already
+ * current (mux legs stay lazy and go through the memo). All per-cycle
+ * state is sized by the plan: there are no process-wide expression
+ * ids, and a simulator costs the same however many others the process
+ * has built.
  */
 
 #include <cstdint>
@@ -140,10 +143,11 @@ class FunctionalSimulator
     uint64_t value(uint32_t node);
     uint64_t evalNode(uint32_t node);
     /** A node's value from its operands: read unchecked from the memo
-     * if Eager (the eager loops), else through value(). */
+     * if Eager (a cone), else through value(). */
     template <bool Eager>
     uint64_t compute(const EvalPlan::Node &n);
-    bool gateOpen(const EvalPlan::Gate &gate, bool while_active);
+    /** Evaluate a step's cone, in order. */
+    void evalCone(const EvalPlan::Step &step);
     /** Execute one virtual cycle; returns true if the token was consumed. */
     bool runVcycle(RunResult &result, std::vector<uint8_t> *signature);
     [[noreturn]] void violation(const std::string &message) const;
@@ -182,9 +186,12 @@ class FunctionalSimulator
     // Per-cycle scratch, reused across cycles.
     std::vector<int64_t> readAddr_;
     std::vector<int64_t> bramWriteAddr_;
-    std::vector<uint64_t> regWriteEpoch_;
-    std::vector<uint64_t> vregWritten_; ///< Flat-state words written.
+    /** Per register and vector-register word: the epoch of the cycle
+     * that last assigned it. */
+    std::vector<uint64_t> writeEpoch_;
     std::vector<PendingWrite> writes_;
+    /** The Actions steps the cycle's walk opened, in walk order. */
+    std::vector<uint32_t> opened_;
 };
 
 } // namespace sim

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -47,7 +49,21 @@ using lang::mux;
 class RandomProgramGenerator
 {
   public:
-    explicit RandomProgramGenerator(uint64_t seed) : rng_(seed) {}
+    /**
+     * Program shape. Default: a couple of top-level statements, if/else
+     * trees at most two deep, one optional top-level while. Branchy:
+     * if/elif chains of three or four arms (else optional) nested
+     * three deep, BRAM reads in arm conditions, and the while under an
+     * `if` path. The shapes draw from the generator differently, so
+     * adding one leaves every seed's default program as it was.
+     */
+    enum class Shape { Default, Branchy };
+
+    explicit RandomProgramGenerator(uint64_t seed,
+                                    Shape shape = Shape::Default)
+        : rng_(seed), shape_(shape)
+    {
+    }
 
     Program
     generate()
@@ -83,6 +99,9 @@ class RandomProgramGenerator
                 Value::lit(bram.elements() - 1, aw + 2).resize(aw + 2));
         }
 
+        if (shape_ == Shape::Branchy)
+            return finishBranchy(out_width);
+
         // Program body: a couple of top-level statements, possibly an
         // if/else tree, one optional while loop, one emit.
         emitPlaced_ = false;
@@ -110,18 +129,7 @@ class RandomProgramGenerator
 
         genBlock(unassigned, out_width, 0);
 
-        // Make sure every BRAM's read address is actually exercised and
-        // each BRAM gets one write site.
-        for (size_t m = 0; m < brams.size(); ++m) {
-            b.assign(brams[m][ctx_.bramReadAddr[m]],
-                     (brams[m][ctx_.bramReadAddr[m]] + bramFreeExpr(1))
-                         .resize(8));
-        }
-        if (!vregs.empty()) {
-            int iw = indexWidth(vregs[0].elements());
-            b.assign(vregs[0][bramFreeExpr(2).resize(iw)],
-                     bramFreeExpr(2).resize(8));
-        }
+        writeMemories();
         if (!emitPlaced_)
             b.emit(anyExpr(2).resize(out_width));
 
@@ -129,6 +137,131 @@ class RandomProgramGenerator
     }
 
   private:
+    /** Make sure every BRAM's read address is actually exercised and
+     * each BRAM and the vector register get one write site. */
+    void
+    writeMemories()
+    {
+        ProgramBuilder &b = *ctx_.b;
+        for (size_t m = 0; m < ctx_.brams.size(); ++m) {
+            Bram &bram = ctx_.brams[m];
+            b.assign(bram[ctx_.bramReadAddr[m]],
+                     (bram[ctx_.bramReadAddr[m]] + bramFreeExpr(1))
+                         .resize(8));
+        }
+        if (!ctx_.vregs.empty()) {
+            int iw = indexWidth(ctx_.vregs[0].elements());
+            b.assign(ctx_.vregs[0][bramFreeExpr(2).resize(iw)],
+                     bramFreeExpr(2).resize(8));
+        }
+    }
+
+    /** The Branchy body: register 0 is the loop counter, reloaded
+     * outside the loop; the rest go to a branch-heavy block. */
+    Program
+    finishBranchy(int out_width)
+    {
+        ProgramBuilder &b = *ctx_.b;
+        std::vector<int> targets;
+        for (size_t i = 1; i < ctx_.regs.size(); ++i)
+            targets.push_back(int(i));
+        whilePlaced_ = false;
+        const bool emitted = branchyBlock(targets, out_width, 0, true,
+                                          false);
+        const Value counter = ctx_.regs[0];
+        const int cw = counter.width();
+        b.assign(counter, b.input().resize(cw) &
+                              Value::lit(7, cw > 3 ? cw : 3).resize(cw));
+        writeMemories();
+        if (!emitted)
+            b.emit(anyExpr(2).resize(out_width));
+        return b.finish();
+    }
+
+    /** An arm condition: BRAM reads allowed (every BRAM has one read
+     * address, so its gates are unrestricted). */
+    Value
+    armCond()
+    {
+        if (!ctx_.brams.empty() && rng_.nextChance(1, 2)) {
+            size_t m = rng_.nextBelow(ctx_.brams.size());
+            return combine(ctx_.brams[m][ctx_.bramReadAddr[m]],
+                           bramFreeExpr(1), 2);
+        }
+        return bramFreeExpr(2);
+    }
+
+    /**
+     * A Branchy block: each register in `targets` is assigned at most
+     * once on any path through it, and it emits at most once on any
+     * path, only if `may_emit`. Returns true if some path emits. Out
+     * of a loop, one arm path at depth 1 or more may hold the loop.
+     */
+    bool
+    branchyBlock(const std::vector<int> &targets, int out_width,
+                 int depth, bool may_emit, bool in_loop)
+    {
+        ProgramBuilder &b = *ctx_.b;
+        const size_t plain = rng_.nextBelow(targets.size() + 1);
+        for (size_t i = 0; i < plain; ++i) {
+            const Value &reg = ctx_.regs[targets[i]];
+            b.assign(reg, anyExpr(2).resize(reg.width()));
+        }
+        const std::vector<int> rest(targets.begin() + plain,
+                                    targets.end());
+        bool emitted = false;
+        if (depth < 3 && (!rest.empty() || rng_.nextChance(1, 2))) {
+            // Mutually exclusive arms: each may assign any of the rest.
+            auto arm = [&] {
+                std::vector<int> subset;
+                for (int t : rest)
+                    if (rng_.nextChance(2, 3))
+                        subset.push_back(t);
+                if (!in_loop && !whilePlaced_ && depth > 0 &&
+                    rng_.nextChance(1, 2)) {
+                    placeWhile(out_width);
+                }
+                emitted = branchyBlock(subset, out_width, depth + 1,
+                                       may_emit, in_loop) ||
+                          emitted;
+            };
+            const int arms = 3 + int(rng_.nextBelow(2));
+            lang::IfChain chain = b.if_(armCond(), arm);
+            for (int k = 1; k < arms; ++k)
+                chain.elseIf(armCond(), arm);
+            if (rng_.nextChance(2, 3))
+                chain.else_(arm);
+        } else {
+            for (int t : rest) {
+                const Value &reg = ctx_.regs[t];
+                b.assign(reg, anyExpr(2).resize(reg.width()));
+            }
+        }
+        if (may_emit && !emitted && rng_.nextChance(1, 3)) {
+            b.emit(anyExpr(2).resize(out_width));
+            emitted = true;
+        }
+        return emitted;
+    }
+
+    /** The loop: counts register 0 down, running a branchy body over
+     * some other registers (loop cycles run no out-of-loop action, so
+     * the body has its own assignment and emit budget). */
+    void
+    placeWhile(int out_width)
+    {
+        whilePlaced_ = true;
+        const Value counter = ctx_.regs[0];
+        std::vector<int> body;
+        for (size_t i = 1; i < ctx_.regs.size(); ++i)
+            if (rng_.nextChance(1, 2))
+                body.push_back(int(i));
+        ctx_.b->while_(counter != 0, [&] {
+            ctx_.b->assign(counter, counter - 1);
+            branchyBlock(body, out_width, 1, true, true);
+        });
+    }
+
     struct Ctx
     {
         ProgramBuilder *b;
@@ -245,20 +378,25 @@ class RandomProgramGenerator
     }
 
     Rng rng_;
+    Shape shape_;
     Ctx ctx_{nullptr, {}, {}, {}, {}};
     bool emitPlaced_ = false;
+    bool whilePlaced_ = false;
 };
 
 class RandomProgramCrossCheck : public ::testing::TestWithParam<uint64_t>
 {
 };
 
-TEST_P(RandomProgramCrossCheck, AllBackendsAgree)
+/**
+ * The functional simulator, the RTL interpreter, the fast replay model
+ * and a batched-engine lane agree on outputs (and the cycle models on
+ * cycles) across stall profiles, and the compiled runtime checks never
+ * fire.
+ */
+void
+crossCheck(const Program &program, uint64_t seed)
 {
-    uint64_t seed = GetParam();
-    RandomProgramGenerator generator(seed);
-    Program program = generator.generate();
-
     Rng rng(seed * 7919 + 1);
     BitBuffer input;
     int tokens = 120 + static_cast<int>(rng.nextBelow(100));
@@ -325,8 +463,120 @@ TEST_P(RandomProgramCrossCheck, AllBackendsAgree)
     }
 }
 
+TEST_P(RandomProgramCrossCheck, AllBackendsAgree)
+{
+    const uint64_t seed = GetParam();
+    crossCheck(RandomProgramGenerator(seed).generate(), seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramCrossCheck,
                          ::testing::Range<uint64_t>(1, 41));
+
+class RandomBranchyProgramCrossCheck
+    : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(RandomBranchyProgramCrossCheck, AllBackendsAgree)
+{
+    const uint64_t seed = GetParam();
+    crossCheck(RandomProgramGenerator(
+                   seed, RandomProgramGenerator::Shape::Branchy)
+                   .generate(),
+               seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomBranchyProgramCrossCheck,
+                         ::testing::Range<uint64_t>(1, 25));
+
+/** What a program's statement tree holds, for the shape check. */
+struct TreeShape
+{
+    size_t longestChain = 0; ///< Most conditional arms in one chain.
+    bool chainWithElse = false;
+    int depth = 0; ///< Deepest `if` nesting.
+    bool whileUnderIf = false;
+    bool readInArmCond = false;
+    bool readInMuxLeg = false;
+
+    void
+    block(const lang::Block &stmts, int if_depth)
+    {
+        for (const auto &stmt : stmts) {
+            if (const auto *i = std::get_if<lang::IfStmt>(&stmt->node)) {
+                longestChain = std::max(longestChain, i->arms.size());
+                chainWithElse = chainWithElse ||
+                                (i->arms.size() >= 3 &&
+                                 !i->elseBlock.empty());
+                depth = std::max(depth, if_depth + 1);
+                for (const auto &[cond, body] : i->arms) {
+                    readInArmCond =
+                        readInArmCond || lang::containsBramRead(cond);
+                    block(body, if_depth + 1);
+                }
+                block(i->elseBlock, if_depth + 1);
+            } else if (const auto *w =
+                           std::get_if<lang::WhileStmt>(&stmt->node)) {
+                whileUnderIf = whileUnderIf || if_depth > 0;
+                block(w->body, if_depth);
+            } else if (const auto *a =
+                           std::get_if<lang::AssignStmt>(&stmt->node)) {
+                muxLegs(a->value);
+            } else if (const auto *e =
+                           std::get_if<lang::EmitStmt>(&stmt->node)) {
+                muxLegs(e->value);
+            }
+        }
+    }
+
+    void
+    muxLegs(const lang::Expr &e)
+    {
+        if (!e || readInMuxLeg)
+            return;
+        if (e->kind == lang::ExprKind::Mux &&
+            (lang::containsBramRead(e->a) ||
+             lang::containsBramRead(e->b))) {
+            readInMuxLeg = true;
+            return;
+        }
+        muxLegs(e->a);
+        muxLegs(e->b);
+        muxLegs(e->c);
+    }
+};
+
+TEST(RandomBranchyPrograms, CoverTheShape)
+{
+    // The seeds the cross-check runs hold every feature it is meant to
+    // exercise, each in several programs.
+    int chains = 0, with_else = 0, deep = 0, nested_loops = 0,
+        arm_reads = 0, leg_reads = 0;
+    for (uint64_t seed = 1; seed < 25; ++seed) {
+        Program program = RandomProgramGenerator(
+                              seed, RandomProgramGenerator::Shape::Branchy)
+                              .generate();
+        TreeShape shape;
+        shape.block(program.body, 0);
+        chains += shape.longestChain >= 3;
+        with_else += shape.chainWithElse;
+        deep += shape.depth >= 3;
+        nested_loops += shape.whileUnderIf;
+        arm_reads += shape.readInArmCond;
+        leg_reads += shape.readInMuxLeg;
+    }
+    EXPECT_GE(chains, 16);
+    EXPECT_GE(with_else, 12);
+    EXPECT_GE(deep, 16);
+    EXPECT_GE(nested_loops, 12);
+    EXPECT_GE(arm_reads, 10);
+    EXPECT_GE(leg_reads, 8);
+    std::printf("of 24 programs: %d chains of 3+ arms, %d with else, %d "
+                "nested 3 deep, %d with a loop under an if, %d with a "
+                "BRAM read in an arm condition, %d in a mux leg\n",
+                chains, with_else, deep, nested_loops, arm_reads,
+                leg_reads);
+}
 
 class RandomProgramTraceConservation
     : public ::testing::TestWithParam<uint64_t>

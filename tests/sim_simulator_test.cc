@@ -385,6 +385,23 @@ TEST(Simulator, UnselectedMuxLegReadsNeverViolate)
               "address 11 out of range (10 elements)");
 }
 
+TEST(Simulator, ReadGatesStayWithTheirStatements)
+{
+    // Two statements read m at different addresses, each in the else
+    // leg of its own mux. Token 2 selects only the second read, any
+    // other token only the first, so no cycle reads two addresses
+    // unless one read is gated by the other statement's select.
+    ProgramBuilder b("gates", 8, 8);
+    Bram m = b.bram("m", 16, 8);
+    Value x = b.reg("x", 8);
+    Value y = b.reg("y", 8);
+    Value in = b.input();
+    b.assign(x, mux(in == 2, in, m[Value::lit(0, 4)]));
+    b.assign(y, mux(in != 2, in, m[Value::lit(1, 4)]));
+    b.emit(x ^ y);
+    EXPECT_EQ(runError(b.finish(), tokens8({1, 2, 1, 2})), "");
+}
+
 TEST(Simulator, ViolationMessagesAreExact)
 {
     const BitBuffer one = tokens8({1});
@@ -497,6 +514,116 @@ TEST(Simulator, ViolationMessagesAreExact)
                       "Identity: stepVcycle after stream completion");
         }
     }
+}
+
+TEST(Simulator, FirstViolationIsTheRead)
+{
+    // One cycle with two violations: the checks run reads, then
+    // assignments, then emits, so the read is the one reported.
+    ProgramBuilder b("both", 8, 8);
+    Bram m = b.bram("m", 16, 8);
+    Value r = b.reg("r", 8);
+    b.assign(r, 1);
+    b.assign(r, (m[Value::lit(0, 4)] + m[Value::lit(1, 4)]).resize(8));
+    EXPECT_EQ(runError(b.finish(), tokens8({1})),
+              "both: restriction violation at token 0: BRAM m read at "
+              "two addresses in one virtual cycle (0 and 1)");
+}
+
+TEST(Simulator, ClosedBranchesNeverViolate)
+{
+    // Every arm but the taken one holds a would-be violation: two
+    // emits, a register written twice, a BRAM read at two addresses.
+    // Token 1 takes the first arm, 2 the second, anything else (the
+    // cleanup's dummy 0 included) the third; the else of the taken
+    // arm's nested if never runs.
+    ProgramBuilder b("arms", 8, 8);
+    Bram m = b.bram("m", 16, 8);
+    Value r = b.reg("r", 8);
+    Value in = b.input();
+    auto two_reads = [&] {
+        b.assign(r, (m[Value::lit(2, 4)] + m[Value::lit(3, 4)]).resize(8));
+    };
+    b.if_(in == 1, [&] {
+         b.if_(in != 0, [&] { b.emit(in); }).else_([&] {
+             b.emit(in);
+             b.emit(in);
+         });
+     })
+        .elseIf(in == 2, [&] {
+            b.assign(r, in);
+            b.if_(in == 2, [&] { b.emit(r); }).else_(two_reads);
+        })
+        .elseIf(in == 1, [&] {
+            b.assign(r, 1);
+            b.assign(r, 2);
+        })
+        .else_([&] {
+            b.if_(in == 3, two_reads);
+            b.emit(m[Value::lit(4, 4)]);
+        });
+    Program program = b.finish();
+    EXPECT_EQ(runError(program, tokens8({1, 2, 5, 1, 2, 0})), "");
+    EXPECT_EQ(runError(program, tokens8({1, 2, 3})),
+              "arms: restriction violation at token 2: BRAM m read at "
+              "two addresses in one virtual cycle (2 and 3)");
+}
+
+TEST(Simulator, OutOfLoopEmitsNeverFireInLoopCycles)
+{
+    // Every token takes one loop cycle, then one that consumes it. The
+    // two out-of-loop emits' `if` holds exactly in the loop cycles,
+    // where out-of-loop actions never run, those before the loop
+    // included.
+    ProgramBuilder b("loop", 8, 8);
+    Value busy = b.reg("busy", 1, 0);
+    b.if_(busy == 0, [&] {
+        b.emit(Value::lit(0xee, 8));
+        b.emit(Value::lit(0xee, 8));
+    });
+    b.while_(busy == 0, [&] { b.assign(busy, Value::lit(1, 1)); });
+    b.emit(b.input());
+    b.assign(busy, Value::lit(0, 1));
+    Program program = b.finish();
+    EXPECT_EQ(runError(program, tokens8({1, 2, 3})), "");
+    SimOptions options;
+    options.recordTrace = true;
+    RunResult result =
+        FunctionalSimulator(program, options).run(tokens8({1, 2, 3}));
+    const std::vector<uint8_t> trace = {
+        0, kVcycleConsumesToken | kVcycleEmits};
+    ASSERT_EQ(result.trace.size(), 8u);
+    for (size_t i = 0; i < result.trace.size(); ++i)
+        EXPECT_EQ(result.trace[i], trace[i % 2]) << i;
+    ASSERT_EQ(result.emits, 4u);
+    EXPECT_EQ(result.output.readBits(0, 32), 0x00030201u);
+}
+
+TEST(Simulator, LaterLoopSeesValuesSkippedOutOfLoop)
+{
+    // An out-of-loop assignment between two loops shares `r ^ 5` with
+    // the second loop's condition. Loop cycles skip the assignment, so
+    // they must still compute the condition afresh: the second loop
+    // runs once, in the first loop's last cycle (r = 2).
+    ProgramBuilder b("loops", 8, 8);
+    Value a = b.reg("a", 3, 3);
+    Value r = b.reg("r", 4, 0);
+    Value done = b.reg("done", 1, 0);
+    Value t = b.reg("t", 4, 0);
+    b.while_(a != 0, [&] {
+        b.assign(a, a - 1);
+        b.assign(r, r + 1);
+    });
+    b.assign(t, r ^ 5);
+    b.while_((r ^ 5) == 7 && done == 0, [&] {
+        b.assign(done, Value::lit(1, 1));
+        b.emit(Value::lit(0xaa, 8));
+    });
+    b.emit(r.resize(8));
+    RunResult result = FunctionalSimulator(b.finish()).run(tokens8({0}));
+    ASSERT_EQ(result.emits, 3u);
+    EXPECT_EQ(result.output.readBits(0, 24), 0x0303aau);
+    EXPECT_EQ(result.vcycles, 5u);
 }
 
 TEST(Simulator, SharedDagEvaluatesInLinearTime)
