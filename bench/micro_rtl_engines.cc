@@ -31,9 +31,10 @@
  * functional simulator (sim/simulator.h): the flattened program's
  * expression nodes beside its evaluation plan's nodes, the time to
  * build that plan (best of kPlanBuilds), and its throughput in virtual
- * cycles per second over the app's generated streams (trace recording
- * on, as in FastPu's pre-run). Its output on every stream must equal
- * Application::golden or the run fails; there is no speed gate on it.
+ * cycles per second over the app's generated streams, timed as
+ * FastPu::arm, the pre-run itself. Its output on every stream must
+ * equal Application::golden or the run fails; there is no speed gate
+ * on it.
  *
  * Modes:
  *  --smoke       short CI configuration; also *gates*: exits non-zero on
@@ -72,6 +73,7 @@
 #include "rtl/tape.h"
 #include "sim/simulator.h"
 #include "system/pu_backend.h"
+#include "system/pu_fast.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -276,21 +278,21 @@ evaluateFunctional(const apps::Application &app,
     r.funcPlanBuildUs = best * 1e6;
     auto plan = std::make_shared<const sim::EvalPlan>(program);
     r.funcPlanNodes = plan->size();
-    sim::SimOptions options;
-    options.recordTrace = true;
+    // A fresh unit per stream, as a one-shot FleetSystem arms them.
     r.funcGolden = true;
     for (const BitBuffer &stream : streams) {
-        sim::FunctionalSimulator simulator(plan, options);
-        r.funcGolden =
-            r.funcGolden && simulator.run(stream).output == app.golden(stream);
+        system::FastPu unit(program, plan);
+        r.funcGolden = r.funcGolden && unit.arm(stream).ok() &&
+                       unit.functionalResult().output == app.golden(stream);
     }
     r.funcS = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
         uint64_t vcycles = 0;
         double t0 = now();
         for (const BitBuffer &stream : streams) {
-            sim::FunctionalSimulator simulator(plan, options);
-            vcycles += simulator.run(stream).vcycles;
+            system::FastPu unit(program, plan);
+            unit.arm(stream);
+            vcycles += unit.functionalResult().vcycles;
         }
         r.funcS = std::min(r.funcS, now() - t0);
         r.funcVcycles = vcycles;

@@ -24,6 +24,12 @@ namespace cluster {
 
 namespace {
 
+/** Liveness guard: rounds with zero progress (nothing armed, retired,
+ * sent, or delivered) before the pipeline declares itself wedged and
+ * strands the remaining jobs. Exceeds linkLatency/epochCycles and any
+ * partition window. */
+constexpr uint64_t kMaxIdleRounds = 1 << 16;
+
 /** Copy bits [begin, begin + len) of `src` into a fresh buffer. */
 BitBuffer
 sliceBits(const BitBuffer &src, uint64_t begin, uint64_t len)
@@ -443,7 +449,7 @@ Pipeline::step()
         idleRounds_ = 0;
         return true;
     }
-    if (++idleRounds_ > config_.maxIdleRounds) {
+    if (++idleRounds_ > kMaxIdleRounds) {
         // Liveness backstop: nothing armed, retired, sent, arrived,
         // computed, or crossed a link for a very long time. Strand
         // what remains instead of spinning.

@@ -75,11 +75,6 @@ struct PipelineConfig
     /** Per-stage stream credits: bound on queued + in-network streams
      * ahead of each stage (and on each edge's send queue). */
     int stageQueueDepth = 4;
-    /** Liveness guard: rounds with zero progress (nothing armed,
-     * retired, sent, or delivered) before the pipeline declares
-     * itself wedged and strands the remaining jobs. Must exceed
-     * linkLatency/epochCycles and any partition window. */
-    uint64_t maxIdleRounds = 1 << 16;
 };
 
 /** Final, per-job pipeline result. Everything simulated is

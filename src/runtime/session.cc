@@ -82,11 +82,7 @@ Session::Session(std::vector<lang::Program> programs,
 {
     if (config_.epochCycles == 0)
         panic("SessionConfig::epochCycles must be nonzero");
-    scheduler_ = config_.schedulerFactory
-                     ? config_.schedulerFactory()
-                     : makeScheduler(config_.scheduler);
-    if (!scheduler_)
-        panic("SessionConfig::schedulerFactory returned null");
+    scheduler_ = makeScheduler(config_.scheduler);
     queueDepthTrack_.name = "session/queue_depth";
     inFlightTrack_.name = "session/jobs_in_flight";
     queueWaitTrack_.name = "session/queue_wait_cycles";

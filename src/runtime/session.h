@@ -42,7 +42,6 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -108,19 +107,12 @@ struct SessionConfig
      */
     bool requeueStranded = false;
     /**
-     * Scheduling policy (ISSUE 8): FIFO (legacy, default), strict
-     * priority classes, shortest-job-first, or weighted fair queuing
-     * across tenants. With the default (Fifo, no factory) the arm
-     * order is cycle-exact with the pre-scheduler runtime.
+     * Scheduling policy: FIFO (legacy, default), strict priority
+     * classes, shortest-job-first, or weighted fair queuing across
+     * tenants. With the default (Fifo) the arm order is cycle-exact
+     * with the pre-scheduler runtime.
      */
     SchedulerConfig scheduler;
-    /**
-     * Pluggable override: when set, the session builds its scheduler
-     * from this factory instead of makeScheduler(scheduler). The
-     * returned policy must be a pure function of simulated state
-     * (runtime/scheduler.h) or the bit-identity fences break.
-     */
-    std::function<std::unique_ptr<Scheduler>()> schedulerFactory;
 };
 
 /** Per-tenant session accounting (ISSUE 8): the scheduler-side slice

@@ -327,10 +327,8 @@ FleetService::feedSessionLocked()
     // and the session queue becomes the scheduling pool. The FIFO
     // default keeps the legacy 2x bound (and its byte-identical
     // feed order).
-    const bool fifo_default =
-        config_.session.scheduler.policy ==
-            runtime::SchedulerPolicy::Fifo &&
-        !config_.session.schedulerFactory;
+    const bool fifo_default = config_.session.scheduler.policy ==
+                              runtime::SchedulerPolicy::Fifo;
     const uint64_t target =
         fifo_default ? 2 * static_cast<uint64_t>(session_.liveSlots())
                      : UINT64_MAX;

@@ -54,7 +54,7 @@
  * demand through a per-cycle memo.
  *
  * A plan is built once per program and shared read-only by every
- * simulator of it (FastPu re-arms, SIMT lanes); per-cycle simulator
+ * simulator of it (FastPu arms, SIMT lanes); per-cycle simulator
  * state is sized by plan.size() alone.
  */
 

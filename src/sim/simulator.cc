@@ -311,14 +311,6 @@ FunctionalSimulator::runVcycle(RunResult &result,
     prevWriteAddr_.swap(bramWriteAddr_);
 
     ++result.vcycles;
-    if (options_.recordTrace) {
-        uint8_t flags = 0;
-        if (!while_active)
-            flags |= kVcycleConsumesToken;
-        if (emitted)
-            flags |= kVcycleEmits;
-        result.trace.push_back(flags);
-    }
     return !while_active;
 }
 
@@ -342,9 +334,6 @@ FunctionalSimulator::begin(const BitBuffer &input)
     input_ = &input;
     tokenCount_ = input.sizeBits() / program.inputTokenWidth;
     result_ = RunResult();
-    // Every token takes at least one virtual cycle, plus the cleanup.
-    if (options_.recordTrace)
-        result_.trace.reserve(tokenCount_ + 1);
     vcyclesThisToken_ = 0;
     if (tokenCount_ == 0) {
         phase_ = Phase::Cleanup;
@@ -400,13 +389,20 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
 }
 
 RunResult
-FunctionalSimulator::run(const BitBuffer &input)
+FunctionalSimulator::run(const BitBuffer &input,
+                         std::vector<uint8_t> *flags)
 {
     // Reads `input` in place: never leave the stepping interface on it.
     begin(input);
+    // Every token takes at least one virtual cycle, plus the cleanup.
+    if (flags)
+        flags->reserve(flags->size() + tokenCount_ + 1);
     try {
-        while (!streamDone())
-            stepVcycle();
+        while (!streamDone()) {
+            const uint8_t f = stepVcycle();
+            if (flags)
+                flags->push_back(f);
+        }
     } catch (...) {
         phase_ = Phase::Done;
         input_ = nullptr;

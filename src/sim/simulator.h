@@ -15,11 +15,11 @@
  *  - more than one assignment to a register or vector element per cycle,
  *  - out-of-range BRAM/vector writes or gated BRAM reads.
  *
- * It can also record a per-virtual-cycle trace (token consumed? token
- * emitted?) which the fast full-system PU timing model replays
- * (system/pu_fast.h), and it reports whether any virtual cycle read a BRAM
- * address written by the immediately preceding virtual cycle — the paper's
- * check for eliding the BRAM forwarding register.
+ * Each virtual cycle reports its flags (token consumed? token emitted?);
+ * run() can keep them, and the fast full-system PU timing model replays
+ * them (system/pu_fast.h). The simulator also reports whether any virtual
+ * cycle read a BRAM address written by the immediately preceding virtual
+ * cycle — the paper's check for eliding the BRAM forwarding register.
  *
  * The simulator runs from the program's EvalPlan (sim/plan.h), shared by
  * every simulator of the program, already folded and hash-consed. Each
@@ -60,8 +60,6 @@ enum VcycleFlags : uint8_t
 
 struct SimOptions
 {
-    /** Record the per-virtual-cycle trace in RunResult::trace. */
-    bool recordTrace = false;
     /** Abort if a single token takes more virtual cycles than this. */
     uint64_t maxVcyclesPerToken = 1ULL << 22;
 };
@@ -72,7 +70,6 @@ struct RunResult
     uint64_t tokens = 0;        ///< Input tokens consumed.
     uint64_t vcycles = 0;       ///< Total virtual cycles (incl. cleanup).
     uint64_t emits = 0;         ///< Output tokens produced.
-    std::vector<uint8_t> trace; ///< Per-vcycle flags if recordTrace.
     /**
      * True if some virtual cycle read a BRAM address written by the
      * previous virtual cycle; if false for all example streams, the
@@ -87,7 +84,7 @@ class FunctionalSimulator
     explicit FunctionalSimulator(const lang::Program &program,
                                  SimOptions options = {});
     /** Run from a plan shared with other simulators of its program;
-     * callers that build many (FastPu re-arms, SIMT lanes) lower the
+     * callers that build many (FastPu arms, SIMT lanes) lower the
      * program once. */
     explicit FunctionalSimulator(std::shared_ptr<const EvalPlan> plan,
                                  SimOptions options = {});
@@ -95,9 +92,12 @@ class FunctionalSimulator
     /**
      * Run the program over a complete input stream (tokens packed at the
      * program's input token width), including the stream-finished cleanup
-     * virtual cycles. Throws FatalError on a restriction violation.
+     * virtual cycles. Throws FatalError on a restriction violation. If
+     * `flags` is non-null, each virtual cycle's VcycleFlags (what
+     * stepVcycle() returns) are appended to it.
      */
-    RunResult run(const BitBuffer &input);
+    RunResult run(const BitBuffer &input,
+                  std::vector<uint8_t> *flags = nullptr);
 
     /// @name Single-step interface (used by the SIMT divergence model).
     /// @{

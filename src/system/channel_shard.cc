@@ -41,18 +41,20 @@ ChannelShard::ChannelShard(int channel_index,
 }
 
 void
-ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index,
-                    uint64_t stream_bits)
+ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index)
 {
     PuSlot slot;
     slot.pu = std::move(pu);
     slot.globalIndex = global_index;
-    slot.streamBits = stream_bits;
-    // One-shot runs arm one stream per unit: its job id is the global
-    // PU index. Session arms overwrite this per job (rearmPu).
+    slot.parked = true;
+    // Until a job arms it, the slot reports its global PU index as the
+    // job id (a one-shot run arms exactly that job).
     slot.jobId = static_cast<uint64_t>(global_index);
     pus_.push_back(std::move(slot));
     asleep_.push_back(0);
+    // A parked lane counts as finished-and-flushed so it never blocks
+    // the channel's completion check.
+    outputCtrl_->setPuFinished(numPus() - 1);
     if (trace_)
         trace_->addPu(global_index);
 }
@@ -128,7 +130,7 @@ ChannelShard::cancelPu(int local, Status status)
     PuSlot &slot = pus_[local];
     if (state_ != ShardState::Active)
         return false;
-    if (slot.parked || slot.failed || !slot.hasJob)
+    if (slot.parked || slot.failed)
         return false;
     if (puDrained(local))
         return false; // Already drained: the job won, retire it.
@@ -162,18 +164,6 @@ ChannelShard::recomputeWatchdogBudget()
     uint64_t scaled = static_cast<uint64_t>(watchdogStreamFactor_ *
                                             double(max_tokens));
     watchdogBudget_ = std::max(watchdogBudget_, scaled);
-}
-
-ChannelOutcome
-ChannelShard::run(int input_token_width, int output_token_width,
-                  uint64_t max_cycles, uint64_t watchdog_cycles)
-{
-    beginRun(input_token_width, output_token_width, max_cycles,
-             watchdog_cycles);
-    // The budget never binds before max_cycles does, so this is the
-    // legacy single uninterrupted loop.
-    step(UINT64_MAX);
-    return finishRun();
 }
 
 void
@@ -493,7 +483,7 @@ ChannelShard::finishRun()
     if (trace_) {
         for (size_t l = 0; l < pus_.size(); ++l) {
             PuSlot &slot = pus_[l];
-            if (slot.hasJob)
+            if (!slot.parked)
                 trace_->jobSpan(static_cast<int>(l), slot.jobId,
                                 slot.armCycle, cycles_);
         }
@@ -528,7 +518,7 @@ bool
 ChannelShard::puDrained(int local) const
 {
     const PuSlot &slot = pus_[local];
-    if (slot.parked || !slot.hasJob)
+    if (slot.parked)
         return false;
     if (!slot.finishedSeen && !slot.failed)
         return false;
@@ -576,26 +566,12 @@ ChannelShard::retireJob(int local)
     slot.pastOutputBytes += ceilDiv(slot.emittedBits, 8);
     ++slot.jobsRetired;
     slot.parked = true;
-    slot.hasJob = false;
     slot.failed = false;
     slot.finishedSeen = false;
     slot.streamBits = 0;
     slot.emittedBits = 0;
     recomputeWatchdogBudget();
     return job;
-}
-
-void
-ChannelShard::parkPu(int local)
-{
-    wakeLane(local, cycles_);
-    PuSlot &slot = pus_[local];
-    slot.parked = true;
-    slot.hasJob = false;
-    slot.streamBits = 0;
-    // A parked lane counts as finished-and-flushed so it never blocks
-    // the channel's completion check.
-    outputCtrl_->setPuFinished(local);
 }
 
 void
@@ -612,9 +588,7 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
     wakeLane(local, cycles_);
     inputCtrl_->rearmPu(local, stream_bits);
     outputCtrl_->rearmPu(local);
-    slot.pu->reset();
     slot.parked = false;
-    slot.hasJob = true;
     slot.jobId = job_id;
     slot.armCycle = cycles_;
     slot.streamBits = stream_bits;

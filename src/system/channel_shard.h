@@ -12,10 +12,9 @@
  * no shared mutable state and still be bit-for-bit identical to a
  * single-threaded run (per-shard cycle counts merge as a max at the end).
  *
- * A shard's run() loop is the reference semantics: the legacy
- * single-threaded FleetSystem::run() is now "run every shard in sequence
- * on the calling thread", which is why numThreads = 1 and numThreads = N
- * are byte-identical by construction (enforced by determinism_test).
+ * Every thread count runs the same per-shard loop, which is why
+ * numThreads = 1 and numThreads = N are byte-identical by construction
+ * (enforced by determinism_test).
  *
  * Failure containment (ISSUE 2): the shard is also the failure boundary.
  * Per-PU faults (parity errors on corrupted read beats, output-region
@@ -23,19 +22,19 @@
  * controllers and skipped thereafter while its channel-mates run to
  * completion. Channel-level faults (a forward-progress watchdog trip,
  * the cycle limit, an unexpected exception) end this shard's run with a
- * diagnostic ChannelOutcome; other shards are unaffected. run() never
+ * diagnostic ChannelOutcome; other shards are unaffected. step() never
  * throws for simulation failures — it reports.
  *
- * Incremental stepping (ISSUE 5): run() is the one-shot wrapper over a
- * resumable three-phase protocol — beginRun() initializes the loop
- * state, step(budget) advances up to `budget` cycles and parks at the
- * budget, on completion (Idle), or on a channel-level failure (Halted),
- * and finishRun() settles the ChannelOutcome. Between step() slices a
- * caller may retire a drained unit's job (retireJob) and re-arm the
- * slot with a fresh stream (rearmPu) without disturbing channel-mates
- * mid-flight — the multi-stream job runtime (runtime/session.h) is
- * built on exactly this seam. run() == beginRun + step(unbounded) +
- * finishRun, so the one-shot path is bit-identical by construction.
+ * One arm path: units attach parked; beginRun() initializes the loop
+ * state, and each stream arms its slot with rearmPu() (its unit
+ * already armed by the caller, ProcessingUnit::arm). step(budget)
+ * advances up to `budget` cycles and parks at the budget, on completion
+ * (Idle), or on a channel-level failure (Halted), and finishRun()
+ * settles the ChannelOutcome. Between step() slices a caller may retire
+ * a drained unit's job (retireJob) and re-arm the slot with a fresh
+ * stream without disturbing channel-mates mid-flight. A one-shot run
+ * is the same protocol: every slot armed once at cycle 0 under its
+ * global PU index as job id, then one unbounded step().
  *
  * Sleeping lanes: the cost of a cycle scales with the lanes that can
  * make progress. An untraced, unbatched unit that is quiet() — starved,
@@ -154,15 +153,18 @@ class ChannelShard
                  uint64_t mem_bytes, const fault::FaultPlan &fault_plan,
                  const trace::TraceConfig &trace_config = {});
 
-    /** Attach the next processing unit (local index = attach order). */
-    void addPu(std::unique_ptr<ProcessingUnit> pu, int global_index,
-               uint64_t stream_bits);
+    /**
+     * Attach the next processing unit (local index = attach order),
+     * parked: it holds no job, is skipped by the cycle loop, and never
+     * blocks channel completion until rearmPu() arms it.
+     */
+    void addPu(std::unique_ptr<ProcessingUnit> pu, int global_index);
 
     /**
      * Attach a batched RTL engine whose lane l is the PU with local
      * index locals[l] (empty locals = identity: lane l is local l,
      * covering every PU — the legacy single-program arrangement). When
-     * a local is covered by a batch, run() evaluates and steps it
+     * a local is covered by a batch, step() evaluates and steps it
      * through the batch's vectorized group calls instead of per-unit
      * eval()/step() — observably identical, since phase 1 of the cycle
      * loop only reads per-PU controller state. Multi-program sessions
@@ -171,17 +173,6 @@ class ChannelShard
      */
     void attachBatch(std::shared_ptr<RtlBatch> batch,
                      std::vector<int> locals = {});
-
-    /**
-     * Run this channel until all attached PUs are finished or contained
-     * and all output is flushed to channel memory. Self-contained —
-     * touches no state outside the shard, so shards may run
-     * concurrently. Simulation failures (watchdog stall, cycle-limit
-     * overrun, escaped exceptions) are returned as the ChannelOutcome,
-     * never thrown. Exactly beginRun + step(unbounded) + finishRun.
-     */
-    ChannelOutcome run(int input_token_width, int output_token_width,
-                       uint64_t max_cycles, uint64_t watchdog_cycles);
 
     /// @name Incremental stepping (the job runtime's driving seam).
     /// @{
@@ -207,14 +198,6 @@ class ChannelShard
     const Status &haltStatus() const { return haltStatus_; }
 
     /**
-     * Park a slot: it holds no job, is skipped by the cycle loop, and
-     * never blocks channel completion. Session-mode construction parks
-     * every slot; retireJob() parks the slot it retires. Arm with
-     * rearmPu(). Call only before beginRun() or on a retired slot.
-     */
-    void parkPu(int local);
-
-    /**
      * True once `local`'s armed job has fully drained: the unit
      * finished (or was contained), its input lane is idle, and every
      * output bit has been flushed to channel memory — so the output
@@ -232,15 +215,22 @@ class ChannelShard
     /**
      * Arm a parked slot with a fresh stream of `stream_bits` payload
      * bits (already written at the lane's region base by the caller,
-     * who also re-targeted a stream-specialized unit — FastPu::rearm).
-     * Resets both controller lanes and the unit, starts the job's trace
-     * span, and re-bases the forward-progress watchdog. Channel-mates
-     * are untouched mid-flight. The shard becomes Active.
+     * who also armed the unit with it — ProcessingUnit::arm). Resets
+     * both controller lanes, starts the job's trace span, and re-bases
+     * the forward-progress watchdog. Channel-mates are untouched
+     * mid-flight. The shard becomes Active.
      */
     void rearmPu(int local, uint64_t stream_bits, uint64_t job_id);
 
-    /** The attached unit (the system layer re-targets FastPu here). */
-    ProcessingUnit &processingUnit(int local) { return *pus_[local].pu; }
+    /**
+     * Arm `local`'s unit with the stream its next rearmPu() feeds it
+     * (ProcessingUnit::arm). Touches only that unit, so distinct lanes
+     * arm concurrently; never call it while the shard steps.
+     */
+    Status armUnit(int local, const BitBuffer &stream)
+    {
+        return pus_[local].pu->arm(stream);
+    }
 
     /** True when the slot holds no job and can be armed. */
     bool puParked(int local) const { return pus_[local].parked; }
@@ -298,7 +288,7 @@ class ChannelShard
         return *outputCtrl_;
     }
 
-    /// @name Per-PU results, by local index (valid after run()).
+    /// @name Per-PU results, by local index (valid after finishRun()).
     /// @{
     const PuStats &puStats(int local) const { return pus_[local].stats; }
     uint64_t emittedBits(int local) const { return pus_[local].emittedBits; }
@@ -312,7 +302,7 @@ class ChannelShard
     }
     /// @}
 
-    /** Utilization counters (valid after run()). */
+    /** Utilization counters (valid after finishRun()). */
     const ChannelStats &stats() const { return stats_; }
 
     /** True if this shard carries a trace collector. */
@@ -321,7 +311,8 @@ class ChannelShard
     /**
      * Freeze and take the channel's trace — spans closed at the final
      * cycle, component CounterSets harvested from the DRAM model, both
-     * controllers, and every attached unit. Call once, after run().
+     * controllers, and every attached unit. Call once, after
+     * finishRun().
      */
     trace::ChannelTrace takeTrace();
 
@@ -334,10 +325,9 @@ class ChannelShard
         uint64_t emittedBits = 0;
         bool finishedSeen = false;
         bool failed = false; ///< Contained: skipped until re-armed.
-        bool parked = false; ///< No job: skipped, never blocks finish.
-        /** Armed via rearmPu (job runtime) — a trace job span is open.
-         * One-shot slots armed by addPu stay false: no job spans. */
-        bool hasJob = false;
+        /** No job: skipped, never blocks finish. An armed slot has an
+         * open trace job span. */
+        bool parked = false;
         uint64_t jobId = 0;
         uint64_t armCycle = 0;
         /** Retired jobs' bytes, rolled up for the channel stats. */

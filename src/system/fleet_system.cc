@@ -251,11 +251,10 @@ FleetSystem::build(int num_slots)
             bindings_[p].backend.value_or(config_.backend);
 
     // Fault injection: stream truncation models a short or interrupted
-    // upload. It must happen before memory layout *and* before FastPu
-    // construction (the fast model pre-computes its trace over the
-    // exact stream), so it is the very first transformation. Session
-    // mode truncates per job at armJob() instead — same hash, keyed by
-    // job id.
+    // upload. It must happen before memory layout *and* before the
+    // units arm (FastPu pre-runs the exact stream), so it is the very
+    // first transformation. Session mode truncates per job at armJob()
+    // instead — same hash, keyed by job id.
     truncation_.resize(num_slots);
     for (int p = 0; p < num_slots; ++p) {
         if (sessionMode_) {
@@ -306,9 +305,9 @@ FleetSystem::build(int num_slots)
         puShard_[p] = ch;
         puLocal_[p] = static_cast<int>(layout.globalPu.size());
 
+        // Lanes start parked; arming a slot sets its stream length.
         memctl::StreamRegion in;
         in.baseAddr = layout.bytes;
-        in.streamBits = sessionMode_ ? 0 : streams_[p].sizeBits();
         in.regionBytes =
             sessionMode_ ? session_region_bytes
                          : roundUp(ceilDiv(streams_[p].sizeBits(), 8),
@@ -341,8 +340,7 @@ FleetSystem::build(int num_slots)
         }
     }
 
-    // Instantiate one self-contained shard per channel and copy its
-    // streams into channel memory (session jobs upload at arm time).
+    // Instantiate one self-contained shard per channel.
     for (int ch = 0; ch < channels; ++ch) {
         Layout &layout = layouts[ch];
         auto shard = std::make_unique<ChannelShard>(
@@ -351,28 +349,17 @@ FleetSystem::build(int num_slots)
             std::max<uint64_t>(layout.bytes, burst_bytes),
             config_.faults, config_.trace);
         shard->setWatchdogStreamFactor(config_.watchdogStreamFactor);
-        auto &mem = shard->channel().memory();
         for (size_t l = 0; l < layout.inputs.size(); ++l) {
-            if (!sessionMode_) {
-                const BitBuffer &stream = streams_[layout.globalPu[l]];
-                auto bytes = stream.toBytes();
-                std::copy(bytes.begin(), bytes.end(),
-                          mem.begin() + layout.inputs[l].baseAddr);
-            }
             inputRegions_[layout.globalPu[l]] = layout.inputs[l];
             outputRegions_[layout.globalPu[l]] = layout.outputs[l];
         }
         shards_.push_back(std::move(shard));
     }
 
-    // Instantiate the processing units. Each hosted program's RTL is
-    // compiled exactly once (circuit, and for the batched engines the
-    // optimizer + tape) and shared by every slot bound to it. FastPu
-    // construction pre-runs the functional simulator over the unit's
-    // whole stream — the dominant construction cost — and units are
-    // independent, so build them on the worker pool (the shared tables
-    // below are finalized serially first). Session slots start with an
-    // empty stream; armJob re-targets the unit per job.
+    // Instantiate the processing units, parked. Each hosted program's
+    // RTL is compiled exactly once (circuit, and for the batched
+    // engines the optimizer + tape) and shared by every slot bound to
+    // it.
     std::vector<std::optional<compile::CompiledUnit>> compiled(
         programs_.size());
     std::vector<std::shared_ptr<const RtlTapeEngine>> engines(
@@ -387,11 +374,9 @@ FleetSystem::build(int num_slots)
                 std::make_shared<const RtlTapeEngine>(programs_[g]);
     };
     // One evaluation plan per hosted program, shared by its FastPus
-    // across every re-arm (see FastPu). Session slots all start on the
-    // empty stream, so its pre-run is shared per program too.
+    // across every arm (see FastPu).
     std::vector<std::shared_ptr<const sim::EvalPlan>> plans(
         programs_.size());
-    std::vector<sim::RunResult> emptyRuns(programs_.size());
     // Group the SoA-batched slots by (channel, program): one RtlBatch
     // per group, attached with the channel-local lanes it drives. A
     // single-program all-Rtl session degenerates to the legacy one
@@ -405,12 +390,9 @@ FleetSystem::build(int num_slots)
         const uint32_t g = bindings_[p].program;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
-            if (!plans[g]) {
+            if (!plans[g])
                 plans[g] =
                     std::make_shared<const sim::EvalPlan>(programs_[g]);
-                if (sessionMode_)
-                    emptyRuns[g] = FastPu::prerun(plans[g], BitBuffer{});
-            }
             break;
           case PuBackend::RtlInterp:
             needCompiled(g);
@@ -473,33 +455,53 @@ FleetSystem::build(int num_slots)
             attachGroup(ch, g, globals, std::move(jit));
         }
     }
-    std::vector<std::unique_ptr<ProcessingUnit>> pus(num_slots);
-    parallelFor(resolveThreads(num_slots), num_slots, [&](int p) {
+    for (int p = 0; p < num_slots; ++p) {
         const uint32_t g = bindings_[p].program;
+        std::unique_ptr<ProcessingUnit> pu;
         switch (slotBackends_[p]) {
           case PuBackend::Fast:
-            pus[p] = sessionMode_
-                         ? std::make_unique<FastPu>(plans[g], emptyRuns[g])
-                         : std::make_unique<FastPu>(programs_[g],
-                                                    streams_[p], plans[g]);
+            pu = std::make_unique<FastPu>(programs_[g], plans[g]);
             break;
           case PuBackend::RtlInterp:
-            pus[p] = std::make_unique<RtlPu>(*compiled[g]);
+            pu = std::make_unique<RtlPu>(*compiled[g]);
             break;
           case PuBackend::Rtl:
           case PuBackend::RtlJit:
-            pus[p] = std::make_unique<RtlBatchLane>(slotBatch[p].first,
-                                                    slotBatch[p].second);
+            pu = std::make_unique<RtlBatchLane>(slotBatch[p].first,
+                                                slotBatch[p].second);
             break;
         }
-    });
-    for (int p = 0; p < num_slots; ++p) {
-        shards_[puShard_[p]]->addPu(
-            std::move(pus[p]), p,
-            sessionMode_ ? 0 : streams_[p].sizeBits());
-        if (sessionMode_)
-            shards_[puShard_[p]]->parkPu(puLocal_[p]);
+        shards_[puShard_[p]]->addPu(std::move(pu), p);
     }
+    if (sessionMode_)
+        return;
+
+    // One-shot: start the clock and arm every slot with its stream, as
+    // armJob arms a session job, the job id being the global PU index.
+    // Loading is independent per slot and FastPu's pre-run dominates
+    // construction, so the slots load on the worker pool. A unit that
+    // refuses its stream is contained at cycle 0 while its
+    // channel-mates run.
+    beginSession();
+    std::vector<Status> loaded(num_slots);
+    parallelFor(resolveThreads(num_slots), num_slots,
+                [&](int p) { loaded[p] = loadSlot(p, streams_[p]); });
+    for (int p = 0; p < num_slots; ++p) {
+        ChannelShard &shard = *shards_[puShard_[p]];
+        shard.rearmPu(puLocal_[p], streams_[p].sizeBits(), uint64_t(p));
+        if (!loaded[p].ok())
+            shard.cancelPu(puLocal_[p], std::move(loaded[p]));
+    }
+}
+
+Status
+FleetSystem::loadSlot(int pu, const BitBuffer &stream)
+{
+    ChannelShard &shard = *shards_[puShard_[pu]];
+    auto bytes = stream.toBytes();
+    std::copy(bytes.begin(), bytes.end(),
+              shard.channel().memory().begin() + inputRegions_[pu].baseAddr);
+    return shard.armUnit(puLocal_[pu], stream);
 }
 
 FleetSystem::~FleetSystem() = default;
@@ -522,28 +524,18 @@ FleetSystem::run()
             "FleetSystem::run() called twice; construct a fresh system "
             "or serve many streams through runtime::Session"));
     auto start = std::chrono::steady_clock::now();
-    const int in_width = programs_[0].inputTokenWidth;
-    const int out_width = programs_[0].outputTokenWidth;
 
     // Channels never communicate (Section 5), so each shard runs its
     // whole simulation independently; the system's cycle count is the
-    // slowest channel's. This is exactly what the old global lockstep
-    // loop computed — finished channels only idled until the last one
-    // drained — so outputs, stats, and cycles are bit-identical.
-    // Failures are contained per shard: each worker writes only its own
-    // ChannelOutcome slot, and shard run loops never throw.
-    report_ = RunReport{};
-    report_.channels.resize(numShards());
-    report_.pus.resize(numPus());
+    // slowest channel's. Failures are contained per shard: shard step
+    // loops never throw.
     threadsUsed_ = resolveThreads(numShards());
-    parallelFor(threadsUsed_, numShards(), [&](int s) {
-        report_.channels[s] = shards_[s]->run(
-            in_width, out_width, config_.maxCycles,
-            config_.watchdogCycles);
-    });
+    parallelFor(threadsUsed_, numShards(),
+                [&](int s) { shards_[s]->step(UINT64_MAX); });
+    settle();
 
     for (int p = 0; p < numPus(); ++p) {
-        PuOutcome outcome = shards_[puShard_[p]]->puOutcome(puLocal_[p]);
+        PuOutcome &outcome = report_.pus[p];
         auto [kept, original] = truncation_[p];
         if (outcome.status.code == StatusCode::Ok && kept != original) {
             // The unit completed, but over an injected short stream:
@@ -555,8 +547,23 @@ FleetSystem::run()
             outcome.status =
                 Status::make(StatusCode::StreamTruncated, os.str());
         }
-        report_.pus[p] = outcome;
     }
+    wallSeconds_ = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    return report_;
+}
+
+void
+FleetSystem::settle()
+{
+    report_ = RunReport{};
+    report_.channels.resize(numShards());
+    report_.pus.resize(numPus());
+    for (int s = 0; s < numShards(); ++s)
+        report_.channels[s] = shards_[s]->finishRun();
+    for (int p = 0; p < numPus(); ++p)
+        report_.pus[p] = shards_[puShard_[p]]->puOutcome(puLocal_[p]);
 
     // Assemble the observability report on the calling thread, in
     // channel order — deterministic regardless of how many workers
@@ -567,17 +574,12 @@ FleetSystem::run()
         trace_report->clockMHz = config_.clockMHz;
         for (auto &shard : shards_)
             trace_report->channels.push_back(shard->takeTrace());
+        trace_report->sessionTracks = std::move(sessionTracks_);
         report_.trace = std::move(trace_report);
     }
 
-    cycles_ = 0;
-    for (const auto &shard : shards_)
-        cycles_ = std::max(cycles_, shard->cycles());
-    wallSeconds_ = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+    cycles_ = sessionCycles();
     ran_ = true;
-    return report_;
 }
 
 const RunReport &
@@ -641,14 +643,14 @@ FleetSystem::output(int pu) const
 void
 FleetSystem::beginSession()
 {
-    if (!sessionMode_ || sessionBegun_)
+    if (begun_)
         return;
     const int in_width = programs_[0].inputTokenWidth;
     const int out_width = programs_[0].outputTokenWidth;
     for (auto &shard : shards_)
         shard->beginRun(in_width, out_width, config_.maxCycles,
                         config_.watchdogCycles);
-    sessionBegun_ = true;
+    begun_ = true;
 }
 
 Status
@@ -709,16 +711,12 @@ FleetSystem::armJob(int pu, BitBuffer stream, uint64_t job_id)
         return Status::make(StatusCode::InvalidArgument, os.str());
     }
 
-    // Upload the stream to the slot's region base, re-target the
-    // stream-specialized unit, then re-arm the controller lanes.
-    auto bytes = stream.toBytes();
-    auto &mem = shard.channel().memory();
-    std::copy(bytes.begin(), bytes.end(),
-              mem.begin() + inputRegions_[pu].baseAddr);
-    if (slotBackends_[pu] == PuBackend::Fast)
-        static_cast<FastPu &>(shard.processingUnit(local)).rearm(stream);
-    shard.rearmPu(local, stream.sizeBits(), job_id);
-    return Status::make(StatusCode::Ok);
+    // A unit that refuses the stream leaves the slot parked for the
+    // next job.
+    Status loaded = loadSlot(pu, stream);
+    if (loaded.ok())
+        shard.rearmPu(local, stream.sizeBits(), job_id);
+    return loaded;
 }
 
 void
@@ -811,28 +809,7 @@ FleetSystem::finishSession()
         throw StatusError(Status::make(
             StatusCode::InvalidState, "finishSession() called twice"));
     beginSession();
-    report_ = RunReport{};
-    report_.channels.resize(numShards());
-    report_.pus.resize(numPus());
-    for (int s = 0; s < numShards(); ++s)
-        report_.channels[s] = shards_[s]->finishRun();
-    for (int p = 0; p < numPus(); ++p)
-        report_.pus[p] = shards_[puShard_[p]]->puOutcome(puLocal_[p]);
-
-    if (config_.trace.enabled()) {
-        auto trace_report = std::make_shared<trace::TraceReport>();
-        trace_report->config = config_.trace;
-        trace_report->clockMHz = config_.clockMHz;
-        for (auto &shard : shards_)
-            trace_report->channels.push_back(shard->takeTrace());
-        trace_report->sessionTracks = std::move(sessionTracks_);
-        report_.trace = std::move(trace_report);
-    }
-
-    cycles_ = 0;
-    for (const auto &shard : shards_)
-        cycles_ = std::max(cycles_, shard->cycles());
-    ran_ = true;
+    settle();
     return report_;
 }
 

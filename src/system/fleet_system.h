@@ -10,7 +10,11 @@
  * needed"). Mirrors the paper's software runtime (Section 2): the user
  * supplies one stream per processing unit, the runtime places them in
  * (simulated) FPGA DRAM, kicks off the units, and reads back each unit's
- * output region when all units have finished.
+ * output region when all units have finished. A unit starts one way,
+ * in one-shot runs and session jobs alike: its stream is uploaded into
+ * its slot's input region, the unit is armed with it
+ * (ProcessingUnit::arm; FastPu pre-runs it there), and the slot's
+ * controller lanes are re-armed (ChannelShard::rearmPu).
  *
  * Because channels share nothing, each channel's simulation is owned by a
  * ChannelShard (channel_shard.h) and the shards are stepped concurrently
@@ -22,7 +26,10 @@
  * throwing. Per-PU faults — a parity error on a corrupted read beat, an
  * output-region overflow — quarantine that unit while its channel-mates
  * complete; channel-level failures (forward-progress watchdog, cycle
- * limit) end that channel with a diagnostic status. Deterministic fault
+ * limit) end that channel with a diagnostic status. A unit that refuses
+ * its stream at arm time (InvalidArgument: a restriction violation in
+ * FastPu's pre-run) is contained at cycle 0 in a one-shot run; armJob
+ * returns the Status and leaves the slot parked. Deterministic fault
  * injection is configured via SystemConfig::faults (fault/fault.h);
  * with the plan disabled (the default) runs are bit-identical to the
  * pre-fault-layer simulator.
@@ -105,8 +112,8 @@ struct SystemConfig
      */
     trace::TraceConfig trace;
     /**
-     * Host worker threads used to step the channel shards (and to
-     * pre-compute the fast model's functional traces). 0 = one per
+     * Host worker threads used to step the channel shards (and to arm
+     * one-shot units: FastPu's functional pre-runs). 0 = one per
      * hardware thread; 1 = legacy single-threaded path (no pool).
      * Results are identical for every value — see channel_shard.h.
      */
@@ -119,8 +126,9 @@ class FleetSystem
 {
   public:
     /**
-     * Build a system with one processing unit per input stream. Each
-     * stream must be a whole number of input tokens.
+     * Build a system with one processing unit per input stream, each
+     * slot armed with its stream as a job whose id is the PU index.
+     * Each stream must be a whole number of input tokens.
      */
     FleetSystem(const lang::Program &program, const SystemConfig &config,
                 std::vector<BitBuffer> streams);
@@ -193,18 +201,20 @@ class FleetSystem
 
     bool sessionMode() const { return sessionMode_; }
 
-    /** Start the session clock: beginRun on every shard. */
+    /** Start the clock: beginRun on every shard (once; one-shot
+     * construction starts it to arm its slots). */
     void beginSession();
 
     /**
      * Arm a parked slot with a job: applies the fault plan's per-job
      * stream truncation (keyed by job id), copies the stream into the
-     * slot's input region, re-targets a stream-specialized unit
-     * (FastPu), and re-arms the slot's controller lanes. Errors are
-     * returned, not thrown: InvalidState when the system is not in
-     * session mode / the slot is busy / its channel halted;
-     * InvalidArgument when the stream is not whole tokens or exceeds
-     * the input region.
+     * slot's input region, arms the unit with it, and re-arms the
+     * slot's controller lanes. Errors are returned, not thrown:
+     * InvalidState when the system is not in session mode / the slot
+     * is busy / its channel halted; InvalidArgument when the stream is
+     * not whole tokens, exceeds the input region, or the unit refuses
+     * it (a restriction violation in FastPu's pre-run) — the slot then
+     * stays parked for the next job.
      */
     Status armJob(int pu, BitBuffer stream, uint64_t job_id);
 
@@ -327,6 +337,16 @@ class FleetSystem
     int resolveThreads(int jobs) const;
     /** Shared tail of both constructors: layout, shards, units. */
     void build(int num_slots);
+    /**
+     * Upload `stream` into `pu`'s input region and arm its unit: the
+     * first half of arming a slot, which ChannelShard::rearmPu
+     * completes. Touches only the slot's own region and unit, so slots
+     * load concurrently.
+     */
+    Status loadSlot(int pu, const BitBuffer &stream);
+    /** Settle every shard and assemble report_ (channel outcomes, PU
+     * outcomes, trace, cycles); the run is over. */
+    void settle();
     /** Read `bits` payload bits from `pu`'s output region. */
     BitBuffer readOutput(int pu, uint64_t bits) const;
 
@@ -356,7 +376,7 @@ class FleetSystem
     double wallSeconds_ = 0.0;
     bool ran_ = false;
     bool sessionMode_ = false;
-    bool sessionBegun_ = false;
+    bool begun_ = false;
 };
 
 } // namespace system

@@ -12,18 +12,23 @@
  *  - RtlPu (pu_rtl.h): interprets the compiled RTL circuit;
  *  - RtlBatchLane (pu_rtl_batch.h): one lane of a channel's batched
  *    compiled-RTL engine (interpreted tape or jit kernel); and
- *  - FastPu (pu_fast.h): replays a functional-simulator virtual-cycle
- *    trace through the same handshake state machine (fast timing model
- *    for large full-system sweeps).
+ *  - FastPu (pu_fast.h): replays the flags of a functional-simulator
+ *    pre-run of its stream through the same handshake state machine
+ *    (fast timing model for large full-system sweeps).
  *
- * Per simulated clock: call eval() with the cycle's input port values,
- * observe the output ports, let the environment act on the handshakes,
- * then call step() to advance to the next cycle.
+ * A unit starts one way, as in the paper's runtime: arm() with the
+ * stream it will be fed, which resets it to power-on state (FastPu also
+ * pre-runs the stream there). Then, per simulated clock: call eval()
+ * with the cycle's input port values, observe the output ports, let the
+ * environment act on the handshakes, then call step() to advance to the
+ * next cycle.
  */
 
 #include <cstdint>
 
 #include "trace/trace.h"
+#include "util/bitbuf.h"
+#include "util/status.h"
 
 namespace fleet {
 namespace system {
@@ -51,6 +56,19 @@ class ProcessingUnit
 
     /** Reset all state to power-on values. */
     virtual void reset() = 0;
+
+    /**
+     * Arm the unit for `stream`, the exact token stream it will be fed
+     * next, and reset it. A unit whose hardware does not depend on the
+     * stream only resets (the default). A stream the unit cannot run
+     * comes back as a Status, not an exception: FastPu returns
+     * InvalidArgument when its pre-run hits a restriction violation.
+     */
+    virtual Status arm(const BitBuffer & /* stream */)
+    {
+        reset();
+        return Status::make(StatusCode::Ok);
+    }
 
     /** Combinationally evaluate the cycle's outputs from the inputs. */
     virtual PuOutputs eval(const PuInputs &inputs) = 0;

@@ -5,46 +5,28 @@
 namespace fleet {
 namespace system {
 
-FastPu::FastPu(const lang::Program &program, const BitBuffer &stream,
+FastPu::FastPu(const lang::Program &program,
                std::shared_ptr<const sim::EvalPlan> plan)
     : inputTokenWidth_(program.inputTokenWidth),
       outputTokenWidth_(program.outputTokenWidth),
       plan_(plan ? std::move(plan)
                  : std::make_shared<const sim::EvalPlan>(program))
 {
-    rearm(stream);
 }
 
-FastPu::FastPu(std::shared_ptr<const sim::EvalPlan> plan,
-               sim::RunResult functional)
-    : inputTokenWidth_(plan->program.inputTokenWidth),
-      outputTokenWidth_(plan->program.outputTokenWidth),
-      plan_(std::move(plan))
+Status
+FastPu::arm(const BitBuffer &stream)
 {
-    replay(std::move(functional));
-}
-
-sim::RunResult
-FastPu::prerun(std::shared_ptr<const sim::EvalPlan> plan,
-               const BitBuffer &stream)
-{
-    sim::SimOptions options;
-    options.recordTrace = true;
-    return sim::FunctionalSimulator(std::move(plan), options).run(stream);
-}
-
-void
-FastPu::rearm(const BitBuffer &stream)
-{
-    replay(prerun(plan_, stream));
-}
-
-void
-FastPu::replay(sim::RunResult functional)
-{
-    result_ = std::move(functional);
-    streamTokens_ = result_.tokens;
     reset();
+    flags_.clear();
+    try {
+        result_ = sim::FunctionalSimulator(plan_).run(stream, &flags_);
+    } catch (const FatalError &error) {
+        result_ = sim::RunResult();
+        flags_.clear();
+        return Status::make(StatusCode::InvalidArgument, error.what());
+    }
+    return Status::make(StatusCode::Ok);
 }
 
 void
@@ -52,7 +34,7 @@ FastPu::reset()
 {
     v_ = false;
     f_ = false;
-    traceIdx_ = 0;
+    vcycle_ = 0;
     outBitPos_ = 0;
     tokensConsumed_ = 0;
 }
@@ -63,10 +45,10 @@ FastPu::eval(const PuInputs &inputs)
     bool emitting = false;
     bool consuming = false;
     if (v_) {
-        if (traceIdx_ >= result_.trace.size())
-            panic("FastPu: trace exhausted while active (environment fed "
+        if (vcycle_ >= flags_.size())
+            panic("FastPu: pre-run exhausted while active (unarmed, or fed "
                   "more tokens than the unit's stream?)");
-        uint8_t flags = result_.trace[traceIdx_];
+        uint8_t flags = flags_[vcycle_];
         emitting = flags & sim::kVcycleEmits;
         consuming = flags & sim::kVcycleConsumesToken;
     }
@@ -95,11 +77,11 @@ FastPu::step()
     if (lastVdone_) {
         if (lastEmitting_)
             outBitPos_ += outputTokenWidth_;
-        ++traceIdx_;
+        ++vcycle_;
     }
     if (lastInputReady_) {
         if (lastInputs_.inputValid) {
-            if (tokensConsumed_ >= streamTokens_)
+            if (tokensConsumed_ >= result_.tokens)
                 panic("FastPu: environment supplied a token beyond the "
                       "unit's stream");
             ++tokensConsumed_;
@@ -128,7 +110,7 @@ FastPu::appendCounters(trace::CounterSet &out) const
 {
     out.set("backend_fast", 1);
     out.set("tokens_consumed", tokensConsumed_);
-    out.set("stream_tokens", streamTokens_);
+    out.set("stream_tokens", result_.tokens);
     out.set("output_tokens", result_.emits);
     out.set("virtual_cycles", result_.vcycles);
     out.set("emitted_bits_functional",

@@ -3,20 +3,19 @@
 
 /**
  * @file
- * Fast processing-unit timing model. The functional simulator pre-computes
- * the program's per-virtual-cycle trace for the unit's entire stream
- * (which is legal because output backpressure can only delay, never
- * change, a Fleet program's behaviour); FastPu then replays that trace
- * through the same ready-valid handshake state machine the compiled RTL
- * implements. Cycle counts and port activity are identical to RtlPu —
- * enforced by the cross-check test suite — at a fraction of the
- * simulation cost, enabling the full-system benchmark sweeps.
+ * Fast processing-unit timing model. arm() pre-runs the functional
+ * simulator over the unit's entire stream and keeps each virtual cycle's
+ * flags (which is legal because output backpressure can only delay,
+ * never change, a Fleet program's behaviour); FastPu then replays those
+ * flags through the same ready-valid handshake state machine the
+ * compiled RTL implements. Cycle counts and port activity are identical
+ * to RtlPu — enforced by the cross-check test suite — at a fraction of
+ * the simulation cost, enabling the full-system benchmark sweeps.
  *
  * Every unit of a program shares one immutable sim::EvalPlan, built once
- * per hosted program; each (re-)arm runs a fresh simulator from it, so
- * an arm's cost depends on its program and stream only, never on how
- * many units or arms came before it. Units that start on the same
- * stream can share one pre-run (see prerun()).
+ * per hosted program; each arm runs a fresh simulator from it, so an
+ * arm's cost depends on its program and stream only, never on how many
+ * units or arms came before it.
  */
 
 #include <memory>
@@ -34,36 +33,20 @@ class FastPu : public ProcessingUnit
 {
   public:
     /**
-     * Pre-run the functional simulator on `stream` (the exact token
-     * stream this unit will be fed) and build the replay model. `plan`
-     * is the program's evaluation plan, shared by every unit of the
-     * program and reused by every rearm(); null builds one here.
+     * An unarmed unit of `program`. `plan` is the program's evaluation
+     * plan, shared by every unit of the program and reused by every
+     * arm(); null builds one here.
      */
-    FastPu(const lang::Program &program, const BitBuffer &stream,
-           std::shared_ptr<const sim::EvalPlan> plan = nullptr);
+    explicit FastPu(const lang::Program &program,
+                    std::shared_ptr<const sim::EvalPlan> plan = nullptr);
 
     /**
-     * Replay `functional`, a prerun() of the plan's program: units that
-     * start on the same stream (every session slot of a program starts
-     * on the empty one) share one pre-run.
+     * Pre-run the functional simulator over `stream` and reset the
+     * handshake state machine. A restriction violation or the per-token
+     * loop bound returns InvalidArgument with the simulator's message
+     * and leaves the unit unarmed.
      */
-    FastPu(std::shared_ptr<const sim::EvalPlan> plan,
-           sim::RunResult functional);
-
-    /** The functional run a unit replays: `stream` through `plan` with
-     * the per-virtual-cycle trace recorded. */
-    static sim::RunResult prerun(std::shared_ptr<const sim::EvalPlan> plan,
-                                 const BitBuffer &stream);
-
-    /**
-     * Re-target the replay model at a new stream (job runtime re-arm):
-     * re-runs the functional simulator over `stream` and resets the
-     * handshake state machine, exactly as constructing a fresh
-     * FastPu(program, stream) would — construction is just rearm() over
-     * the first stream.
-     */
-    void rearm(const BitBuffer &stream);
-
+    Status arm(const BitBuffer &stream) override;
     void reset() override;
     PuOutputs eval(const PuInputs &inputs) override;
     void step() override;
@@ -78,18 +61,17 @@ class FastPu : public ProcessingUnit
     const sim::RunResult &functionalResult() const { return result_; }
 
   private:
-    void replay(sim::RunResult functional);
-
     int inputTokenWidth_;
     int outputTokenWidth_;
     std::shared_ptr<const sim::EvalPlan> plan_;
     sim::RunResult result_;
-    uint64_t streamTokens_;
+    /** Each virtual cycle's sim::VcycleFlags, in order. */
+    std::vector<uint8_t> flags_;
 
     // Handshake state (mirrors the compiled RTL's v/f registers).
     bool v_ = false;
     bool f_ = false;
-    uint64_t traceIdx_ = 0;
+    uint64_t vcycle_ = 0;
     uint64_t outBitPos_ = 0;
     uint64_t tokensConsumed_ = 0;
 

@@ -10,13 +10,14 @@ TestbenchResult
 runPu(ProcessingUnit &pu, const BitBuffer &input,
       const TestbenchOptions &options)
 {
-    pu.reset();
-    Rng rng(options.seed);
-    TestbenchResult result;
-
     const int in_width = pu.inputTokenWidth();
     if (input.sizeBits() % in_width != 0)
         fatal("runPu: input stream is not a whole number of tokens");
+    Status armed = pu.arm(input);
+    if (!armed.ok())
+        fatal("runPu: ", armed.toString());
+    Rng rng(options.seed);
+    TestbenchResult result;
     const uint64_t total_tokens = input.sizeBits() / in_width;
     uint64_t next_token = 0;
 

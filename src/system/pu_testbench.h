@@ -34,7 +34,8 @@ struct TestbenchResult
     uint64_t outputTokens = 0;
 };
 
-/** Run a unit over a full stream; resets the unit first. */
+/** Run a unit over a full stream; arms the unit with it first (a
+ * stream the unit refuses throws FatalError). */
 TestbenchResult runPu(ProcessingUnit &pu, const BitBuffer &input,
                       const TestbenchOptions &options = {});
 

@@ -118,7 +118,7 @@ operator!=(const Status &a, const Status &b)
 }
 
 /** Exception wrapper for unwinding paths; caught at channel granularity
- * by ChannelShard::run(). */
+ * by ChannelShard::step(). */
 class StatusError : public std::runtime_error
 {
   public:

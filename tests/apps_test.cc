@@ -46,7 +46,7 @@ checkBackendsMatchGolden(const Application &app, uint64_t seed,
     BitBuffer expected = app.golden(stream);
 
     system::RtlPu rtl_pu(app.program());
-    system::FastPu fast_pu(app.program(), stream);
+    system::FastPu fast_pu(app.program());
     system::TestbenchOptions stalls{0.8, 0.8, seed + 1, 1ULL << 30};
 
     auto rtl_result = system::runPu(rtl_pu, stream, stalls);

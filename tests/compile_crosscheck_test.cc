@@ -54,7 +54,7 @@ crossCheck(const Program &program, const BitBuffer &input)
     sim::RunResult golden = functional.run(input);
 
     RtlPu rtl_pu(program);
-    FastPu fast_pu(program, input);
+    FastPu fast_pu(program);
     auto engine = std::make_shared<const RtlTapeEngine>(program);
     auto single = std::make_shared<RtlBatch>(engine, 1);
     RtlBatchLane single_pu(single, 0);

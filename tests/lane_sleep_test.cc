@@ -241,12 +241,15 @@ TEST(LaneSleep, WatchdogDumpAgrees)
 class FailingPu : public ProcessingUnit
 {
   public:
-    FailingPu(const lang::Program &program, const BitBuffer &stream,
-              int fail_at)
-        : inner_(program, stream), failAt_(fail_at)
+    FailingPu(const lang::Program &program, int fail_at)
+        : inner_(program), failAt_(fail_at)
     {
     }
     void reset() override { inner_.reset(); }
+    Status arm(const BitBuffer &stream) override
+    {
+        return inner_.arm(stream);
+    }
     PuOutputs eval(const PuInputs &inputs) override
     {
         if (evals_++ == failAt_)
@@ -283,8 +286,8 @@ TEST(LaneSleep, InternalErrorCreditsSleepersThroughTheFailedCycle)
         out_params.blockingAddressing = false;
         std::vector<memctl::StreamRegion> inputs, outputs;
         uint64_t base = 0;
-        for (const BitBuffer &stream : streams) {
-            inputs.push_back({base, 4096, stream.sizeBits()});
+        for (size_t l = 0; l < streams.size(); ++l) {
+            inputs.push_back({base, 4096, 0});
             outputs.push_back({base + 4096, 4096, 0});
             base += 8192;
         }
@@ -294,19 +297,26 @@ TEST(LaneSleep, InternalErrorCreditsSleepersThroughTheFailedCycle)
                            inputs, outputs, base, fault::FaultPlan{},
                            trace_config);
         for (size_t l = 0; l < streams.size(); ++l) {
+            std::unique_ptr<ProcessingUnit> pu;
+            if (int(l) == failing)
+                pu = std::make_unique<FailingPu>(program, fail_at);
+            else
+                pu = std::make_unique<FastPu>(program);
+            shard.addPu(std::move(pu), int(l));
+        }
+        // Arm every lane as FleetSystem does: upload, arm the unit,
+        // re-arm the lane.
+        shard.beginRun(8, 8, 1 << 20, 100000);
+        for (size_t l = 0; l < streams.size(); ++l) {
             auto bytes = streams[l].toBytes();
             std::copy(bytes.begin(), bytes.end(),
                       shard.channel().memory().begin() +
                           inputs[l].baseAddr);
-            std::unique_ptr<ProcessingUnit> pu;
-            if (int(l) == failing)
-                pu = std::make_unique<FailingPu>(program, streams[l],
-                                                 fail_at);
-            else
-                pu = std::make_unique<FastPu>(program, streams[l]);
-            shard.addPu(std::move(pu), int(l), streams[l].sizeBits());
+            EXPECT_TRUE(shard.armUnit(int(l), streams[l]).ok());
+            shard.rearmPu(int(l), streams[l].sizeBits(), l);
         }
-        ChannelOutcome outcome = shard.run(8, 8, 1 << 20, 100000);
+        shard.step(UINT64_MAX);
+        ChannelOutcome outcome = shard.finishRun();
         std::vector<PuStats> stats;
         for (size_t l = 0; l < streams.size(); ++l)
             stats.push_back(shard.puStats(int(l)));
@@ -346,7 +356,8 @@ TEST(FastPuQuiet, QuietMeansStepChangesNothing)
     for (const auto &app : apps) {
         Rng rng(5 + app->name().size());
         BitBuffer stream = app->generateStream(rng, 300);
-        FastPu pu(app->program(), stream);
+        FastPu pu(app->program());
+        ASSERT_TRUE(pu.arm(stream).ok()) << app->name();
         const int width = pu.inputTokenWidth();
         const uint64_t tokens = stream.sizeBits() / uint64_t(width);
 

@@ -122,7 +122,7 @@ TEST(RelaxedReads, WhileConditionBramReadCrossCheck)
     EXPECT_GT(golden.emits, 0u);
 
     system::RtlPu rtl_pu(program);
-    system::FastPu fast_pu(program, input);
+    system::FastPu fast_pu(program);
     for (double ready : {1.0, 0.6}) {
         system::TestbenchOptions options{1.0, ready, 5, 1ULL << 26};
         auto rtl_result = system::runPu(rtl_pu, input, options);
@@ -252,8 +252,8 @@ TEST(FastPuRobustness, OverfeedPanics)
 {
     BitBuffer stream;
     stream.appendBits(0xab, 8);
-    system::FastPu pu(testprogs::identity(), stream);
-    pu.reset();
+    system::FastPu pu(testprogs::identity());
+    ASSERT_TRUE(pu.arm(stream).ok());
     auto feed = [&] {
         system::PuInputs in;
         in.inputValid = true;

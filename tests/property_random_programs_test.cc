@@ -407,7 +407,7 @@ crossCheck(const Program &program, uint64_t seed)
     sim::RunResult golden = functional.run(input);
 
     system::RtlPu rtl_pu(program);
-    system::FastPu fast_pu(program, input);
+    system::FastPu fast_pu(program);
     auto engine = std::make_shared<const system::RtlTapeEngine>(program);
     auto batch = std::make_shared<system::RtlBatch>(engine, 4);
     system::RtlBatchLane batch_pu(batch, 2);

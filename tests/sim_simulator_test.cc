@@ -316,14 +316,13 @@ TEST(Simulator, MisalignedStreamRejected)
 
 TEST(Simulator, TraceRecordsConsumeAndEmit)
 {
-    SimOptions options;
-    options.recordTrace = true;
-    FunctionalSimulator simulator(testprogs::identity(), options);
-    RunResult result = simulator.run(tokens8({1, 2}));
-    ASSERT_EQ(result.trace.size(), 3u);
-    EXPECT_EQ(result.trace[0], kVcycleConsumesToken | kVcycleEmits);
-    EXPECT_EQ(result.trace[1], kVcycleConsumesToken | kVcycleEmits);
-    EXPECT_EQ(result.trace[2], kVcycleConsumesToken); // cleanup, no emit
+    FunctionalSimulator simulator(testprogs::identity());
+    std::vector<uint8_t> flags;
+    simulator.run(tokens8({1, 2}), &flags);
+    ASSERT_EQ(flags.size(), 3u);
+    EXPECT_EQ(flags[0], kVcycleConsumesToken | kVcycleEmits);
+    EXPECT_EQ(flags[1], kVcycleConsumesToken | kVcycleEmits);
+    EXPECT_EQ(flags[2], kVcycleConsumesToken); // cleanup, no emit
 }
 
 TEST(Simulator, RunIsRepeatable)
@@ -586,15 +585,14 @@ TEST(Simulator, OutOfLoopEmitsNeverFireInLoopCycles)
     b.assign(busy, Value::lit(0, 1));
     Program program = b.finish();
     EXPECT_EQ(runError(program, tokens8({1, 2, 3})), "");
-    SimOptions options;
-    options.recordTrace = true;
+    std::vector<uint8_t> flags;
     RunResult result =
-        FunctionalSimulator(program, options).run(tokens8({1, 2, 3}));
+        FunctionalSimulator(program).run(tokens8({1, 2, 3}), &flags);
     const std::vector<uint8_t> trace = {
         0, kVcycleConsumesToken | kVcycleEmits};
-    ASSERT_EQ(result.trace.size(), 8u);
-    for (size_t i = 0; i < result.trace.size(); ++i)
-        EXPECT_EQ(result.trace[i], trace[i % 2]) << i;
+    ASSERT_EQ(flags.size(), 8u);
+    for (size_t i = 0; i < flags.size(); ++i)
+        EXPECT_EQ(flags[i], trace[i % 2]) << i;
     ASSERT_EQ(result.emits, 4u);
     EXPECT_EQ(result.output.readBits(0, 32), 0x00030201u);
 }

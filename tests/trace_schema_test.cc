@@ -202,7 +202,7 @@ TEST_F(TraceSchemaTest, ExportIsLossless)
     uint64_t want_spans = 0, want_markers = 0, want_samples = 0;
     for (const trace::ChannelTrace &ch : report_->trace->channels) {
         for (const trace::Lane &lane : ch.lanes) {
-            want_spans += lane.spans.size();
+            want_spans += lane.spans.size() + lane.jobs.size();
             want_markers += lane.markers.size();
         }
         for (const trace::CounterTrack &track : ch.tracks)
@@ -212,8 +212,14 @@ TEST_F(TraceSchemaTest, ExportIsLossless)
     EXPECT_EQ(markers, want_markers);
     EXPECT_EQ(samples, want_samples);
 
-    // Span names are exactly the non-Done taxonomy phase names.
+    // Span names are exactly the non-Done taxonomy phase names, beside
+    // one "job <id>" span per unit (a one-shot unit runs one job whose
+    // id is its PU index).
+    for (int p = 0; p < fleet_->numPus(); ++p)
+        EXPECT_EQ(span_names.count("job " + std::to_string(p)), 1u) << p;
     for (const std::string &name : span_names) {
+        if (name.rfind("job ", 0) == 0)
+            continue;
         bool known = false;
         for (int p = 0; p < trace::kNumPuPhases; ++p)
             if (name ==

@@ -38,9 +38,10 @@ infiniteWhileUnit()
 
 TEST(Watchdog, InfiniteWhileProgramTripsWatchdog)
 {
-    // Rtl backend: the fast model would hang pre-computing its
-    // functional trace over the non-terminating program, exactly the
-    // class of hang the watchdog exists to catch at the system level.
+    // Rtl backend: the fast model's pre-run would stop at the per-token
+    // loop bound and refuse the stream at arm time; the RTL unit spins,
+    // the class of hang the watchdog exists to catch at the system
+    // level.
     SystemConfig config;
     config.numChannels = 1;
     config.backend = PuBackend::Rtl;
