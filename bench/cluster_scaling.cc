@@ -27,8 +27,9 @@
  * Flags:
  *  --smoke         short CI configuration + determinism crosscheck.
  *  --json PATH     write results as JSON (BENCH_CLUSTER.json).
- *  --baseline PATH compare jobs/Mcycle per device count against a
- *                  previous JSON; exact match required.
+ *  --baseline PATH compare jobs/Mcycle per device count and pipeline
+ *                  p99 latency per link bandwidth against a previous
+ *                  JSON; exact match required.
  *  --threads N     host worker threads (0 = one per hardware thread).
  *  --backend B     fast | rtl | rtlinterp | rtljit.
  */
@@ -398,11 +399,17 @@ main(int argc, char **argv)
     std::string doc = resultsJson(opts, shape, scale, pipe);
     if (!opts.jsonPath.empty() && !bench::writeFile(opts.jsonPath, doc))
         ok = false;
-    // Exact: the simulated schedule is deterministic.
+    // Exact: the simulated schedule is deterministic, for the sessions
+    // and for the pipeline.
     if (!opts.baselinePath.empty() &&
         !bench::checkBaseline(opts.baselinePath, doc,
                               {"scale_points", "devices",
                                "jobs_per_mcycle"}))
+        ok = false;
+    if (!opts.baselinePath.empty() &&
+        !bench::checkBaseline(opts.baselinePath, doc,
+                              {"pipeline_points", "bytes_per_cycle",
+                               "p99_cycles"}))
         ok = false;
     return ok ? 0 : 1;
 }

@@ -56,7 +56,7 @@ gate "$bin/tenant_isolation" --smoke --json BENCH_TENANT.json
 gate "$bin/tenant_isolation" --smoke --baseline BENCH_TENANT.json
 # Cluster scale-out: 2-device throughput >= 1.6x, every job served, the
 # narrowest link's pipeline p99 above the widest's, 2-device
-# determinism, then an exact jobs/Mcycle replay.
+# determinism, then exact jobs/Mcycle and pipeline-p99 replays.
 gate "$bin/cluster_scaling" --smoke --json BENCH_CLUSTER.json
 gate "$bin/cluster_scaling" --smoke --baseline BENCH_CLUSTER.json
 # Chaos soak: every ticket terminal, zero strands, Ok outputs equal to

@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -34,21 +35,6 @@ sampleTrack(trace::CounterTrack &track, uint64_t cycle, uint64_t value)
     if (!track.samples.empty() && track.samples.back().second == value)
         return;
     track.samples.emplace_back(cycle, value);
-}
-
-std::vector<DeviceSpec>
-uniformSpecs(std::vector<lang::Program> programs, int slots_per_device,
-             std::vector<system::SlotBinding> bindings, int num_devices)
-{
-    if (num_devices < 1)
-        panic("Cluster: numDevices must be >= 1, got ", num_devices);
-    std::vector<DeviceSpec> specs(static_cast<size_t>(num_devices));
-    for (DeviceSpec &spec : specs) {
-        spec.programs = programs;
-        spec.numSlots = slots_per_device;
-        spec.bindings = bindings;
-    }
-    return specs;
 }
 
 } // namespace
@@ -80,17 +66,32 @@ operator==(const ClusterReport &a, const ClusterReport &b)
            a.linkTracks == b.linkTracks;
 }
 
-Cluster::Cluster(std::vector<DeviceSpec> devices,
+Cluster::Cluster(const std::vector<lang::Program> &programs,
+                 std::vector<DeviceSpec> devices,
                  const system::SystemConfig &system,
                  const LinkParams &link)
-    : systemConfig_(system), linkParams_(link)
+    : numPrograms_(static_cast<int>(programs.size())),
+      systemConfig_(system)
 {
     if (devices.empty())
         panic("Cluster: at least one device required");
-    for (DeviceSpec &spec : devices)
+    for (DeviceSpec &spec : devices) {
+        // Hand the device only its own programs, and rebind its slots
+        // to device-local indices. A binding to a program the device
+        // does not host maps past its list, which FleetSystem rejects.
+        std::vector<lang::Program> hosted;
+        for (uint32_t index : spec.programs)
+            hosted.push_back(programs.at(index));
+        for (system::SlotBinding &binding : spec.bindings)
+            binding.program = static_cast<uint32_t>(
+                std::find(spec.programs.begin(), spec.programs.end(),
+                          binding.program) -
+                spec.programs.begin());
         devices_.push_back(std::make_unique<system::FleetSystem>(
-            std::move(spec.programs), system, spec.numSlots,
+            std::move(hosted), system, spec.numSlots,
             std::move(spec.bindings)));
+        devicePrograms_.push_back(std::move(spec.programs));
+    }
     const int n = numDevices();
     for (int src = 0; src < n; ++src)
         for (int dst = 0; dst < n; ++dst)
@@ -103,23 +104,11 @@ Cluster::Cluster(std::vector<DeviceSpec> devices,
     buildIndex();
 }
 
-Cluster::Cluster(std::vector<lang::Program> programs,
-                 const system::SystemConfig &system, int slots_per_device,
-                 std::vector<system::SlotBinding> bindings,
-                 int num_devices, const LinkParams &link)
-    : Cluster(uniformSpecs(std::move(programs), slots_per_device,
-                           std::move(bindings), num_devices),
-              system, link)
-{
-}
-
 void
 Cluster::buildIndex()
 {
-    slotBase_.clear();
     channelBase_.clear();
     for (size_t d = 0; d < devices_.size(); ++d) {
-        slotBase_.push_back(static_cast<int>(slotDevice_.size()));
         channelBase_.push_back(static_cast<int>(channelDevice_.size()));
         for (int p = 0; p < devices_[d]->numPus(); ++p) {
             slotDevice_.push_back(static_cast<int>(d));
@@ -175,7 +164,7 @@ Cluster::stepEpoch(uint64_t epoch_cycles)
     for (auto &device : devices_)
         device->stepEpoch(epoch_cycles);
     if (systemConfig_.trace.events && !links_.empty()) {
-        const uint64_t now = cycles();
+        const uint64_t now = deviceCycles();
         for (size_t l = 0; l < links_.size(); ++l)
             sampleTrack(linkTracks_[l], now,
                         links_[l]->inFlightBytes());
@@ -249,7 +238,7 @@ Cluster::finishSession()
 }
 
 uint64_t
-Cluster::cycles() const
+Cluster::deviceCycles() const
 {
     uint64_t max_cycles = 0;
     for (const auto &device : devices_) {

@@ -19,12 +19,18 @@
  * links, which are driven only at round boundaries — device stepping
  * order. The cluster tests pin all three.
  *
+ * Programs: one cluster-wide list. Each DeviceSpec names the programs
+ * its device hosts and binds slots by index into that list; the
+ * Cluster maps device-local indices back (slotProgramIndex).
+ *
  * Clocks: each device keeps its own session clock (max over its
  * shards; a parked device's clock lags). The cluster clock is the max
- * over devices, and is what link offer/delivery cycles are computed
- * against.
+ * over devices, raised to a floor that only a pipeline waiting on the
+ * wire moves (raiseClockFloor), and is what link offer/delivery
+ * cycles are computed against.
  */
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,9 +44,11 @@ namespace cluster {
 /** One device's share of the cluster (programs + slot pool). */
 struct DeviceSpec
 {
-    std::vector<lang::Program> programs;
+    /** Cluster-wide indices of the hosted programs, in device order. */
+    std::vector<uint32_t> programs;
     int numSlots = 8;
-    /** Per-slot bindings (empty = all slots run programs[0]). */
+    /** Per-slot bindings by cluster-wide program index (empty = all
+     * slots run programs[0]). */
     std::vector<system::SlotBinding> bindings;
 };
 
@@ -82,22 +90,12 @@ operator!=(const ClusterReport &a, const ClusterReport &b)
 class Cluster
 {
   public:
-    /** Heterogeneous cluster: one spec per device. `system` supplies
-     * the shared channel/DRAM/backend/trace/fault configuration;
-     * `link` models every inter-device edge. */
-    Cluster(std::vector<DeviceSpec> devices,
+    /** One spec per device over the cluster-wide `programs` list.
+     * `system` supplies the shared channel/DRAM/backend/trace/fault
+     * configuration; `link` models every inter-device edge. */
+    Cluster(const std::vector<lang::Program> &programs,
+            std::vector<DeviceSpec> devices,
             const system::SystemConfig &system, const LinkParams &link);
-
-    /** Homogeneous scale-out (the Session ctor path): `num_devices`
-     * identical devices, each hosting `programs` on `slots_per_device`
-     * slots bound per `bindings`. */
-    Cluster(std::vector<lang::Program> programs,
-            const system::SystemConfig &system, int slots_per_device,
-            std::vector<system::SlotBinding> bindings, int num_devices,
-            const LinkParams &link);
-
-    Cluster(Cluster &&) = default;
-    Cluster &operator=(Cluster &&) = default;
 
     int numDevices() const { return static_cast<int>(devices_.size()); }
     /** The simulator of device `d`. */
@@ -149,38 +147,48 @@ class Cluster
     const ClusterReport &finishSession();
     /// @}
 
-    /** The cluster clock: max over device session clocks. */
-    uint64_t cycles() const;
+    /** The cluster clock: max over device session clocks, and never
+     * below the floor raised by raiseClockFloor(). */
+    uint64_t cycles() const { return std::max(clockFloor_, deviceCycles()); }
+    /** Max over device session clocks alone. */
+    uint64_t deviceCycles() const;
+    /** Let the cluster clock reach `cycle` with every device parked:
+     * the wire clock of a pipeline (cluster/pipeline.h). */
+    void raiseClockFloor(uint64_t cycle)
+    {
+        clockFloor_ = std::max(clockFloor_, cycle);
+    }
     /** Live cycle count of a global channel's shard. */
     uint64_t channelCycles(int global_channel) const;
 
+    /** Cluster-wide index of the program bound to global `slot`. */
     uint32_t slotProgramIndex(int slot) const
     {
-        return devices_[slotDevice_[slot]]->slotProgramIndex(
-            slotLocal_[slot]);
+        const int d = slotDevice_[slot];
+        return devicePrograms_[d][devices_[d]->slotProgramIndex(
+            slotLocal_[slot])];
     }
     int slotLane(int slot) const
     {
         return devices_[slotDevice_[slot]]->slotLane(slotLocal_[slot]);
     }
-    /** Program-index space of device 0. Homogeneous clusters (the
-     * Session path) bind every device identically, so this is the
-     * cluster-wide program space; heterogeneous clusters (pipelines)
-     * do their own per-device mapping. */
-    int numPrograms() const { return devices_[0]->numPrograms(); }
+    /** Size of the cluster-wide program list. */
+    int numPrograms() const { return numPrograms_; }
 
   private:
     void buildIndex();
 
     std::vector<std::unique_ptr<system::FleetSystem>> devices_;
+    /** Per device: local program index -> cluster-wide index. */
+    std::vector<std::vector<uint32_t>> devicePrograms_;
+    int numPrograms_ = 0;
+    uint64_t clockFloor_ = 0;
     system::SystemConfig systemConfig_;
-    LinkParams linkParams_;
     /** Directed links in (src, dst) lexicographic order, src != dst. */
     std::vector<std::unique_ptr<Link>> links_;
     std::vector<trace::CounterTrack> linkTracks_;
     std::vector<int> slotDevice_;
     std::vector<int> slotLocal_;
-    std::vector<int> slotBase_; ///< First global slot per device.
     std::vector<int> channelDevice_;
     std::vector<int> channelLocal_;
     std::vector<int> channelBase_; ///< First global channel per device.

@@ -82,7 +82,6 @@ struct LinkMessage
 {
     uint64_t seq = 0;   ///< Per-link sequence number (spike dice key).
     uint64_t jobId = 0; ///< Pipeline job (or sender-defined) id.
-    uint32_t chunkIndex = 0; ///< Position within the stream.
     bool lastChunk = true;   ///< Final chunk of its stream.
     BitBuffer payload;
     uint64_t offerCycle = 0;

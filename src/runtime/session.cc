@@ -40,6 +40,21 @@ sampleTrack(trace::CounterTrack &track, uint64_t cycle, uint64_t value)
     track.samples.emplace_back(cycle, value);
 }
 
+/** numDevices identical devices, each hosting every program on
+ * numSlots slots bound per `bindings`. */
+std::vector<cluster::DeviceSpec>
+uniformLayout(size_t num_programs, const SessionConfig &config,
+              std::vector<system::SlotBinding> bindings)
+{
+    if (config.numDevices < 1)
+        panic("Session: numDevices must be >= 1, got ",
+              config.numDevices);
+    cluster::DeviceSpec spec{{}, config.numSlots, std::move(bindings)};
+    for (uint32_t p = 0; p < num_programs; ++p)
+        spec.programs.push_back(p);
+    return std::vector<cluster::DeviceSpec>(config.numDevices, spec);
+}
+
 } // namespace
 
 bool
@@ -75,9 +90,17 @@ Session::Session(const lang::Program &program,
 Session::Session(std::vector<lang::Program> programs,
                  const SessionConfig &config,
                  std::vector<system::SlotBinding> bindings)
+    : Session(programs,
+              uniformLayout(programs.size(), config, std::move(bindings)),
+              config)
+{
+}
+
+Session::Session(const std::vector<lang::Program> &programs,
+                 std::vector<cluster::DeviceSpec> devices,
+                 const SessionConfig &config)
     : config_(config),
-      cluster_(std::move(programs), config.system, config.numSlots,
-               std::move(bindings), config.numDevices, config.link),
+      cluster_(programs, std::move(devices), config.system, config.link),
       slots_(cluster_.numSlots())
 {
     if (config_.epochCycles == 0)
@@ -194,6 +217,8 @@ Session::harvest()
         if (!slot.busy)
             continue;
         if (cluster_.puDrained(pu)) {
+            if (retireHold_ && retireHold_(slot.jobId))
+                continue;
             // Read the output region before retiring: retireJob parks
             // the slot and the next arm reuses the region.
             BitBuffer output = cluster_.jobOutput(pu);
@@ -496,6 +521,15 @@ Session::strandOrphans()
 bool
 Session::step()
 {
+    if (!schedule())
+        return false;
+    advance();
+    return true;
+}
+
+bool
+Session::schedule()
+{
     if (finished_)
         throw StatusError(Status::make(
             StatusCode::InvalidState, "step: session already finished"));
@@ -523,7 +557,6 @@ Session::step()
         }
         return false;
     }
-    cluster_.stepEpoch(config_.epochCycles);
     return true;
 }
 

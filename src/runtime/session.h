@@ -27,6 +27,10 @@
  *   3. *Advance*: every channel shard steps up to epochCycles cycles
  *      on the worker pool (shards park early when they go idle).
  *
+ * step() is schedule() (phases 1–2) then advance() (phase 3). This is
+ * the one driver loop: cluster::Pipeline runs each stage visit as a
+ * session job and moves its link traffic between the two phases.
+ *
  * Determinism: harvesting and arming happen only at round boundaries,
  * in a fixed order, and every scheduling policy is a pure function of
  * simulated state (runtime/scheduler.h) — so the job→slot schedule is
@@ -42,6 +46,8 @@
  */
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -73,9 +79,9 @@ struct SessionConfig
      * pre-cluster, single-FleetSystem runtime.
      */
     int numDevices = 1;
-    /** Inter-device link model (cluster::LinkParams); only observable
-     * through cluster()/finishCluster() since independent jobs never
-     * cross devices — pipelines (cluster/pipeline.h) do. */
+    /** Inter-device link model (cluster::LinkParams); independent
+     * jobs never cross devices, but a pipeline's stage outputs do
+     * (cluster/pipeline.h). */
     cluster::LinkParams link;
     /**
      * Cycles each shard advances per scheduler round. Smaller epochs
@@ -253,6 +259,13 @@ class Session
             const SessionConfig &config,
             std::vector<system::SlotBinding> bindings = {});
 
+    /** A session over an explicit device layout (cluster::DeviceSpec;
+     * JobTag::programIndex indexes `programs`). numSlots and
+     * numDevices in `config` are not read. */
+    Session(const std::vector<lang::Program> &programs,
+            std::vector<cluster::DeviceSpec> devices,
+            const SessionConfig &config);
+
     /**
      * Enqueue a job; returns its id (sequential from 0). The stream
      * must be a whole number of input tokens and fit the configured
@@ -291,12 +304,26 @@ class Session
                        uint64_t deadline_cycle = 0);
 
     /**
-     * One scheduler round: harvest drained jobs, arm queued jobs onto
-     * parked slots, advance every shard one epoch. Returns true while
-     * jobs remain queued or in flight — `while (session.step());` is
-     * the serving loop, with submit() legal between rounds.
+     * One scheduler round: schedule(), then advance() while jobs
+     * remain. Returns true while jobs remain queued or in flight —
+     * `while (session.step());` is the serving loop, with submit()
+     * legal between rounds.
      */
     bool step();
+
+    /** Harvest, expire deadlines, arm and strand; true while jobs
+     * remain queued or in flight. */
+    bool schedule();
+
+    /** The advance phase of a round: every device steps one epoch. */
+    void advance() { cluster_.stepEpoch(config_.epochCycles); }
+
+    /** While `hold(job_id)` is true for a drained job, harvest leaves
+     * it on its slot (a pipeline's backpressure). */
+    void holdRetire(std::function<bool(uint64_t job_id)> hold)
+    {
+        retireHold_ = std::move(hold);
+    }
 
     /** Run rounds until every submitted job has a report. */
     void drain();
@@ -327,9 +354,12 @@ class Session
     /** True once `job_id` has a final report. */
     bool done(uint64_t job_id) const;
 
-    /** Reports of all finished jobs, indexed by job id (ids with no
+    /** A copy of every job's report, indexed by job id (ids with no
      * final report yet are default-constructed placeholders). */
-    const std::vector<JobReport> &reports() const { return reports_; }
+    std::vector<JobReport> reports() const
+    {
+        return {reports_.begin(), reports_.end()};
+    }
 
     /// @name Recovery telemetry (ISSUE 7).
     /// @{
@@ -469,9 +499,12 @@ class Session
     cluster::Cluster cluster_;
     /** The pluggable policy (runtime/scheduler.h); never null. */
     std::unique_ptr<Scheduler> scheduler_;
+    /** See holdRetire(); null retires every drained job. */
+    std::function<bool(uint64_t)> retireHold_;
     JobQueue queue_;
     std::vector<Slot> slots_; ///< Indexed by global PU index.
-    std::vector<JobReport> reports_; ///< Indexed by job id.
+    /** Indexed by job id; a deque grows without reallocating. */
+    std::deque<JobReport> reports_;
     std::vector<bool> reported_;     ///< Indexed by job id.
     uint64_t jobsFinished_ = 0;
     bool finished_ = false;

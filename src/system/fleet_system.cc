@@ -84,12 +84,13 @@ FleetSystem::resolveThreads(int jobs) const
 FleetSystem::FleetSystem(const lang::Program &program,
                          const SystemConfig &config,
                          std::vector<BitBuffer> streams)
-    : programs_(1, program), config_(config), streams_(std::move(streams))
+    : programs_(1, program), config_(config)
 {
-    if (streams_.empty())
+    if (streams.empty())
         fatal("FleetSystem: needs at least one stream");
-    bindings_.resize(streams_.size());
-    build(static_cast<int>(streams_.size()));
+    const int num_slots = static_cast<int>(streams.size());
+    bindings_.resize(num_slots);
+    build(num_slots, std::move(streams));
 }
 
 FleetSystem::FleetSystem(const lang::Program &program,
@@ -228,7 +229,7 @@ FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
 }
 
 void
-FleetSystem::build(int num_slots)
+FleetSystem::build(int num_slots, std::vector<BitBuffer> streams)
 {
     if (config_.numChannels < 1)
         fatal("FleetSystem: needs at least one channel");
@@ -261,7 +262,7 @@ FleetSystem::build(int num_slots)
             truncation_[p] = {0, 0};
             continue;
         }
-        const BitBuffer &stream = streams_[p];
+        const BitBuffer &stream = streams[p];
         const int in_width = slotProgram(p).inputTokenWidth;
         if (stream.sizeBits() % in_width != 0)
             fatal("FleetSystem: stream ", p,
@@ -273,7 +274,7 @@ FleetSystem::build(int num_slots)
         uint64_t keep = fault::truncatedStreamTokens(
             config_.faults, static_cast<int>(p), tokens);
         if (keep != tokens) {
-            streams_[p].resizeBits(keep * in_width);
+            streams[p].resizeBits(keep * in_width);
             truncation_[p].first = keep;
         }
     }
@@ -310,7 +311,7 @@ FleetSystem::build(int num_slots)
         in.baseAddr = layout.bytes;
         in.regionBytes =
             sessionMode_ ? session_region_bytes
-                         : roundUp(ceilDiv(streams_[p].sizeBits(), 8),
+                         : roundUp(ceilDiv(streams[p].sizeBits(), 8),
                                    burst_bytes);
         layout.bytes += in.regionBytes;
 
@@ -485,10 +486,11 @@ FleetSystem::build(int num_slots)
     beginSession();
     std::vector<Status> loaded(num_slots);
     parallelFor(resolveThreads(num_slots), num_slots,
-                [&](int p) { loaded[p] = loadSlot(p, streams_[p]); });
+                [&](int p) { loaded[p] = loadSlot(p, streams[p]); });
     for (int p = 0; p < num_slots; ++p) {
         ChannelShard &shard = *shards_[puShard_[p]];
-        shard.rearmPu(puLocal_[p], streams_[p].sizeBits(), uint64_t(p));
+        streamBits_.push_back(streams[p].sizeBits());
+        shard.rearmPu(puLocal_[p], streamBits_[p], uint64_t(p));
         if (!loaded[p].ok())
             shard.cancelPu(puLocal_[p], std::move(loaded[p]));
     }
@@ -835,9 +837,9 @@ FleetSystem::stats() const
             stats.outputBytes += shard->stats().outputBytes;
         }
     } else {
-        for (const auto &stream : streams_)
-            stats.inputBytes += ceilDiv(stream.sizeBits(), 8);
-        for (size_t p = 0; p < streams_.size(); ++p)
+        for (uint64_t bits : streamBits_)
+            stats.inputBytes += ceilDiv(bits, 8);
+        for (size_t p = 0; p < streamBits_.size(); ++p)
             stats.outputBytes += ceilDiv(
                 shards_[puShard_[p]]->emittedBits(puLocal_[p]), 8);
     }

@@ -335,8 +335,9 @@ class FleetSystem
   private:
     /** Worker threads to use for `jobs` independent jobs. */
     int resolveThreads(int jobs) const;
-    /** Shared tail of both constructors: layout, shards, units. */
-    void build(int num_slots);
+    /** Shared tail of both constructors: layout, shards, units; a
+     * one-shot system arms its slots with `streams`. */
+    void build(int num_slots, std::vector<BitBuffer> streams = {});
     /**
      * Upload `stream` into `pu`'s input region and arm its unit: the
      * first half of arming a slot, which ChannelShard::rearmPu
@@ -359,7 +360,9 @@ class FleetSystem
     std::vector<SlotBinding> bindings_;
     /** Resolved per-slot backend: binding override or the global. */
     std::vector<PuBackend> slotBackends_;
-    std::vector<BitBuffer> streams_; ///< Empty in session mode.
+    /** One-shot: each slot's stream bits (channel memory holds the
+     * streams themselves); empty in session mode. */
+    std::vector<uint64_t> streamBits_;
     std::vector<std::unique_ptr<ChannelShard>> shards_;
     std::vector<int> puShard_; ///< Global PU index -> owning shard.
     std::vector<int> puLocal_; ///< Global PU index -> local index.
