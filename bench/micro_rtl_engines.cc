@@ -30,8 +30,10 @@
  * Beside the RTL engines it measures the fast PU model's engine, the
  * functional simulator (sim/simulator.h): the flattened program's
  * expression nodes beside its evaluation plan's nodes, the time to
- * build that plan (best of kPlanBuilds), and its throughput in virtual
- * cycles per second over the app's generated streams, timed as
+ * build that plan (best of kPlanBuilds), the plan's tabulated
+ * (token-only) nodes and the time to build its token table alone (best
+ * of kPlanBuilds, part of the plan build), and its throughput in
+ * virtual cycles per second over the app's generated streams, timed as
  * FastPu::arm, the pre-run itself. Its output on every stream must
  * equal Application::golden or the run fails; there is no speed gate
  * on it.
@@ -71,6 +73,7 @@
 #include "rtl/jit.h"
 #include "rtl/sim.h"
 #include "rtl/tape.h"
+#include "sim/plan.h"
 #include "sim/simulator.h"
 #include "system/pu_backend.h"
 #include "system/pu_fast.h"
@@ -207,11 +210,14 @@ struct AppResult
     std::string jitStatus; // why unavailable, for the JSON artifact
     bool equivalent = false;
     // Functional simulator: distinct expression nodes of the flattened
-    // program, plan nodes, the plan's build time, throughput, and the
-    // golden-output check.
+    // program, plan nodes, the plan's build time, its tabulated nodes
+    // and token-table build time, throughput, and the golden-output
+    // check.
     uint64_t funcSourceNodes = 0;
     uint64_t funcPlanNodes = 0;
     double funcPlanBuildUs = 0;
+    uint64_t funcTabulatedNodes = 0;
+    double funcTableBuildUs = 0;
     uint64_t funcVcycles = 0;
     double funcS = 0;
     double funcMvcyclesPerS = 0;
@@ -278,6 +284,15 @@ evaluateFunctional(const apps::Application &app,
     r.funcPlanBuildUs = best * 1e6;
     auto plan = std::make_shared<const sim::EvalPlan>(program);
     r.funcPlanNodes = plan->size();
+    r.funcTabulatedNodes = uint64_t(
+        std::count(plan->tokenOnly.begin(), plan->tokenOnly.end(), 1));
+    best = 1e300;
+    for (int i = 0; i < kPlanBuilds; ++i) {
+        const double t0 = now();
+        const sim::EvalPlan::TokenTable table = sim::tabulate(*plan);
+        best = std::min(best, now() - t0);
+    }
+    r.funcTableBuildUs = best * 1e6;
     // A fresh unit per stream, as a one-shot FleetSystem arms them.
     r.funcGolden = true;
     for (const BitBuffer &stream : streams) {
@@ -453,6 +468,8 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
         w.field("functional_source_nodes", r.funcSourceNodes);
         w.field("functional_plan_nodes", r.funcPlanNodes);
         w.field("functional_plan_build_us", r.funcPlanBuildUs, 2);
+        w.field("functional_tabulated_nodes", r.funcTabulatedNodes);
+        w.field("functional_table_build_us", r.funcTableBuildUs, 2);
         w.field("functional_vcycles", r.funcVcycles);
         w.field("functional_s", r.funcS, 6);
         w.field("functional_mvcycles_per_s", r.funcMvcyclesPerS, 3);
@@ -491,7 +508,8 @@ main(int argc, char **argv)
                  "batch (s)", "jit (s)", "batch x/PU", "jit/batch",
                  "compile (ms)", "amort (cyc)", "equiv"});
     Table functional({"App", "expr nodes", "plan nodes", "build (us)",
-                      "vcycles", "time (s)", "Mvcycles/s", "golden"});
+                      "tabulated", "table (us)", "vcycles", "time (s)",
+                      "Mvcycles/s", "golden"});
     bool all_equivalent = true;
     bool all_golden = true;
     bool jit_everywhere = true;
@@ -541,8 +559,9 @@ main(int argc, char **argv)
             .cell(cm)
             .cell(am)
             .cell(r.equivalent ? "yes" : "NO");
-        char tp[32], tf[32], mf[32];
+        char tp[32], tt[32], tf[32], mf[32];
         std::snprintf(tp, sizeof(tp), "%.1f", r.funcPlanBuildUs);
+        std::snprintf(tt, sizeof(tt), "%.1f", r.funcTableBuildUs);
         std::snprintf(tf, sizeof(tf), "%.3f", r.funcS);
         std::snprintf(mf, sizeof(mf), "%.2f", r.funcMvcyclesPerS);
         functional.row()
@@ -550,6 +569,8 @@ main(int argc, char **argv)
             .cell(std::to_string(r.funcSourceNodes))
             .cell(std::to_string(r.funcPlanNodes))
             .cell(tp)
+            .cell(std::to_string(r.funcTabulatedNodes))
+            .cell(tt)
             .cell(std::to_string(r.funcVcycles))
             .cell(tf)
             .cell(mf)

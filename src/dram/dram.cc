@@ -2,15 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "util/logging.h"
 
 namespace fleet {
 namespace dram {
 
+ChannelMemory::ChannelMemory(uint64_t size)
+    : bytes_(static_cast<uint8_t *>(std::calloc(size ? size : 1, 1))),
+      size_(size)
+{
+    if (!bytes_)
+        throw std::bad_alloc();
+}
+
 DramChannel::DramChannel(const DramParams &params, uint64_t mem_bytes,
                          const fault::ChannelFaults *faults)
-    : params_(params), faults_(faults), mem_(mem_bytes, 0)
+    : params_(params), faults_(faults), mem_(mem_bytes)
 {
     if (params_.busWidthBits % 8 != 0 || params_.busWidthBits <= 0)
         fatal("DramChannel: bus width must be a positive multiple of 8");

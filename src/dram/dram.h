@@ -25,7 +25,9 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "fault/fault.h"
@@ -51,6 +53,35 @@ struct DramParams
     int maxOutstandingWrites = 16;
 };
 
+/**
+ * A channel's memory contents: zero-filled bytes whose pages are not
+ * written at allocation (calloc), so a region costs host memory only
+ * once something is written into it. Move-only.
+ */
+class ChannelMemory
+{
+  public:
+    explicit ChannelMemory(uint64_t size);
+
+    uint64_t size() const { return size_; }
+    uint8_t *data() { return bytes_.get(); }
+    const uint8_t *data() const { return bytes_.get(); }
+    uint8_t *begin() { return data(); }
+    uint8_t *end() { return data() + size_; }
+    const uint8_t *begin() const { return data(); }
+    const uint8_t *end() const { return data() + size_; }
+    uint8_t &operator[](uint64_t i) { return bytes_[i]; }
+    const uint8_t &operator[](uint64_t i) const { return bytes_[i]; }
+
+  private:
+    struct Free
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], Free> bytes_;
+    uint64_t size_;
+};
+
 /** One 512-bit read-data beat (data is read via DramChannel::memory()). */
 struct RBeat
 {
@@ -74,8 +105,8 @@ class DramChannel
 
     /// @name Host access to channel memory (zero simulated cost).
     /// @{
-    std::vector<uint8_t> &memory() { return mem_; }
-    const std::vector<uint8_t> &memory() const { return mem_; }
+    ChannelMemory &memory() { return mem_; }
+    const ChannelMemory &memory() const { return mem_; }
     /// @}
 
     /// @name Read address channel.
@@ -149,7 +180,7 @@ class DramChannel
 
     DramParams params_;
     const fault::ChannelFaults *faults_;
-    std::vector<uint8_t> mem_;
+    ChannelMemory mem_;
     uint64_t cycle_ = 0;
     uint64_t readRequests_ = 0;  ///< ARs accepted (fault-event index).
     uint64_t writeRequests_ = 0; ///< AWs accepted.

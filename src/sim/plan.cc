@@ -1,6 +1,7 @@
 #include "sim/plan.h"
 
 #include <algorithm>
+#include <memory>
 #include <variant>
 
 #include "lang/flatten.h"
@@ -32,13 +33,15 @@ constexpr uint32_t kNone = EvalPlan::kNone;
 class Lowering
 {
   public:
-    Lowering(std::vector<Node> &nodes,
+    Lowering(std::vector<Node> &nodes, std::vector<uint8_t> &token_only,
              const std::vector<uint64_t> &vreg_base,
              const std::vector<uint64_t> &bram_base,
              const lang::Program &program)
-        : nodes_(nodes), vregBase_(vreg_base), bramBase_(bram_base),
-          program_(program), exprs_(kInitialSize, kNone),
-          structs_(kInitialSize, kNone)
+        : nodes_(nodes), tokenOnly_(token_only), vregBase_(vreg_base),
+          bramBase_(bram_base), program_(program),
+          tabulate_(program.inputTokenWidth <=
+                    EvalPlan::kMaxTabulatedWidth),
+          exprs_(kInitialSize, kNone), structs_(kInitialSize, kNone)
     {
         // Room for the tables' load limits up front: growing by copies
         // would write every page twice, and in a freshly forked process
@@ -46,6 +49,7 @@ class Lowering
         // never written costs nothing.
         lowered_.reserve(kInitialSize / 2);
         nodes_.reserve(kInitialSize / 2);
+        tokenOnly_.reserve(kInitialSize / 2);
         stack_.reserve(64);
     }
 
@@ -236,12 +240,14 @@ class Lowering
                 return structs_[s];
         const uint32_t index = uint32_t(nodes_.size());
         nodes_.push_back(n);
+        tokenOnly_.push_back(tokenOnly(n));
         structs_[s] = index;
         // Keep the table at most half full.
         if (2 * nodes_.size() > structs_.size()) {
             structs_.assign(structs_.size() * 2, kNone);
             --structShift_;
             nodes_.reserve(structs_.size() / 2);
+            tokenOnly_.reserve(structs_.size() / 2);
             for (uint32_t i = 0; i < nodes_.size(); ++i) {
                 size_t t = structSlot(nodes_[i]);
                 while (structs_[t] != kNone)
@@ -250,6 +256,23 @@ class Lowering
             }
         }
         return index;
+    }
+
+    /** True if `n` is token-only: the Input, or an operator, slice,
+     * concatenation or mux whose operands are token-only or constant
+     * (when the plan tabulates). */
+    bool
+    tokenOnly(const Node &n) const
+    {
+        if (!tabulate_ || n.op == Op::Input)
+            return tabulate_;
+        if (n.op == Op::Const || n.op == Op::StreamFinished ||
+            n.op == Op::State || n.op == Op::Indexed)
+            return false;
+        for (const uint32_t i : {n.a, n.b, n.c})
+            if (i != kNone && !tokenOnly_[i] && !isConst(i))
+                return false;
+        return true;
     }
 
     static Node
@@ -378,9 +401,11 @@ class Lowering
     }
 
     std::vector<Node> &nodes_;
+    std::vector<uint8_t> &tokenOnly_;
     const std::vector<uint64_t> &vregBase_;
     const std::vector<uint64_t> &bramBase_;
     const lang::Program &program_;
+    const bool tabulate_;
     /** By expression id: the expression node and its plan index. */
     std::vector<Lowered> lowered_;
     /** Open-addressed expression ids (kNone: empty). */
@@ -599,8 +624,9 @@ class WalkBuilder
 
     /**
      * Give `step` the cone of the roots on stack_: the nodes reached
-     * through everything but mux legs, less those already computed, in
-     * topological order. They are marked computed.
+     * through everything but mux legs, less constants, token-only nodes
+     * and those already computed, in topological order. They are marked
+     * computed.
      */
     void
     cone(Step &step)
@@ -612,7 +638,8 @@ class WalkBuilder
         while (!stack_.empty()) {
             const uint32_t i = stack_.back();
             stack_.pop_back();
-            if (i == kNone || avail_[i] || plan_.nodes[i].op == Op::Const)
+            if (i == kNone || avail_[i] || plan_.nodes[i].op == Op::Const ||
+                plan_.tokenOnly[i])
                 continue;
             avail_[i] = 1;
             availLog_.push_back(i);
@@ -770,9 +797,113 @@ EvalPlan::EvalPlan(lang::Program prog) : program(std::move(prog))
         initState.insert(initState.end(), size_t(bram.elements), 0);
     }
 
-    Lowering lowering(nodes, vreg_base, bram_base, program);
+    Lowering lowering(nodes, tokenOnly, vreg_base, bram_base, program);
     WalkBuilder(*this, lowering, vreg_base, bram_base)
         .lowerBody(program.body);
+    tokens = tabulate(*this);
+}
+
+namespace {
+
+/** What a token-only node reads at token t: the token, and each
+ * operand's value from its column. */
+struct ColumnIn
+{
+    const uint64_t *const *column;
+    uint64_t t;
+
+    uint64_t token() const { return t; }
+    // A token-only node reads no stream flag and no state.
+    uint64_t finished() const { return 0; }
+    uint64_t state(uint64_t) const { return 0; }
+    uint64_t operand(uint32_t i) const { return column[i][t]; }
+    uint64_t leg(uint32_t i) const { return operand(i); }
+};
+
+} // namespace
+
+EvalPlan::TokenTable
+tabulate(const EvalPlan &plan)
+{
+    EvalPlan::TokenTable table;
+    const std::vector<Node> &nodes = plan.nodes;
+    const std::vector<uint8_t> &token_only = plan.tokenOnly;
+    const size_t tabulated =
+        size_t(std::count(token_only.begin(), token_only.end(), 1));
+    if (tabulated == 0)
+        return table;
+
+    // The frontier: token-only operands of the other nodes, and
+    // token-only roots of steps and actions.
+    std::vector<uint8_t> read(nodes.size(), 0);
+    auto reads = [&](uint32_t i) {
+        if (i != kNone && token_only[i])
+            read[i] = 1;
+    };
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        if (!token_only[i]) {
+            reads(nodes[i].a);
+            reads(nodes[i].b);
+            reads(nodes[i].c);
+        }
+    }
+    for (const EvalPlan::Step &step : plan.walk)
+        reads(step.cond);
+    for (const EvalPlan::Assign &assign : plan.assigns) {
+        reads(assign.index);
+        reads(assign.value);
+    }
+    for (const EvalPlan::Emit &emit : plan.emits)
+        reads(emit.value);
+    for (const EvalPlan::BramRead &occ : plan.bramReads) {
+        reads(occ.gate);
+        reads(occ.addr);
+    }
+    for (size_t i = 0; i < nodes.size(); ++i)
+        if (read[i])
+            table.frontier.push_back(uint32_t(i));
+
+    // One column of 2^w values per token-only node and per constant one
+    // reads (its other operands), in node (topological) order: a
+    // constant's repeats its value, a token-only node's is one loop of
+    // its opcode's apply().
+    const uint64_t rows = uint64_t(1) << plan.program.inputTokenWidth;
+    std::vector<uint8_t> has_column = token_only;
+    for (size_t i = 0; i < nodes.size(); ++i)
+        if (token_only[i])
+            for (const uint32_t o : {nodes[i].a, nodes[i].b, nodes[i].c})
+                if (o != kNone)
+                    has_column[o] = 1;
+    const size_t columns =
+        size_t(std::count(has_column.begin(), has_column.end(), 1));
+    std::unique_ptr<uint64_t[]> storage(new uint64_t[columns * rows]);
+    std::vector<const uint64_t *> column(nodes.size(), nullptr);
+    uint64_t *next = storage.get();
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        if (!has_column[i])
+            continue;
+        const Node &n = nodes[i];
+        if (token_only[i]) {
+            EvalPlan::dispatch(n.op, [&](auto op) {
+                ColumnIn in{column.data(), 0};
+                for (; in.t < rows; ++in.t)
+                    next[in.t] = EvalPlan::apply<op.value>(n, in);
+            });
+        } else {
+            std::fill(next, next + rows, n.imm);
+        }
+        column[i] = next;
+        next += rows;
+    }
+
+    const size_t width = table.frontier.size();
+    table.rows.resize(rows * width);
+    for (size_t k = 0; k < width; ++k) {
+        const uint64_t *values = column[table.frontier[k]];
+        for (uint64_t t = 0; t < rows; ++t)
+            table.rows[t * width + k] = values[t];
+    }
+    return table;
 }
 
 } // namespace sim

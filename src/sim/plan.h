@@ -53,15 +53,30 @@
  * what no cone holds (mux legs, gated addresses) is evaluated on
  * demand through a per-cycle memo.
  *
+ * Token tables: when the input token is at most 8 bits wide, the plan
+ * also folds over the token's 2^w values. A node is token-only when its
+ * leaves are the Input and constants. Each token-only node is evaluated
+ * once per token value at plan build, node by node over the whole
+ * column, by the same apply() the simulator runs (one opcode dispatch
+ * per column). The token table keeps one row per token value, holding
+ * the frontier: the token-only nodes that other nodes, step conditions
+ * or actions read. No cone holds a token-only node; the simulator
+ * writes the token's row into its memo when it loads a token, and those
+ * slots never expire. (Regex: 30 of its 65 nodes are token-only, and a
+ * virtual cycle's cones evaluate 22 nodes where they evaluated 52.)
+ *
  * A plan is built once per program and shared read-only by every
  * simulator of it (FastPu arms, SIMT lanes); per-cycle simulator
  * state is sized by plan.size() alone.
  */
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "lang/ast.h"
+#include "util/bits.h"
+#include "util/logging.h"
 
 namespace fleet {
 namespace sim {
@@ -197,8 +212,162 @@ struct EvalPlan
         Range reads, assigns, emits;
     };
 
+    /** Widest input token whose values the plan tabulates. */
+    static constexpr int kMaxTabulatedWidth = 8;
+
+    /** The token table (see the file comment). */
+    struct TokenTable
+    {
+        /** The token-only nodes something else reads, ascending. */
+        std::vector<uint32_t> frontier;
+        /** Row t, frontier.size() words from t * frontier.size():
+         * the frontier's values at token t (2^w rows). */
+        std::vector<uint64_t> rows;
+    };
+
     /** Lower `program` (kept by value for its declarations). */
     explicit EvalPlan(lang::Program program);
+
+    /** An opcode as a type, for dispatch(). */
+    template <Op O>
+    using OpTag = std::integral_constant<Op, O>;
+
+    /**
+     * Call f(OpTag<op>()) and return its result: one switch over the
+     * opcodes, whose cases a caller can give whole loops.
+     */
+    template <class F>
+    [[gnu::always_inline]] static inline auto
+    dispatch(Op op, F &&f)
+    {
+        switch (op) {
+          case Op::Const: return f(OpTag<Op::Const>());
+          case Op::Input: return f(OpTag<Op::Input>());
+          case Op::StreamFinished: return f(OpTag<Op::StreamFinished>());
+          case Op::State: return f(OpTag<Op::State>());
+          case Op::Indexed: return f(OpTag<Op::Indexed>());
+          case Op::Mux: return f(OpTag<Op::Mux>());
+          case Op::Slice: return f(OpTag<Op::Slice>());
+          case Op::Concat: return f(OpTag<Op::Concat>());
+          case Op::Add: return f(OpTag<Op::Add>());
+          case Op::Sub: return f(OpTag<Op::Sub>());
+          case Op::Mul: return f(OpTag<Op::Mul>());
+          case Op::And: return f(OpTag<Op::And>());
+          case Op::Or: return f(OpTag<Op::Or>());
+          case Op::Xor: return f(OpTag<Op::Xor>());
+          case Op::Shl: return f(OpTag<Op::Shl>());
+          case Op::Shr: return f(OpTag<Op::Shr>());
+          case Op::Eq: return f(OpTag<Op::Eq>());
+          case Op::Ne: return f(OpTag<Op::Ne>());
+          case Op::Ult: return f(OpTag<Op::Ult>());
+          case Op::Ule: return f(OpTag<Op::Ule>());
+          case Op::Ugt: return f(OpTag<Op::Ugt>());
+          case Op::Uge: return f(OpTag<Op::Uge>());
+          case Op::Slt: return f(OpTag<Op::Slt>());
+          case Op::Sle: return f(OpTag<Op::Sle>());
+          case Op::Sgt: return f(OpTag<Op::Sgt>());
+          case Op::Sge: return f(OpTag<Op::Sge>());
+          case Op::LAnd: return f(OpTag<Op::LAnd>());
+          case Op::LOr: return f(OpTag<Op::LOr>());
+          case Op::Not: return f(OpTag<Op::Not>());
+          case Op::LNot: return f(OpTag<Op::LNot>());
+          case Op::Neg: return f(OpTag<Op::Neg>());
+        }
+        panic("EvalPlan: unknown opcode");
+    }
+
+    /**
+     * The value of node `n`, of opcode O: the one definition of the
+     * fused opcodes, run by the simulator and by the token tables'
+     * build. `in` supplies what a node reads, each only when its opcode
+     * reads it: in.token(), in.finished(), in.state(word),
+     * in.operand(node) for an operand's value, and in.leg(node) for a
+     * mux leg's (so the unselected leg is never read).
+     */
+    template <Op O, class In>
+    [[gnu::always_inline]] static inline uint64_t
+    apply(const Node &n, In &in)
+    {
+        auto a = [&] { return in.operand(n.a); };
+        auto b = [&] { return in.operand(n.b); };
+        if constexpr (O == Op::Const) {
+            return n.imm;
+        } else if constexpr (O == Op::Input) {
+            return in.token();
+        } else if constexpr (O == Op::StreamFinished) {
+            return in.finished();
+        } else if constexpr (O == Op::State) {
+            return in.state(n.imm);
+        } else if constexpr (O == Op::Indexed) {
+            // Out-of-range reads return 0, matching the hardware mux
+            // tree's don't-care behaviour; gated BRAM reads are
+            // range-checked separately via bramReads.
+            const uint64_t index = a();
+            return index < n.aux ? in.state(n.imm + index) : 0;
+        } else if constexpr (O == Op::Mux) {
+            // Only the selected leg is read; read accounting is handled
+            // separately via bramReads, whose gating conditions
+            // replicate exactly this mux-path behaviour.
+            return in.operand(n.c) != 0 ? in.leg(n.a) : in.leg(n.b);
+        } else if constexpr (O == Op::Slice) {
+            return (a() >> n.imm) & n.aux;
+        } else if constexpr (O == Op::Concat) {
+            return (a() << n.bWidth) | b();
+        // The operators, as util/ops.h defines them, with the result
+        // mask (aux) precomputed.
+        } else if constexpr (O == Op::Add) {
+            return (a() + b()) & n.aux;
+        } else if constexpr (O == Op::Sub) {
+            return (a() - b()) & n.aux;
+        } else if constexpr (O == Op::Mul) {
+            return (a() * b()) & n.aux;
+        } else if constexpr (O == Op::And) {
+            return a() & b();
+        } else if constexpr (O == Op::Or) {
+            return a() | b();
+        } else if constexpr (O == Op::Xor) {
+            return a() ^ b();
+        } else if constexpr (O == Op::Shl) {
+            const uint64_t x = a(), s = b();
+            return s >= n.aWidth ? 0 : (x << s) & n.aux;
+        } else if constexpr (O == Op::Shr) {
+            const uint64_t x = a(), s = b();
+            return s >= 64 ? 0 : (x >> s) & n.aux;
+        } else if constexpr (O == Op::Eq) {
+            return a() == b();
+        } else if constexpr (O == Op::Ne) {
+            return a() != b();
+        } else if constexpr (O == Op::Ult) {
+            return a() < b();
+        } else if constexpr (O == Op::Ule) {
+            return a() <= b();
+        } else if constexpr (O == Op::Ugt) {
+            return a() > b();
+        } else if constexpr (O == Op::Uge) {
+            return a() >= b();
+        } else if constexpr (O == Op::Slt) {
+            return signExtend64(a(), n.aWidth) < signExtend64(b(), n.bWidth);
+        } else if constexpr (O == Op::Sle) {
+            return signExtend64(a(), n.aWidth) <=
+                   signExtend64(b(), n.bWidth);
+        } else if constexpr (O == Op::Sgt) {
+            return signExtend64(a(), n.aWidth) > signExtend64(b(), n.bWidth);
+        } else if constexpr (O == Op::Sge) {
+            return signExtend64(a(), n.aWidth) >=
+                   signExtend64(b(), n.bWidth);
+        } else if constexpr (O == Op::LAnd) {
+            return a() != 0 && b() != 0;
+        } else if constexpr (O == Op::LOr) {
+            return a() != 0 || b() != 0;
+        } else if constexpr (O == Op::Not) {
+            return ~a() & n.aux;
+        } else if constexpr (O == Op::LNot) {
+            return a() == 0;
+        } else {
+            static_assert(O == Op::Neg);
+            return (~a() + 1) & n.aux;
+        }
+    }
 
     /** Number of nodes; the size of a simulator's per-cycle memo. */
     size_t size() const { return nodes.size(); }
@@ -216,12 +385,25 @@ struct EvalPlan
     /** The steps' cone nodes, topological per step. */
     std::vector<uint32_t> cones;
 
+    /** Per node: 1 if token-only (never, for tokens wider than
+     * kMaxTabulatedWidth). */
+    std::vector<uint8_t> tokenOnly;
+    /** Empty unless some node is token-only. */
+    TokenTable tokens;
+
     /**
      * Reset value of the flat state: registers at offsets [0, regs),
      * then each vector register's elements, then each BRAM's words.
      */
     std::vector<uint64_t> initState;
 };
+
+/**
+ * The token table of a plan whose nodes, tokenOnly flags, walk and
+ * actions are built (the constructor's last step; callable on its own
+ * to time it).
+ */
+EvalPlan::TokenTable tabulate(const EvalPlan &plan);
 
 } // namespace sim
 } // namespace fleet

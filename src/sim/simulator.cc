@@ -27,6 +27,9 @@ FunctionalSimulator::FunctionalSimulator(
         if (plan_ref.nodes[i].op == EvalPlan::Op::Const)
             memo_[i] = Slot{plan_ref.nodes[i].imm, ~uint64_t(0)};
     }
+    // Token-table slots never expire either: loadToken() rewrites them.
+    for (const uint32_t i : plan_ref.tokens.frontier)
+        memo_[i].epoch = ~uint64_t(0);
     const size_t brams = plan_ref.program.brams.size();
     readAddr_.resize(brams);
     bramWriteAddr_.resize(brams);
@@ -46,6 +49,17 @@ FunctionalSimulator::reset()
     currentToken_ = 0;
     streamFinished_ = false;
     tokenIndex_ = 0;
+}
+
+inline void
+FunctionalSimulator::loadToken(uint64_t token)
+{
+    currentToken_ = token;
+    const EvalPlan::TokenTable &table = plan_->tokens;
+    const size_t width = table.frontier.size();
+    const uint64_t *row = table.rows.data() + token * width;
+    for (size_t k = 0; k < width; ++k)
+        memo_[table.frontier[k]].value = row[k];
 }
 
 void
@@ -70,70 +84,27 @@ template <bool Eager>
 [[gnu::always_inline]] inline uint64_t
 FunctionalSimulator::compute(const EvalPlan::Node &n)
 {
-    using Op = EvalPlan::Op;
     // Operand reads. In a cone every non-mux-leg operand is a node
-    // earlier in the cone, a node a dominating step's cone computed, or
-    // a constant, so its slot is current and needs no epoch compare;
-    // mux legs are lazy.
-    auto a = [&] { return Eager ? memo_[n.a].value : value(n.a); };
-    auto b = [&] { return Eager ? memo_[n.b].value : value(n.b); };
-    auto c = [&] { return Eager ? memo_[n.c].value : value(n.c); };
-    switch (n.op) {
-      case Op::Const: return n.imm;
-      case Op::Input: return currentToken_;
-      case Op::StreamFinished: return streamFinished_ ? 1 : 0;
-      case Op::State: return state_[n.imm];
-      case Op::Indexed: {
-        // Out-of-range reads return 0, matching the hardware mux tree's
-        // don't-care behaviour; gated BRAM reads are range-checked
-        // separately via the plan's bramReads.
-        const uint64_t index = a();
-        return index < n.aux ? state_[n.imm + index] : 0;
-      }
-      case Op::Mux:
-        // Only the selected leg is evaluated; read accounting is handled
-        // separately via the plan's bramReads, whose gating conditions
-        // replicate exactly this mux-path behaviour.
-        return c() != 0 ? value(n.a) : value(n.b);
-      case Op::Slice: return (a() >> n.imm) & n.aux;
-      case Op::Concat: return (a() << n.bWidth) | b();
-      // The operators, as util/ops.h defines them, with the result mask
-      // (aux) precomputed.
-      case Op::Add: return (a() + b()) & n.aux;
-      case Op::Sub: return (a() - b()) & n.aux;
-      case Op::Mul: return (a() * b()) & n.aux;
-      case Op::And: return a() & b();
-      case Op::Or: return a() | b();
-      case Op::Xor: return a() ^ b();
-      case Op::Shl: {
-        const uint64_t x = a(), s = b();
-        return s >= n.aWidth ? 0 : (x << s) & n.aux;
-      }
-      case Op::Shr: {
-        const uint64_t x = a(), s = b();
-        return s >= 64 ? 0 : (x >> s) & n.aux;
-      }
-      case Op::Eq: return a() == b();
-      case Op::Ne: return a() != b();
-      case Op::Ult: return a() < b();
-      case Op::Ule: return a() <= b();
-      case Op::Ugt: return a() > b();
-      case Op::Uge: return a() >= b();
-      case Op::Slt:
-        return signExtend64(a(), n.aWidth) < signExtend64(b(), n.bWidth);
-      case Op::Sle:
-        return signExtend64(a(), n.aWidth) <= signExtend64(b(), n.bWidth);
-      case Op::Sgt:
-        return signExtend64(a(), n.aWidth) > signExtend64(b(), n.bWidth);
-      case Op::Sge:
-        return signExtend64(a(), n.aWidth) >= signExtend64(b(), n.bWidth);
-      case Op::LAnd: return a() != 0 && b() != 0;
-      case Op::LOr: return a() != 0 || b() != 0;
-      case Op::Not: return ~a() & n.aux;
-      case Op::LNot: return a() == 0;
-      case Op::Neg: return (~a() + 1) & n.aux;
-    }
-    panic("FunctionalSimulator: unknown plan opcode");
+    // earlier in the cone, a node a dominating step's cone computed, a
+    // token-table node or a constant, so its slot is current and needs
+    // no epoch compare; mux legs are lazy.
+    struct In
+    {
+        FunctionalSimulator &sim;
+        uint64_t token() const { return sim.currentToken_; }
+        uint64_t finished() const { return sim.streamFinished_ ? 1 : 0; }
+        uint64_t state(uint64_t word) const { return sim.state_[word]; }
+        uint64_t
+        operand(uint32_t i) const
+        {
+            return Eager ? sim.memo_[i].value : sim.value(i);
+        }
+        uint64_t leg(uint32_t i) const { return sim.value(i); }
+    } in{*this};
+    return EvalPlan::dispatch(
+        n.op, [&](auto op) __attribute__((always_inline)) {
+            return EvalPlan::apply<op.value>(n, in);
+        });
 }
 
 uint64_t
@@ -338,10 +309,10 @@ FunctionalSimulator::begin(const BitBuffer &input)
     if (tokenCount_ == 0) {
         phase_ = Phase::Cleanup;
         streamFinished_ = true;
-        currentToken_ = 0;
+        loadToken(0);
     } else {
         phase_ = Phase::Tokens;
-        currentToken_ = input.readBits(0, program.inputTokenWidth);
+        loadToken(input.readBits(0, program.inputTokenWidth));
     }
 }
 
@@ -372,15 +343,14 @@ FunctionalSimulator::stepVcycle(std::vector<uint8_t> *signature)
         ++result_.tokens;
         ++tokenIndex_;
         if (tokenIndex_ < tokenCount_) {
-            currentToken_ = input_->readBits(
-                tokenIndex_ * program.inputTokenWidth,
-                program.inputTokenWidth);
+            loadToken(input_->readBits(tokenIndex_ * program.inputTokenWidth,
+                                       program.inputTokenWidth));
         } else {
             // Stream-finished cleanup: the logic runs once more with a
             // dummy token, including any while iterations it triggers.
             phase_ = Phase::Cleanup;
             streamFinished_ = true;
-            currentToken_ = 0;
+            loadToken(0);
         }
     } else {
         phase_ = Phase::Done;

@@ -30,10 +30,14 @@
  * Mux legs and gated read addresses are evaluated on demand through an
  * epoch memo of plan.size() entries, so unselected legs and untaken
  * branches cost nothing. A node evaluates as one dispatch on its fused
- * opcode. In a cone its operands are read straight from the memo with
- * no epoch compare: each one is earlier in the cone, computed by a
- * dominating step's cone, or a constant, so its slot is already
- * current (mux legs stay lazy and go through the memo). All per-cycle
+ * opcode (EvalPlan::apply). Token-only nodes are never evaluated here:
+ * loading a token (at stream start, after each consumed token, and
+ * token 0 for the cleanup cycles) writes its row of the plan's token
+ * table into the memo, into slots that never expire. In a cone its
+ * operands are read straight from the memo with no epoch compare: each
+ * one is earlier in the cone, computed by a dominating step's cone, a
+ * token-table node or a constant, so its slot is already current (mux
+ * legs stay lazy and go through the memo). All per-cycle
  * state is sized by the plan: there are no process-wide expression
  * ids, and a simulator costs the same however many others the process
  * has built.
@@ -138,6 +142,8 @@ class FunctionalSimulator
     };
 
     void reset();
+    /** Make `token` current: its token-table row goes into the memo. */
+    void loadToken(uint64_t token);
     /** Begin a stream read in place from `input`. */
     void begin(const BitBuffer &input);
     uint64_t value(uint32_t node);
@@ -178,7 +184,7 @@ class FunctionalSimulator
      * Expressions are DAGs with heavy sharing (e.g. the Smith-Waterman
      * row chain), so each node is evaluated at most once per virtual
      * cycle; bumping epoch_ invalidates every slot without clearing.
-     * Constant slots carry an epoch that never expires.
+     * Constant and token-table slots carry an epoch that never expires.
      */
     std::vector<Slot> memo_;
     uint64_t epoch_ = 0;

@@ -500,9 +500,8 @@ Status
 FleetSystem::loadSlot(int pu, const BitBuffer &stream)
 {
     ChannelShard &shard = *shards_[puShard_[pu]];
-    auto bytes = stream.toBytes();
-    std::copy(bytes.begin(), bytes.end(),
-              shard.channel().memory().begin() + inputRegions_[pu].baseAddr);
+    stream.copyBytes(shard.channel().memory().data() +
+                     inputRegions_[pu].baseAddr);
     return shard.armUnit(puLocal_[pu], stream);
 }
 

@@ -14,18 +14,24 @@ FastPu::FastPu(const lang::Program &program,
 {
 }
 
+static_assert((sim::kVcycleConsumesToken | sim::kVcycleEmits) < 4,
+              "a virtual cycle's flags are kept in 2 bits");
+
 Status
 FastPu::arm(const BitBuffer &stream)
 {
     reset();
     flags_.clear();
+    std::vector<uint8_t> flags;
     try {
-        result_ = sim::FunctionalSimulator(plan_).run(stream, &flags_);
+        result_ = sim::FunctionalSimulator(plan_).run(stream, &flags);
     } catch (const FatalError &error) {
         result_ = sim::RunResult();
-        flags_.clear();
         return Status::make(StatusCode::InvalidArgument, error.what());
     }
+    flags_.assign((flags.size() + 31) / 32, 0);
+    for (size_t i = 0; i < flags.size(); ++i)
+        flags_[i / 32] |= uint64_t(flags[i]) << 2 * (i % 32);
     return Status::make(StatusCode::Ok);
 }
 
@@ -45,10 +51,10 @@ FastPu::eval(const PuInputs &inputs)
     bool emitting = false;
     bool consuming = false;
     if (v_) {
-        if (vcycle_ >= flags_.size())
+        if (vcycle_ >= result_.vcycles)
             panic("FastPu: pre-run exhausted while active (unarmed, or fed "
                   "more tokens than the unit's stream?)");
-        uint8_t flags = flags_[vcycle_];
+        const uint64_t flags = flags_[vcycle_ / 32] >> 2 * (vcycle_ % 32);
         emitting = flags & sim::kVcycleEmits;
         consuming = flags & sim::kVcycleConsumesToken;
     }

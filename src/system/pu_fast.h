@@ -65,8 +65,9 @@ class FastPu : public ProcessingUnit
     int outputTokenWidth_;
     std::shared_ptr<const sim::EvalPlan> plan_;
     sim::RunResult result_;
-    /** Each virtual cycle's sim::VcycleFlags, in order. */
-    std::vector<uint8_t> flags_;
+    /** Each virtual cycle's sim::VcycleFlags, in order, 2 bits each:
+     * cycle i at bit 2 * (i % 32) of word i / 32. */
+    std::vector<uint64_t> flags_;
 
     // Handshake state (mirrors the compiled RTL's v/f registers).
     bool v_ = false;

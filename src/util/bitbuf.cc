@@ -1,5 +1,6 @@
 #include "util/bitbuf.h"
 
+#include <bit>
 #include <cstring>
 
 #include "util/bits.h"
@@ -144,11 +145,31 @@ std::vector<uint8_t>
 BitBuffer::toBytes() const
 {
     std::vector<uint8_t> bytes(ceilDiv(sizeBits_, 8));
-    for (size_t i = 0; i < bytes.size(); ++i) {
-        int width = std::min<uint64_t>(8, sizeBits_ - i * 8);
-        bytes[i] = static_cast<uint8_t>(readBits(i * 8, width));
-    }
+    copyBytes(bytes.data());
     return bytes;
+}
+
+void
+BitBuffer::copyBytes(uint8_t *out) const
+{
+    // Bit i is bit i % 64 of word i / 64, so byte k of a word, from its
+    // low end, is byte 8 * (i / 64) + k of the stream: on a
+    // little-endian host the whole words are copied as they lie.
+    const uint64_t bytes = ceilDiv(sizeBits_, 8);
+    const uint64_t whole = sizeBits_ / 64;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, words_.data(), whole * 8);
+    } else {
+        for (uint64_t w = 0; w < whole; ++w)
+            for (int k = 0; k < 8; ++k)
+                out[w * 8 + k] = static_cast<uint8_t>(words_[w] >> 8 * k);
+    }
+    if (whole * 8 == bytes)
+        return;
+    const uint64_t tail =
+        readBits(whole * 64, static_cast<int>(sizeBits_ - whole * 64));
+    for (uint64_t k = 0; whole * 8 + k < bytes; ++k)
+        out[whole * 8 + k] = static_cast<uint8_t>(tail >> 8 * k);
 }
 
 std::string

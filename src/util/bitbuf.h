@@ -64,6 +64,10 @@ class BitBuffer
     /** Copy out to a byte vector (final partial byte zero-padded). */
     std::vector<uint8_t> toBytes() const;
 
+    /** Write the bytes toBytes() returns to `out`, a whole word at a
+     * time. */
+    void copyBytes(uint8_t *out) const;
+
     /** Interpret the whole buffer as a string of 8-bit characters. */
     std::string toString() const;
 

@@ -93,7 +93,7 @@ fastDram()
 
 /** Fill channel memory regions with a counting byte pattern. */
 void
-fillPattern(std::vector<uint8_t> &mem, const StreamRegion &region)
+fillPattern(dram::ChannelMemory &mem, const StreamRegion &region)
 {
     for (uint64_t i = 0; i < ceilDiv(region.streamBits, 8); ++i)
         mem[region.baseAddr + i] = uint8_t((region.baseAddr + i) * 7 + 1);
@@ -297,7 +297,10 @@ TEST(OutputController, NonDividingTokenWidthNeedsNoDoubleBuffer)
             ch.tick();
             done = ctrl.done() && emitted == kTokens;
         }
-        return std::make_pair(done, ch.memory()); // memory copied out
+        // Memory copied out.
+        return std::make_pair(done, std::vector<uint8_t>(
+                                        ch.memory().begin(),
+                                        ch.memory().end()));
     };
 
     // Without the skid the controller wedges (this is the bug)...
@@ -347,7 +350,9 @@ TEST(InputController, NonDividingTokenWidthNeedsNoDoubleBuffer)
             if (ctrl.done() && tokens.size() == kTokens)
                 break;
         }
-        return std::make_pair(std::move(tokens), ch.memory());
+        return std::make_pair(std::move(tokens),
+                              std::vector<uint8_t>(ch.memory().begin(),
+                                                   ch.memory().end()));
     };
 
     auto [wedged_tokens, wedged_mem] = run(0);
@@ -543,8 +548,8 @@ drainTokens(InputController &ctrl, dram::DramChannel &ch, int token_bits,
 
 /** Token `t` of the bit-packed stream at `base` in `mem`. */
 uint64_t
-memoryToken(const std::vector<uint8_t> &mem, uint64_t base, int token_bits,
-            uint64_t t)
+memoryToken(const dram::ChannelMemory &mem, uint64_t base,
+            int token_bits, uint64_t t)
 {
     uint64_t value = 0;
     for (int bit = 0; bit < token_bits; ++bit) {

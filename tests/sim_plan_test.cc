@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -206,6 +207,88 @@ countOp(const EvalPlan &plan, Op op)
     return count;
 }
 
+/** A `width`-bit operand of the 8-bit token `t`, and its value: the
+ * token's low bits, or the token zero-extended; `mix` xors it first
+ * with 0xa5 so two operands differ. */
+Value
+tokenOperand(const Value &in, int width, bool mix)
+{
+    const Value x = mix ? in ^ Value::lit(0xa5, 8) : in;
+    return width <= 8 ? x.slice(width - 1, 0) : x.resize(width);
+}
+
+uint64_t
+tokenOperandValue(uint64_t t, int width, bool mix)
+{
+    return truncTo(mix ? t ^ 0xa5 : t, width);
+}
+
+TEST(FusedOps, TokenTablesMatchUtilOps)
+{
+    // Every operator over token-only operands, so it is evaluated only
+    // by the token table's column loop; each of the 256 tokens emits
+    // its result zero-extended to 64 bits. The b operand is a second
+    // token-only value or a constant (shift amounts included).
+    const int widths[] = {1, 7, 8, 32, 64};
+    for (int o = 0; o <= int(BinOp::LOr); ++o) {
+        const BinOp op = BinOp(o);
+        for (int wa : widths) {
+            for (int wb : widths) {
+                for (int constant_b = 0; constant_b < 2; ++constant_b) {
+                    const uint64_t k = truncTo(uint64_t(wa) + 1, wb);
+                    ProgramBuilder b("table", 8, 64);
+                    Value in = b.input();
+                    Value rhs = constant_b ? Value::lit(k, wb)
+                                           : tokenOperand(in, wb, true);
+                    b.emit(Value(lang::binExpr(
+                                     op, tokenOperand(in, wa, false).expr(),
+                                     rhs.expr()))
+                               .resize(64));
+                    auto plan = std::make_shared<const EvalPlan>(b.finish());
+                    // Tabulated whole: no cone is left.
+                    ASSERT_TRUE(plan->cones.empty());
+                    ASSERT_GT(countOp(*plan, EvalPlan::binCode(op)), 0u);
+                    BitBuffer input;
+                    for (uint64_t t = 0; t < 256; ++t)
+                        input.appendBits(t, 8);
+                    const RunResult r = FunctionalSimulator(plan).run(input);
+                    ASSERT_EQ(r.emits, 257u); // And the cleanup's token 0.
+                    for (uint64_t t = 0; t < 256; ++t) {
+                        const uint64_t vb =
+                            constant_b ? k : tokenOperandValue(t, wb, true);
+                        EXPECT_EQ(r.output.readBits(t * 64, 64),
+                                  evalBinOp(op,
+                                            tokenOperandValue(t, wa, false),
+                                            wa, vb, wb))
+                            << binOpName(op) << " wa=" << wa << " wb=" << wb
+                            << " const b=" << constant_b << " token " << t;
+                    }
+                }
+            }
+        }
+    }
+    for (int o = 0; o <= int(UnOp::Neg); ++o) {
+        const UnOp op = UnOp(o);
+        for (int wa : widths) {
+            ProgramBuilder b("table", 8, 64);
+            b.emit(Value(lang::unExpr(
+                             op, tokenOperand(b.input(), wa, true).expr()))
+                       .resize(64));
+            auto plan = std::make_shared<const EvalPlan>(b.finish());
+            ASSERT_TRUE(plan->cones.empty());
+            ASSERT_GT(countOp(*plan, EvalPlan::unCode(op)), 0u);
+            BitBuffer input;
+            for (uint64_t t = 0; t < 256; ++t)
+                input.appendBits(t, 8);
+            const RunResult r = FunctionalSimulator(plan).run(input);
+            for (uint64_t t = 0; t < 256; ++t)
+                EXPECT_EQ(r.output.readBits(t * 64, 64),
+                          evalUnOp(op, tokenOperandValue(t, wa, true), wa))
+                    << unOpName(op) << " wa=" << wa << " token " << t;
+        }
+    }
+}
+
 TEST(PlanShape, AppNodeCountsArePinned)
 {
     // All nodes / non-constant nodes after folding and hash-consing.
@@ -232,14 +315,23 @@ TEST(PlanShape, AppNodeCountsArePinned)
     }
 }
 
+/** An if/elif/else chain over x = input + 1, at a token width. */
+lang::Program
+chainProgram(int width)
+{
+    ProgramBuilder b("walk", width, width);
+    Value x = b.input() + Value::lit(1, width);
+    b.if_(x == 3, [&] { b.emit(x); })
+        .elseIf(x == 5, [&] { b.emit(x + Value::lit(1, width)); })
+        .else_([&] { b.emit(Value::lit(0, width)); });
+    return b.finish();
+}
+
 TEST(PlanShape, ConesLeaveOutWhatDominatingStepsComputed)
 {
-    ProgramBuilder b("walk", 8, 8);
-    Value x = b.input() + Value::lit(1, 8);
-    b.if_(x == 3, [&] { b.emit(x); })
-        .elseIf(x == 5, [&] { b.emit(x + Value::lit(1, 8)); })
-        .else_([&] { b.emit(Value::lit(0, 8)); });
-    EvalPlan plan(b.finish());
+    // 16-bit tokens: no token table, so the cones hold the token's
+    // logic.
+    EvalPlan plan(chainProgram(16));
     using Kind = EvalPlan::Step::Kind;
     const Kind kinds[] = {Kind::Test,    Kind::Actions, Kind::Jump,
                           Kind::Test,    Kind::Actions, Kind::Jump,
@@ -264,6 +356,30 @@ TEST(PlanShape, ConesLeaveOutWhatDominatingStepsComputed)
     EXPECT_EQ(plan.walk[3].target, 6u);
     EXPECT_EQ(plan.walk[2].target, 7u);
     EXPECT_EQ(plan.walk[5].target, 7u);
+}
+
+TEST(PlanShape, TokenOnlyConesAreEmpty)
+{
+    // 8-bit tokens: every node but the constants is token-only, so the
+    // token table holds what the cones computed at 16 bits, and every
+    // cone is empty. The frontier is what the steps and actions read:
+    // x == 3, x, x == 5 and x + 1, not the input (only x reads it).
+    EvalPlan plan(chainProgram(8));
+    ASSERT_EQ(plan.walk.size(), 7u);
+    for (const EvalPlan::Step &step : plan.walk)
+        EXPECT_EQ(step.coneBegin, step.coneEnd);
+    EXPECT_TRUE(plan.cones.empty());
+    EXPECT_EQ(std::count(plan.tokenOnly.begin(), plan.tokenOnly.end(), 1),
+              5);
+    ASSERT_EQ(plan.tokens.frontier.size(), 4u);
+    EXPECT_EQ(plan.tokens.rows.size(), 256u * 4u);
+    for (uint32_t i : plan.tokens.frontier)
+        EXPECT_NE(plan.nodes[i].op, Op::Input);
+    // Token 2: x = 3, so x == 3 holds and x == 5 does not.
+    const uint64_t *row = plan.tokens.rows.data() + 2 * 4;
+    std::vector<uint64_t> values(row, row + 4);
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(values, (std::vector<uint64_t>{0, 1, 3, 4}));
 }
 
 TEST(PlanShape, FoldsConstantsMuxesAndEqualSubtrees)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/bitbuf.h"
 #include "util/bits.h"
 #include "util/logging.h"
@@ -111,6 +113,31 @@ TEST(BitBuffer, ToBytesPartial)
     auto bytes = buf.toBytes();
     ASSERT_EQ(bytes.size(), 1u);
     EXPECT_EQ(bytes[0], 0b1011);
+}
+
+TEST(BitBuffer, CopyBytesMatchesBitReads)
+{
+    // Whole words, a partial tail word, a partial last byte, and a
+    // shrunk buffer whose dropped bits must not leak into the copy; the
+    // byte past the end is never written.
+    for (uint64_t bits : {0, 7, 64, 130, 1000, 1001}) {
+        BitBuffer buf;
+        uint64_t x = 0x9e3779b97f4a7c15ull;
+        for (uint64_t i = 0; i < bits + 13; i += 13) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            buf.appendBits(x >> 51, 13);
+        }
+        buf.resizeBits(bits);
+        const uint64_t size = (bits + 7) / 8;
+        std::vector<uint8_t> out(size + 1, 0xee);
+        buf.copyBytes(out.data());
+        for (uint64_t i = 0; i < size; ++i) {
+            const int width = int(std::min<uint64_t>(8, bits - 8 * i));
+            EXPECT_EQ(out[i], buf.readBits(8 * i, width))
+                << bits << " bits, byte " << i;
+        }
+        EXPECT_EQ(out[size], 0xee) << bits << " bits";
+    }
 }
 
 TEST(BitBuffer, ResizeShrinkClearsTail)
