@@ -66,6 +66,13 @@ gate "$bin/chaos_soak" --smoke --seed 2026 --seed 2027 --seed 2028 \
     --json BENCH_CHAOS.json
 # Serving latency under a fault storm (recovery priced in).
 gate "$bin/serve_latency" --smoke --faults 2026 --json BENCH_LAT_FAULTS.json
+# The paper-figure benches (Fig. 8 and 9, Sec. 7.2-7.4, the memctl
+# ablation). Each drives one-shot FleetSystem runs and gates by its
+# exit code; none writes JSON yet.
+for paper_bench in fig8_loc fig9_memctl_ablation sec72_divergence \
+    sec73_memory_bandwidth sec74_hls_comparison ablation_memctl; do
+    gate "$bin/$paper_bench"
+done
 
 if ((${#failed[@]})); then
     printf '\nFAILED bench gates:\n' >&2

@@ -113,12 +113,6 @@ ChannelFaults::beatCorrupted(uint64_t beat_index) const
 }
 
 uint64_t
-truncatedStreamTokens(const FaultPlan &plan, int global_pu, uint64_t tokens)
-{
-    return truncatedJobTokens(plan, uint64_t(global_pu), tokens);
-}
-
-uint64_t
 truncatedJobTokens(const FaultPlan &plan, uint64_t job_id, uint64_t tokens)
 {
     if (tokens == 0 || plan.truncatePermille == 0)

@@ -32,7 +32,7 @@
  *    error with probability corruptBeatPerMillion/1e6; the input
  *    controller's per-beat parity check detects it (single-bit flips are
  *    always caught by parity) and the affected PU is contained;
- *  - truncated streams: a PU's input stream is cut to a random prefix
+ *  - truncated streams: a job's input stream is cut to a random prefix
  *    (whole tokens) with probability truncatePermille/1000, modelling
  *    short or interrupted uploads.
  */
@@ -60,7 +60,8 @@ struct FaultPlan
     /** Per delivered read beat, rate/1e6 chance of a single-bit error. */
     uint32_t corruptBeatPerMillion = 0;
 
-    /** Per PU, rate/1000 chance its input stream is truncated. */
+    /** Per job (one-shot: per PU), rate/1000 chance its input stream
+     * is truncated. */
     uint32_t truncatePermille = 0;
 
     bool enabled() const
@@ -108,20 +109,11 @@ class ChannelFaults
 };
 
 /**
- * Stream truncation decision for one global PU index: returns the number
- * of tokens to keep out of `tokens` (== tokens when not truncated; a
- * truncated stream keeps at least one token when it had any).
- */
-uint64_t truncatedStreamTokens(const FaultPlan &plan, int global_pu,
-                               uint64_t tokens);
-
-/**
- * Stream truncation decision keyed by a job id instead of a PU index
- * (the multi-stream job runtime, runtime/session.h). Keying by job makes
- * a given job's fault independent of which processing unit the scheduler
- * happens to re-arm with it. For job_id == the global PU index this is
- * exactly truncatedStreamTokens, so the one-shot path's decisions are
- * unchanged.
+ * Stream truncation decision for one job: returns the number of tokens
+ * to keep out of `tokens` (== tokens when not truncated; a truncated
+ * stream keeps at least one token when it had any). Keying by job id
+ * makes a job's fault independent of which processing unit runs it; a
+ * one-shot FleetSystem's job ids are its PU indices.
  */
 uint64_t truncatedJobTokens(const FaultPlan &plan, uint64_t job_id,
                             uint64_t tokens);

@@ -190,27 +190,17 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
     recomputeWatchdogBudget();
 
     // Resolve which batched engine lane (if any) drives each local PU.
-    // An empty locals list is the legacy arrangement: lane l <-> local
-    // l, covering the whole channel.
     laneOfLocal_.assign(pus_.size(), {-1, -1});
     for (size_t b = 0; b < batches_.size(); ++b) {
         BatchBinding &binding = batches_[b];
-        if (binding.locals.empty() &&
-            binding.batch->lanes() != numPus()) {
-            panic("system: batched RTL engine has ",
-                  binding.batch->lanes(), " lanes for ", numPus(),
-                  " PUs");
-        }
         int lanes = binding.batch->lanes();
-        if (!binding.locals.empty() &&
-            static_cast<int>(binding.locals.size()) != lanes) {
+        if (static_cast<int>(binding.locals.size()) != lanes) {
             panic("system: batched RTL engine has ", lanes,
                   " lanes but ", binding.locals.size(),
                   " bound local PUs");
         }
         for (int lane = 0; lane < lanes; ++lane) {
-            int local = binding.locals.empty() ? lane
-                                               : binding.locals[lane];
+            int local = binding.locals[lane];
             if (local < 0 || local >= numPus())
                 panic("system: batch lane ", lane,
                       " binds out-of-range local PU ", local);

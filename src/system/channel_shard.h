@@ -32,9 +32,10 @@
  * (Idle), or on a channel-level failure (Halted), and finishRun()
  * settles the ChannelOutcome. Between step() slices a caller may retire
  * a drained unit's job (retireJob) and re-arm the slot with a fresh
- * stream without disturbing channel-mates mid-flight. A one-shot run
- * is the same protocol: every slot armed once at cycle 0 under its
- * global PU index as job id, then one unbounded step().
+ * stream without disturbing channel-mates mid-flight. The shard does
+ * not know whether it serves one job per slot or many: a one-shot
+ * FleetSystem arms every slot once at cycle 0, steps without a budget
+ * and settles with finishRun(), exactly as a session finishes.
  *
  * Sleeping lanes: the cost of a cycle scales with the lanes that can
  * make progress. An untraced, unbatched unit that is quiet() — starved,
@@ -162,17 +163,15 @@ class ChannelShard
 
     /**
      * Attach a batched RTL engine whose lane l is the PU with local
-     * index locals[l] (empty locals = identity: lane l is local l,
-     * covering every PU — the legacy single-program arrangement). When
-     * a local is covered by a batch, step() evaluates and steps it
-     * through the batch's vectorized group calls instead of per-unit
-     * eval()/step() — observably identical, since phase 1 of the cycle
-     * loop only reads per-PU controller state. Multi-program sessions
-     * (ISSUE 8) attach one batch per program hosted on the channel,
-     * each covering the slots bound to that program.
+     * index locals[l]. When a local is covered by a batch, step()
+     * evaluates and steps it through the batch's vectorized group calls
+     * instead of per-unit eval()/step() — observably identical, since
+     * phase 1 of the cycle loop only reads per-PU controller state. The
+     * system attaches one batch per (channel, program) group of
+     * batched slots.
      */
     void attachBatch(std::shared_ptr<RtlBatch> batch,
-                     std::vector<int> locals = {});
+                     std::vector<int> locals);
 
     /// @name Incremental stepping (the job runtime's driving seam).
     /// @{
@@ -380,7 +379,7 @@ class ChannelShard
     struct BatchBinding
     {
         std::shared_ptr<RtlBatch> batch;
-        std::vector<int> locals; ///< Empty = identity over all PUs.
+        std::vector<int> locals; ///< Local PU behind each lane.
     };
     std::vector<BatchBinding> batches_;
     /** Per-local (batch index, lane in batch); (-1, -1) = unbatched,

@@ -66,7 +66,8 @@ struct SystemStats
     double clockMHz = 125.0;
     /** Host worker threads the run actually used. */
     int threadsUsed = 1;
-    /** Host wall-clock seconds spent inside run(). */
+    /** Host wall-clock seconds spent stepping the channels (run() or
+     * stepEpoch slices). */
     double wallSeconds = 0.0;
     /** Per-channel utilization breakdown, indexed by channel. */
     std::vector<ChannelStats> channels;

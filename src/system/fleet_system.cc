@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "compile/compiler.h"
 #include "model/area.h"
@@ -89,8 +90,39 @@ FleetSystem::FleetSystem(const lang::Program &program,
     if (streams.empty())
         fatal("FleetSystem: needs at least one stream");
     const int num_slots = static_cast<int>(streams.size());
+    const int in_width = program.inputTokenWidth;
     bindings_.resize(num_slots);
-    build(num_slots, std::move(streams));
+    truncation_.resize(num_slots);
+    // Each slot holds one job, its id the PU index. Truncation comes
+    // before layout, so each input region is sized from the stream its
+    // unit will read.
+    std::vector<uint64_t> region_bytes(num_slots);
+    for (int p = 0; p < num_slots; ++p) {
+        if (streams[p].sizeBits() % in_width != 0)
+            fatal("FleetSystem: stream ", p,
+                  " is not a whole number of tokens");
+        truncate(p, streams[p], uint64_t(p));
+        region_bytes[p] = ceilDiv(streams[p].sizeBits(), 8);
+    }
+    build(region_bytes);
+
+    // Start the clock and arm every slot as armJob arms a job. Loading
+    // is independent per slot and FastPu's pre-run dominates
+    // construction, so the slots load on the worker pool, each stream
+    // dropped once its slot holds it. A unit that refuses its stream is
+    // contained at cycle 0 while its channel-mates run.
+    beginSession();
+    std::vector<Status> loaded(num_slots);
+    parallelFor(resolveThreads(num_slots), num_slots, [&](int p) {
+        loaded[p] = loadSlot(p, std::move(streams[p]));
+    });
+    for (int p = 0; p < num_slots; ++p) {
+        ChannelShard &shard = *shards_[puShard_[p]];
+        shard.rearmPu(puLocal_[p], truncation_[p].first * in_width,
+                      uint64_t(p));
+        if (!loaded[p].ok())
+            shard.cancelPu(puLocal_[p], std::move(loaded[p]));
+    }
 }
 
 FleetSystem::FleetSystem(const lang::Program &program,
@@ -154,7 +186,12 @@ FleetSystem::FleetSystem(std::vector<lang::Program> programs,
         if (!fit.ok())
             throw StatusError(std::move(fit));
     }
-    build(num_slots);
+    truncation_.resize(num_slots);
+    // Every slot gets a fixed-size input region each job must fit (the
+    // stream is re-uploaded to the region base at each arm).
+    build(std::vector<uint64_t>(num_slots, config_.inputRegionBytes
+                                               ? config_.inputRegionBytes
+                                               : 256 * 1024));
 }
 
 Status
@@ -229,13 +266,14 @@ FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
 }
 
 void
-FleetSystem::build(int num_slots, std::vector<BitBuffer> streams)
+FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
 {
     if (config_.numChannels < 1)
         fatal("FleetSystem: needs at least one channel");
 
     const uint64_t burst_bytes = config_.inputCtrl.burstBits / 8;
     const int channels = config_.numChannels;
+    const int num_slots = static_cast<int>(input_region_bytes.size());
 
     // Tell the controllers the PU token widths so the per-PU buffers
     // can carry the one-token skid space that keeps non-dividing token
@@ -250,40 +288,6 @@ FleetSystem::build(int num_slots, std::vector<BitBuffer> streams)
     for (int p = 0; p < num_slots; ++p)
         slotBackends_[p] =
             bindings_[p].backend.value_or(config_.backend);
-
-    // Fault injection: stream truncation models a short or interrupted
-    // upload. It must happen before memory layout *and* before the
-    // units arm (FastPu pre-runs the exact stream), so it is the very
-    // first transformation. Session mode truncates per job at armJob()
-    // instead — same hash, keyed by job id.
-    truncation_.resize(num_slots);
-    for (int p = 0; p < num_slots; ++p) {
-        if (sessionMode_) {
-            truncation_[p] = {0, 0};
-            continue;
-        }
-        const BitBuffer &stream = streams[p];
-        const int in_width = slotProgram(p).inputTokenWidth;
-        if (stream.sizeBits() % in_width != 0)
-            fatal("FleetSystem: stream ", p,
-                  " is not a whole number of tokens");
-        uint64_t tokens = stream.sizeBits() / in_width;
-        truncation_[p] = {tokens, tokens};
-        if (!config_.faults.enabled())
-            continue;
-        uint64_t keep = fault::truncatedStreamTokens(
-            config_.faults, static_cast<int>(p), tokens);
-        if (keep != tokens) {
-            streams[p].resizeBits(keep * in_width);
-            truncation_[p].first = keep;
-        }
-    }
-
-    // Session slots get a fixed-size input region every job must fit
-    // (the stream is re-uploaded to the region base at each arm).
-    const uint64_t session_region_bytes = roundUp(
-        config_.inputRegionBytes ? config_.inputRegionBytes : 256 * 1024,
-        burst_bytes);
 
     // Lay out each channel's memory: all of its PUs' input regions,
     // then their output regions.
@@ -309,10 +313,7 @@ FleetSystem::build(int num_slots, std::vector<BitBuffer> streams)
         // Lanes start parked; arming a slot sets its stream length.
         memctl::StreamRegion in;
         in.baseAddr = layout.bytes;
-        in.regionBytes =
-            sessionMode_ ? session_region_bytes
-                         : roundUp(ceilDiv(streams[p].sizeBits(), 8),
-                                   burst_bytes);
+        in.regionBytes = roundUp(input_region_bytes[p], burst_bytes);
         layout.bytes += in.regionBytes;
 
         memctl::StreamRegion out;
@@ -474,30 +475,10 @@ FleetSystem::build(int num_slots, std::vector<BitBuffer> streams)
         }
         shards_[puShard_[p]]->addPu(std::move(pu), p);
     }
-    if (sessionMode_)
-        return;
-
-    // One-shot: start the clock and arm every slot with its stream, as
-    // armJob arms a session job, the job id being the global PU index.
-    // Loading is independent per slot and FastPu's pre-run dominates
-    // construction, so the slots load on the worker pool. A unit that
-    // refuses its stream is contained at cycle 0 while its
-    // channel-mates run.
-    beginSession();
-    std::vector<Status> loaded(num_slots);
-    parallelFor(resolveThreads(num_slots), num_slots,
-                [&](int p) { loaded[p] = loadSlot(p, streams[p]); });
-    for (int p = 0; p < num_slots; ++p) {
-        ChannelShard &shard = *shards_[puShard_[p]];
-        streamBits_.push_back(streams[p].sizeBits());
-        shard.rearmPu(puLocal_[p], streamBits_[p], uint64_t(p));
-        if (!loaded[p].ok())
-            shard.cancelPu(puLocal_[p], std::move(loaded[p]));
-    }
 }
 
 Status
-FleetSystem::loadSlot(int pu, const BitBuffer &stream)
+FleetSystem::loadSlot(int pu, BitBuffer stream)
 {
     ChannelShard &shard = *shards_[puShard_[pu]];
     stream.copyBytes(shard.channel().memory().data() +
@@ -524,35 +505,46 @@ FleetSystem::run()
             StatusCode::InvalidState,
             "FleetSystem::run() called twice; construct a fresh system "
             "or serve many streams through runtime::Session"));
-    auto start = std::chrono::steady_clock::now();
-
-    // Channels never communicate (Section 5), so each shard runs its
-    // whole simulation independently; the system's cycle count is the
-    // slowest channel's. Failures are contained per shard: shard step
-    // loops never throw.
-    threadsUsed_ = resolveThreads(numShards());
-    parallelFor(threadsUsed_, numShards(),
-                [&](int s) { shards_[s]->step(UINT64_MAX); });
+    // One unbounded epoch: every shard runs until its slots drain or
+    // its channel halts, then the run settles as a session finishes.
+    stepEpoch(UINT64_MAX);
     settle();
-
-    for (int p = 0; p < numPus(); ++p) {
-        PuOutcome &outcome = report_.pus[p];
-        auto [kept, original] = truncation_[p];
-        if (outcome.status.code == StatusCode::Ok && kept != original) {
-            // The unit completed, but over an injected short stream:
-            // surface that so callers don't mistake partial coverage
-            // for a full run.
-            std::ostringstream os;
-            os << "PU " << p << ": input stream truncated to " << kept
-               << " of " << original << " tokens";
-            outcome.status =
-                Status::make(StatusCode::StreamTruncated, os.str());
-        }
-    }
-    wallSeconds_ = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+    for (int p = 0; p < numPus(); ++p)
+        markTruncated(p, "PU", uint64_t(p), report_.pus[p].status);
     return report_;
+}
+
+void
+FleetSystem::truncate(int pu, BitBuffer &stream, uint64_t job_id)
+{
+    // Stream truncation models a short or interrupted upload. It keys by
+    // job id, so a job's fate is independent of the slot it lands on.
+    const int in_width = slotProgram(pu).inputTokenWidth;
+    const uint64_t tokens = stream.sizeBits() / in_width;
+    truncation_[pu] = {tokens, tokens};
+    if (!config_.faults.enabled())
+        return;
+    const uint64_t keep =
+        fault::truncatedJobTokens(config_.faults, job_id, tokens);
+    if (keep != tokens) {
+        stream.resizeBits(keep * in_width);
+        truncation_[pu].first = keep;
+    }
+}
+
+void
+FleetSystem::markTruncated(int pu, const char *what, uint64_t id,
+                           Status &status) const
+{
+    auto [kept, original] = truncation_[pu];
+    if (status.code != StatusCode::Ok || kept == original)
+        return;
+    // The unit completed, but over an injected short stream: surface
+    // that so callers don't mistake partial coverage for a full run.
+    std::ostringstream os;
+    os << what << " " << id << ": input stream truncated to " << kept
+       << " of " << original << " tokens";
+    status = Status::make(StatusCode::StreamTruncated, os.str());
 }
 
 void
@@ -688,20 +680,7 @@ FleetSystem::armJob(int pu, BitBuffer stream, uint64_t job_id)
         return Status::make(StatusCode::InvalidArgument, os.str());
     }
 
-    // Per-job stream truncation — the same upload-fault hash the
-    // one-shot path applies, keyed by job id instead of PU index, so a
-    // job's fate is independent of which slot it lands on.
-    uint64_t tokens = stream.sizeBits() / in_width;
-    truncation_[pu] = {tokens, tokens};
-    if (config_.faults.enabled()) {
-        uint64_t keep =
-            fault::truncatedJobTokens(config_.faults, job_id, tokens);
-        if (keep != tokens) {
-            stream.resizeBits(keep * in_width);
-            truncation_[pu].first = keep;
-        }
-    }
-
+    truncate(pu, stream, job_id);
     if (ceilDiv(stream.sizeBits(), 8) > inputRegions_[pu].regionBytes) {
         std::ostringstream os;
         os << "armJob: job " << job_id << "'s stream ("
@@ -714,9 +693,10 @@ FleetSystem::armJob(int pu, BitBuffer stream, uint64_t job_id)
 
     // A unit that refuses the stream leaves the slot parked for the
     // next job.
-    Status loaded = loadSlot(pu, stream);
+    const uint64_t stream_bits = stream.sizeBits();
+    Status loaded = loadSlot(pu, std::move(stream));
     if (loaded.ok())
-        shard.rearmPu(local, stream.sizeBits(), job_id);
+        shard.rearmPu(local, stream_bits, job_id);
     return loaded;
 }
 
@@ -754,19 +734,8 @@ RetiredJob
 FleetSystem::retireJob(int pu)
 {
     RetiredJob job = shards_[puShard_[pu]]->retireJob(puLocal_[pu]);
-    auto [kept, original] = truncation_[pu];
-    job.keptTokens = kept;
-    job.originalTokens = original;
-    if (job.outcome.status.code == StatusCode::Ok && kept != original) {
-        // The job completed, but over an injected short stream:
-        // surface that so callers don't mistake partial coverage for a
-        // full run — mirroring the one-shot report remap.
-        std::ostringstream os;
-        os << "job " << job.jobId << ": input stream truncated to "
-           << kept << " of " << original << " tokens";
-        job.outcome.status =
-            Status::make(StatusCode::StreamTruncated, os.str());
-    }
+    std::tie(job.keptTokens, job.originalTokens) = truncation_[pu];
+    markTruncated(pu, "job", job.jobId, job.outcome.status);
     return job;
 }
 
@@ -828,19 +797,11 @@ FleetSystem::stats() const
     stats.clockMHz = config_.clockMHz;
     stats.threadsUsed = threadsUsed_;
     stats.wallSeconds = wallSeconds_;
-    if (sessionMode_) {
-        // Cumulative across every job served (finalized per shard by
-        // finishSession; zeros before it).
-        for (const auto &shard : shards_) {
-            stats.inputBytes += shard->stats().inputBytes;
-            stats.outputBytes += shard->stats().outputBytes;
-        }
-    } else {
-        for (uint64_t bits : streamBits_)
-            stats.inputBytes += ceilDiv(bits, 8);
-        for (size_t p = 0; p < streamBits_.size(); ++p)
-            stats.outputBytes += ceilDiv(
-                shards_[puShard_[p]]->emittedBits(puLocal_[p]), 8);
+    // Cumulative across every job served (finalized per shard when the
+    // run settles; zeros before it).
+    for (const auto &shard : shards_) {
+        stats.inputBytes += shard->stats().inputBytes;
+        stats.outputBytes += shard->stats().outputBytes;
     }
     if (ran_)
         for (const auto &shard : shards_)

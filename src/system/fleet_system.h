@@ -10,11 +10,18 @@
  * needed"). Mirrors the paper's software runtime (Section 2): the user
  * supplies one stream per processing unit, the runtime places them in
  * (simulated) FPGA DRAM, kicks off the units, and reads back each unit's
- * output region when all units have finished. A unit starts one way,
- * in one-shot runs and session jobs alike: its stream is uploaded into
- * its slot's input region, the unit is armed with it
- * (ProcessingUnit::arm; FastPu pre-runs it there), and the slot's
- * controller lanes are re-armed (ChannelShard::rearmPu).
+ * output region when all units have finished.
+ *
+ * One lifecycle serves that one-shot run and the continuously fed pool
+ * of Section 6 (runtime::Session). A slot is armed with a job by
+ * applying the fault plan's truncation (keyed by job id), uploading the
+ * stream into the slot's input region, arming the unit with it
+ * (ProcessingUnit::arm; FastPu pre-runs it there) and re-arming the
+ * slot's controller lanes (ChannelShard::rearmPu). The shards step in
+ * epochs, and the run settles once into a RunReport. A one-shot system
+ * is that protocol run once: each slot holds one job whose id is its PU
+ * index, armed at construction, and run() is one unbounded epoch
+ * followed by the same settle a session's finish uses.
  *
  * Because channels share nothing, each channel's simulation is owned by a
  * ChannelShard (channel_shard.h) and the shards are stepped concurrently
@@ -128,7 +135,9 @@ class FleetSystem
     /**
      * Build a system with one processing unit per input stream, each
      * slot armed with its stream as a job whose id is the PU index.
-     * Each stream must be a whole number of input tokens.
+     * Each stream must be a whole number of input tokens; its input
+     * region is sized from the stream after fault truncation. The
+     * streams are released once their slots hold them.
      */
     FleetSystem(const lang::Program &program, const SystemConfig &config,
                 std::vector<BitBuffer> streams);
@@ -175,11 +184,14 @@ class FleetSystem
 
     /**
      * Run until every unit has finished or been contained and all output
-     * is flushed. Simulation failures (parity errors, output overflow,
-     * watchdog stalls, cycle-limit overruns) are *contained* — recorded
-     * in the returned RunReport at per-channel / per-PU granularity —
-     * not thrown. Protocol misuse is not contained: calling run() twice
-     * or on a session-mode system throws StatusError(InvalidState).
+     * is flushed: one unbounded stepEpoch, the settle finishSession
+     * uses, and each truncated job's Ok surfaced as StreamTruncated
+     * (as retireJob does). Simulation failures (parity errors, output
+     * overflow, watchdog stalls, cycle-limit overruns) are *contained*
+     * — recorded in the returned RunReport at per-channel / per-PU
+     * granularity — not thrown. Protocol misuse is not contained:
+     * calling run() twice or on a session-mode system throws
+     * StatusError(InvalidState).
      */
     const RunReport &run();
 
@@ -199,17 +211,16 @@ class FleetSystem
     /// @name Session mode (driven by runtime::Session).
     /// @{
 
-    bool sessionMode() const { return sessionMode_; }
-
     /** Start the clock: beginRun on every shard (once; one-shot
      * construction starts it to arm its slots). */
     void beginSession();
 
     /**
-     * Arm a parked slot with a job: applies the fault plan's per-job
-     * stream truncation (keyed by job id), copies the stream into the
-     * slot's input region, arms the unit with it, and re-arms the
-     * slot's controller lanes. Errors are returned, not thrown:
+     * Arm a parked slot with a job, as one-shot construction arms every
+     * slot: applies the fault plan's stream truncation (keyed by job
+     * id), copies the stream into the slot's input region, arms the
+     * unit with it, and re-arms the slot's controller lanes. Errors are
+     * returned, not thrown:
      * InvalidState when the system is not in session mode / the slot
      * is busy / its channel halted; InvalidArgument when the stream is
      * not whole tokens, exceeds the input region, or the unit refuses
@@ -283,6 +294,8 @@ class FleetSystem
 
     /// @}
 
+    /** Cycle, byte and per-channel counts, summed from the shards once
+     * the run settles (run() / finishSession()); bytes are 0 before. */
     SystemStats stats() const;
 
     /** Per-PU stall breakdown (valid after run()). */
@@ -335,16 +348,23 @@ class FleetSystem
   private:
     /** Worker threads to use for `jobs` independent jobs. */
     int resolveThreads(int jobs) const;
-    /** Shared tail of both constructors: layout, shards, units; a
-     * one-shot system arms its slots with `streams`. */
-    void build(int num_slots, std::vector<BitBuffer> streams = {});
+    /** Shared tail of both constructors: layout (one input region per
+     * slot, of the given size), shards and parked units. */
+    void build(const std::vector<uint64_t> &input_region_bytes);
+    /** Apply the fault plan's stream truncation for job `job_id` to
+     * `stream` (whole tokens) and record `pu`'s kept/original tokens. */
+    void truncate(int pu, BitBuffer &stream, uint64_t job_id);
+    /** Turn an Ok `status` into StreamTruncated when `pu`'s stream was
+     * cut; the message names the unit as `what id`. */
+    void markTruncated(int pu, const char *what, uint64_t id,
+                       Status &status) const;
     /**
      * Upload `stream` into `pu`'s input region and arm its unit: the
      * first half of arming a slot, which ChannelShard::rearmPu
      * completes. Touches only the slot's own region and unit, so slots
-     * load concurrently.
+     * load concurrently. The stream is dropped on return.
      */
-    Status loadSlot(int pu, const BitBuffer &stream);
+    Status loadSlot(int pu, BitBuffer stream);
     /** Settle every shard and assemble report_ (channel outcomes, PU
      * outcomes, trace, cycles); the run is over. */
     void settle();
@@ -360,16 +380,13 @@ class FleetSystem
     std::vector<SlotBinding> bindings_;
     /** Resolved per-slot backend: binding override or the global. */
     std::vector<PuBackend> slotBackends_;
-    /** One-shot: each slot's stream bits (channel memory holds the
-     * streams themselves); empty in session mode. */
-    std::vector<uint64_t> streamBits_;
     std::vector<std::unique_ptr<ChannelShard>> shards_;
     std::vector<int> puShard_; ///< Global PU index -> owning shard.
     std::vector<int> puLocal_; ///< Global PU index -> local index.
     std::vector<memctl::StreamRegion> inputRegions_;  ///< Global PU index.
     std::vector<memctl::StreamRegion> outputRegions_; ///< Global PU index.
-    /** Tokens kept / original per PU when fault truncation applied; in
-     * session mode, the per-slot values for the currently armed job. */
+    /** Tokens kept / original for each slot's current job (equal when
+     * the fault plan left its stream whole). */
     std::vector<std::pair<uint64_t, uint64_t>> truncation_;
     /** Scheduler-level tracks pending attachment (session mode). */
     std::vector<trace::CounterTrack> sessionTracks_;
@@ -378,6 +395,8 @@ class FleetSystem
     int threadsUsed_ = 1;
     double wallSeconds_ = 0.0;
     bool ran_ = false;
+    /** Built by a session constructor; read only by the entry guards
+     * (run() vs armJob/cancelJob/finishSession). */
     bool sessionMode_ = false;
     bool begun_ = false;
 };

@@ -134,8 +134,8 @@ bool operator==(const Marker &a, const Marker &b);
  * One job's residency on a unit's lane (the multi-stream job runtime,
  * runtime/session.h): [beginCycle, endCycle) covers arm-to-re-arm, so a
  * job's span encloses every phase span of its execution plus the idle
- * tail until the scheduler re-armed the slot. One-shot runs record no
- * job spans.
+ * tail until the scheduler re-armed the slot. A one-shot run records
+ * one span per unit, its only job.
  */
 struct JobSpan
 {

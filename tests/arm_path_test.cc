@@ -15,6 +15,7 @@
 #include <algorithm>
 
 #include "apps/registry.h"
+#include "fault/fault.h"
 #include "lang/builder.h"
 #include "runtime/session.h"
 #include "serve/service.h"
@@ -201,6 +202,67 @@ TEST(ArmViolation, OneShotContainsTheUnitWhileChannelMatesRun)
         reports.push_back(report);
     }
     EXPECT_TRUE(reports[0] == reports[1]);
+}
+
+TEST(ArmPath, OneShotStatsAreTheChannelStatsSummed)
+{
+    const lang::Program program = twiceOn255();
+    Rng rng(6);
+    std::vector<BitBuffer> streams;
+    for (int p = 0; p < 6; ++p)
+        streams.push_back(cleanStream(rng, 300 + 41 * p));
+    const int bad = 1;
+    streams[bad] = tokens({7, 255, 9});
+    // The first plan that cuts exactly one stream, not the refused one.
+    fault::FaultPlan plan;
+    plan.truncatePermille = 200;
+    auto kept = [&](int p) {
+        const uint64_t n = streams[p].sizeBits() / 8;
+        return fault::truncatedJobTokens(plan, uint64_t(p), n);
+    };
+    auto cuts = [&] {
+        int count = 0;
+        for (int p = 0; p < 6; ++p)
+            count += kept(p) * 8 != streams[p].sizeBits();
+        return count;
+    };
+    while (cuts() != 1 || kept(bad) * 8 != streams[bad].sizeBits())
+        ++plan.seed;
+
+    for (PuBackend backend : {PuBackend::Fast, PuBackend::Rtl}) {
+        const char *label = backend == PuBackend::Fast ? "fast" : "rtl";
+        SystemConfig config;
+        config.numChannels = 2;
+        config.numThreads = 1;
+        config.backend = backend;
+        config.faults = plan;
+        FleetSystem fleet(program, config, streams);
+        const RunReport &report = fleet.run();
+        EXPECT_EQ(report.truncatedPuCount(), 1) << label;
+        if (backend == PuBackend::Fast) {
+            EXPECT_EQ(report.pus[bad].status.code,
+                      StatusCode::InvalidArgument);
+        }
+
+        const system::SystemStats stats = fleet.stats();
+        ASSERT_EQ(stats.channels.size(), 2u) << label;
+        uint64_t channel_in = 0, channel_out = 0;
+        for (const system::ChannelStats &channel : stats.channels) {
+            channel_in += channel.inputBytes;
+            channel_out += channel.outputBytes;
+        }
+        EXPECT_EQ(stats.inputBytes, channel_in) << label;
+        EXPECT_EQ(stats.outputBytes, channel_out) << label;
+        // And both count what the units were fed and flushed: the kept
+        // tokens (one byte each) and every output stream.
+        uint64_t in_bytes = 0, out_bytes = 0;
+        for (int p = 0; p < fleet.numPus(); ++p) {
+            in_bytes += kept(p);
+            out_bytes += (fleet.output(p).sizeBits() + 7) / 8;
+        }
+        EXPECT_EQ(stats.inputBytes, in_bytes) << label;
+        EXPECT_EQ(stats.outputBytes, out_bytes) << label;
+    }
 }
 
 /** `count` streams of `app`, cut to one whole-token length. */

@@ -129,7 +129,7 @@ TEST(FaultInjection, TruncatedStreamsReportedWithPartialOutputs)
         ASSERT_EQ(report.pus[p].status.code, StatusCode::StreamTruncated)
             << "PU " << p;
         uint64_t tokens = streams[p].sizeBits() / 8;
-        uint64_t kept = fault::truncatedStreamTokens(plan, p, tokens);
+        uint64_t kept = fault::truncatedJobTokens(plan, p, tokens);
         ASSERT_LT(kept, tokens) << "PU " << p;
         ASSERT_GE(kept, 1u) << "PU " << p;
         BitBuffer prefix = streams[p];
