@@ -17,7 +17,8 @@ RegexApp::program() const
 
     std::vector<Value> state;
     for (int p = 0; p < positions; ++p)
-        state.push_back(b.reg("s" + std::to_string(p), 1, 0));
+        state.push_back(
+            b.reg(std::string("s").append(std::to_string(p)), 1, 0));
     Value index = b.reg("index", 32, 0);
 
     // Character-class tests as comparator trees on the input token.

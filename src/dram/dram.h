@@ -32,6 +32,7 @@
 
 #include "fault/fault.h"
 #include "trace/trace.h"
+#include "util/aligned.h"
 
 namespace fleet {
 namespace dram {
@@ -91,7 +92,7 @@ struct RBeat
                             ///< caught by the controller's parity check.
 };
 
-class DramChannel
+class alignas(kCacheLineBytes) DramChannel
 {
   public:
     /**

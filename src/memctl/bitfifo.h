@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/aligned.h"
 #include "util/bits.h"
 #include "util/logging.h"
 
@@ -44,16 +45,18 @@ class BitFifo
         if (uint64_t(width) > freeBits())
             panic("BitFifo: overflow (pushing ", width, " bits into ",
                   freeBits(), " free)");
-        value = truncTo(value, width);
         // Word-by-word chunks never cross the ring end because the ring
-        // is a whole number of 64-bit words.
+        // is a whole number of 64-bit words. Each chunk overwrites its
+        // bits, so popped bits never need clearing.
         uint64_t pos = tail_;
         int done = 0;
         while (done < width) {
             int word = pos / 64;
             int shift = pos % 64;
             int chunk = std::min<int>(width - done, 64 - shift);
-            words_[word] |= ((value >> done) & mask64(chunk)) << shift;
+            const uint64_t mask = mask64(chunk) << shift;
+            words_[word] = (words_[word] & ~mask) |
+                           ((value >> done) << shift & mask);
             done += chunk;
             pos = advance(pos, chunk);
         }
@@ -66,10 +69,19 @@ class BitFifo
     pop(int width)
     {
         uint64_t value = peek(width);
-        clearRange(head_, width);
+        drop(width);
+        return value;
+    }
+
+    /** Remove `width` bits unread. Caller checks size. */
+    void
+    drop(int width)
+    {
+        if (width < 0 || uint64_t(width) > size_)
+            panic("BitFifo: underflow (dropping ", width, " bits of ",
+                  size_, ")");
         head_ = advance(head_, width);
         size_ -= width;
-        return value;
     }
 
     /** Read the next `width` bits without removing them. */
@@ -100,12 +112,7 @@ class BitFifo
         return value;
     }
 
-    void
-    clear()
-    {
-        head_ = tail_ = size_ = 0;
-        std::fill(words_.begin(), words_.end(), 0);
-    }
+    void clear() { head_ = tail_ = size_ = 0; }
 
   private:
     /** Ring size in bits (rounded up to a whole word for simplicity). */
@@ -120,25 +127,9 @@ class BitFifo
         return pos;
     }
 
-    void
-    clearRange(uint64_t pos, int width)
-    {
-        int cleared = 0;
-        while (cleared < width) {
-            int word = pos / 64;
-            int shift = pos % 64;
-            int chunk = std::min<int>(width - cleared, 64 - shift);
-            uint64_t ring_end = ringBits();
-            if (pos + chunk > ring_end)
-                chunk = static_cast<int>(ring_end - pos);
-            words_[word] &= ~(mask64(chunk) << shift);
-            cleared += chunk;
-            pos = advance(pos, chunk);
-        }
-    }
-
     uint64_t capacity_;
-    std::vector<uint64_t> words_;
+    /** Written by every push and pop: kept on lines of its own. */
+    AlignedVec<uint64_t> words_;
     uint64_t head_ = 0;
     uint64_t tail_ = 0;
     uint64_t size_ = 0;

@@ -28,6 +28,7 @@ InputController::InputController(dram::DramChannel &channel,
         uint64_t(params_.burstBits) * std::max(1, params_.bufferBursts);
     if (params_.tokenBits > 0 && params_.burstBits % params_.tokenBits != 0)
         capacity += uint64_t(params_.tokenBits) - 1;
+    pus_.reserve(regions.size());
     for (auto &region : regions) {
         PuState pu{region, BitFifo(capacity)};
         pu.totalBursts = ceilDiv(region.streamBits, params_.burstBits);
@@ -36,8 +37,10 @@ InputController::InputController(dram::DramChannel &channel,
         pus_.push_back(std::move(pu));
     }
     slots_.resize(params_.numBurstRegs);
-    for (auto &slot : slots_)
-        slot.data.resize(params_.burstBits / 8);
+    const size_t burst_bytes = params_.burstBits / 8;
+    slotData_.assign(slots_.size() * burst_bytes, 0);
+    for (size_t s = 0; s < slots_.size(); ++s)
+        slots_[s].data = slotData_.data() + s * burst_bytes;
     // At most one push per burst register per tick.
     touched_.reserve(slots_.size());
 }
@@ -209,7 +212,7 @@ InputController::acceptBeat()
     const auto &mem = channel_.memory();
     int bus_bytes = channel_.busWidthBytes();
     std::copy(mem.begin() + beat.addr, mem.begin() + beat.addr + bus_bytes,
-              slot.data.begin() +
+              slot.data +
                   static_cast<size_t>(slot.beatsReceived) * bus_bytes);
     // Per-beat parity check: a single-bit error is always detected.
     // Surface it as an event so the shard can contain the owning PU

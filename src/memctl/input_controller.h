@@ -29,16 +29,20 @@
 #include "dram/dram.h"
 #include "memctl/bitfifo.h"
 #include "memctl/params.h"
+#include "util/aligned.h"
 
 namespace fleet {
 namespace memctl {
 
-class InputController
+class alignas(kCacheLineBytes) InputController
 {
   public:
     InputController(dram::DramChannel &channel,
                     const ControllerParams &params,
                     std::vector<StreamRegion> regions);
+    /** The burst registers point into the controller's own storage. */
+    InputController(const InputController &) = delete;
+    InputController &operator=(const InputController &) = delete;
 
     /** Per-PU input buffer the processing unit consumes tokens from. */
     BitFifo &buffer(int pu) { return pus_[pu].buffer; }
@@ -56,8 +60,8 @@ class InputController
     void tick();
 
     /** PUs whose input buffer the last tick() pushed into (may repeat).
-     * The channel loop wakes their sleeping units from this list. */
-    const std::vector<int> &touchedLanes() const { return touched_; }
+     * The channel loop re-derives their handshake inputs from it. */
+    const AlignedVec<int> &touchedLanes() const { return touched_; }
 
     /** A corrupted beat caught by the per-beat parity check. */
     struct ParityEvent
@@ -149,7 +153,7 @@ class InputController
         uint64_t payloadBits = 0; ///< Stream bits in this burst (tail may
                                   ///< be short; padding is discarded).
         uint64_t drainedBits = 0;
-        std::vector<uint8_t> data;
+        uint8_t *data = nullptr; ///< This register's bytes in slotData_.
     };
 
     void drainSlots();
@@ -160,8 +164,11 @@ class InputController
 
     dram::DramChannel &channel_;
     ControllerParams params_;
-    std::vector<PuState> pus_;
-    std::vector<BurstSlot> slots_;
+    // Shard-owned, written every cycle: on cache lines of their own.
+    AlignedVec<PuState> pus_;
+    AlignedVec<BurstSlot> slots_;
+    /** Every burst register's bytes, burstBits / 8 each, in one block. */
+    AlignedVec<uint8_t> slotData_;
     /** PUs of issued-but-not-fully-received bursts, in AR order. */
     std::deque<int> orderQueue_;
     int fillingSlot_ = -1; ///< Slot receiving the current burst's beats.
@@ -170,7 +177,7 @@ class InputController
     int beatsPerBurst_;
     uint64_t bitsDelivered_ = 0;
     uint64_t arIssued_ = 0;
-    std::vector<int> touched_;
+    AlignedVec<int> touched_;
 };
 
 } // namespace memctl

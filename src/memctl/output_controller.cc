@@ -27,12 +27,15 @@ OutputController::OutputController(dram::DramChannel &channel,
         uint64_t(params_.burstBits) * std::max(1, params_.bufferBursts);
     if (params_.tokenBits > 0 && params_.burstBits % params_.tokenBits != 0)
         capacity += uint64_t(params_.tokenBits) - 1;
+    pus_.reserve(regions.size());
     for (auto &region : regions)
         pus_.push_back(PuState{region, BitFifo(capacity)});
     puFilling_.assign(pus_.size(), 0);
     slots_.resize(params_.numBurstRegs);
-    for (auto &slot : slots_)
-        slot.data.resize(params_.burstBits / 8);
+    const size_t burst_bytes = params_.burstBits / 8;
+    slotData_.assign(slots_.size() * burst_bytes, 0);
+    for (size_t s = 0; s < slots_.size(); ++s)
+        slots_[s].data = slotData_.data() + s * burst_bytes;
     // At most one pop per burst register per tick.
     touched_.reserve(slots_.size());
 }
@@ -223,7 +226,7 @@ OutputController::assignSlots()
         slot.active = true;
         slot.filledBits = 0;
         slot.payloadBits = pending.payloadBits;
-        std::fill(slot.data.begin(), slot.data.end(), 0);
+        std::fill_n(slot.data, params_.burstBits / 8, 0);
     }
 }
 
@@ -286,7 +289,7 @@ OutputController::transmit()
     if (!channel_.wReady())
         return;
     int bus_bytes = channel_.busWidthBytes();
-    channel_.wPush(slot.data.data() +
+    channel_.wPush(slot.data +
                    static_cast<size_t>(head.beatsSent) * bus_bytes);
     head.beatsSent++;
     if (head.beatsSent == beatsPerBurst_) {

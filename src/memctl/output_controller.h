@@ -28,16 +28,20 @@
 #include "dram/dram.h"
 #include "memctl/bitfifo.h"
 #include "memctl/params.h"
+#include "util/aligned.h"
 
 namespace fleet {
 namespace memctl {
 
-class OutputController
+class alignas(kCacheLineBytes) OutputController
 {
   public:
     OutputController(dram::DramChannel &channel,
                      const ControllerParams &params,
                      std::vector<StreamRegion> regions);
+    /** The burst registers point into the controller's own storage. */
+    OutputController(const OutputController &) = delete;
+    OutputController &operator=(const OutputController &) = delete;
 
     /** Per-PU output buffer the processing unit emits tokens into.
      * Read-only: tokens enter through push(), which keeps the
@@ -94,8 +98,8 @@ class OutputController
     void tick();
 
     /** PUs whose output buffer the last tick() popped (may repeat). The
-     * channel loop wakes their sleeping units from this list. */
-    const std::vector<int> &touchedLanes() const { return touched_; }
+     * channel loop re-derives their handshake inputs from it. */
+    const AlignedVec<int> &touchedLanes() const { return touched_; }
 
     /// @name Statistics.
     /// @{
@@ -142,7 +146,7 @@ class OutputController
         int owner = -1; ///< Index into orderQueue_ at assignment time is
                         ///< not stable; slots are referenced from
                         ///< PendingBurst::slot instead.
-        std::vector<uint8_t> data;
+        uint8_t *data = nullptr; ///< This register's bytes in slotData_.
     };
 
     void assignSlots();
@@ -156,8 +160,11 @@ class OutputController
 
     dram::DramChannel &channel_;
     ControllerParams params_;
-    std::vector<PuState> pus_;
-    std::vector<BurstSlot> slots_;
+    // Shard-owned, written every cycle: on cache lines of their own.
+    AlignedVec<PuState> pus_;
+    AlignedVec<BurstSlot> slots_;
+    /** Every burst register's bytes, burstBits / 8 each, in one block. */
+    AlignedVec<uint8_t> slotData_;
     std::deque<PendingBurst> orderQueue_;
     std::deque<OverflowEvent> overflowEvents_;
     int rrPointer_ = 0;
@@ -167,9 +174,9 @@ class OutputController
     int beatsPerBurst_;
     uint64_t bitsCollected_ = 0;
     uint64_t awIssued_ = 0;
-    std::vector<int> touched_;
+    AlignedVec<int> touched_;
     /** fillSlots scratch: PUs with an earlier burst still filling. */
-    std::vector<uint8_t> puFilling_;
+    AlignedVec<uint8_t> puFilling_;
 };
 
 } // namespace memctl

@@ -18,54 +18,17 @@
  * also serve as an ordinary ProcessingUnit in single-PU testbenches.
  */
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "rtl/tape.h"
+#include "util/aligned.h"
 
 namespace fleet {
 namespace rtl {
 
 class JitProgram;
-
-/**
- * 64-byte (cache-line) aligned allocator for the SoA state arrays. The
- * native jit kernel (rtl/jit.h) issues full-cache-line vector loads and
- * stores on slot rows; with the default 16-byte operator-new alignment
- * every one of those accesses straddles two lines, which costs ~1.5x on
- * eval throughput. Alignment also helps the interpreter's
- * auto-vectorized sweeps (no peeling prologues).
- */
-template <typename T>
-struct CacheAlignedAlloc
-{
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-    CacheAlignedAlloc() = default;
-    template <typename U>
-    CacheAlignedAlloc(const CacheAlignedAlloc<U> &) noexcept
-    {
-    }
-    T *allocate(std::size_t n)
-    {
-        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
-    }
-    void deallocate(T *p, std::size_t) noexcept
-    {
-        ::operator delete(p, kAlign);
-    }
-    template <typename U>
-    bool operator==(const CacheAlignedAlloc<U> &) const noexcept
-    {
-        return true;
-    }
-};
-
-template <typename T>
-using AlignedVec = std::vector<T, CacheAlignedAlloc<T>>;
 
 class BatchSimulator
 {
@@ -159,6 +122,13 @@ class BatchSimulator
     std::vector<void *> bramPtrs_; ///< Per-BRAM SoA base, for jit_->step.
 
     /**
+     * Cache-aligned (util/aligned.h): the native jit kernel issues
+     * full-cache-line vector loads and stores on slot rows, and an
+     * unaligned row makes each of them straddle two lines (~1.5x on
+     * eval throughput); the interpreter's auto-vectorized sweeps skip
+     * their peeling prologues too. Padding keeps each array off every
+     * other shard's lines.
+     *
      * Exactly one of the two storage sets is sized, per elem32_.
      * Layout in both: slots [slot * lanes + lane], regs
      * [reg * lanes + lane], each BRAM [addr * lanes + lane] (SoA so

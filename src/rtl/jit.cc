@@ -264,25 +264,10 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     auto slot_ref = [&](int32_t slot) {
         return "s[" + std::to_string(int64_t(slot) * lanes) + " + l]";
     };
-    auto operand = [&](int32_t slot, int chunk) -> std::string {
-        if (is_const[size_t(slot)])
-            return lit(const_val[size_t(slot)]);
-        if (def_chunk[size_t(slot)] == chunk)
-            return "t" + std::to_string(slot);
-        return slot_ref(slot);
-    };
     auto masked = [&](const std::string &expr, uint64_t imm) {
         if ((imm & emask) == emask)
             return "(" + expr + ")";
         return "((" + expr + ") & " + lit(imm) + ")";
-    };
-    /** Sign-extend an EB-bit operand holding a `sh`-bits-narrower
-     * value: (selem_t)(elem_t)(x << sh) >> sh, as in evalTapeOps(). */
-    auto sx = [&](const std::string &x, int sh) {
-        if (sh <= 0)
-            return "(selem_t)" + x;
-        std::string n = std::to_string(sh);
-        return "((selem_t)(elem_t)(" + x + " << " + n + ") >> " + n + ")";
     };
 
     // Vector geometry for the explicit-SIMD eval loops. GNU vector

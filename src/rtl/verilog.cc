@@ -12,7 +12,7 @@ namespace {
 std::string
 nodeRef(NodeId id)
 {
-    return "n" + std::to_string(id);
+    return std::string("n").append(std::to_string(id));
 }
 
 std::string
@@ -20,7 +20,7 @@ widthDecl(int width)
 {
     if (width == 1)
         return "";
-    return "[" + std::to_string(width - 1) + ":0] ";
+    return std::string("[").append(std::to_string(width - 1)) + ":0] ";
 }
 
 /** Render one combinational node as the RHS of an assign. */

@@ -65,10 +65,11 @@ FunctionalSimulator::loadToken(uint64_t token)
 void
 FunctionalSimulator::violation(const std::string &message) const
 {
-    fatal(plan_->program.name, ": restriction violation at ",
-          streamFinished_ ? "cleanup cycle" : "token",
-          streamFinished_ ? std::string() : " " + std::to_string(tokenIndex_),
-          ": ", message);
+    std::string at = "cleanup cycle";
+    if (!streamFinished_)
+        at = std::string("token ").append(std::to_string(tokenIndex_));
+    fatal(plan_->program.name, ": restriction violation at ", at, ": ",
+          message);
 }
 
 inline uint64_t

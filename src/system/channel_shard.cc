@@ -1,6 +1,7 @@
 #include "system/channel_shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "system/pu_rtl_batch.h"
@@ -10,6 +11,31 @@
 
 namespace fleet {
 namespace system {
+
+namespace {
+
+uint64_t
+laneBit(int local)
+{
+    return uint64_t(1) << (local & 63);
+}
+
+void
+assignBit(uint64_t &word, uint64_t bit, bool value)
+{
+    word = value ? word | bit : word & ~bit;
+}
+
+/** fn(local) for every set bit of word w's `bits`, lowest first. */
+template <typename Fn>
+void
+forEachLane(uint64_t bits, size_t w, Fn &&fn)
+{
+    for (; bits != 0; bits &= bits - 1)
+        fn(static_cast<int>(w * 64 + std::countr_zero(bits)));
+}
+
+} // namespace
 
 ChannelShard::ChannelShard(int channel_index,
                            const dram::DramParams &dram_params,
@@ -51,7 +77,6 @@ ChannelShard::addPu(std::unique_ptr<ProcessingUnit> pu, int global_index)
     // job id (a one-shot run arms exactly that job).
     slot.jobId = static_cast<uint64_t>(global_index);
     pus_.push_back(std::move(slot));
-    asleep_.push_back(0);
     // A parked lane counts as finished-and-flushed so it never blocks
     // the channel's completion check.
     outputCtrl_->setPuFinished(numPus() - 1);
@@ -67,12 +92,14 @@ ChannelShard::attachBatch(std::shared_ptr<RtlBatch> batch,
 }
 
 void
-ChannelShard::containPu(int local, Status status)
+ChannelShard::containPu(int local, Status status, uint64_t through)
 {
     PuSlot &slot = pus_[local];
     if (slot.failed)
         return;
+    settleLane(local, through);
     slot.failed = true;
+    laneWord(local).live &= ~laneBit(local);
     if (trace_)
         trace_->marker(local, cycles_,
                        std::string("contained: ") +
@@ -88,40 +115,82 @@ ChannelShard::containPu(int local, Status status)
 }
 
 void
-ChannelShard::creditSleep(PuSlot &slot, uint64_t through)
+ChannelShard::creditLane(int local, uint64_t through)
 {
-    uint64_t slept = through - slot.sleptFrom;
-    slot.sleptFrom = through;
-    if (slot.finishedSeen)
+    uint64_t &from = runFrom_[local];
+    if (through <= from)
         return;
-    if (trace::inputStarved(slot.lastOut.inputReady,
-                            slot.lastIn.inputValid,
-                            slot.lastIn.inputFinished))
-        slot.stats.inputStarvedCycles += slept;
-    if (trace::outputBlocked(slot.lastOut.outputValid,
-                             slot.lastIn.outputReady))
-        slot.stats.outputBlockedCycles += slept;
+    const LaneWord &m = laneWord(local);
+    const uint64_t bit = laneBit(local);
+    PuStats &stats = pus_[local].stats;
+    if (m.starved & bit)
+        stats.inputStarvedCycles += through - from;
+    if (m.blocked & bit)
+        stats.outputBlockedCycles += through - from;
+    from = through;
 }
 
 void
-ChannelShard::wakeLane(int local, uint64_t through)
+ChannelShard::settleLane(int local, uint64_t through)
 {
-    if (!asleep_[local])
-        return;
-    PuSlot &slot = pus_[local];
-    creditSleep(slot, through);
-    asleep_[local] = 0;
-    if (!slot.finishedSeen)
-        --sleepingUnfinished_;
+    creditLane(local, through);
+    LaneWord &m = laneWord(local);
+    m.starved &= ~laneBit(local);
+    m.blocked &= ~laneBit(local);
 }
 
 void
-ChannelShard::settleSleepers(uint64_t through)
+ChannelShard::settleAll(uint64_t through)
 {
-    for (size_t l = 0; l < pus_.size(); ++l) {
-        if (asleep_[l])
-            creditSleep(pus_[l], through);
-    }
+    for (size_t w = 0; w < masks_.size(); ++w)
+        forEachLane(masks_[w].starved | masks_[w].blocked, w,
+                    [&](int l) { creditLane(l, through); });
+}
+
+bool
+ChannelShard::laneFinished(int local) const
+{
+    return laneWord(local).finished & laneBit(local);
+}
+
+PuInputs
+ChannelShard::laneInputs(int local, bool peek) const
+{
+    const LaneWord &m = laneWord(local);
+    const uint64_t bit = laneBit(local);
+    PuInputs in;
+    in.inputValid = m.inputValid & bit;
+    in.inputFinished = m.inputFinished & bit;
+    in.outputReady = m.outputReady & bit;
+    if (peek && in.inputValid)
+        in.inputToken = inputCtrl_->buffer(local).peek(inWidth_);
+    return in;
+}
+
+void
+ChannelShard::refreshInputs(int local)
+{
+    const memctl::BitFifo &buf = inputCtrl_->buffer(local);
+    LaneWord &m = laneWord(local);
+    const uint64_t bit = laneBit(local);
+    const uint64_t valid = m.inputValid, finished = m.inputFinished;
+    assignBit(m.inputValid, bit, buf.sizeBits() >= uint64_t(inWidth_));
+    assignBit(m.inputFinished, bit,
+              inputCtrl_->streamExhausted(local) && buf.empty());
+    if (((valid ^ m.inputValid) | (finished ^ m.inputFinished)) & bit)
+        m.dirty |= bit;
+}
+
+void
+ChannelShard::refreshOutputReady(int local)
+{
+    LaneWord &m = laneWord(local);
+    const uint64_t bit = laneBit(local);
+    const uint64_t ready = m.outputReady;
+    assignBit(m.outputReady, bit,
+              outputCtrl_->buffer(local).freeBits() >= uint64_t(outWidth_));
+    if ((ready ^ m.outputReady) & bit)
+        m.dirty |= bit;
 }
 
 bool
@@ -134,8 +203,7 @@ ChannelShard::cancelPu(int local, Status status)
         return false;
     if (puDrained(local))
         return false; // Already drained: the job won, retire it.
-    wakeLane(local, cycles_);
-    containPu(local, std::move(status));
+    containPu(local, std::move(status), cycles_);
     return true;
 }
 
@@ -210,9 +278,17 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
             laneOfLocal_[local] = {static_cast<int>(b), lane};
         }
     }
-    cycleIn_.assign(pus_.size(), PuInputs{});
-    asleep_.assign(pus_.size(), 0);
-    sleepingUnfinished_ = 0;
+    // Every lane starts parked: no bit is live until rearmPu().
+    masks_.assign((pus_.size() + 63) / 64, LaneWord{});
+    runFrom_.assign(pus_.size(), 0);
+    outToken_.assign(pus_.size(), 0);
+    for (int l = 0; l < numPus(); ++l) {
+        if (laneOfLocal_[l].first >= 0)
+            continue;
+        laneWord(l).unbatched |= laneBit(l);
+        if (pus_[l].pu->readsInputToken())
+            laneWord(l).peeksToken |= laneBit(l);
+    }
     state_ = ShardState::Active;
 }
 
@@ -223,169 +299,150 @@ ChannelShard::step(uint64_t budget)
         return state_;
     const int in_width = inWidth_;
     const int out_width = outWidth_;
-    // Traced shards keep every lane awake: the trace records a phase
-    // per lane per cycle.
-    const bool may_sleep = !trace_;
-    // Phase 2's progress through the current cycle, so an exception
-    // credits sleeping lanes exactly as far as the per-cycle path got.
-    size_t phase2_at = 0;
+    const size_t words = masks_.size();
+    // A failure halts the loop with stall runs credited through here:
+    // the end of the last cycle whose stall classes were recorded.
+    uint64_t counted = cycles_;
 
     try {
         for (; budget > 0 && cycles_ < maxCycles_; ++cycles_, --budget) {
             bool activity = false;
             bool all_finished = true;
-            phase2_at = 0;
 
-            // Phase 1: latch every live PU's view of its controller
-            // buffers. These are pure reads of per-PU state, so
-            // gathering them all before any handshake acts is identical
-            // to the interleaved order — and lets the batched engine
-            // evaluate every lane in one vectorized sweep.
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                if (asleep_[l])
-                    continue;
-                PuSlot &slot = pus_[l];
-                if (slot.failed || slot.parked)
-                    continue;
-                auto &in_buf = inputCtrl_->buffer(static_cast<int>(l));
-                auto &out_buf = outputCtrl_->buffer(static_cast<int>(l));
-                PuInputs in;
-                in.inputValid = in_buf.sizeBits() >= uint64_t(in_width);
-                in.inputToken = in.inputValid ? in_buf.peek(in_width) : 0;
-                in.inputFinished =
-                    inputCtrl_->streamExhausted(static_cast<int>(l)) &&
-                    in_buf.empty();
-                in.outputReady = out_buf.freeBits() >= uint64_t(out_width);
-                cycleIn_[l] = in;
-                if (laneOfLocal_[l].first >= 0) {
-                    batches_[laneOfLocal_[l].first].batch->setLaneInputs(
-                        laneOfLocal_[l].second, in);
+            // Phase 1: wake the lanes whose inputs changed, and hand the
+            // batched engines those lanes' new inputs (inputs persist in
+            // an engine between cycles). Then evaluate every batch in
+            // one vectorized sweep and gather its output bits.
+            for (size_t w = 0; w < words; ++w) {
+                LaneWord &m = masks_[w];
+                m.asleep &= ~m.dirty;
+                forEachLane(m.dirty & m.live & ~m.unbatched, w, [&](int l) {
+                    auto [b, lane] = laneOfLocal_[l];
+                    batches_[b].batch->setLaneInputs(lane,
+                                                     laneInputs(l, true));
+                });
+                m.dirty = 0;
+            }
+            for (BatchBinding &binding : batches_) {
+                RtlBatch &batch = *binding.batch;
+                batch.evalAll();
+                for (size_t lane = 0; lane < binding.locals.size();
+                     ++lane) {
+                    const int l = binding.locals[lane];
+                    LaneWord &m = laneWord(l);
+                    const uint64_t bit = laneBit(l);
+                    assignBit(m.inputReady, bit, batch.inputReady(lane));
+                    assignBit(m.outputValid, bit, batch.outputValid(lane));
+                    assignBit(m.outputFinished, bit,
+                              batch.outputFinished(lane));
                 }
             }
-            for (BatchBinding &binding : batches_)
-                binding.batch->evalAll();
 
-            // Phase 2: act on each PU's outputs (handshakes mutate only
-            // that PU's buffers), classify the cycle, track completion.
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                if (asleep_[l])
-                    continue; // Untraced: nothing to record.
-                phase2_at = l;
-                PuSlot &slot = pus_[l];
-                if (slot.failed || slot.parked) {
-                    // Contained or awaiting a job: quarantined from the
-                    // loop until retired / re-armed.
-                    if (trace_)
-                        trace_->puCycle(static_cast<int>(l), cycles_,
-                                        trace::PuPhase::Done);
-                    continue;
-                }
-                const bool was_finished = slot.finishedSeen;
-                auto &in_buf = inputCtrl_->buffer(static_cast<int>(l));
-
-                const PuInputs &in = cycleIn_[l];
-                PuOutputs out =
-                    laneOfLocal_[l].first >= 0
-                        ? batches_[laneOfLocal_[l].first]
-                              .batch->laneOutputs(laneOfLocal_[l].second)
-                        : slot.pu->eval(in);
-                slot.lastIn = in;
-                slot.lastOut = out;
-
-                bool produced = false, consumed = false;
-                if (out.outputValid && in.outputReady) {
-                    outputCtrl_->push(static_cast<int>(l), out.outputToken,
-                                      out_width);
-                    slot.emittedBits += out_width;
-                    produced = true;
-                    activity = true;
-                }
-                if (out.inputReady && in.inputValid) {
-                    in_buf.pop(in_width);
-                    consumed = true;
-                    activity = true;
-                }
-                if (out.outputFinished && !slot.finishedSeen) {
-                    outputCtrl_->setPuFinished(static_cast<int>(l));
-                    slot.finishedSeen = true;
-                    slot.stats.finishedAtCycle = cycles_;
-                    activity = true;
-                }
-                if (!slot.finishedSeen) {
-                    // Shared taxonomy (trace/taxonomy.h). Note these two
-                    // legacy counters are independent conditions, not
-                    // the exclusive phase partition the trace records.
-                    if (trace::inputStarved(out.inputReady, in.inputValid,
-                                            in.inputFinished))
-                        ++slot.stats.inputStarvedCycles;
-                    if (trace::outputBlocked(out.outputValid,
-                                             in.outputReady))
-                        ++slot.stats.outputBlockedCycles;
-                }
-                if (trace_) {
-                    trace::PuPhase phase;
-                    if (was_finished)
-                        phase = trace::PuPhase::Done;
-                    else if (consumed || produced ||
-                             (slot.finishedSeen && !was_finished))
-                        phase = trace::PuPhase::Active;
-                    else
-                        phase = trace::phaseForStall(trace::classifyStall(
-                            out.inputReady, in.inputValid,
-                            in.inputFinished, out.outputValid,
-                            in.outputReady));
-                    trace_->puCycle(static_cast<int>(l), cycles_, phase);
-                }
-                all_finished = all_finished && slot.finishedSeen;
-                if (may_sleep && !produced && !consumed &&
-                    was_finished == slot.finishedSeen &&
-                    laneOfLocal_[l].first < 0 && slot.pu->quiet()) {
-                    asleep_[l] = 1;
-                    slot.sleptFrom = cycles_ + 1;
-                    if (!slot.finishedSeen)
-                        ++sleepingUnfinished_;
-                }
+            // Phase 2: evaluate the awake unbatched units, all before
+            // any handshake acts, so a unit that throws abandons the
+            // whole cycle.
+            for (size_t w = 0; w < words; ++w) {
+                LaneWord &m = masks_[w];
+                forEachLane(m.unbatched & m.live & ~m.asleep, w, [&](int l) {
+                    const uint64_t bit = laneBit(l);
+                    PuOutputs out =
+                        pus_[l].pu->eval(laneInputs(l, m.peeksToken & bit));
+                    assignBit(m.inputReady, bit, out.inputReady);
+                    assignBit(m.outputValid, bit, out.outputValid);
+                    assignBit(m.outputFinished, bit, out.outputFinished);
+                    outToken_[l] = out.outputToken;
+                });
             }
-            phase2_at = pus_.size();
-            all_finished = all_finished && sleepingUnfinished_ == 0;
+            // Then act on the lanes whose handshake fires (each touches
+            // only its own buffers) and classify every lane's cycle.
+            for (size_t w = 0; w < words; ++w) {
+                LaneWord &m = masks_[w];
+                const uint64_t pushes = m.live & m.outputValid & m.outputReady;
+                const uint64_t pops = m.live & m.inputReady & m.inputValid;
+                const uint64_t finishes =
+                    m.live & m.outputFinished & ~m.finished;
+                const uint64_t acting = pushes | pops | finishes;
+                // Shared taxonomy (trace/taxonomy.h), for lanes still
+                // unfinished after this cycle. The two counters are
+                // independent conditions, not the exclusive phase
+                // partition the trace records.
+                const uint64_t waiting = m.live & ~(m.finished | finishes);
+                const uint64_t starved = waiting & m.inputReady &
+                                         ~m.inputValid & ~m.inputFinished;
+                const uint64_t blocked =
+                    waiting & m.outputValid & ~m.outputReady;
+                if (trace_)
+                    recordPhases(w, acting, starved, blocked);
+
+                forEachLane(pushes, w, [&](int l) {
+                    const auto [b, lane] = laneOfLocal_[l];
+                    const uint64_t token =
+                        b < 0 ? outToken_[l]
+                              : batches_[b].batch->outputToken(lane);
+                    outputCtrl_->push(l, token, out_width);
+                    pus_[l].emittedBits += out_width;
+                    refreshOutputReady(l);
+                });
+                forEachLane(pops, w, [&](int l) {
+                    inputCtrl_->buffer(l).drop(in_width);
+                    refreshInputs(l);
+                    m.dirty |= laneBit(l); // The token moved on.
+                });
+                forEachLane(finishes, w, [&](int l) {
+                    outputCtrl_->setPuFinished(l);
+                    pus_[l].stats.finishedAtCycle = cycles_;
+                });
+                // A lane whose stall class changes closes its run.
+                forEachLane((starved ^ m.starved) | (blocked ^ m.blocked), w,
+                            [&](int l) { creditLane(l, cycles_); });
+                m.starved = starved;
+                m.blocked = blocked;
+                m.finished |= finishes;
+                // An evaluated unit that did not act sleeps if quiet.
+                forEachLane(m.unbatched & m.live & ~m.asleep & ~acting, w,
+                            [&](int l) {
+                                if (pus_[l].pu->quiet())
+                                    m.asleep |= laneBit(l);
+                            });
+                activity = activity || acting != 0;
+                all_finished = all_finished && (m.live & ~m.finished) == 0;
+            }
+            counted = cycles_ + 1;
 
             inputCtrl_->tick();
             outputCtrl_->tick();
             channel_->tick();
-            // A buffer a controller touched changes its lane's inputs:
-            // wake the lane for the next cycle, crediting this one.
+            // A buffer a controller touched may change its lane's
+            // inputs; a change wakes the lane next cycle.
             for (int l : inputCtrl_->touchedLanes())
-                wakeLane(l, cycles_ + 1);
+                refreshInputs(l);
             for (int l : outputCtrl_->touchedLanes())
-                wakeLane(l, cycles_ + 1);
+                refreshOutputReady(l);
             // One vectorized clock edge per batched group. Failed lanes
-            // advance too, but nothing observes them again. Unbatched
-            // slots step per-unit.
+            // advance too, but nothing observes them again. Awake
+            // unbatched units step per-unit; a sleeping one is quiet, so
+            // step() would change nothing.
             for (BatchBinding &binding : batches_)
                 binding.batch->step();
-            for (size_t l = 0; l < pus_.size(); ++l) {
-                if (asleep_[l])
-                    continue; // Quiet: step() would change nothing.
-                PuSlot &slot = pus_[l];
-                if (laneOfLocal_[l].first < 0 && !slot.failed &&
-                    !slot.parked) {
-                    slot.pu->step();
-                }
+            for (size_t w = 0; w < words; ++w) {
+                const LaneWord &m = masks_[w];
+                forEachLane(m.unbatched & m.live & ~m.asleep, w,
+                            [&](int l) { pus_[l].pu->step(); });
             }
 
             // Containment events raised by this cycle's ticks. Polled
             // after the ticks so the kill takes effect from the next
             // cycle — the same point on every host thread count.
             while (auto parity = inputCtrl_->takeParityEvent()) {
-                if (pus_[parity->pu].finishedSeen)
+                if (laneFinished(parity->pu))
                     continue; // Already done; stale beat is harmless.
-                wakeLane(parity->pu, cycles_ + 1);
                 std::ostringstream os;
                 os << "PU " << pus_[parity->pu].globalIndex
                    << ": parity error on read beat at channel address "
                    << parity->addr;
                 containPu(parity->pu,
-                          Status::make(StatusCode::ParityError, os.str()));
+                          Status::make(StatusCode::ParityError, os.str()),
+                          cycles_ + 1);
                 activity = true;
             }
             while (auto overflow = outputCtrl_->takeOverflowEvent()) {
@@ -394,10 +451,10 @@ ChannelShard::step(uint64_t budget)
                    << ": output exceeds its " << overflow->regionBytes
                    << "-byte region (declare a larger maxOutputExpansion "
                       "or set SystemConfig::outputRegionBytes)";
-                wakeLane(overflow->pu, cycles_ + 1);
                 containPu(overflow->pu,
                           Status::make(StatusCode::OutputOverflow,
-                                       os.str()));
+                                       os.str()),
+                          cycles_ + 1);
                 activity = true;
             }
 
@@ -413,8 +470,7 @@ ChannelShard::step(uint64_t budget)
                 lastActivityCycle_ = cycles_;
                 lastBeats_ = beats;
             } else if (cycles_ - lastActivityCycle_ > watchdogBudget_) {
-                for (size_t l = 0; l < pus_.size(); ++l)
-                    wakeLane(static_cast<int>(l), cycles_ + 1);
+                settleAll(cycles_ + 1);
                 haltStatus_ = Status::make(
                     StatusCode::WatchdogStall,
                     watchdogDump(cycles_ - lastActivityCycle_));
@@ -429,13 +485,12 @@ ChannelShard::step(uint64_t budget)
             if (all_finished && outputCtrl_->done() &&
                 inputCtrl_->inflightBursts() == 0) {
                 ++cycles_;
-                settleSleepers(cycles_);
+                settleAll(cycles_);
                 state_ = ShardState::Idle;
                 return state_;
             }
         }
-        phase2_at = 0; // Every stepped cycle completed.
-        settleSleepers(cycles_);
+        settleAll(cycles_);
         if (cycles_ >= maxCycles_) {
             std::ostringstream os;
             os << "channel " << channelIndex_ << " did not finish within "
@@ -447,18 +502,35 @@ ChannelShard::step(uint64_t budget)
     } catch (const StatusError &error) {
         haltStatus_ = error.status();
         state_ = ShardState::Halted;
+        settleAll(counted);
     } catch (const std::exception &error) {
         haltStatus_ =
             Status::make(StatusCode::InternalError, error.what());
         state_ = ShardState::Halted;
-    }
-    if (state_ == ShardState::Halted) {
-        // A failure mid-cycle: lanes phase 2 passed count this cycle.
-        for (size_t l = 0; l < pus_.size(); ++l)
-            wakeLane(static_cast<int>(l),
-                     cycles_ + (l < phase2_at ? 1 : 0));
+        settleAll(counted);
     }
     return state_;
+}
+
+void
+ChannelShard::recordPhases(size_t w, uint64_t acting, uint64_t starved,
+                           uint64_t blocked)
+{
+    const LaneWord &m = masks_[w];
+    const int end = std::min(numPus(), static_cast<int>(w + 1) * 64);
+    for (int l = static_cast<int>(w) * 64; l < end; ++l) {
+        const uint64_t bit = laneBit(l);
+        trace::PuPhase phase = trace::PuPhase::InternalSpin;
+        if (!(m.live & bit) || (m.finished & bit))
+            phase = trace::PuPhase::Done; // Contained, parked or done.
+        else if (acting & bit)
+            phase = trace::PuPhase::Active;
+        else if (starved & bit)
+            phase = trace::PuPhase::InputStarved;
+        else if (blocked & bit)
+            phase = trace::PuPhase::OutputBlocked;
+        trace_->puCycle(l, cycles_, phase);
+    }
 }
 
 ChannelOutcome
@@ -510,7 +582,7 @@ ChannelShard::puDrained(int local) const
     const PuSlot &slot = pus_[local];
     if (slot.parked)
         return false;
-    if (!slot.finishedSeen && !slot.failed)
+    if (!laneFinished(local) && !slot.failed)
         return false;
     return inputCtrl_->puIdle(local) && outputCtrl_->puFlushed(local);
 }
@@ -522,7 +594,7 @@ ChannelShard::retireJob(int local)
     if (!puDrained(local))
         panic("ChannelShard: retireJob(", local,
               ") before the job drained");
-    wakeLane(local, cycles_);
+    settleLane(local, cycles_);
 
     RetiredJob job;
     job.jobId = slot.jobId;
@@ -557,7 +629,10 @@ ChannelShard::retireJob(int local)
     ++slot.jobsRetired;
     slot.parked = true;
     slot.failed = false;
-    slot.finishedSeen = false;
+    LaneWord &m = laneWord(local);
+    m.live &= ~laneBit(local);
+    m.finished &= ~laneBit(local);
+    m.asleep &= ~laneBit(local);
     slot.streamBits = 0;
     slot.emittedBits = 0;
     recomputeWatchdogBudget();
@@ -575,7 +650,7 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
         panic("ChannelShard: rearmPu(", local,
               ") on a slot that still holds a job");
 
-    wakeLane(local, cycles_);
+    settleLane(local, cycles_);
     inputCtrl_->rearmPu(local, stream_bits);
     outputCtrl_->rearmPu(local);
     slot.parked = false;
@@ -583,13 +658,19 @@ ChannelShard::rearmPu(int local, uint64_t stream_bits, uint64_t job_id)
     slot.armCycle = cycles_;
     slot.streamBits = stream_bits;
     slot.emittedBits = 0;
-    slot.finishedSeen = false;
     slot.failed = false;
     slot.statsAtArm = slot.stats;
     slot.stats.finishedAtCycle = 0;
     slot.outcome = PuOutcome{};
-    slot.lastIn = PuInputs{};
-    slot.lastOut = PuOutputs{};
+    // Live from the next cycle, with its inputs read afresh from the
+    // reset buffers and handed to its engine in phase 1.
+    LaneWord &m = laneWord(local);
+    m.live |= laneBit(local);
+    m.finished &= ~laneBit(local);
+    m.asleep &= ~laneBit(local);
+    m.dirty |= laneBit(local);
+    refreshInputs(local);
+    refreshOutputReady(local);
     // Fresh work: the stretch the slot sat parked must not count
     // against the forward-progress watchdog.
     lastActivityCycle_ = cycles_;
@@ -617,20 +698,23 @@ ChannelShard::finalizeStats()
 }
 
 const char *
-ChannelShard::stallReason(const PuSlot &slot) const
+ChannelShard::stallReason(int local) const
 {
+    const PuSlot &slot = pus_[local];
     if (slot.failed)
         return "contained";
     if (slot.parked)
         return "parked";
-    if (slot.finishedSeen)
+    if (laneFinished(local))
         return "finished";
-    // Shared classification (trace/taxonomy.h) over the last cycle's
-    // latched handshake — the same attribution the trace layer records.
-    return trace::stallCauseName(trace::classifyStall(
-        slot.lastOut.inputReady, slot.lastIn.inputValid,
-        slot.lastIn.inputFinished, slot.lastOut.outputValid,
-        slot.lastIn.outputReady));
+    // The last stepped cycle's stall class, from the same shared
+    // taxonomy (trace/taxonomy.h) the trace layer records.
+    const LaneWord &m = laneWord(local);
+    if (m.starved & laneBit(local))
+        return trace::stallCauseName(trace::StallCause::InputStarved);
+    if (m.blocked & laneBit(local))
+        return trace::stallCauseName(trace::StallCause::OutputBlocked);
+    return trace::stallCauseName(trace::StallCause::InternalSpin);
 }
 
 trace::ChannelTrace
@@ -691,7 +775,7 @@ ChannelShard::watchdogDump(uint64_t stalled_cycles) const
     for (size_t l = 0; l < pus_.size(); ++l) {
         const PuSlot &slot = pus_[l];
         os << "  PU " << slot.globalIndex << " (local " << l
-           << "): " << stallReason(slot) << "; in-fifo "
+           << "): " << stallReason(static_cast<int>(l)) << "; in-fifo "
            << inputCtrl_->buffer(static_cast<int>(l)).sizeBits()
            << " bits, out-fifo "
            << outputCtrl_->buffer(static_cast<int>(l)).sizeBits()

@@ -37,12 +37,35 @@
  * FleetSystem arms every slot once at cycle 0, steps without a budget
  * and settles with finishRun(), exactly as a session finishes.
  *
- * Sleeping lanes: the cost of a cycle scales with the lanes that can
- * make progress. An untraced, unbatched unit that is quiet() — starved,
- * output-blocked or finished — sleeps until a controller touches its
- * buffers, and its stall counters are credited in bulk before anyone
- * reads them. Traced shards keep every lane on the per-cycle path, and
- * the two are bit-identical (lane_sleep_test).
+ * Lane masks: the cost of a cycle follows the lanes whose handshake can
+ * change. The shard keeps every lane's handshake inputs (input valid,
+ * input finished, output ready) and outputs (input ready, output valid,
+ * output finished) as bitmask words, 64 lanes each. The lane's own pop
+ * and push and the controllers' touched lists update the input bits as
+ * buffers change, so no pass recomputes them. A cycle then runs:
+ *
+ *  1. wake the lanes whose inputs changed, hand each batched engine its
+ *     changed lanes' inputs, and evaluate every batch, gathering its
+ *     output bits;
+ *  2. evaluate the awake unbatched units (peeking the input token only
+ *     for units that read it), all before any handshake acts, then
+ *     walk only the set bits of the lanes that push, pop or finish. A
+ *     lane's stall class (starved, blocked) is a pair of mask bits;
+ *     its counters are credited in bulk when the class changes or a
+ *     reader needs them;
+ *  3. tick the controllers and the DRAM model, re-derive the touched
+ *     lanes' input bits, and clock the batches and awake units.
+ *
+ * An unbatched unit that is quiet() and did not act sleeps: it is not
+ * evaluated or stepped until its inputs change (ProcessingUnit::quiet).
+ * A batched lane costs its engine's sweep and a bit gather, and nothing
+ * more unless it acts or changes stall class. Traced shards run the
+ * same loop and record every lane's phase from the same masks.
+ *
+ * The shard, its controllers, DRAM model and hot per-lane arrays sit on
+ * cache lines of their own (util/aligned.h), and FleetSystem allocates
+ * units shard by shard, so shards stepping on different host threads
+ * share no written line.
  */
 
 #include <cstdint>
@@ -57,6 +80,7 @@
 #include "system/pu.h"
 #include "system/run_report.h"
 #include "trace/trace.h"
+#include "util/aligned.h"
 
 namespace fleet {
 namespace system {
@@ -136,7 +160,7 @@ struct RetiredJob
     uint64_t originalTokens = 0;
 };
 
-class ChannelShard
+class alignas(kCacheLineBytes) ChannelShard
 {
   public:
     /**
@@ -166,9 +190,10 @@ class ChannelShard
      * index locals[l]. When a local is covered by a batch, step()
      * evaluates and steps it through the batch's vectorized group calls
      * instead of per-unit eval()/step() — observably identical, since
-     * phase 1 of the cycle loop only reads per-PU controller state. The
-     * system attaches one batch per (channel, program) group of
-     * batched slots.
+     * a lane's inputs depend only on its own buffers: phase 1 hands
+     * the batch each lane's inputs when they change and gathers every
+     * lane's outputs into the lane masks. The system attaches one
+     * batch per (channel, program) group of batched slots.
      */
     void attachBatch(std::shared_ptr<RtlBatch> batch,
                      std::vector<int> locals);
@@ -322,7 +347,6 @@ class ChannelShard
         int globalIndex = -1;
         uint64_t streamBits = 0;
         uint64_t emittedBits = 0;
-        bool finishedSeen = false;
         bool failed = false; ///< Contained: skipped until re-armed.
         /** No job: skipped, never blocks finish. An armed slot has an
          * open trace job span. */
@@ -337,24 +361,70 @@ class ChannelShard
         /** Snapshot at arm — per-job stall slices are deltas. */
         PuStats statsAtArm;
         PuOutcome outcome;
-        /** Last cycle's handshake, for the watchdog's stall diagnosis.
-         * Constant while the lane sleeps. */
-        PuInputs lastIn;
-        PuOutputs lastOut;
-        /** While asleep: the first cycle whose stall counts are not yet
-         * credited to stats. */
-        uint64_t sleptFrom = 0;
     };
 
-    /** Quarantine one PU: kill it in both controllers, record why. */
-    void containPu(int local, Status status);
-    /** Credit a sleeping lane's stall counters for every cycle before
-     * `through`, exactly as the per-cycle path counts them. */
-    void creditSleep(PuSlot &slot, uint64_t through);
-    /** Credit and wake `local` if it sleeps (no-op otherwise). */
-    void wakeLane(int local, uint64_t through);
-    /** Credit every sleeping lane through `through`; they stay asleep. */
-    void settleSleepers(uint64_t through);
+    /**
+     * Loop state of 64 lanes, one bit per local PU (bit l % 64 of word
+     * l / 64). Bits past numPus() stay clear.
+     */
+    struct LaneWord
+    {
+        /// @name Handshake inputs, kept current as the buffers change.
+        /// @{
+        uint64_t inputValid = 0;
+        uint64_t inputFinished = 0;
+        uint64_t outputReady = 0;
+        /// @}
+        /// @name Outputs of the lane's last evaluation (they hold
+        /// while an unbatched lane sleeps).
+        /// @{
+        uint64_t inputReady = 0;
+        uint64_t outputValid = 0;
+        uint64_t outputFinished = 0;
+        /// @}
+        uint64_t live = 0;     ///< Armed and not contained.
+        uint64_t finished = 0; ///< output_finished seen this job.
+        /** Stall class of the last stepped cycle; the run since
+         * runFrom_ is not yet credited to the slot's stats. */
+        uint64_t starved = 0;
+        uint64_t blocked = 0;
+        uint64_t asleep = 0; ///< Quiet unbatched unit, not evaluated.
+        uint64_t dirty = 0;  ///< Inputs changed since the last phase 1.
+        uint64_t unbatched = 0;  ///< Evaluated per unit, not by a batch.
+        uint64_t peeksToken = 0; ///< Unbatched unit reading inputToken.
+    };
+
+    LaneWord &laneWord(int local) { return masks_[size_t(local) >> 6]; }
+    const LaneWord &laneWord(int local) const
+    {
+        return masks_[size_t(local) >> 6];
+    }
+    bool laneFinished(int local) const;
+    /** The lane's handshake inputs as the masks hold them; the token
+     * is read from its buffer only when `peek` is set. */
+    PuInputs laneInputs(int local, bool peek) const;
+    /** Re-derive input valid / finished from the lane's input buffer;
+     * a change marks the lane dirty. */
+    void refreshInputs(int local);
+    /** Re-derive output ready from the lane's output buffer; a change
+     * marks the lane dirty. */
+    void refreshOutputReady(int local);
+    /** Record one cycle's phase for every lane of word `w` (traced). */
+    void recordPhases(size_t w, uint64_t acting, uint64_t starved,
+                      uint64_t blocked);
+
+    /** Quarantine one PU: kill it in both controllers, record why.
+     * Its stall counters are credited for every cycle before
+     * `through`. */
+    void containPu(int local, Status status, uint64_t through);
+    /** Credit the lane's current stall class for every cycle in
+     * [runFrom_, through); the class keeps running from `through`. */
+    void creditLane(int local, uint64_t through);
+    /** Credit the lane through `through` and clear its stall class: it
+     * leaves the loop (contained, retired) or starts a new job. */
+    void settleLane(int local, uint64_t through);
+    /** Credit every lane through `through`; classes keep running. */
+    void settleAll(uint64_t through);
     /** Effective watchdog threshold for the currently armed set. */
     void recomputeWatchdogBudget();
     /** Fill stats_ from whatever state the run reached. */
@@ -362,7 +432,7 @@ class ChannelShard
     /** Multi-line forward-progress diagnostic for a watchdog trip. */
     std::string watchdogDump(uint64_t stalled_cycles) const;
     /** One PU's stall classification for the watchdog dump. */
-    const char *stallReason(const PuSlot &slot) const;
+    const char *stallReason(int local) const;
 
     int channelIndex_;
     trace::TraceConfig traceConfig_;
@@ -373,7 +443,7 @@ class ChannelShard
     std::unique_ptr<dram::DramChannel> channel_;
     std::unique_ptr<memctl::InputController> inputCtrl_;
     std::unique_ptr<memctl::OutputController> outputCtrl_;
-    std::vector<PuSlot> pus_;
+    AlignedVec<PuSlot> pus_;
     /** One batched RTL engine + the local PU index behind each of its
      * lanes. Locals covered by a binding are group-evaluated. */
     struct BatchBinding
@@ -385,20 +455,12 @@ class ChannelShard
     /** Per-local (batch index, lane in batch); (-1, -1) = unbatched,
      * evaluated per-unit. Resolved by beginRun(). */
     std::vector<std::pair<int, int>> laneOfLocal_;
-    /** Per-cycle scratch: every live PU's gathered input ports. */
-    std::vector<PuInputs> cycleIn_;
-    /**
-     * Per-local sleep flag, dense so the per-cycle loops skip a
-     * sleeping lane without touching its PuSlot. A lane sleeps after a
-     * cycle in which it was unbatched and untraced, did not produce,
-     * consume or finish, and its unit was quiet(): its inputs then
-     * hold until a controller touches its buffers, so every skipped
-     * cycle would repeat the last one. The controllers' touched lists
-     * wake it; its stall counts are credited in bulk (creditSleep).
-     */
-    std::vector<uint8_t> asleep_;
-    /** Sleeping lanes that have not finished (they block Idle). */
-    int sleepingUnfinished_ = 0;
+    /** The lane masks, ceil(numPus() / 64) words (see LaneWord). */
+    AlignedVec<LaneWord> masks_;
+    /** Per local: the first cycle of its stall run not yet credited. */
+    AlignedVec<uint64_t> runFrom_;
+    /** Per unbatched local: outputToken of its last evaluation. */
+    AlignedVec<uint64_t> outToken_;
     uint64_t cycles_ = 0;
     ChannelStats stats_;
 

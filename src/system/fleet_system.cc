@@ -457,24 +457,21 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
             attachGroup(ch, g, globals, std::move(jit));
         }
     }
-    for (int p = 0; p < num_slots; ++p) {
+    auto makeUnit = [&](int p) -> std::unique_ptr<ProcessingUnit> {
         const uint32_t g = bindings_[p].program;
-        std::unique_ptr<ProcessingUnit> pu;
-        switch (slotBackends_[p]) {
-          case PuBackend::Fast:
-            pu = std::make_unique<FastPu>(programs_[g], plans[g]);
-            break;
-          case PuBackend::RtlInterp:
-            pu = std::make_unique<RtlPu>(*compiled[g]);
-            break;
-          case PuBackend::Rtl:
-          case PuBackend::RtlJit:
-            pu = std::make_unique<RtlBatchLane>(slotBatch[p].first,
-                                                slotBatch[p].second);
-            break;
-        }
-        shards_[puShard_[p]]->addPu(std::move(pu), p);
-    }
+        if (slotBackends_[p] == PuBackend::Fast)
+            return std::make_unique<FastPu>(programs_[g], plans[g]);
+        if (slotBackends_[p] == PuBackend::RtlInterp)
+            return std::make_unique<RtlPu>(*compiled[g]);
+        return std::make_unique<RtlBatchLane>(slotBatch[p].first,
+                                              slotBatch[p].second);
+    };
+    // Units are allocated shard by shard, so the state each shard's
+    // thread writes per cycle (FastPu's handshake registers, RtlPu's
+    // simulator arrays) sits together, away from other shards' lines.
+    for (int ch = 0; ch < channels; ++ch)
+        for (int p : layouts[ch].globalPu)
+            shards_[ch]->addPu(makeUnit(p), p);
 }
 
 Status
@@ -508,9 +505,7 @@ FleetSystem::run()
     // One unbounded epoch: every shard runs until its slots drain or
     // its channel halts, then the run settles as a session finishes.
     stepEpoch(UINT64_MAX);
-    settle();
-    for (int p = 0; p < numPus(); ++p)
-        markTruncated(p, "PU", uint64_t(p), report_.pus[p].status);
+    settle("PU");
     return report_;
 }
 
@@ -548,15 +543,19 @@ FleetSystem::markTruncated(int pu, const char *what, uint64_t id,
 }
 
 void
-FleetSystem::settle()
+FleetSystem::settle(const char *what)
 {
     report_ = RunReport{};
     report_.channels.resize(numShards());
     report_.pus.resize(numPus());
     for (int s = 0; s < numShards(); ++s)
         report_.channels[s] = shards_[s]->finishRun();
-    for (int p = 0; p < numPus(); ++p)
-        report_.pus[p] = shards_[puShard_[p]]->puOutcome(puLocal_[p]);
+    for (int p = 0; p < numPus(); ++p) {
+        PuOutcome &outcome = report_.pus[p];
+        outcome = shards_[puShard_[p]]->puOutcome(puLocal_[p]);
+        // The slot's last job, keyed by its id as retireJob keys it.
+        markTruncated(p, what, outcome.jobId, outcome.status);
+    }
 
     // Assemble the observability report on the calling thread, in
     // channel order — deterministic regardless of how many workers
@@ -779,7 +778,7 @@ FleetSystem::finishSession()
         throw StatusError(Status::make(
             StatusCode::InvalidState, "finishSession() called twice"));
     beginSession();
-    settle();
+    settle("job");
     return report_;
 }
 

@@ -280,7 +280,8 @@ class FleetSystem
     void forceHaltChannel(int c, Status status);
 
     /** Settle every shard and assemble the session's RunReport (channel
-     * outcomes, last-job PU outcomes, trace). Call once, last. */
+     * outcomes, last-job PU outcomes — StreamTruncated when that job's
+     * stream was cut, as its JobReport says — trace). Call once, last. */
     const RunReport &finishSession();
 
     /**
@@ -366,8 +367,9 @@ class FleetSystem
      */
     Status loadSlot(int pu, BitBuffer stream);
     /** Settle every shard and assemble report_ (channel outcomes, PU
-     * outcomes, trace, cycles); the run is over. */
-    void settle();
+     * outcomes, trace, cycles); the run is over. Each slot's last job
+     * that ran truncated reports StreamTruncated, named `what <id>`. */
+    void settle(const char *what);
     /** Read `bits` payload bits from `pu`'s output region. */
     BitBuffer readOutput(int pu, uint64_t bits) const;
 

@@ -86,6 +86,10 @@ class ProcessingUnit
      */
     virtual bool quiet() const { return false; }
 
+    /** False when eval() never reads PuInputs::inputToken, so the
+     * channel loop need not peek the input buffer for it. */
+    virtual bool readsInputToken() const { return true; }
+
     virtual int inputTokenWidth() const = 0;
     virtual int outputTokenWidth() const = 0;
 

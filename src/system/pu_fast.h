@@ -24,12 +24,15 @@
 #include "sim/plan.h"
 #include "sim/simulator.h"
 #include "system/pu.h"
+#include "util/aligned.h"
 #include "util/bitbuf.h"
 
 namespace fleet {
 namespace system {
 
-class FastPu : public ProcessingUnit
+/** Its handshake state is written every cycle by its channel's host
+ * thread: the object sits on cache lines of its own (util/aligned.h). */
+class alignas(kCacheLineBytes) FastPu : public ProcessingUnit
 {
   public:
     /**
@@ -53,6 +56,8 @@ class FastPu : public ProcessingUnit
     /** Starved, output-blocked or finished: no virtual cycle completes
      * and the v/f registers are at a fixed point. */
     bool quiet() const override;
+    /** The replayed flags stand in for the program's logic. */
+    bool readsInputToken() const override { return false; }
     int inputTokenWidth() const override { return inputTokenWidth_; }
     int outputTokenWidth() const override { return outputTokenWidth_; }
     void appendCounters(trace::CounterSet &out) const override;

@@ -25,7 +25,12 @@ RtlTapeEngine::appendCounters(trace::CounterSet &out, int batch_width) const
 }
 
 RtlBatch::RtlBatch(std::shared_ptr<const RtlTapeEngine> engine, int lanes)
-    : engine_(std::move(engine)), sim_(engine_->tape(), lanes)
+    : engine_(std::move(engine)), sim_(engine_->tape(), lanes),
+      inputReadySlot_(sim_.tape().slotOf(engine_->unit().outInputReady)),
+      outputValidSlot_(sim_.tape().slotOf(engine_->unit().outOutputValid)),
+      outputFinishedSlot_(
+          sim_.tape().slotOf(engine_->unit().outOutputFinished)),
+      outputTokenSlot_(sim_.tape().slotOf(engine_->unit().outOutputToken))
 {
 }
 
@@ -54,12 +59,11 @@ RtlBatch::evalLane(int lane)
 PuOutputs
 RtlBatch::laneOutputs(int lane) const
 {
-    const auto &unit = engine_->unit();
     PuOutputs out;
-    out.inputReady = sim_.value(lane, unit.outInputReady) != 0;
-    out.outputToken = sim_.value(lane, unit.outOutputToken);
-    out.outputValid = sim_.value(lane, unit.outOutputValid) != 0;
-    out.outputFinished = sim_.value(lane, unit.outOutputFinished) != 0;
+    out.inputReady = inputReady(lane);
+    out.outputToken = outputToken(lane);
+    out.outputValid = outputValid(lane);
+    out.outputFinished = outputFinished(lane);
     return out;
 }
 

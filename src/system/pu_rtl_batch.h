@@ -73,6 +73,26 @@ class RtlBatch
     /** Evaluate one lane only (standalone-lane path). */
     void evalLane(int lane);
     PuOutputs laneOutputs(int lane) const;
+    /// @name One output port of one lane, as of the last evaluation
+    /// (what the channel loop's lane masks gather each cycle).
+    /// @{
+    bool inputReady(int lane) const
+    {
+        return sim_.valueAtSlot(lane, inputReadySlot_) != 0;
+    }
+    bool outputValid(int lane) const
+    {
+        return sim_.valueAtSlot(lane, outputValidSlot_) != 0;
+    }
+    bool outputFinished(int lane) const
+    {
+        return sim_.valueAtSlot(lane, outputFinishedSlot_) != 0;
+    }
+    uint64_t outputToken(int lane) const
+    {
+        return sim_.valueAtSlot(lane, outputTokenSlot_);
+    }
+    /// @}
     /** Clock edge for every lane. */
     void step();
     void stepLane(int lane);
@@ -81,6 +101,11 @@ class RtlBatch
   private:
     std::shared_ptr<const RtlTapeEngine> engine_;
     rtl::BatchSimulator sim_;
+    /** Tape slots of the four output ports. */
+    int32_t inputReadySlot_;
+    int32_t outputValidSlot_;
+    int32_t outputFinishedSlot_;
+    int32_t outputTokenSlot_;
 };
 
 /**

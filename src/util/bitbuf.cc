@@ -158,7 +158,8 @@ BitBuffer::copyBytes(uint8_t *out) const
     const uint64_t bytes = ceilDiv(sizeBits_, 8);
     const uint64_t whole = sizeBits_ / 64;
     if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(out, words_.data(), whole * 8);
+        if (whole != 0) // An empty buffer's data() may be null.
+            std::memcpy(out, words_.data(), whole * 8);
     } else {
         for (uint64_t w = 0; w < whole; ++w)
             for (int k = 0; k < 8; ++k)

@@ -265,6 +265,32 @@ TEST(ArmPath, OneShotStatsAreTheChannelStatsSummed)
     }
 }
 
+TEST(ArmPath, SessionFinishReportsEachSlotsTruncatedLastJob)
+{
+    // Every job's stream is cut. Each JobReport says so, and so must
+    // the session's final RunReport for each slot's last job, as a
+    // one-shot run() reports its truncated units.
+    auto app = apps::makeApplication("JsonParsing");
+    runtime::SessionConfig config;
+    config.system.numChannels = 2;
+    config.system.numThreads = 1;
+    config.system.faults.truncatePermille = 1000;
+    config.numSlots = 4;
+    runtime::Session session(app->program(), config);
+    Rng rng(41);
+    for (int j = 0; j < 4; ++j)
+        session.submit(app->generateStream(rng, 2000));
+    session.drain();
+    const RunReport report = session.finish();
+    EXPECT_EQ(report.truncatedPuCount(), 4) << report.summary();
+    ASSERT_EQ(report.pus.size(), 4u);
+    for (const system::PuOutcome &pu : report.pus) {
+        const runtime::JobReport &job = session.report(pu.jobId);
+        EXPECT_EQ(job.status.code, StatusCode::StreamTruncated);
+        EXPECT_TRUE(pu.status == job.status) << pu.status.toString();
+    }
+}
+
 /** `count` streams of `app`, cut to one whole-token length. */
 std::vector<BitBuffer>
 equalStreams(const apps::Application &app, int count, uint64_t bytes)

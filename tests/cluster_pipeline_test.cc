@@ -605,8 +605,10 @@ TEST(Pipeline, OversizedStageOutputFailsAtTheNextStage)
     stages.push_back({programs[0], 0, 1});
     stages.push_back({programs[1], 1, 1});
     Pipeline pipeline(stages, config);
-    auto streams = byteStreams(4, 100, 97);
-    streams.insert(streams.begin() + 2, byteStreams(1, 1, 5)[0]);
+    const auto others = byteStreams(4, 100, 97);
+    std::vector<BitBuffer> streams = {others[0], others[1],
+                                      byteStreams(1, 1, 5)[0], others[2],
+                                      others[3]};
     while (streams[2].sizeBits() < 320 * 8)
         streams[2].appendBits(0x5a, 8);
     const uint64_t region_bits = 4096 * 8;

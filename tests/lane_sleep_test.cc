@@ -1,18 +1,24 @@
 /**
  * @file
- * Sleeping lanes in the channel loop: an untraced shard skips a quiet
- * unit (starved, output-blocked or finished) until a controller touches
- * its buffers, and credits its stall cycles in bulk. A traced shard
- * keeps the per-cycle path for every lane, so each fence here runs a
- * workload traced and untraced and requires identical simulated
- * results — one-shot runs of every app, a session with retire, re-arm
- * and deadline cancels, parity containment, a watchdog trip, and an
- * internal error halting a channel mid-cycle. The
- * FastPu::quiet() contract itself is checked against random handshakes.
+ * Lane masks in the channel loop: a cycle's work follows the lanes
+ * whose handshake can change. A quiet unbatched unit (starved,
+ * output-blocked or finished) sleeps until its inputs change, a
+ * batched lane costs per-lane work only when it acts or changes stall
+ * class, and stall cycles are credited in bulk. Each fence here runs a
+ * workload traced (every lane's phase recorded every cycle) and
+ * untraced on every engine — Fast lanes take the unbatched path, Rtl
+ * and RtlJit lanes the batched one — at 1 and 4 host threads, and
+ * requires identical simulated results across all of them: one-shot
+ * runs of every app, a non-power-of-two token width with one-burst
+ * buffers, a session with retire, re-arm and deadline cancels, parity
+ * containment, a watchdog trip, and an internal error halting a
+ * channel. The FastPu::quiet() contract itself is checked against
+ * random handshakes.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 #include <string>
 
@@ -23,6 +29,7 @@
 #include "runtime/session.h"
 #include "system/channel_shard.h"
 #include "system/fleet_system.h"
+#include "system/pu_backend.h"
 #include "system/pu_fast.h"
 #include "test_programs.h"
 #include "util/rng.h"
@@ -39,6 +46,52 @@ withTrace(SystemConfig config)
 {
     config.trace.counters = true;
     return config;
+}
+
+/** Fast lanes run unbatched and sleep; Rtl and RtlJit lanes are
+ * batched. */
+constexpr PuBackend kEngines[] = {PuBackend::Fast, PuBackend::Rtl,
+                                  PuBackend::RtlJit};
+
+std::string
+label(PuBackend engine, int threads)
+{
+    return std::string(puBackendName(engine)) + " at " +
+           std::to_string(threads) + " threads";
+}
+
+/**
+ * Run `program` over `streams` traced and untraced on every engine at
+ * 1 and 4 host threads: every run must equal the untraced Fast one.
+ * Returns that run's report for workload-specific checks.
+ */
+RunReport
+expectSameOnEveryEngine(const lang::Program &program,
+                        const SystemConfig &base,
+                        const std::vector<BitBuffer> &streams,
+                        const std::string &what)
+{
+    SystemConfig fast_config = base;
+    fast_config.backend = PuBackend::Fast;
+    fast_config.numThreads = 1;
+    FleetSystem reference(program, fast_config, streams);
+    reference.run();
+    for (PuBackend engine : kEngines) {
+        for (int threads : {1, 4}) {
+            SystemConfig config = base;
+            config.backend = engine;
+            config.numThreads = threads;
+            const std::string name = what + ", " + label(engine, threads);
+            FleetSystem traced(program, withTrace(config), streams);
+            traced.run();
+            FleetSystem untraced(program, config, streams);
+            untraced.run();
+            EXPECT_NE(traced.report().trace, nullptr) << name;
+            expectSameRun(traced, untraced, name);
+            expectSameRun(reference, untraced, name + " vs fast");
+        }
+    }
+    return reference.report();
 }
 
 std::vector<BitBuffer>
@@ -62,8 +115,8 @@ class AllAppsLaneSleep : public ::testing::TestWithParam<int>
 TEST_P(AllAppsLaneSleep, TracedAndUntracedRunsAgree)
 {
     // Twelve units on two channels contend for the bus, so units
-    // starve, block and finish at different times; at 1 and 4 host
-    // threads the sleeping run must match the per-cycle one exactly.
+    // starve, block and finish at different times; on every engine and
+    // at 1 and 4 host threads the masked loop must decide alike.
     auto apps = apps::allApplications();
     const apps::Application &app = *apps[GetParam()];
     Rng rng(73);
@@ -71,21 +124,11 @@ TEST_P(AllAppsLaneSleep, TracedAndUntracedRunsAgree)
     for (int p = 0; p < 12; ++p)
         streams.push_back(app.generateStream(rng, 600 + 150 * (p % 4)));
 
-    for (int threads : {1, 4}) {
-        SystemConfig config;
-        config.numChannels = 2;
-        config.numThreads = threads;
-        FleetSystem traced(app.program(), withTrace(config), streams);
-        traced.run();
-        FleetSystem untraced(app.program(), config, streams);
-        untraced.run();
-        ASSERT_NE(traced.report().trace, nullptr);
-        EXPECT_TRUE(untraced.report().allOk())
-            << untraced.report().summary();
-        expectSameRun(traced, untraced,
-                      app.name() + " at " + std::to_string(threads) +
-                          " threads");
-    }
+    SystemConfig config;
+    config.numChannels = 2;
+    RunReport report =
+        expectSameOnEveryEngine(app.program(), config, streams, app.name());
+    EXPECT_TRUE(report.allOk()) << report.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, AllAppsLaneSleep, ::testing::Range(0, 6),
@@ -94,14 +137,38 @@ INSTANTIATE_TEST_SUITE_P(Suite, AllAppsLaneSleep, ::testing::Range(0, 6),
                              return apps[info.param]->name();
                          });
 
+TEST(LaneSleep, OddTokenWidthWithOneBurstBuffersAgrees)
+{
+    // A 7-bit token does not divide the burst or the port width, and
+    // one-burst buffers keep them nearly full: sub-token residues, the
+    // one-token skid and the output wedge guard make the handshake
+    // inputs toggle on most cycles.
+    const int width = 7;
+    Rng rng(37);
+    std::vector<BitBuffer> streams;
+    for (int p = 0; p < 12; ++p) {
+        BitBuffer s;
+        for (int i = 0; i < 300 + 53 * p; ++i)
+            s.appendBits(rng.next(), width);
+        streams.push_back(std::move(s));
+    }
+    SystemConfig config;
+    config.numChannels = 2;
+    config.inputCtrl.bufferBursts = 1;
+    config.outputCtrl.bufferBursts = 1;
+    RunReport report = expectSameOnEveryEngine(
+        testprogs::identity(width), config, streams, "7-bit identity");
+    EXPECT_TRUE(report.allOk()) << report.summary();
+}
+
 TEST(LaneSleep, SessionRetireRearmAndDeadlineCancelAgree)
 {
     // Jobs outnumber slots, so slots retire and re-arm while their
     // channel-mates sleep; every other job carries a deadline shorter
     // than its service time, so some are cancelled in flight. A long
     // read latency keeps units starved, so cancels land on sleeping
-    // lanes. Per-job stall slices (JobReport) must match the per-cycle
-    // path.
+    // lanes. Per-job stall slices (JobReport) must match on every
+    // engine, traced or not.
     auto program = testprogs::blockFrequencies(32);
     Rng stream_rng(91);
     std::vector<BitBuffer> streams;
@@ -113,10 +180,11 @@ TEST(LaneSleep, SessionRetireRearmAndDeadlineCancelAgree)
         streams.push_back(std::move(s));
     }
 
-    auto runSession = [&](bool traced) {
+    auto runSession = [&](bool traced, PuBackend engine, int threads) {
         runtime::SessionConfig config;
-        config.system.numChannels = 1;
-        config.system.numThreads = 1;
+        config.system.numChannels = 2;
+        config.system.numThreads = threads;
+        config.system.backend = engine;
         config.system.inputRegionBytes = 4096;
         config.system.dram.readLatency = 600;
         if (traced)
@@ -133,27 +201,40 @@ TEST(LaneSleep, SessionRetireRearmAndDeadlineCancelAgree)
         return std::make_tuple(session.reports(), withoutTrace(report),
                                kills, session.system().stats());
     };
-    auto [traced_jobs, traced_report, traced_kills, traced_stats] =
-        runSession(true);
-    auto [jobs, report, kills, stats] = runSession(false);
+    auto expectSameSession = [](const auto &a, const auto &b,
+                                const std::string &name) {
+        const auto &[a_jobs, a_report, a_kills, a_stats] = a;
+        const auto &[jobs, report, kills, stats] = b;
+        EXPECT_EQ(a_kills, kills) << name;
+        EXPECT_TRUE(a_report == report) << name;
+        ASSERT_EQ(a_jobs.size(), jobs.size()) << name;
+        for (size_t j = 0; j < jobs.size(); ++j) {
+            // JobReport == covers the stall slice (starved, blocked).
+            EXPECT_TRUE(a_jobs[j] == jobs[j]) << name << " job " << j;
+        }
+        ASSERT_EQ(a_stats.channels.size(), stats.channels.size()) << name;
+        for (size_t c = 0; c < stats.channels.size(); ++c)
+            testfence::expectSameChannelStats(
+                a_stats.channels[c], stats.channels[c],
+                name + " channel " + std::to_string(c));
+    };
 
-    EXPECT_EQ(traced_kills, kills);
-    EXPECT_TRUE(traced_report == report);
-    ASSERT_EQ(traced_jobs.size(), jobs.size());
+    const auto reference = runSession(false, PuBackend::Fast, 1);
     int cancelled_in_flight = 0;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        // JobReport == covers the stall slice (starved, blocked).
-        EXPECT_TRUE(traced_jobs[j] == jobs[j]) << "job " << j;
-        if (jobs[j].status.code == StatusCode::DeadlineExceeded &&
-            jobs[j].pu >= 0)
+    for (const runtime::JobReport &job : std::get<0>(reference)) {
+        if (job.status.code == StatusCode::DeadlineExceeded && job.pu >= 0)
             ++cancelled_in_flight;
     }
     EXPECT_GT(cancelled_in_flight, 0) << "lengthen the jobs";
-    ASSERT_EQ(traced_stats.channels.size(), stats.channels.size());
-    for (size_t c = 0; c < stats.channels.size(); ++c)
-        testfence::expectSameChannelStats(traced_stats.channels[c],
-                                          stats.channels[c],
-                                          "channel " + std::to_string(c));
+    for (PuBackend engine : kEngines) {
+        for (int threads : {1, 4}) {
+            const std::string name = label(engine, threads);
+            const auto untraced = runSession(false, engine, threads);
+            expectSameSession(runSession(true, engine, threads), untraced,
+                              name + " traced");
+            expectSameSession(reference, untraced, name + " vs fast");
+        }
+    }
 }
 
 TEST(LaneSleep, ParityContainmentOfSleepingLanesAgrees)
@@ -161,7 +242,7 @@ TEST(LaneSleep, ParityContainmentOfSleepingLanesAgrees)
     // Corrupted beats contain their unit when the beat reaches a burst
     // register — typically while the unit sleeps, starved for that very
     // burst. The containment must credit its stall cycles up to the
-    // same cycle as the per-cycle path.
+    // same cycle on every engine.
     fault::FaultPlan plan;
     plan.seed = 4242;
     plan.corruptBeatPerMillion = 20000;
@@ -172,17 +253,13 @@ TEST(LaneSleep, ParityContainmentOfSleepingLanesAgrees)
     config.numChannels = 2;
     config.faults = plan;
 
-    FleetSystem traced(program, withTrace(config), streams);
-    traced.run();
-    FleetSystem untraced(program, config, streams);
-    const RunReport &report = untraced.run();
-
+    RunReport report =
+        expectSameOnEveryEngine(program, config, streams, "parity");
     int contained = 0;
     for (const PuOutcome &pu : report.pus)
         contained += pu.status.code == StatusCode::ParityError;
     EXPECT_GT(contained, 0) << "re-pick the seed, not the rate";
-    EXPECT_LT(contained, untraced.numPus());
-    expectSameRun(traced, untraced, "parity");
+    EXPECT_LT(contained, static_cast<int>(report.pus.size()));
 }
 
 /** The divergent-rate filter of Section 5's output-addressing study:
@@ -207,8 +284,8 @@ TEST(LaneSleep, WatchdogDumpAgrees)
     // Blocking output addressing with near-0% and near-100% selective
     // filters deadlocks (the pathology behind the non-blocking
     // default). The stall-class watchdog dump lists every unit's
-    // starved and blocked cycles: sleeping lanes must be credited
-    // before it is written.
+    // starved and blocked cycles: every lane must be credited before it
+    // is written, and the dump (part of the report) must agree.
     Rng rng(23);
     std::vector<BitBuffer> streams;
     for (int p = 0; p < 16; ++p) {
@@ -223,17 +300,11 @@ TEST(LaneSleep, WatchdogDumpAgrees)
     config.outputCtrl.blockingAddressing = true;
     config.watchdogCycles = 3000;
 
-    FleetSystem traced(filterUnit(), withTrace(config), streams);
-    traced.run();
-    FleetSystem untraced(filterUnit(), config, streams);
-    const RunReport &report = untraced.run();
-
+    RunReport report =
+        expectSameOnEveryEngine(filterUnit(), config, streams, "watchdog");
     ASSERT_EQ(report.channels.size(), 1u);
     ASSERT_EQ(report.channels[0].status.code, StatusCode::WatchdogStall)
         << report.summary();
-    EXPECT_EQ(traced.report().channels[0].status.message,
-              report.channels[0].status.message);
-    expectSameRun(traced, untraced, "watchdog");
 }
 
 /** A FastPu that is never quiet and throws from eval() on a chosen
@@ -274,14 +345,17 @@ class FailingPu : public ProcessingUnit
 
 TEST(LaneSleep, InternalErrorCreditsSleepersThroughTheFailedCycle)
 {
-    // An exception in phase 2 halts the channel mid-cycle: lanes phase
-    // 2 already passed have counted that cycle, later ones have not.
-    // Sleeping lanes on both sides of the failing unit must be credited
-    // exactly so. Failing at many cycles puts sleepers on both sides.
+    // A unit that throws from eval() halts the channel. Phase 2
+    // evaluates every awake unit before any handshake acts, so the
+    // failure abandons the whole cycle: no lane counts it, sleeping or
+    // not, on either side of the failing unit — exactly as if the run
+    // had stopped at the cycle limit there. Failing at many cycles
+    // puts sleepers on both sides.
     auto program = testprogs::identity();
     auto streams = randomStreams(5, 2048, 29);
     const int failing = 2;
-    auto runShard = [&](bool traced, int fail_at) {
+    auto runShard = [&](bool traced, int fail_at,
+                        uint64_t max_cycles = 1 << 20) {
         memctl::ControllerParams in_params, out_params;
         out_params.blockingAddressing = false;
         std::vector<memctl::StreamRegion> inputs, outputs;
@@ -306,7 +380,7 @@ TEST(LaneSleep, InternalErrorCreditsSleepersThroughTheFailedCycle)
         }
         // Arm every lane as FleetSystem does: upload, arm the unit,
         // re-arm the lane.
-        shard.beginRun(8, 8, 1 << 20, 100000);
+        shard.beginRun(8, 8, max_cycles, 100000);
         for (size_t l = 0; l < streams.size(); ++l) {
             auto bytes = streams[l].toBytes();
             std::copy(bytes.begin(), bytes.end(),
@@ -328,11 +402,17 @@ TEST(LaneSleep, InternalErrorCreditsSleepersThroughTheFailedCycle)
         EXPECT_EQ(outcome.status.code, StatusCode::InternalError);
         EXPECT_EQ(outcome.cycles, uint64_t(fail_at));
         EXPECT_TRUE(traced_outcome == outcome);
-        for (size_t l = 0; l < stats.size(); ++l)
-            testfence::expectSamePuStats(
-                traced_stats[l], stats[l],
-                "fail at " + std::to_string(fail_at) + ", PU " +
-                    std::to_string(l));
+        auto [limit_outcome, limit_stats] =
+            runShard(false, INT_MAX, uint64_t(fail_at));
+        EXPECT_EQ(limit_outcome.status.code,
+                  StatusCode::CycleLimitExceeded);
+        for (size_t l = 0; l < stats.size(); ++l) {
+            const std::string name = "fail at " + std::to_string(fail_at) +
+                                     ", PU " + std::to_string(l);
+            testfence::expectSamePuStats(traced_stats[l], stats[l], name);
+            testfence::expectSamePuStats(limit_stats[l], stats[l],
+                                         name + " vs cycle limit");
+        }
     }
 }
 

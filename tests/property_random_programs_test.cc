@@ -77,17 +77,18 @@ class RandomProgramGenerator
         std::vector<Value> regs;
         for (int i = 0; i < num_regs; ++i) {
             int w = 2 + static_cast<int>(rng_.nextBelow(11));
-            regs.push_back(b.reg("r" + std::to_string(i), w,
-                                 rng_.next() & mask64(w)));
+            std::string name = std::string("r").append(std::to_string(i));
+            regs.push_back(b.reg(name, w, rng_.next() & mask64(w)));
         }
         std::vector<VecReg> vregs;
         if (rng_.nextChance(1, 2))
             vregs.push_back(b.vreg("v0", 4 << rng_.nextBelow(2), 8));
         std::vector<Bram> brams;
         int num_brams = static_cast<int>(rng_.nextBelow(3));
-        for (int i = 0; i < num_brams; ++i)
-            brams.push_back(b.bram("m" + std::to_string(i),
-                                   8 << rng_.nextBelow(3), 8));
+        for (int i = 0; i < num_brams; ++i) {
+            std::string name = std::string("m").append(std::to_string(i));
+            brams.push_back(b.bram(name, 8 << rng_.nextBelow(3), 8));
+        }
 
         // One fixed read-address expression per BRAM guarantees the
         // one-read-per-virtual-cycle restriction by construction.

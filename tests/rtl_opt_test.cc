@@ -57,14 +57,15 @@ randomCircuit(uint64_t seed)
     int num_regs = 1 + static_cast<int>(rng.nextBelow(3));
     for (int i = 0; i < num_regs; ++i) {
         int w = 1 + static_cast<int>(rng.nextBelow(16));
-        int r = c.addReg("r" + std::to_string(i), w,
-                         rng.next() & mask64(w));
+        std::string name = std::string("r").append(std::to_string(i));
+        int r = c.addReg(name, w, rng.next() & mask64(w));
         pool.nodes.push_back(c.regOut(r));
     }
     int num_brams = static_cast<int>(rng.nextBelow(3));
     for (int i = 0; i < num_brams; ++i) {
         int elements = 4 << rng.nextBelow(3);
-        int b = c.addBram("m" + std::to_string(i), elements,
+        std::string name = std::string("m").append(std::to_string(i));
+        int b = c.addBram(name, elements,
                           4 + static_cast<int>(rng.nextBelow(8)));
         pool.nodes.push_back(c.bramRdData(b));
     }

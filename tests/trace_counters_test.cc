@@ -341,8 +341,9 @@ TEST(TraceModes, EventsLanesCoverTheRunExactly)
             uint64_t prev = 0;
             bool first = true;
             for (const auto &[cycle, value] : track.samples) {
-                if (!first)
+                if (!first) {
                     EXPECT_GT(cycle, prev) << track.name;
+                }
                 prev = cycle;
                 first = false;
             }
