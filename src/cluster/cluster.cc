@@ -76,20 +76,19 @@ Cluster::Cluster(const std::vector<lang::Program> &programs,
     if (devices.empty())
         panic("Cluster: at least one device required");
     for (DeviceSpec &spec : devices) {
-        // Hand the device only its own programs, and rebind its slots
-        // to device-local indices. A binding to a program the device
-        // does not host maps past its list, which FleetSystem rejects.
+        // Hand the device only its own programs, and map its slots to
+        // device-local indices. A slot naming a program the device does
+        // not host maps past its list, which FleetSystem rejects.
         std::vector<lang::Program> hosted;
         for (uint32_t index : spec.programs)
             hosted.push_back(programs.at(index));
-        for (system::SlotBinding &binding : spec.bindings)
-            binding.program = static_cast<uint32_t>(
+        for (uint32_t &program : spec.slotPrograms)
+            program = static_cast<uint32_t>(
                 std::find(spec.programs.begin(), spec.programs.end(),
-                          binding.program) -
+                          program) -
                 spec.programs.begin());
         devices_.push_back(std::make_unique<system::FleetSystem>(
-            std::move(hosted), system, spec.numSlots,
-            std::move(spec.bindings)));
+            std::move(hosted), system, std::move(spec.slotPrograms)));
         devicePrograms_.push_back(std::move(spec.programs));
     }
     const int n = numDevices();

@@ -20,8 +20,10 @@
  * order. The cluster tests pin all three.
  *
  * Programs: one cluster-wide list. Each DeviceSpec names the programs
- * its device hosts and binds slots by index into that list; the
- * Cluster maps device-local indices back (slotProgramIndex).
+ * its device hosts and gives each of its slots a program by index into
+ * that list; the Cluster maps device-local indices back
+ * (slotProgramIndex). Every slot of every device runs the one engine
+ * SystemConfig::backend names.
  *
  * Clocks: each device keeps its own session clock (max over its
  * shards; a parked device's clock lags). The cluster clock is the max
@@ -46,10 +48,9 @@ struct DeviceSpec
 {
     /** Cluster-wide indices of the hosted programs, in device order. */
     std::vector<uint32_t> programs;
-    int numSlots = 8;
-    /** Per-slot bindings by cluster-wide program index (empty = all
-     * slots run programs[0]). */
-    std::vector<system::SlotBinding> bindings;
+    /** One entry per slot: the cluster-wide index of the program the
+     * slot runs (one of `programs`). */
+    std::vector<uint32_t> slotPrograms;
 };
 
 /**
@@ -167,10 +168,6 @@ class Cluster
         const int d = slotDevice_[slot];
         return devicePrograms_[d][devices_[d]->slotProgramIndex(
             slotLocal_[slot])];
-    }
-    int slotLane(int slot) const
-    {
-        return devices_[slotDevice_[slot]]->slotLane(slotLocal_[slot]);
     }
     /** Size of the cluster-wide program list. */
     int numPrograms() const { return numPrograms_; }

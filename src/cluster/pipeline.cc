@@ -48,7 +48,7 @@ sliceBits(const BitBuffer &src, uint64_t begin, uint64_t len)
 }
 
 /** Validate chaining and build the session that runs the stages:
- * stage k is cluster-wide program k, bound on its device with lane k. */
+ * stage k is cluster-wide program k, run by its device's stage slots. */
 runtime::Session
 stageSession(const std::vector<StageSpec> &stages,
              const PipelineConfig &config)
@@ -87,10 +87,8 @@ stageSession(const std::vector<StageSpec> &stages,
         DeviceSpec &spec = specs[stage.device];
         const uint32_t program = static_cast<uint32_t>(s);
         spec.programs.push_back(program);
-        for (int i = 0; i < stage.slots; ++i)
-            spec.bindings.push_back(
-                system::SlotBinding{program, static_cast<int>(s), {}});
-        spec.numSlots = static_cast<int>(spec.bindings.size());
+        spec.slotPrograms.insert(spec.slotPrograms.end(), stage.slots,
+                                 program);
     }
     for (size_t d = 0; d < specs.size(); ++d)
         if (specs[d].programs.empty()) {

@@ -28,32 +28,18 @@ bool
 operator==(const JobTag &a, const JobTag &b)
 {
     return a.tenant == b.tenant && a.programIndex == b.programIndex &&
-           a.priority == b.priority &&
-           a.preferredLane == b.preferredLane &&
-           a.preferredDevice == b.preferredDevice;
+           a.priority == b.priority;
 }
 
 int
 Scheduler::pick(const SlotView &slot,
-                const std::vector<QueuedJobView> &queued, uint64_t now,
-                bool relax_hints)
+                const std::vector<QueuedJobView> &queued, uint64_t now)
 {
     std::vector<int> candidates;
     candidates.reserve(queued.size());
-    for (size_t i = 0; i < queued.size(); ++i) {
-        const QueuedJobView &job = queued[i];
-        if (job.tag.programIndex != slot.programIndex)
-            continue;
-        if (!relax_hints && job.tag.preferredLane >= 0 &&
-            job.tag.preferredLane != slot.lane) {
-            continue;
-        }
-        if (!relax_hints && job.tag.preferredDevice >= 0 &&
-            job.tag.preferredDevice != slot.device) {
-            continue;
-        }
-        candidates.push_back(static_cast<int>(i));
-    }
+    for (size_t i = 0; i < queued.size(); ++i)
+        if (queued[i].tag.programIndex == slot.programIndex)
+            candidates.push_back(static_cast<int>(i));
     if (candidates.empty())
         return -1;
     int picked = choose(slot, queued, candidates, now);

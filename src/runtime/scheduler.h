@@ -7,12 +7,11 @@
  *
  * The Session's arm loop asks a Scheduler which queued job a freed slot
  * should run next. Every policy here is a *pure function of simulated
- * state*: picks depend only on the queue contents, the slot's static
- * binding (program index + placement lane), and the scheduler's own
- * history of armed jobs — never on host time, host thread count, or PU
- * backend. That purity is what lets the existing bit-identity fences
- * (serial-vs-parallel, cross-backend, trace equality) survive with any
- * policy enabled (DESIGN.md §5h).
+ * state*: picks depend only on the queue contents, the slot's program
+ * index, and the scheduler's own history of armed jobs — never on host
+ * time, host thread count, or PU backend. That purity is what lets the
+ * existing bit-identity fences (serial-vs-parallel, cross-backend,
+ * trace equality) survive with any policy enabled (DESIGN.md §5h).
  *
  * Policies:
  *  - Fifo:     legacy arrival order; the default, cycle-exact with the
@@ -26,11 +25,8 @@
  *              weight per armed job, and the earliest start tag
  *              (max(tenant finish tag, virtual time)) wins.
  *
- * Placement hints: JobTag::preferredLane steers a job toward slots with
- * a matching SlotBinding::lane (e.g. latency-critical work onto lanes
- * bound to the Fast backend, audit jobs onto RtlInterp lanes). Hints are
- * preferences, not partitions — the Session's second arm sweep relaxes
- * them so no live slot idles while compatible work is queued.
+ * Every queued job of a slot's program is a candidate for that slot,
+ * so no live slot idles while such a job waits.
  */
 
 #include <cstdint>
@@ -52,7 +48,7 @@ enum class SchedulerPolicy
 const char *schedulerPolicyName(SchedulerPolicy policy);
 
 /** Multi-tenant classification carried by every job. Defaults reproduce
- * the single-tenant, single-program, unhinted legacy behaviour. */
+ * the single-tenant, single-program legacy behaviour. */
 struct JobTag
 {
     /** Tenant id for fair-queuing and per-tenant accounting. */
@@ -62,12 +58,6 @@ struct JobTag
     uint32_t programIndex = 0;
     /** Strict priority class, lower wins (Priority policy only). */
     uint32_t priority = 0;
-    /** Placement hint: preferred SlotBinding::lane, or -1 for any. */
-    int preferredLane = -1;
-    /** Placement hint (ISSUE 10): preferred cluster device, or -1 for
-     * any. Like preferredLane, a preference, not a partition — the
-     * relaxed arm sweep ignores it so no live slot idles. */
-    int preferredDevice = -1;
 };
 
 bool operator==(const JobTag &a, const JobTag &b);
@@ -77,9 +67,6 @@ struct SlotView
 {
     int pu = -1;
     uint32_t programIndex = 0;
-    int lane = 0;
-    /** Cluster device hosting the slot (ISSUE 10); 0 on one device. */
-    int device = 0;
 };
 
 /** Immutable view of one queued job, in queue (arrival) order. */
@@ -114,10 +101,9 @@ constexpr uint64_t kWfqCostScale = 1024;
 
 /**
  * Picks which queued job a freed slot runs next. pick() filters the
- * queue down to candidates the slot can legally run (program match,
- * plus the placement-hint rule unless relax_hints), then delegates the
- * policy decision to choose(). Implementations must be deterministic:
- * same arguments and same onArm() history => same pick.
+ * queue down to candidates the slot can run (same program index), then
+ * delegates the policy decision to choose(). Implementations must be
+ * deterministic: same arguments and same onArm() history => same pick.
  */
 class Scheduler
 {
@@ -128,12 +114,10 @@ class Scheduler
 
     /**
      * Returns the queue index of the job the slot should arm, or -1 if
-     * no queued job is compatible. With relax_hints false, jobs whose
-     * preferredLane is set and differs from slot.lane are excluded;
-     * with relax_hints true only the program binding filters.
+     * no queued job targets the slot's program.
      */
     int pick(const SlotView &slot, const std::vector<QueuedJobView> &queued,
-             uint64_t now, bool relax_hints);
+             uint64_t now);
 
     /** Informs the scheduler a pick was actually armed (WFQ advances
      * its virtual clock here). Called once per successful arm. */

@@ -11,6 +11,7 @@
 
 #include "runtime/session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -40,16 +41,25 @@ sampleTrack(trace::CounterTrack &track, uint64_t cycle, uint64_t value)
     track.samples.emplace_back(cycle, value);
 }
 
-/** numDevices identical devices, each hosting every program on
- * numSlots slots bound per `bindings`. */
+/** numDevices identical devices, each hosting every program, slot p
+ * running slot_programs[p] (empty = numSlots slots of program 0). */
 std::vector<cluster::DeviceSpec>
 uniformLayout(size_t num_programs, const SessionConfig &config,
-              std::vector<system::SlotBinding> bindings)
+              std::vector<uint32_t> slot_programs)
 {
     if (config.numDevices < 1)
         panic("Session: numDevices must be >= 1, got ",
               config.numDevices);
-    cluster::DeviceSpec spec{{}, config.numSlots, std::move(bindings)};
+    if (slot_programs.empty())
+        slot_programs.assign(std::max(config.numSlots, 0), 0);
+    if (static_cast<int>(slot_programs.size()) != config.numSlots) {
+        std::ostringstream os;
+        os << "Session: " << slot_programs.size()
+           << " slot programs for " << config.numSlots << " slots";
+        throw StatusError(
+            Status::make(StatusCode::InvalidArgument, os.str()));
+    }
+    cluster::DeviceSpec spec{{}, std::move(slot_programs)};
     for (uint32_t p = 0; p < num_programs; ++p)
         spec.programs.push_back(p);
     return std::vector<cluster::DeviceSpec>(config.numDevices, spec);
@@ -89,9 +99,10 @@ Session::Session(const lang::Program &program,
 
 Session::Session(std::vector<lang::Program> programs,
                  const SessionConfig &config,
-                 std::vector<system::SlotBinding> bindings)
+                 std::vector<uint32_t> slot_programs)
     : Session(programs,
-              uniformLayout(programs.size(), config, std::move(bindings)),
+              uniformLayout(programs.size(), config,
+                            std::move(slot_programs)),
               config)
 {
 }
@@ -156,7 +167,6 @@ Session::slotState(int pu) const
                                  system::ShardState::Halted;
     view.quarantined = slot.quarantined;
     view.programIndex = cluster_.slotProgramIndex(pu);
-    view.lane = cluster_.slotLane(pu);
     view.device = cluster_.slotDevice(pu);
     view.jobId = slot.jobId;
     return view;
@@ -386,21 +396,11 @@ Session::expireDeadlines()
 void
 Session::armFromQueue()
 {
-    // Two sweeps over the parked live slots (ISSUE 8): sweep one
-    // honours JobTag::preferredLane placement hints; sweep two relaxes
-    // them to program-match only, so a hint can steer a job but never
-    // leave a compatible slot idle (work conservation). With the
-    // default FIFO policy, a single program, and no hints, sweep one
-    // arms everything and the pop order is cycle-exact with the
-    // pre-scheduler runtime.
-    armSweep(false);
-    armSweep(true);
-    strandOrphans();
-}
-
-void
-Session::armSweep(bool relax_hints)
-{
+    // One pass over the parked live slots in global PU order (ISSUE 8):
+    // each takes the scheduler's pick among the queued jobs of its
+    // program, so no slot idles while such a job waits (work
+    // conservation). With the default FIFO policy and a single program
+    // the pop order is cycle-exact with the pre-scheduler runtime.
     const uint64_t now = cycles();
     for (int pu = 0; pu < cluster_.numSlots() && !queue_.empty();
          ++pu) {
@@ -414,8 +414,6 @@ Session::armSweep(bool relax_hints)
         SlotView view;
         view.pu = pu;
         view.programIndex = cluster_.slotProgramIndex(pu);
-        view.lane = cluster_.slotLane(pu);
-        view.device = cluster_.slotDevice(pu);
         while (!queue_.empty()) {
             std::vector<QueuedJobView> queued(queue_.size());
             for (size_t i = 0; i < queue_.size(); ++i) {
@@ -425,8 +423,7 @@ Session::armSweep(bool relax_hints)
                 queued[i].streamBits = pending.stream.sizeBits();
                 queued[i].tag = pending.tag;
             }
-            int picked =
-                scheduler_->pick(view, queued, now, relax_hints);
+            int picked = scheduler_->pick(view, queued, now);
             if (picked < 0)
                 break;
             QueuedJobView picked_view = queued[picked];
@@ -464,6 +461,7 @@ Session::armSweep(bool relax_hints)
             break;
         }
     }
+    strandOrphans();
 }
 
 void
@@ -471,7 +469,7 @@ Session::strandOrphans()
 {
     if (queue_.empty())
         return;
-    // After both sweeps, anything still queued either lost the
+    // After the arm pass, anything still queued either lost the
     // capacity race this round (fine — it waits) or can *never* arm:
     // its program index is unknown, or every slot bound to its program
     // is dead/quarantined while other programs' slots keep serving.

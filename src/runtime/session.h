@@ -19,11 +19,11 @@
  *      back, retired into a JobReport, and its callback fired; jobs
  *      stranded on a halted channel are reported with the channel's
  *      status and the slot is marked dead.
- *   2. *Arm*, in global PU order, two sweeps (ISSUE 8): each parked
- *      live slot asks the configured Scheduler which queued job to run.
- *      Sweep one honours placement hints (JobTag::preferredLane);
- *      sweep two relaxes them, so no live slot idles while a
- *      program-compatible job is queued (work conservation).
+ *   2. *Arm*, one pass in global PU order (ISSUE 8): each parked live
+ *      slot asks the configured Scheduler which queued job of its
+ *      program to run, so no live slot idles while such a job is
+ *      queued (work conservation). Jobs that can never arm are then
+ *      reported (strandOrphans).
  *   3. *Advance*: every channel shard steps up to epochCycles cycles
  *      on the worker pool (shards park early when they go idle).
  *
@@ -39,10 +39,11 @@
  * exactly this.
  *
  * Multi-tenancy (ISSUE 8): jobs carry a JobTag (tenant, program class,
- * priority, placement hint); a Session can host several compiled
- * programs at once via per-slot SlotBindings (the mix is checked
- * against the device area model at construction), and per-tenant
- * queue-wait/service accounting is kept alongside the global counters.
+ * priority); a Session can host several compiled programs at once, one
+ * program index per slot (the mix is checked against the device area
+ * model at construction), and per-tenant queue-wait/service accounting
+ * is kept alongside the global counters. Every slot of a device runs
+ * the one engine SystemConfig::backend names.
  */
 
 #include <cstdint>
@@ -250,14 +251,15 @@ class Session
 
     /**
      * Multi-program session (ISSUE 8): host every program in the list
-     * at once, slots bound per `bindings` (empty = all slots run
-     * programs[0] on lane 0). The program mix is validated against the
-     * device area model at construction — see
-     * system::FleetSystem::checkProgramMix.
+     * at once, slot p running programs[slot_programs[p]] on every
+     * device (empty = all slots run programs[0]). A non-empty list must
+     * hold config.numSlots entries, else StatusError(InvalidArgument).
+     * The program mix is validated against the device area model at
+     * construction — see system::FleetSystem::checkProgramMix.
      */
     Session(std::vector<lang::Program> programs,
             const SessionConfig &config,
-            std::vector<system::SlotBinding> bindings = {});
+            std::vector<uint32_t> slot_programs = {});
 
     /** A session over an explicit device layout (cluster::DeviceSpec;
      * JobTag::programIndex indexes `programs`). numSlots and
@@ -291,8 +293,8 @@ class Session
     /**
      * submitAt() with a multi-tenant JobTag (ISSUE 8): tenant id for
      * fair queuing and per-tenant accounting, program class (which
-     * bound program the job targets — a job only arms on slots bound
-     * to that program), strict priority, and placement hint. A tag
+     * program the job targets — a job only arms on slots running
+     * that program) and strict priority. A tag
      * naming an unknown program index is reported InvalidArgument; a
      * tag whose program has no live slots left (all halted or
      * quarantined while other slots keep serving) is reported
@@ -429,7 +431,6 @@ class Session
         bool dead = false;
         bool quarantined = false;
         uint32_t programIndex = 0;
-        int lane = 0;
         int device = 0; ///< Cluster device hosting the slot.
         uint64_t jobId = 0; ///< Valid while busy.
     };
@@ -475,9 +476,9 @@ class Session
     void expireDeadlines();
     /** Health scoring at retire time; may quarantine the slot. */
     void scoreSlotHealth(int pu, const Status &status);
+    /** One scheduler-driven arm pass over the parked live slots, in
+     * global PU order, then strandOrphans(). */
     void armFromQueue();
-    /** One scheduler-driven arm pass over the parked live slots. */
-    void armSweep(bool relax_hints);
     /** Strand queued jobs that can never arm (unknown program, or a
      * program with zero live slots while others keep serving). */
     void strandOrphans();

@@ -99,6 +99,9 @@ JobTicket::report() const
 
 namespace {
 
+/** Background thread: how long to sleep when a round finds no work. */
+constexpr auto kIdlePoll = std::chrono::microseconds(100);
+
 /** Report for a job admission turned away before it reached a slot. */
 runtime::JobReport
 refusalReport(StatusCode code, const char *why)
@@ -119,9 +122,9 @@ FleetService::FleetService(const lang::Program &program,
 
 FleetService::FleetService(std::vector<lang::Program> programs,
                            const ServiceConfig &config,
-                           std::vector<system::SlotBinding> bindings)
-    : config_(config),
-      session_(std::move(programs), config.session, std::move(bindings))
+                           std::vector<uint32_t> slot_programs)
+    : config_(config), session_(std::move(programs), config.session,
+                                std::move(slot_programs))
 {
     // A zero-depth queue under Block would park submitters forever
     // (nothing can ever be "waiting"); one slot of waiting room keeps
@@ -455,8 +458,7 @@ FleetService::serviceThread()
                 if (!accepting_)
                     return; // shutdown requested and fully drained
             }
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(config_.idlePollMicros));
+            std::this_thread::sleep_for(kIdlePoll);
         }
     }
 }

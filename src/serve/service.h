@@ -103,9 +103,8 @@ struct SubmitOptions
     /**
      * Multi-tenant classification (ISSUE 8): tenant id for fair
      * queuing and per-tenant telemetry, program class (which of the
-     * session's bound programs the job targets), strict priority, and
-     * an optional placement hint. Carried through every attempt and
-     * into the final JobReport.
+     * session's programs the job targets) and strict priority.
+     * Carried through every attempt and into the final JobReport.
      */
     runtime::JobTag tag;
 };
@@ -130,8 +129,6 @@ struct ServiceConfig
      * then advances only under the caller's control).
      */
     bool backgroundThread = true;
-    /** Background thread: sleep this long when a round finds no work. */
-    int idlePollMicros = 100;
     /** Transient-failure retry (ISSUE 7). Off by default. */
     RetryPolicy retry;
 };
@@ -264,13 +261,14 @@ class FleetService
                  const ServiceConfig &config);
     /**
      * Multi-program service (ISSUE 8): host several compiled programs
-     * behind one admission boundary, slots bound per `bindings` (see
-     * runtime::Session's multi-program constructor — the mix is
-     * area-checked against the device model at construction).
+     * behind one admission boundary, slot p running
+     * programs[slot_programs[p]] (see runtime::Session's
+     * multi-program constructor — the mix is area-checked against the
+     * device model at construction).
      */
     FleetService(std::vector<lang::Program> programs,
                  const ServiceConfig &config,
-                 std::vector<system::SlotBinding> bindings = {});
+                 std::vector<uint32_t> slot_programs = {});
     /** Calls shutdown() if the caller has not. */
     ~FleetService();
 

@@ -449,8 +449,8 @@ ChannelShard::step(uint64_t budget)
                 std::ostringstream os;
                 os << "PU " << pus_[overflow->pu].globalIndex
                    << ": output exceeds its " << overflow->regionBytes
-                   << "-byte region (declare a larger maxOutputExpansion "
-                      "or set SystemConfig::outputRegionBytes)";
+                   << "-byte region (declare a larger "
+                      "maxOutputExpansion)";
                 containPu(overflow->pu,
                           Status::make(StatusCode::OutputOverflow,
                                        os.str()),

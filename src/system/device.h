@@ -4,14 +4,14 @@
 /**
  * @file
  * The per-device vocabulary shared by FleetSystem (fleet_system.h), the
- * cluster layer and the job runtime: which engine evaluates a slot's
- * PU (PuBackend), how a session slot is bound (SlotBinding), and one
- * device's throughput counters (SystemStats). FleetSystem itself is the
- * one simulated device; a cluster::Cluster owns N of them.
+ * cluster layer and the job runtime: which engine evaluates the
+ * device's PUs (PuBackend; one per device, every slot runs it) and one
+ * device's throughput counters (SystemStats). A session slot's only
+ * binding is the index of the program it runs. FleetSystem itself is
+ * the one simulated device; a cluster::Cluster owns N of them.
  */
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "system/channel_shard.h"
@@ -34,28 +34,6 @@ enum class PuBackend
             ///< interpreted batch (Rtl) when no host toolchain is
             ///< available (slotBackend() reports the backend actually
             ///< used).
-};
-
-/**
- * Session mode, multi-program hosting (ISSUE 8): which compiled program
- * a slot pre-arms, which placement lane it belongs to, and optionally a
- * per-slot PU backend override. All three are pure configuration —
- * frozen at construction and never derived from runtime state — so
- * schedules stay bit-identical across host thread counts and the
- * cross-backend fences hold.
- */
-struct SlotBinding
-{
-    /** Index into the session's program list. */
-    uint32_t program = 0;
-    /**
-     * Placement-lane label the scheduler's JobTag::preferredLane hints
-     * match against (e.g. lane 0 = latency-critical Fast slots, lane 1
-     * = audit RtlInterp slots). Never inspected by the simulator itself.
-     */
-    int lane = 0;
-    /** Per-slot backend; empty = SystemConfig::backend. */
-    std::optional<PuBackend> backend;
 };
 
 struct SystemStats

@@ -91,7 +91,7 @@ FleetSystem::FleetSystem(const lang::Program &program,
         fatal("FleetSystem: needs at least one stream");
     const int num_slots = static_cast<int>(streams.size());
     const int in_width = program.inputTokenWidth;
-    bindings_.resize(num_slots);
+    slotPrograms_.resize(num_slots);
     truncation_.resize(num_slots);
     // Each slot holds one job, its id the PU index. Truncation comes
     // before layout, so each input region is sized from the stream its
@@ -128,34 +128,25 @@ FleetSystem::FleetSystem(const lang::Program &program,
 FleetSystem::FleetSystem(const lang::Program &program,
                          const SystemConfig &config, int num_slots)
     : FleetSystem(std::vector<lang::Program>(1, program), config,
-                  num_slots)
+                  std::vector<uint32_t>(std::max(num_slots, 0), 0))
 {
 }
 
 FleetSystem::FleetSystem(std::vector<lang::Program> programs,
-                         const SystemConfig &config, int num_slots,
-                         std::vector<SlotBinding> bindings)
+                         const SystemConfig &config,
+                         std::vector<uint32_t> slot_programs)
     : programs_(std::move(programs)), config_(config),
-      bindings_(std::move(bindings)), sessionMode_(true)
+      slotPrograms_(std::move(slot_programs)), sessionMode_(true)
 {
     if (programs_.empty())
         fatal("FleetSystem: session needs at least one program");
-    if (num_slots < 1)
+    if (slotPrograms_.empty())
         fatal("FleetSystem: session needs at least one slot");
-    if (bindings_.empty())
-        bindings_.resize(num_slots);
-    if (static_cast<int>(bindings_.size()) != num_slots) {
-        std::ostringstream os;
-        os << "FleetSystem: " << bindings_.size() << " slot bindings for "
-           << num_slots << " slots";
-        throw StatusError(
-            Status::make(StatusCode::InvalidArgument, os.str()));
-    }
-    for (size_t p = 0; p < bindings_.size(); ++p) {
-        if (bindings_[p].program >= programs_.size()) {
+    for (size_t p = 0; p < slotPrograms_.size(); ++p) {
+        if (slotPrograms_[p] >= programs_.size()) {
             std::ostringstream os;
             os << "FleetSystem: slot " << p
-               << " binds unknown program index " << bindings_[p].program
+               << " binds unknown program index " << slotPrograms_[p]
                << " (have " << programs_.size() << ")";
             throw StatusError(
                 Status::make(StatusCode::InvalidArgument, os.str()));
@@ -182,21 +173,21 @@ FleetSystem::FleetSystem(std::vector<lang::Program> programs,
     // A genuine mix must fit the device: every slot's unit coexists on
     // the fabric at once (per-slot program binding is static).
     if (programs_.size() > 1) {
-        Status fit = checkProgramMix(programs_, bindings_, config_);
+        Status fit = checkProgramMix(programs_, slotPrograms_, config_);
         if (!fit.ok())
             throw StatusError(std::move(fit));
     }
-    truncation_.resize(num_slots);
+    truncation_.resize(slotPrograms_.size());
     // Every slot gets a fixed-size input region each job must fit (the
     // stream is re-uploaded to the region base at each arm).
-    build(std::vector<uint64_t>(num_slots, config_.inputRegionBytes
-                                               ? config_.inputRegionBytes
-                                               : 256 * 1024));
+    build(std::vector<uint64_t>(
+        slotPrograms_.size(),
+        config_.inputRegionBytes ? config_.inputRegionBytes : 256 * 1024));
 }
 
 Status
 FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
-                             const std::vector<SlotBinding> &bindings,
+                             const std::vector<uint32_t> &slot_programs,
                              const SystemConfig &config,
                              const model::Device &device)
 {
@@ -204,14 +195,14 @@ FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
         return Status::make(StatusCode::InvalidArgument,
                             "checkProgramMix: no programs");
     std::vector<bool> used(programs.size(), false);
-    for (const SlotBinding &b : bindings) {
-        if (b.program >= programs.size()) {
+    for (uint32_t g : slot_programs) {
+        if (g >= programs.size()) {
             std::ostringstream os;
-            os << "checkProgramMix: binding references unknown program "
-               << b.program;
+            os << "checkProgramMix: slot references unknown program "
+               << g;
             return Status::make(StatusCode::InvalidArgument, os.str());
         }
-        used[b.program] = true;
+        used[g] = true;
     }
 
     // Per-program PU cost, estimated from the compiled circuit exactly
@@ -228,8 +219,8 @@ FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
     }
 
     model::Resources total;
-    for (const SlotBinding &b : bindings)
-        total += per[b.program];
+    for (uint32_t g : slot_programs)
+        total += per[g];
     model::Resources ctrl =
         model::estimateControllerResources(config.inputCtrl);
     for (int c = 0; c < config.numChannels; ++c)
@@ -257,7 +248,7 @@ FleetSystem::checkProgramMix(const std::vector<lang::Program> &programs,
             os << "program mix does not fit " << device.name << ": needs "
                << check.need << " " << check.what << " but only "
                << check.have << " remain net of the shell ("
-               << bindings.size() << " slots, " << config.numChannels
+               << slot_programs.size() << " slots, " << config.numChannels
                << " channels); bind fewer slots or smaller programs";
             return Status::make(StatusCode::ResourceExhausted, os.str());
         }
@@ -283,11 +274,7 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
     config_.inputCtrl.tokenBits = programs_[0].inputTokenWidth;
     config_.outputCtrl.tokenBits = programs_[0].outputTokenWidth;
 
-    // Resolve each slot's backend: the binding override or the global.
-    slotBackends_.resize(num_slots);
-    for (int p = 0; p < num_slots; ++p)
-        slotBackends_[p] =
-            bindings_[p].backend.value_or(config_.backend);
+    slotBackends_.assign(num_slots, config_.backend);
 
     // Lay out each channel's memory: all of its PUs' input regions,
     // then their output regions.
@@ -322,11 +309,9 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
         // cleanup-cycle output that is independent of stream length.
         double expansion = std::max(2.0, slotProgram(p).maxOutputExpansion);
         uint64_t out_bytes =
-            config_.outputRegionBytes != 0
-                ? config_.outputRegionBytes
-                : static_cast<uint64_t>(
-                      std::ceil(double(in.regionBytes) * expansion)) +
-                      8192;
+            static_cast<uint64_t>(
+                std::ceil(double(in.regionBytes) * expansion)) +
+            8192;
         out.baseAddr = 0; // Assigned after all input regions.
         out.regionBytes = roundUp(out_bytes, burst_bytes);
         out.streamBits = 0;
@@ -358,110 +343,90 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
         shards_.push_back(std::move(shard));
     }
 
-    // Instantiate the processing units, parked. Each hosted program's
-    // RTL is compiled exactly once (circuit, and for the batched
-    // engines the optimizer + tape) and shared by every slot bound to
-    // it.
+    // Instantiate the processing units, parked. Each hosted program is
+    // prepared once for the device's engine (evaluation plan, compiled
+    // circuit, or optimizer + tape) and shared by every slot bound to
+    // it; FastPus share their plan across every arm (see FastPu).
+    const PuBackend backend = config_.backend;
+    std::vector<std::shared_ptr<const sim::EvalPlan>> plans(
+        programs_.size());
     std::vector<std::optional<compile::CompiledUnit>> compiled(
         programs_.size());
     std::vector<std::shared_ptr<const RtlTapeEngine>> engines(
         programs_.size());
-    auto needCompiled = [&](uint32_t g) {
-        if (!compiled[g])
-            compiled[g].emplace(compile::compileProgram(programs_[g]));
-    };
-    auto needEngine = [&](uint32_t g) {
-        if (!engines[g])
-            engines[g] =
-                std::make_shared<const RtlTapeEngine>(programs_[g]);
-    };
-    // One evaluation plan per hosted program, shared by its FastPus
-    // across every arm (see FastPu).
-    std::vector<std::shared_ptr<const sim::EvalPlan>> plans(
-        programs_.size());
-    // Group the SoA-batched slots by (channel, program): one RtlBatch
-    // per group, attached with the channel-local lanes it drives. A
-    // single-program all-Rtl session degenerates to the legacy one
-    // whole-channel batch. RtlJit groups identically — the native
-    // kernel rides inside the group's BatchSimulator — but is kept in
-    // its own group map so a mixed Rtl + RtlJit binding never silently
-    // upgrades the interpreter slots.
-    std::vector<std::map<uint32_t, std::vector<int>>> rtlGroups(channels);
-    std::vector<std::map<uint32_t, std::vector<int>>> jitGroups(channels);
+    // The batched engines group slots by (channel, program): one
+    // RtlBatch per group, attached with the channel-local lanes it
+    // drives. A single-program session degenerates to one
+    // whole-channel batch.
+    std::vector<std::map<uint32_t, std::vector<int>>> groups(channels);
     for (int p = 0; p < num_slots; ++p) {
-        const uint32_t g = bindings_[p].program;
-        switch (slotBackends_[p]) {
+        const uint32_t g = slotPrograms_[p];
+        switch (backend) {
           case PuBackend::Fast:
             if (!plans[g])
                 plans[g] =
                     std::make_shared<const sim::EvalPlan>(programs_[g]);
             break;
           case PuBackend::RtlInterp:
-            needCompiled(g);
+            if (!compiled[g])
+                compiled[g].emplace(compile::compileProgram(programs_[g]));
             break;
           case PuBackend::Rtl:
-            needEngine(g);
-            rtlGroups[puShard_[p]][g].push_back(p);
-            break;
           case PuBackend::RtlJit:
-            needEngine(g);
-            jitGroups[puShard_[p]][g].push_back(p);
+            if (!engines[g])
+                engines[g] =
+                    std::make_shared<const RtlTapeEngine>(programs_[g]);
+            groups[puShard_[p]][g].push_back(p);
             break;
         }
     }
     // Per-slot (batch, lane-in-batch) for RtlBatchLane construction.
     std::vector<std::pair<std::shared_ptr<RtlBatch>, int>> slotBatch(
         num_slots);
-    auto attachGroup = [&](int ch, uint32_t g,
-                           const std::vector<int> &globals,
-                           std::shared_ptr<const rtl::JitProgram> jit) {
-        auto batch = std::make_shared<RtlBatch>(
-            engines[g], static_cast<int>(globals.size()));
-        if (jit)
-            batch->attachJit(std::move(jit));
-        std::vector<int> locals;
-        locals.reserve(globals.size());
-        for (size_t lane = 0; lane < globals.size(); ++lane) {
-            locals.push_back(puLocal_[globals[lane]]);
-            slotBatch[globals[lane]] = {batch, static_cast<int>(lane)};
-        }
-        shards_[ch]->attachBatch(std::move(batch), std::move(locals));
-    };
-    for (int ch = 0; ch < channels; ++ch)
-        for (auto &[g, globals] : rtlGroups[ch])
-            attachGroup(ch, g, globals, nullptr);
-    // Arm-time native compilation (ISSUE 9): one kernel per
-    // (program, lane count), deduplicated across channels by the
-    // in-process registry and across processes by the on-disk artifact
-    // cache. Compilation is best-effort: any failure (FLEET_JIT_DISABLE,
-    // no toolchain, compile/dlopen error) demotes the group to the
-    // interpreted batch with one structured log line per program —
-    // never an abort — and slotBackend() reports the demotion.
     std::vector<char> jitFallbackLogged(programs_.size(), 0);
     for (int ch = 0; ch < channels; ++ch) {
-        for (auto &[g, globals] : jitGroups[ch]) {
-            rtl::JitOptions jopts;
-            jopts.lanes = static_cast<int>(globals.size());
-            Status jit_status;
-            auto jit = rtl::JitProgram::compile(*engines[g]->tape(),
-                                                jopts, &jit_status);
-            if (!jit) {
-                if (!jitFallbackLogged[g]) {
-                    jitFallbackLogged[g] = 1;
-                    inform("rtl-jit: fallback backend=rtl program=", g,
-                           " reason=", jit_status.toString());
+        for (auto &[g, globals] : groups[ch]) {
+            const int lanes = static_cast<int>(globals.size());
+            auto batch = std::make_shared<RtlBatch>(engines[g], lanes);
+            // Arm-time native compilation (ISSUE 9): one kernel per
+            // (program, lane count), deduplicated across channels by
+            // the in-process registry and across processes by the
+            // on-disk artifact cache. Compilation is best-effort: any
+            // failure (FLEET_JIT_DISABLE, no toolchain, compile/dlopen
+            // error) demotes the group to the interpreted batch with
+            // one structured log line per program — never an abort —
+            // and slotBackend() reports the demotion.
+            if (backend == PuBackend::RtlJit) {
+                rtl::JitOptions jopts;
+                jopts.lanes = lanes;
+                Status jit_status;
+                if (auto jit = rtl::JitProgram::compile(
+                        *engines[g]->tape(), jopts, &jit_status)) {
+                    batch->attachJit(std::move(jit));
+                } else {
+                    if (!jitFallbackLogged[g]) {
+                        jitFallbackLogged[g] = 1;
+                        inform("rtl-jit: fallback backend=rtl program=",
+                               g, " reason=", jit_status.toString());
+                    }
+                    for (int p : globals)
+                        slotBackends_[p] = PuBackend::Rtl;
                 }
-                for (int p : globals)
-                    slotBackends_[p] = PuBackend::Rtl;
             }
-            attachGroup(ch, g, globals, std::move(jit));
+            std::vector<int> locals;
+            locals.reserve(globals.size());
+            for (int lane = 0; lane < lanes; ++lane) {
+                locals.push_back(puLocal_[globals[lane]]);
+                slotBatch[globals[lane]] = {batch, lane};
+            }
+            shards_[ch]->attachBatch(std::move(batch), std::move(locals));
         }
     }
     auto makeUnit = [&](int p) -> std::unique_ptr<ProcessingUnit> {
-        const uint32_t g = bindings_[p].program;
-        if (slotBackends_[p] == PuBackend::Fast)
+        const uint32_t g = slotPrograms_[p];
+        if (backend == PuBackend::Fast)
             return std::make_unique<FastPu>(programs_[g], plans[g]);
-        if (slotBackends_[p] == PuBackend::RtlInterp)
+        if (backend == PuBackend::RtlInterp)
             return std::make_unique<RtlPu>(*compiled[g]);
         return std::make_unique<RtlBatchLane>(slotBatch[p].first,
                                               slotBatch[p].second);

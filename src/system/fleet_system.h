@@ -12,6 +12,11 @@
  * (simulated) FPGA DRAM, kicks off the units, and reads back each unit's
  * output region when all units have finished.
  *
+ * Every unit of a device runs the one engine SystemConfig::backend
+ * names. A session-mode device may host several programs of equal
+ * token widths; a slot's only per-slot setting is the index of the
+ * program it runs, fixed at construction.
+ *
  * One lifecycle serves that one-shot run and the continuously fed pool
  * of Section 6 (runtime::Session). A slot is armed with a job by
  * applying the fault plan's truncation (keyed by job id), uploading the
@@ -48,7 +53,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -67,7 +71,7 @@
 namespace fleet {
 namespace system {
 
-// PuBackend, SlotBinding, and SystemStats live in system/device.h;
+// PuBackend and SystemStats live in system/device.h;
 // this header re-exports them transitively for every include site.
 
 struct SystemConfig
@@ -77,11 +81,9 @@ struct SystemConfig
     memctl::ControllerParams outputCtrl; ///< Made non-blocking in ctor
                                          ///< unless explicitly configured.
     dram::DramParams dram;
+    /** The engine every slot of the device runs. */
     PuBackend backend = PuBackend::Fast;
     double clockMHz = 125.0;
-    /** Per-PU output region; 0 = auto, sized from the program's declared
-     * maxOutputExpansion (at least 2x input) plus 8 KiB of slack. */
-    uint64_t outputRegionBytes = 0;
     /**
      * Session mode only (runtime/session.h): fixed per-slot input
      * region size. Every job's stream must fit in one region — armJob
@@ -154,18 +156,17 @@ class FleetSystem
 
     /**
      * Multi-program session (ISSUE 8): host several compiled programs
-     * at once, each slot pre-armed with the program its SlotBinding
-     * names. Empty bindings = every slot runs programs[0] on lane 0
-     * (the single-program behaviour). All programs must share input
-     * and output token widths (one channel-wide controller
+     * at once, one slot per entry of `slot_programs`, each pre-armed
+     * with the program that entry indexes. All programs must share
+     * input and output token widths (one channel-wide controller
      * configuration serves every slot); a mix of two or more programs
      * is checked against the device area model at construction
      * (checkProgramMix) — violations throw
      * StatusError(ResourceExhausted / InvalidArgument).
      */
     FleetSystem(std::vector<lang::Program> programs,
-                const SystemConfig &config, int num_slots,
-                std::vector<SlotBinding> bindings = {});
+                const SystemConfig &config,
+                std::vector<uint32_t> slot_programs);
     ~FleetSystem();
 
     /**
@@ -175,11 +176,12 @@ class FleetSystem
      * shell. Pure — no system state; callable standalone (the property
      * tests exercise it against tiny synthetic devices). Returns Ok
      * when the mix fits, ResourceExhausted (with the limiting resource)
-     * when it does not, InvalidArgument for malformed bindings.
+     * when it does not, InvalidArgument when a slot names an unknown
+     * program.
      */
     static Status checkProgramMix(
         const std::vector<lang::Program> &programs,
-        const std::vector<SlotBinding> &bindings,
+        const std::vector<uint32_t> &slot_programs,
         const SystemConfig &config, const model::Device &device = {});
 
     /**
@@ -310,24 +312,22 @@ class FleetSystem
     /** The memory channel that owns `pu`. */
     int puChannel(int pu) const { return puShard_[pu]; }
 
-    /// @name Per-slot program bindings (ISSUE 8).
+    /// @name Per-slot programs (ISSUE 8).
     /// @{
     int numPrograms() const
     {
         return static_cast<int>(programs_.size());
     }
-    uint32_t slotProgramIndex(int pu) const
-    {
-        return bindings_[pu].program;
-    }
-    int slotLane(int pu) const { return bindings_[pu].lane; }
+    uint32_t slotProgramIndex(int pu) const { return slotPrograms_[pu]; }
+    /** The engine `pu` actually runs: SystemConfig::backend, or Rtl
+     * where an RtlJit kernel could not be built. */
     PuBackend slotBackend(int pu) const
     {
         return slotBackends_[pu];
     }
     const lang::Program &slotProgram(int pu) const
     {
-        return programs_[bindings_[pu].program];
+        return programs_[slotPrograms_[pu]];
     }
     /// @}
 
@@ -378,9 +378,10 @@ class FleetSystem
      * list, so programs_[0] defines the channel-wide widths. */
     std::vector<lang::Program> programs_;
     SystemConfig config_;
-    /** One binding per slot (defaulted when the caller passes none). */
-    std::vector<SlotBinding> bindings_;
-    /** Resolved per-slot backend: binding override or the global. */
+    /** Program index per slot (all 0 in a one-program system). */
+    std::vector<uint32_t> slotPrograms_;
+    /** Per-slot engine: config_.backend unless an RtlJit group was
+     * demoted to Rtl. */
     std::vector<PuBackend> slotBackends_;
     std::vector<std::unique_ptr<ChannelShard>> shards_;
     std::vector<int> puShard_; ///< Global PU index -> owning shard.

@@ -7,9 +7,9 @@
  * every CLI surface — fig7, micro_rtl_engines, the serve/chaos/tenant
  * benches, the examples — parses `--backend` through parsePuBackend()
  * and prints through puBackendName(), instead of each carrying its own
- * copy of the string switch. Parsing is case-insensitive and ignores
- * '-'/'_' separators, so the historical spellings ("rtl-interp",
- * "rtl-jit") keep working alongside the canonical ones.
+ * copy of the string switch. Only the four canonical names parse;
+ * parsing is case-insensitive and ignores '-'/'_' separators, so the
+ * historical spellings ("rtl-interp", "rtl-jit") keep working.
  */
 
 #include <cctype>
@@ -35,11 +35,11 @@ parsePuBackend(std::string_view name)
             n += char(std::tolower(static_cast<unsigned char>(c)));
     if (n == "fast")
         return PuBackend::Fast;
-    if (n == "rtl" || n == "rtlbatch" || n == "batch")
+    if (n == "rtl")
         return PuBackend::Rtl;
-    if (n == "rtlinterp" || n == "interp")
+    if (n == "rtlinterp")
         return PuBackend::RtlInterp;
-    if (n == "rtljit" || n == "jit")
+    if (n == "rtljit")
         return PuBackend::RtlJit;
     return std::nullopt;
 }

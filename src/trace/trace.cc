@@ -5,6 +5,14 @@
 namespace fleet {
 namespace trace {
 
+namespace {
+
+/** Events mode: the DRAM queue-depth counter tracks are sampled every
+ * this-many cycles, which keeps traces small. */
+constexpr uint64_t kCounterSampleCycles = 16;
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // Histogram
 
@@ -268,10 +276,7 @@ ShardTrace::dramCycle(uint64_t cycle, int outstanding_reads,
     writeDepth_.sample(outstanding_writes);
     if (!config_.events)
         return;
-    int quantum = config_.counterSampleCycles < 1
-                      ? 1
-                      : config_.counterSampleCycles;
-    if (cycle % static_cast<uint64_t>(quantum) != 0)
+    if (cycle % kCounterSampleCycles != 0)
         return;
     // Skip repeats so flat stretches cost one sample, not thousands.
     auto push = [cycle](CounterTrack &track, uint64_t value) {

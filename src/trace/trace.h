@@ -47,11 +47,6 @@ struct TraceConfig
     /** Record span events for Chrome trace_event / Perfetto export. */
     bool events = false;
     /**
-     * Events mode: sample the DRAM queue-depth counter tracks every
-     * this-many cycles (1 = every cycle; larger keeps traces small).
-     */
-    int counterSampleCycles = 16;
-    /**
      * Events mode: per-lane span cap. A runaway run stops recording new
      * spans past the cap (dropped spans are counted and reported in the
      * trace metadata) instead of growing without bound.

@@ -87,8 +87,8 @@ TEST(Cluster, OneDeviceClusterIsCycleExactWithTheSystem)
     config.inputRegionBytes = 4096;
 
     // Direct session-mode FleetSystem drive.
-    system::FleetSystem direct(
-        std::vector<lang::Program>(1, program), config, 6, {});
+    system::FleetSystem direct(std::vector<lang::Program>(1, program),
+                               config, std::vector<uint32_t>(6, 0));
     direct.beginSession();
     for (size_t j = 0; j < streams.size(); ++j)
         ASSERT_TRUE(
@@ -109,8 +109,9 @@ TEST(Cluster, OneDeviceClusterIsCycleExactWithTheSystem)
     const system::RunReport &direct_report = direct.finishSession();
 
     // The same drive through a 1-device cluster, global indices.
-    Cluster cluster({program}, {DeviceSpec{{0}, 6, {}}}, config,
-                    LinkParams{});
+    Cluster cluster({program},
+                    {DeviceSpec{{0}, std::vector<uint32_t>(6, 0)}},
+                    config, LinkParams{});
     cluster.beginSession();
     for (size_t j = 0; j < streams.size(); ++j)
         ASSERT_TRUE(
@@ -178,32 +179,6 @@ TEST(Cluster, TwoDeviceSessionSchedulesAcrossDevices)
     const ClusterReport &report = session.clusterReport();
     ASSERT_EQ(report.devices.size(), 2u);
     EXPECT_TRUE(report.allOk());
-}
-
-TEST(Cluster, PreferredDeviceHintSteersPlacement)
-{
-    auto program = testprogs::identity();
-    runtime::SessionConfig config;
-    config.system.numChannels = 2;
-    config.system.numThreads = 1;
-    config.system.inputRegionBytes = 4096;
-    config.numSlots = 4;
-    config.numDevices = 2;
-    runtime::Session session(program, config);
-    auto streams = byteStreams(8, 100, 3);
-    for (size_t j = 0; j < streams.size(); ++j) {
-        runtime::JobTag tag;
-        tag.preferredDevice = static_cast<int>(j % 2);
-        session.submitJob(streams[j], tag, session.cycles());
-    }
-    session.finish();
-    for (const auto &report : session.reports()) {
-        ASSERT_TRUE(report.ok());
-        // 8 jobs, 8 slots, hints honoured in sweep one: every job
-        // lands on its preferred device.
-        EXPECT_EQ(report.device, static_cast<int>(report.jobId % 2))
-            << "job " << report.jobId << " ignored its device hint";
-    }
 }
 
 TEST(Pipeline, TwoStageAcrossTwoDevicesComputesTheComposition)

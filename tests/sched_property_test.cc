@@ -8,16 +8,15 @@
  *     bit-identical across PU backends ({Fast, Rtl}) and host
  *     thread counts ({1, N}).
  *  2. *Work conservation*: after any scheduler round, no parked live
- *     slot coexists with a queued job its program binding could run —
- *     the second arm sweep relaxes placement hints precisely so hints
- *     can steer work but never idle a slot.
+ *     slot coexists with a queued job of its program.
  *  3. *WFQ no-starvation*: a paced victim tenant sharing the pool with
  *     a flood tenant drains within a bounded horizon, and its worst
  *     job latency under WFQ beats FIFO's (which serves the entire
  *     flood backlog first).
  *
  * Plus direct unit fuzz of the pure policies (valid, deterministic,
- * compatible picks) and the multi-program area/width checks.
+ * compatible picks), multi-program routing on every PU engine, and the
+ * multi-program area/width checks.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +29,7 @@
 #include "runtime/scheduler.h"
 #include "runtime/session.h"
 #include "sim/simulator.h"
+#include "system/pu_backend.h"
 #include "test_programs.h"
 #include "util/rng.h"
 
@@ -69,8 +69,6 @@ randomJobView(Rng &rng, uint64_t id, uint32_t num_programs)
     job.tag.programIndex =
         static_cast<uint32_t>(rng.nextBelow(num_programs));
     job.tag.priority = static_cast<uint32_t>(rng.nextBelow(3));
-    job.tag.preferredLane =
-        rng.nextBelow(3) == 0 ? static_cast<int>(rng.nextBelow(2)) : -1;
     return job;
 }
 
@@ -101,35 +99,26 @@ TEST(SchedulerFuzz, PicksAreValidCompatibleAndDeterministic)
                 slot.pu = static_cast<int>(rng.nextBelow(8));
                 slot.programIndex =
                     static_cast<uint32_t>(rng.nextBelow(2));
-                slot.lane = static_cast<int>(rng.nextBelow(2));
-                bool relax = rng.nextBelow(2) == 1;
                 uint64_t now = rng.nextBelow(100000);
 
-                int pick_a = a->pick(slot, queued, now, relax);
-                int pick_b = b->pick(slot, queued, now, relax);
+                int pick_a = a->pick(slot, queued, now);
+                int pick_b = b->pick(slot, queued, now);
                 ASSERT_EQ(pick_a, pick_b)
                     << schedulerPolicyName(policy) << " seed " << seed
                     << " round " << round << ": twin schedulers with "
                        "identical histories disagree";
                 if (pick_a < 0) {
                     // -1 only when no queued job is compatible.
-                    for (const QueuedJobView &job : queued) {
-                        bool compatible =
-                            job.tag.programIndex == slot.programIndex &&
-                            (relax || job.tag.preferredLane < 0 ||
-                             job.tag.preferredLane == slot.lane);
-                        EXPECT_FALSE(compatible)
+                    for (const QueuedJobView &job : queued)
+                        EXPECT_NE(job.tag.programIndex,
+                                  slot.programIndex)
                             << schedulerPolicyName(policy)
                             << ": refused a compatible job";
-                    }
                     continue;
                 }
                 ASSERT_LT(static_cast<size_t>(pick_a), queued.size());
                 const QueuedJobView &picked = queued[pick_a];
                 EXPECT_EQ(picked.tag.programIndex, slot.programIndex);
-                if (!relax && picked.tag.preferredLane >= 0) {
-                    EXPECT_EQ(picked.tag.preferredLane, slot.lane);
-                }
                 a->onArm(picked, now);
                 b->onArm(picked, now);
             }
@@ -154,11 +143,11 @@ TEST(SchedulerFuzz, PolicyOrderings)
 
     SchedulerConfig config;
     config.policy = SchedulerPolicy::Fifo;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0, false), 0);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 0);
     config.policy = SchedulerPolicy::Priority;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0, false), 1);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 1);
     config.policy = SchedulerPolicy::Sjf;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0, false), 0);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 0);
 }
 
 TEST(SchedulerFuzz, WfqWeightsBiasService)
@@ -181,7 +170,7 @@ TEST(SchedulerFuzz, WfqWeightsBiasService)
         queued[1].id = static_cast<uint64_t>(2 * round + 1);
         queued[1].streamBits = 1024;
         queued[1].tag.tenant = 1;
-        int pick = scheduler->pick(slot, queued, round, false);
+        int pick = scheduler->pick(slot, queued, round);
         ASSERT_GE(pick, 0);
         scheduler->onArm(queued[pick], round);
         ++armed[queued[pick].tag.tenant];
@@ -227,9 +216,6 @@ randomTenantMix(uint64_t seed, int jobs)
         job.stream = randomStream(rng, 30 + rng.nextBelow(150));
         job.tag.tenant = static_cast<uint32_t>(rng.nextBelow(3));
         job.tag.priority = static_cast<uint32_t>(rng.nextBelow(3));
-        job.tag.preferredLane =
-            rng.nextBelow(4) == 0 ? static_cast<int>(rng.nextBelow(2))
-                                  : -1;
         mix.push_back(std::move(job));
     }
     return mix;
@@ -304,9 +290,8 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
 TEST(SchedProperty, WorkConservationUnderEveryPolicy)
 {
     // After any round's arm phase, a parked live slot and a queued job
-    // bound to its program may not coexist: the relaxed second sweep
-    // must have matched them. Checked at every step of a drain under
-    // every policy.
+    // of its program may not coexist: the arm pass must have matched
+    // them. Checked at every step of a drain under every policy.
     auto program = testprogs::blockFrequencies(32);
     const SchedulerPolicy policies[] = {
         SchedulerPolicy::Fifo, SchedulerPolicy::Priority,
@@ -395,24 +380,21 @@ TEST(SchedProperty, WfqBoundsVictimLatencyUnderFlood)
 }
 
 // ---------------------------------------------------------------------------
-// Multi-program sessions: per-slot binding, placement hints, and the
+// Multi-program sessions: per-slot programs on every engine, and the
 // configure-time mix checks.
 // ---------------------------------------------------------------------------
 
 TEST(MultiProgram, SlotBindingRoutesJobsToTheirProgram)
 {
-    // identity on slots 0..2 (lane 0), blockFrequencies on slots 3..5
-    // (lane 1): jobs tagged per program must land only on their
-    // program's slots and match that program's golden output.
+    // identity on slots 0..2, blockFrequencies on slots 3..5, over two
+    // channels: each channel hosts both programs, so the batched
+    // engines run two batch groups per channel. Jobs tagged per
+    // program must land only on their program's slots and match that
+    // program's golden output, and every engine at 1 and 4 threads
+    // must reproduce the Fast 1-thread schedule exactly.
     auto ident = testprogs::identity(8);
     auto histo = testprogs::blockFrequencies(8);
-    std::vector<system::SlotBinding> bindings(6);
-    for (int p = 0; p < 6; ++p) {
-        bindings[p].program = p < 3 ? 0 : 1;
-        bindings[p].lane = p < 3 ? 0 : 1;
-    }
-    SessionConfig config = poolConfig(system::PuBackend::Fast, 2);
-    Session session({ident, histo}, config, bindings);
+    const std::vector<uint32_t> slot_programs = {0, 0, 0, 1, 1, 1};
 
     Rng rng(31);
     std::vector<TaggedJob> mix;
@@ -422,12 +404,21 @@ TEST(MultiProgram, SlotBindingRoutesJobsToTheirProgram)
         job.stream = randomStream(rng, 24 + 8 * rng.nextBelow(10));
         mix.push_back(std::move(job));
     }
-    for (const TaggedJob &job : mix)
-        session.submitJob(job.stream, job.tag, session.cycles());
-    session.finish();
+    auto runAll = [&](system::PuBackend backend, int threads) {
+        SessionConfig config = poolConfig(backend, threads);
+        config.system.numChannels = 2;
+        Session session({ident, histo}, config, slot_programs);
+        for (const TaggedJob &job : mix)
+            session.submitJob(job.stream, job.tag, session.cycles());
+        session.finish();
+        return session.reports();
+    };
 
+    const std::vector<JobReport> base =
+        runAll(system::PuBackend::Fast, 1);
+    ASSERT_EQ(base.size(), mix.size());
     for (uint64_t j = 0; j < mix.size(); ++j) {
-        const JobReport &report = session.report(j);
+        const JobReport &report = base[j];
         ASSERT_TRUE(report.ok())
             << "job " << j << ": " << report.status.toString();
         EXPECT_EQ(report.programIndex, mix[j].tag.programIndex);
@@ -444,76 +435,21 @@ TEST(MultiProgram, SlotBindingRoutesJobsToTheirProgram)
                     goldenOutput(program, mix[j].stream))
             << "job " << j;
     }
-}
 
-TEST(MultiProgram, PlacementHintsSteerButNeverIdleSlots)
-{
-    // One program bound across two lanes (slots 0..2 lane 0, slots
-    // 3..5 lane 1). Eight jobs all hinted to lane 1: the first sweep
-    // fills the three lane-1 slots, the relaxed sweep spills the rest
-    // onto lane 0 — every slot takes work in round one.
-    auto program = testprogs::identity(8);
-    std::vector<system::SlotBinding> bindings(6);
-    for (int p = 0; p < 6; ++p)
-        bindings[p].lane = p < 3 ? 0 : 1;
-    SessionConfig config = poolConfig(system::PuBackend::Fast, 1);
-    Session session({program}, config, bindings);
-
-    Rng rng(7);
-    JobTag hinted;
-    hinted.preferredLane = 1;
-    for (int j = 0; j < 6; ++j)
-        session.submitJob(randomStream(rng, 64), hinted,
-                          session.cycles());
-    session.step();
-    // All six slots armed in one round; the three hinted slots (lane
-    // 1) took the first three jobs in queue order.
-    for (int pu = 0; pu < 6; ++pu)
-        EXPECT_TRUE(session.slotState(pu).busy) << "slot " << pu;
-    EXPECT_EQ(session.slotState(3).jobId, 0u);
-    EXPECT_EQ(session.slotState(4).jobId, 1u);
-    EXPECT_EQ(session.slotState(5).jobId, 2u);
-    session.finish();
-    for (uint64_t j = 0; j < 6; ++j)
-        EXPECT_TRUE(session.report(j).ok());
-}
-
-TEST(MultiProgram, MixedBackendsPerSlotStayBitIdentical)
-{
-    // Placement the issue asks for: latency lanes on the Fast backend,
-    // audit lanes on the unbatched RTL interpreter — in one session. Outputs
-    // still match the functional golden, and the whole schedule is
-    // invariant to host thread count.
-    auto program = testprogs::blockFrequencies(16);
-    std::vector<system::SlotBinding> bindings(6);
-    for (int p = 0; p < 6; ++p) {
-        bindings[p].lane = p < 3 ? 0 : 1;
-        bindings[p].backend = p < 3 ? system::PuBackend::Fast
-                                    : system::PuBackend::RtlInterp;
-    }
-    Rng rng(55);
-    std::vector<BitBuffer> streams;
-    for (int j = 0; j < 18; ++j)
-        streams.push_back(randomStream(rng, 32 + rng.nextBelow(64)));
-
-    auto runAll = [&](int threads) {
-        SessionConfig config =
-            poolConfig(system::PuBackend::Fast, threads);
-        Session session({program}, config, bindings);
-        for (const BitBuffer &stream : streams)
-            session.submitJob(stream, JobTag{}, session.cycles());
-        session.finish();
-        return session.reports();
-    };
-    std::vector<JobReport> one = runAll(1);
-    std::vector<JobReport> four = runAll(4);
-    ASSERT_EQ(one.size(), streams.size());
-    for (uint64_t j = 0; j < streams.size(); ++j) {
-        ASSERT_TRUE(one[j].ok()) << "job " << j;
-        EXPECT_TRUE(one[j].output ==
-                    goldenOutput(program, streams[j]))
-            << "job " << j;
-        ASSERT_TRUE(one[j] == four[j]) << "job " << j;
+    const system::PuBackend engines[] = {
+        system::PuBackend::Fast, system::PuBackend::Rtl,
+        system::PuBackend::RtlJit, system::PuBackend::RtlInterp};
+    for (system::PuBackend engine : engines) {
+        for (int threads : {1, 4}) {
+            if (engine == system::PuBackend::Fast && threads == 1)
+                continue;
+            std::vector<JobReport> reports = runAll(engine, threads);
+            ASSERT_EQ(reports.size(), base.size());
+            for (uint64_t j = 0; j < reports.size(); ++j)
+                ASSERT_TRUE(reports[j] == base[j])
+                    << system::puBackendName(engine) << "/" << threads
+                    << ": job " << j << " diverges from Fast/1";
+        }
     }
 }
 
@@ -521,11 +457,8 @@ TEST(MultiProgram, OrphanedJobsReportInsteadOfWaitingForever)
 {
     auto ident = testprogs::identity(8);
     auto histo = testprogs::blockFrequencies(8);
-    std::vector<system::SlotBinding> bindings(6);
-    for (int p = 0; p < 6; ++p)
-        bindings[p].program = p < 3 ? 0 : 1;
     SessionConfig config = poolConfig(system::PuBackend::Fast, 1);
-    Session session({ident, histo}, config, bindings);
+    Session session({ident, histo}, config, {0, 0, 0, 1, 1, 1});
 
     Rng rng(12);
     JobTag unknown;
@@ -552,12 +485,33 @@ TEST(MultiProgram, MismatchedTokenWidthsRejectedAtConstruction)
     SessionConfig config = poolConfig(system::PuBackend::Fast, 1);
     try {
         Session session({ident, sum}, config,
-                        std::vector<system::SlotBinding>(6));
+                        std::vector<uint32_t>(6, 0));
         FAIL() << "mismatched output widths should throw";
     } catch (const StatusError &error) {
         EXPECT_EQ(error.status().code, StatusCode::InvalidArgument);
         EXPECT_NE(error.status().message.find("share"),
                   std::string::npos);
+    }
+}
+
+TEST(MultiProgram, ContradictorySlotListsRejectedAtConstruction)
+{
+    // A slot list must hold one entry per slot and name only hosted
+    // programs.
+    auto ident = testprogs::identity(8);
+    auto histo = testprogs::blockFrequencies(8);
+    SessionConfig config = poolConfig(system::PuBackend::Fast, 1);
+    const std::vector<std::vector<uint32_t>> lists = {
+        {0, 1, 0, 1},         // 4 entries for 6 slots
+        {0, 1, 0, 1, 0, 2}}; // program 2 is not hosted
+    for (const std::vector<uint32_t> &list : lists) {
+        try {
+            Session session({ident, histo}, config, list);
+            FAIL() << list.size() << "-entry slot list accepted";
+        } catch (const StatusError &error) {
+            EXPECT_EQ(error.status().code, StatusCode::InvalidArgument)
+                << error.status().toString();
+        }
     }
 }
 
@@ -567,14 +521,12 @@ TEST(MultiProgram, AreaModelRejectsOvercommittedMix)
     // LUTs does not. checkProgramMix is the configure-time gate.
     auto ident = testprogs::identity(8);
     auto histo = testprogs::blockFrequencies(8);
-    std::vector<system::SlotBinding> bindings(6);
-    for (int p = 0; p < 6; ++p)
-        bindings[p].program = p % 2;
+    const std::vector<uint32_t> slot_programs = {0, 1, 0, 1, 0, 1};
     system::SystemConfig config;
     config.numChannels = 3;
 
     Status fits = system::FleetSystem::checkProgramMix(
-        {ident, histo}, bindings, config, model::Device{});
+        {ident, histo}, slot_programs, config, model::Device{});
     EXPECT_TRUE(fits.ok()) << fits.toString();
 
     model::Device tiny;
@@ -584,7 +536,7 @@ TEST(MultiProgram, AreaModelRejectsOvercommittedMix)
     tiny.bram36 = 8;
     tiny.dsps = 16;
     Status rejected = system::FleetSystem::checkProgramMix(
-        {ident, histo}, bindings, config, tiny);
+        {ident, histo}, slot_programs, config, tiny);
     EXPECT_EQ(rejected.code, StatusCode::ResourceExhausted);
     EXPECT_NE(rejected.message.find("does not fit"),
               std::string::npos);

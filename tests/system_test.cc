@@ -173,6 +173,9 @@ TEST(PuBackendNames, ParseRoundTripsEveryBackend)
     // Spellings are case- and separator-insensitive.
     EXPECT_EQ(parsePuBackend("RTL-Interp"), PuBackend::RtlInterp);
     EXPECT_EQ(parsePuBackend("rtl_jit"), PuBackend::RtlJit);
+    // Only the canonical names parse; aliases are rejected.
+    for (const char *alias : {"rtlbatch", "batch", "interp", "jit"})
+        EXPECT_FALSE(parsePuBackend(alias).has_value()) << alias;
     // Names of no backend are rejected, not mapped to a neighbour.
     EXPECT_FALSE(parsePuBackend("rtltape").has_value());
     EXPECT_FALSE(parsePuBackend("tape").has_value());
