@@ -36,6 +36,7 @@
 
 #include "bench_common.h"
 #include "harness.h"
+#include "report_log.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
@@ -175,7 +176,7 @@ runSoak(const apps::Application &app, const SoakShape &shape,
     result.requeued = stats.requeued;
     result.quarantinedSlots = stats.quarantinedSlots;
     result.simCycles = stats.simCycles;
-    result.sessionReports = service.session().reports();
+    result.sessionReports = bench::sessionReports(tickets);
     return result;
 }
 

@@ -42,6 +42,7 @@
 #include "cluster/pipeline.h"
 #include "harness.h"
 #include "lang/builder.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "system/pu_backend.h"
 
@@ -134,14 +135,15 @@ runScalePoint(const bench::CommonFlags &opts, const BenchShape &shape,
 
     auto start = std::chrono::steady_clock::now();
     runtime::Session session(identityProgram(), config);
+    bench::ReportLog log;
     for (const auto &stream : streams)
-        session.submit(stream);
+        session.submit(stream, log.sink());
     session.finish();
     point.simWallS = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
 
-    for (const auto &report : session.reports()) {
+    for (const auto &report : log.all()) {
         if (!report.ok() || report.device < 0)
             continue;
         ++point.jobsServed;

@@ -80,10 +80,15 @@ serveDepth(const apps::Application &app, const bench::CommonFlags &opts,
     for (const auto &stream : streams)
         result.inputBytes += (stream.sizeBits() + 7) / 8;
 
+    uint64_t busy_cycles = 0;
+    const runtime::JobCallback count_busy =
+        [&busy_cycles](runtime::JobReport job) {
+            busy_cycles += job.retireCycle - job.armCycle;
+        };
     auto start = std::chrono::steady_clock::now();
     runtime::Session session(app.program(), config);
     for (auto &stream : streams)
-        session.submit(std::move(stream));
+        session.submit(std::move(stream), count_busy);
     const system::RunReport &report = session.finish();
     result.simWallS = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
@@ -97,9 +102,6 @@ serveDepth(const apps::Application &app, const bench::CommonFlags &opts,
         result.simWallS > 0 ? double(result.jobs) / result.simWallS : 0;
     result.bytesPerCycle =
         result.cycles > 0 ? double(result.inputBytes) / result.cycles : 0;
-    uint64_t busy_cycles = 0;
-    for (const auto &job : session.reports())
-        busy_cycles += job.retireCycle - job.armCycle;
     result.slotUtilization =
         result.cycles > 0
             ? double(busy_cycles) / (double(result.cycles) * num_slots)

@@ -46,8 +46,10 @@
  *                any equivalence failure, and (in NDEBUG builds, where
  *                timing is meaningful) on batched per-PU speedup < 5x
  *                or jit speedup over batch < 1.5x — regression floors
- *                ~30% under the measured minima (batch 8.4-19x per
- *                PU, jit 2-4x over batch) — so a performance
+ *                well under the measured minima (4-vCPU Xeon KVM
+ *                guest, Release, smoke and full-length runs: batch
+ *                10.7-24x per PU, DecisionTree lowest at 10.7-14.3x;
+ *                jit 1.8-4.9x over batch) — so a performance
  *                regression fails the bench job the same way a
  *                correctness one does. The jit gate is skipped
  *                (loudly) when no host toolchain is available or
@@ -664,9 +666,9 @@ main(int argc, char **argv)
     }
     if (smoke) {
 #ifdef NDEBUG
-        // Regression floors, set with ~30% headroom under the measured
-        // minima across the six apps on the CI reference host (batch
-        // 8.4-19x per PU at 64 lanes; see DESIGN.md). They catch a
+        // Regression floors, set well under the measured minima across
+        // the six apps (batch 10.7-24x per PU at 64 lanes on a 4-vCPU
+        // KVM guest; see the file comment). They catch a
         // real engine regression — e.g. losing vectorization or the
         // 32-bit lane path — without flaking on machine-to-machine
         // timing variance.

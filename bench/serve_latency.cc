@@ -58,6 +58,7 @@
 
 #include "bench_common.h"
 #include "harness.h"
+#include "report_log.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "system/pu_backend.h"
@@ -144,13 +145,15 @@ calibrateServiceCycles(const apps::Application &app,
         (shape.regionBytes / 8 + shape.regionBytes / 2) / 2;
     Rng rng(0xCA11B);
     uint64_t jobs = uint64_t(shape.slots) * 2;
+    std::vector<serve::JobTicket> tickets;
     for (uint64_t j = 0; j < jobs; ++j)
-        service.submitAt(app.generateStream(rng, bytes), 0);
+        tickets.push_back(
+            service.submitAt(app.generateStream(rng, bytes), 0));
     while (service.pump()) {
     }
     service.shutdown();
     uint64_t total = 0, count = 0;
-    for (const auto &report : service.session().reports())
+    for (const auto &report : bench::sessionReports(tickets))
         if (report.ok()) {
             total += report.serviceCycles();
             ++count;
@@ -240,7 +243,7 @@ runPoint(const apps::Application &app, const RunOptions &opts,
                             ? double(result.served) / result.simWallS
                             : 0;
     uint64_t busy = 0;
-    for (const auto &report : service.session().reports()) {
+    for (const auto &report : bench::sessionReports(tickets)) {
         busy += report.serviceCycles();
         result.signature.push_back(
             {report.enqueueCycle, report.admittedCycle,

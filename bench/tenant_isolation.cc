@@ -38,6 +38,7 @@
 
 #include "bench_common.h"
 #include "harness.h"
+#include "report_log.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "system/pu_backend.h"
@@ -184,7 +185,10 @@ runPolicy(const apps::Application &app, const bench::CommonFlags &opts,
             : 0;
     result.floodP99 = bench::percentile(flood_totals, 0.99);
     result.simCycles = service.stats().simCycles;
-    for (const auto &report : service.session().reports())
+    std::vector<serve::JobTicket> tickets = std::move(flood_tickets);
+    tickets.insert(tickets.end(), victim_tickets.begin(),
+                   victim_tickets.end());
+    for (const auto &report : bench::sessionReports(tickets))
         result.signature.push_back(
             {report.enqueueCycle, report.admittedCycle,
              report.completedCycle, report.armCycle,

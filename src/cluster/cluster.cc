@@ -147,10 +147,10 @@ Cluster::beginSession()
 }
 
 Status
-Cluster::armJob(int slot, BitBuffer stream, uint64_t job_id)
+Cluster::armJob(int slot, const BitBuffer &stream, uint64_t job_id)
 {
-    return devices_[slotDevice_[slot]]->armJob(
-        slotLocal_[slot], std::move(stream), job_id);
+    return devices_[slotDevice_[slot]]->armJob(slotLocal_[slot], stream,
+                                               job_id);
 }
 
 void

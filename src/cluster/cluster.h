@@ -132,7 +132,7 @@ class Cluster
     /// @name The session protocol, lifted to global indices.
     /// @{
     void beginSession();
-    Status armJob(int slot, BitBuffer stream, uint64_t job_id);
+    Status armJob(int slot, const BitBuffer &stream, uint64_t job_id);
     /** Step every device one epoch, in device order, then sample the
      * link tracks (events mode). */
     void stepEpoch(uint64_t epoch_cycles);

@@ -188,7 +188,9 @@ Pipeline::submitVisit(uint64_t job_id, int stage, BitBuffer stream)
     visits_.push_back(Visit{job_id, stage, stream.sizeBits(), false});
     session_.submitJob(
         std::move(stream), tag, cycles(),
-        [this](const runtime::JobReport &report) { visitDone(report); });
+        [this](runtime::JobReport report) {
+            visitDone(std::move(report));
+        });
 }
 
 void
@@ -253,7 +255,7 @@ Pipeline::noteArms(uint64_t now)
 }
 
 void
-Pipeline::visitDone(const runtime::JobReport &report)
+Pipeline::visitDone(runtime::JobReport report)
 {
     const Visit &visit = visits_[report.jobId];
     const uint64_t job = visit.jobId;
@@ -267,8 +269,10 @@ Pipeline::visitDone(const runtime::JobReport &report)
     // A visit never armed was rejected at arm (a stream too large for
     // the stage's input region) or stranded with no live slot left.
     if (!visit.armed || !report.ok() || s + 1 == numStages()) {
-        finishJob(job, s, report.status,
-                  report.ok() ? report.output : BitBuffer{}, now);
+        if (!report.ok())
+            report.output = BitBuffer{};
+        finishJob(job, s, std::move(report.status),
+                  std::move(report.output), now);
         return;
     }
     ++roundEvents_;
@@ -277,7 +281,8 @@ Pipeline::visitDone(const runtime::JobReport &report)
     // the last stage (the truncation is visible in the per-stage
     // counters).
     stages_[s].outBits += report.output.sizeBits();
-    edges_[s].sendQueue.push_back(QueuedStream{job, report.output});
+    edges_[s].sendQueue.push_back(
+        QueuedStream{job, std::move(report.output)});
 }
 
 void

@@ -221,8 +221,9 @@ class Pipeline
     /** Stamp the visits the session armed this round. */
     void noteArms(uint64_t now);
     void send(uint64_t now);
-    /** The session's report for a visit: finish or forward the job. */
-    void visitDone(const runtime::JobReport &report);
+    /** The session's report for a visit: finish or forward the job,
+     * moving the visit's output along. */
+    void visitDone(runtime::JobReport report);
     void finishJob(uint64_t job_id, int stage, Status status,
                    BitBuffer output, uint64_t now);
 

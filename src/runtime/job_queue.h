@@ -5,17 +5,17 @@
  * @file
  * FIFO of pending jobs for the multi-stream runtime (ISSUE 5). A job is
  * one independent input stream plus an optional completion callback; the
- * queue assigns sequential ids at push time, so Session::report(id)
- * indexes its report table directly and the fault plan's per-job stream
- * truncation (fault::truncatedJobTokens) is keyed stably no matter which
- * processing-unit slot the job eventually lands on.
+ * queue assigns sequential ids at push time, so the fault plan's per-job
+ * stream truncation (fault::truncatedJobTokens) is keyed stably no matter
+ * which processing-unit slot the job eventually lands on, and the report
+ * the callback receives carries the same id.
  *
  * The queue itself is deliberately dumb — it stores jobs in strict
  * arrival order and never reorders — because the scheduler's determinism
  * argument (DESIGN.md §5e/§5h) rests on the dispatch order being a pure
  * function of simulated state. Policy lives in runtime::Scheduler, which
- * *picks an index* out of this queue (take()); the queue just preserves
- * arrival order and stable ids.
+ * reads this queue in place and *picks an index* out of it (take()); the
+ * queue just preserves arrival order and stable ids.
  */
 
 #include <cstddef>
@@ -34,8 +34,9 @@ namespace runtime {
 
 struct JobReport;
 
-/** Invoked by Session when the job's report is final. */
-using JobCallback = std::function<void(const JobReport &)>;
+/** Invoked by Session when the job's report is final; the report is
+ * handed over, and the session keeps no copy. */
+using JobCallback = std::function<void(JobReport)>;
 
 /** One pending job: a stream awaiting a processing-unit slot. */
 struct PendingJob
@@ -102,21 +103,23 @@ class JobQueue
     /**
      * Remove and return every queued job whose deadline has passed at
      * session cycle `now` (deadlineCycle != 0 and <= now), preserving
-     * FIFO order among the expired. Pure function of queue contents
-     * and `now` — called once per scheduler round, so expiry is as
-     * deterministic as the rest of the schedule.
+     * FIFO order among the expired and among the kept. Works in place
+     * and allocates nothing when no job has expired. Pure function of
+     * queue contents and `now` — called once per scheduler round, so
+     * expiry is as deterministic as the rest of the schedule.
      */
     std::vector<PendingJob> takeExpired(uint64_t now)
     {
         std::vector<PendingJob> expired;
-        std::deque<PendingJob> kept;
-        for (auto &job : jobs_) {
+        size_t kept = 0;
+        for (size_t i = 0; i < jobs_.size(); ++i) {
+            PendingJob &job = jobs_[i];
             if (job.deadlineCycle != 0 && job.deadlineCycle <= now)
                 expired.push_back(std::move(job));
-            else
-                kept.push_back(std::move(job));
+            else if (kept++ != i)
+                jobs_[kept - 1] = std::move(job);
         }
-        jobs_.swap(kept);
+        jobs_.resize(kept);
         return expired;
     }
 
@@ -133,7 +136,7 @@ class JobQueue
     }
 
     /** Read-only view of the job at queue position `index` (arrival
-     * order) — what Scheduler::pick sees. */
+     * order) — what Scheduler::pick reads. */
     const PendingJob &at(size_t index) const
     {
         if (index >= jobs_.size())

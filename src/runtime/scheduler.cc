@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "util/logging.h"
+#include "runtime/job_queue.h"
 
 namespace fleet {
 namespace runtime {
@@ -31,34 +31,28 @@ operator==(const JobTag &a, const JobTag &b)
            a.priority == b.priority;
 }
 
-int
-Scheduler::pick(const SlotView &slot,
-                const std::vector<QueuedJobView> &queued, uint64_t now)
-{
-    std::vector<int> candidates;
-    candidates.reserve(queued.size());
-    for (size_t i = 0; i < queued.size(); ++i)
-        if (queued[i].tag.programIndex == slot.programIndex)
-            candidates.push_back(static_cast<int>(i));
-    if (candidates.empty())
-        return -1;
-    int picked = choose(slot, queued, candidates, now);
-    if (std::find(candidates.begin(), candidates.end(), picked) ==
-        candidates.end()) {
-        panic("scheduler ", name(), " picked index ", picked,
-              " outside its candidate set");
-    }
-    return picked;
-}
-
-void
-Scheduler::onArm(const QueuedJobView &job, uint64_t now)
-{
-    (void)job;
-    (void)now;
-}
-
 namespace {
+
+/** The first queued job of `program` minimising `key`, or -1: the
+ * strict comparison keeps arrival order among equal keys. */
+template <typename Key>
+int
+firstMin(const JobQueue &queue, uint32_t program, Key key)
+{
+    int best = -1;
+    uint64_t best_key = 0;
+    for (size_t i = 0; i < queue.size(); ++i) {
+        const PendingJob &job = queue.at(i);
+        if (job.tag.programIndex != program)
+            continue;
+        const uint64_t k = key(job);
+        if (best < 0 || k < best_key) {
+            best = static_cast<int>(i);
+            best_key = k;
+        }
+    }
+    return best;
+}
 
 /** Legacy arrival order: always the first compatible job. */
 class FifoScheduler final : public Scheduler
@@ -66,11 +60,13 @@ class FifoScheduler final : public Scheduler
   public:
     const char *name() const override { return "fifo"; }
 
-  protected:
-    int choose(const SlotView &, const std::vector<QueuedJobView> &,
-               const std::vector<int> &candidates, uint64_t) override
+    int pick(const SlotView &slot, const JobQueue &queue,
+             uint64_t) override
     {
-        return candidates.front();
+        for (size_t i = 0; i < queue.size(); ++i)
+            if (queue.at(i).tag.programIndex == slot.programIndex)
+                return static_cast<int>(i);
+        return -1;
     }
 };
 
@@ -80,16 +76,13 @@ class PriorityScheduler final : public Scheduler
   public:
     const char *name() const override { return "priority"; }
 
-  protected:
-    int choose(const SlotView &, const std::vector<QueuedJobView> &queued,
-               const std::vector<int> &candidates, uint64_t) override
+    int pick(const SlotView &slot, const JobQueue &queue,
+             uint64_t) override
     {
-        int best = candidates.front();
-        for (int i : candidates) {
-            if (queued[i].tag.priority < queued[best].tag.priority)
-                best = i;
-        }
-        return best;
+        return firstMin(queue, slot.programIndex,
+                        [](const PendingJob &job) {
+                            return job.tag.priority;
+                        });
     }
 };
 
@@ -99,16 +92,13 @@ class SjfScheduler final : public Scheduler
   public:
     const char *name() const override { return "sjf"; }
 
-  protected:
-    int choose(const SlotView &, const std::vector<QueuedJobView> &queued,
-               const std::vector<int> &candidates, uint64_t) override
+    int pick(const SlotView &slot, const JobQueue &queue,
+             uint64_t) override
     {
-        int best = candidates.front();
-        for (int i : candidates) {
-            if (queued[i].streamBits < queued[best].streamBits)
-                best = i;
-        }
-        return best;
+        return firstMin(queue, slot.programIndex,
+                        [](const PendingJob &job) {
+                            return job.stream.sizeBits();
+                        });
     }
 };
 
@@ -119,9 +109,11 @@ class SjfScheduler final : public Scheduler
  * max(1, streamBits) * kWfqCostScale / weight later. The candidate
  * with the smallest start tag wins; ties break toward queue (arrival)
  * order, so equal-weight tenants interleave deterministically and a
- * single tenant degenerates to FIFO. State advances only in onArm(),
- * i.e. only as a function of the armed sequence, keeping the schedule
- * a pure function of simulated state.
+ * single tenant degenerates to FIFO. A tenant's jobs share one start
+ * tag, so the winner is always its tenant's head-of-line job: fair
+ * queuing serves each tenant's backlog FIFO. State advances only in
+ * onArm(), i.e. only as a function of the armed sequence, keeping the
+ * schedule a pure function of simulated state.
  */
 class WfqScheduler final : public Scheduler
 {
@@ -134,35 +126,21 @@ class WfqScheduler final : public Scheduler
 
     const char *name() const override { return "wfq"; }
 
-    void onArm(const QueuedJobView &job, uint64_t now) override
+    int pick(const SlotView &slot, const JobQueue &queue,
+             uint64_t) override
+    {
+        return firstMin(queue, slot.programIndex,
+                        [this](const PendingJob &job) {
+                            return startTag(job.tag.tenant);
+                        });
+    }
+
+    void onArm(const PendingJob &job, uint64_t now) override
     {
         (void)now;
         uint64_t start = startTag(job.tag.tenant);
         finish_[job.tag.tenant] = start + cost(job);
         virtualTime_ = start;
-    }
-
-  protected:
-    int choose(const SlotView &, const std::vector<QueuedJobView> &queued,
-               const std::vector<int> &candidates, uint64_t) override
-    {
-        // Fair queuing serves each tenant's own backlog FIFO, so only
-        // the head-of-line candidate per tenant competes.
-        int best = -1;
-        uint64_t best_start = 0;
-        std::map<uint32_t, bool> seen;
-        for (int i : candidates) {
-            uint32_t tenant = queued[i].tag.tenant;
-            if (seen[tenant])
-                continue;
-            seen[tenant] = true;
-            uint64_t start = startTag(tenant);
-            if (best < 0 || start < best_start) {
-                best = i;
-                best_start = start;
-            }
-        }
-        return best;
     }
 
   private:
@@ -172,9 +150,9 @@ class WfqScheduler final : public Scheduler
         return it == weights_.end() ? 1 : it->second;
     }
 
-    uint64_t cost(const QueuedJobView &job) const
+    uint64_t cost(const PendingJob &job) const
     {
-        uint64_t bits = std::max<uint64_t>(1, job.streamBits);
+        uint64_t bits = std::max<uint64_t>(1, job.stream.sizeBits());
         return std::max<uint64_t>(1,
                                   bits * kWfqCostScale /
                                       weight(job.tag.tenant));

@@ -69,15 +69,6 @@ struct SlotView
     uint32_t programIndex = 0;
 };
 
-/** Immutable view of one queued job, in queue (arrival) order. */
-struct QueuedJobView
-{
-    uint64_t id = 0;
-    uint64_t enqueueCycle = 0;
-    uint64_t streamBits = 0;
-    JobTag tag;
-};
-
 /** Per-tenant WFQ weight; tenants without an entry default to weight
  * 1. Weight 0 is clamped to 1 (a zero-weight tenant would starve and
  * break the no-starvation property). */
@@ -99,10 +90,13 @@ struct SchedulerConfig
  * on every host. */
 constexpr uint64_t kWfqCostScale = 1024;
 
+class JobQueue;
+struct PendingJob;
+
 /**
- * Picks which queued job a freed slot runs next. pick() filters the
- * queue down to candidates the slot can run (same program index), then
- * delegates the policy decision to choose(). Implementations must be
+ * Picks which queued job a freed slot runs next. Every policy reads the
+ * queue in place, in arrival order, skips jobs of other programs, and
+ * breaks ties toward arrival order. Implementations must be
  * deterministic: same arguments and same onArm() history => same pick.
  */
 class Scheduler
@@ -116,20 +110,12 @@ class Scheduler
      * Returns the queue index of the job the slot should arm, or -1 if
      * no queued job targets the slot's program.
      */
-    int pick(const SlotView &slot, const std::vector<QueuedJobView> &queued,
-             uint64_t now);
+    virtual int pick(const SlotView &slot, const JobQueue &queue,
+                     uint64_t now) = 0;
 
     /** Informs the scheduler a pick was actually armed (WFQ advances
      * its virtual clock here). Called once per successful arm. */
-    virtual void onArm(const QueuedJobView &job, uint64_t now);
-
-  protected:
-    /** Policy decision among pre-filtered candidates (queue indices in
-     * ascending order, never empty). Returns one of the candidates. */
-    virtual int choose(const SlotView &slot,
-                       const std::vector<QueuedJobView> &queued,
-                       const std::vector<int> &candidates,
-                       uint64_t now) = 0;
+    virtual void onArm(const PendingJob &, uint64_t) {}
 };
 
 /** Builds the scheduler for a config; never returns null. */

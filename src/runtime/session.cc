@@ -149,12 +149,8 @@ Session::submitJob(BitBuffer stream, const JobTag &tag,
         throw StatusError(Status::make(
             StatusCode::InvalidState,
             "submit: session already finished"));
-    uint64_t id = queue_.push(std::move(stream), std::move(callback),
-                              enqueue_cycle, hostNowNs(),
-                              deadline_cycle, tag);
-    reports_.emplace_back();
-    reported_.push_back(false);
-    return id;
+    return queue_.push(std::move(stream), std::move(callback),
+                       enqueue_cycle, hostNowNs(), deadline_cycle, tag);
 }
 
 Session::SlotStateView
@@ -177,19 +173,15 @@ Session::record(JobReport report, JobCallback &callback)
 {
     report.completedCycle = cycles();
     report.hostDoneNs = hostNowNs();
-    uint64_t id = report.jobId;
-    reports_[id] = std::move(report);
-    reported_[id] = true;
     ++jobsFinished_;
-    const JobReport &final = reports_[id];
-    TenantSessionStats &tenant = tenants_[final.tenant];
+    TenantSessionStats &tenant = tenants_[report.tenant];
     ++tenant.completed;
-    tenant.queueWaitCycles += final.queueWaitCycles();
-    tenant.serviceCycles += final.serviceCycles();
-    if (final.status.code == StatusCode::DeadlineExceeded)
+    tenant.queueWaitCycles += report.queueWaitCycles();
+    tenant.serviceCycles += report.serviceCycles();
+    if (report.status.code == StatusCode::DeadlineExceeded)
         ++tenant.deadlineKills;
     if (callback)
-        callback(reports_[id]);
+        callback(std::move(report));
 }
 
 void
@@ -414,27 +406,15 @@ Session::armFromQueue()
         SlotView view;
         view.pu = pu;
         view.programIndex = cluster_.slotProgramIndex(pu);
-        while (!queue_.empty()) {
-            std::vector<QueuedJobView> queued(queue_.size());
-            for (size_t i = 0; i < queue_.size(); ++i) {
-                const PendingJob &pending = queue_.at(i);
-                queued[i].id = pending.id;
-                queued[i].enqueueCycle = pending.enqueueCycle;
-                queued[i].streamBits = pending.stream.sizeBits();
-                queued[i].tag = pending.tag;
-            }
-            int picked = scheduler_->pick(view, queued, now);
-            if (picked < 0)
-                break;
-            QueuedJobView picked_view = queued[picked];
+        int picked;
+        while ((picked = scheduler_->pick(view, queue_, now)) >= 0) {
             PendingJob job = queue_.take(static_cast<size_t>(picked));
-            // Kept pre-truncation so a halted channel's jobs can be
-            // re-armed elsewhere (armJob consumes the original).
-            BitBuffer stream_copy;
-            if (config_.requeueStranded)
-                stream_copy = job.stream;
-            Status armed =
-                cluster_.armJob(pu, std::move(job.stream), job.id);
+            if (job.tag.programIndex != view.programIndex)
+                panic("scheduler ", scheduler_->name(), " picked job ",
+                      job.id, " of program ", job.tag.programIndex,
+                      " for slot ", pu, " of program ",
+                      view.programIndex);
+            Status armed = cluster_.armJob(pu, job.stream, job.id);
             if (!armed.ok()) {
                 // A malformed job (bad alignment, oversized stream)
                 // fails alone; the slot re-picks among the rest.
@@ -443,7 +423,7 @@ Session::armFromQueue()
                                job.hostSubmitNs, job.requeues, job.tag);
                 continue;
             }
-            scheduler_->onArm(picked_view, now);
+            scheduler_->onArm(job, now);
             slot.busy = true;
             slot.jobId = job.id;
             slot.callback = std::move(job.callback);
@@ -453,7 +433,9 @@ Session::armFromQueue()
             slot.deadlineCycle = job.deadlineCycle;
             slot.requeues = job.requeues;
             slot.tag = job.tag;
-            slot.stream = std::move(stream_copy);
+            // Kept so a halted channel's jobs can be re-armed elsewhere.
+            if (config_.requeueStranded)
+                slot.stream = std::move(job.stream);
             totalQueueWaitCycles_ +=
                 slot.admittedCycle > slot.enqueueCycle
                     ? slot.admittedCycle - slot.enqueueCycle
@@ -654,22 +636,6 @@ Session::clusterReport() const
             StatusCode::InvalidState,
             "clusterReport: session has not finished"));
     return *clusterReport_;
-}
-
-const JobReport &
-Session::report(uint64_t job_id) const
-{
-    if (!done(job_id))
-        throw StatusError(Status::make(
-            StatusCode::InvalidState,
-            "report: job has not finished (queued or in flight)"));
-    return reports_[job_id];
-}
-
-bool
-Session::done(uint64_t job_id) const
-{
-    return job_id < reported_.size() && reported_[job_id];
 }
 
 uint64_t

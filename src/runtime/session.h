@@ -16,20 +16,27 @@
  * is a zero-cost rename) and drives it in scheduler rounds:
  *
  *   1. *Harvest*, in global PU order: every drained slot's job is read
- *      back, retired into a JobReport, and its callback fired; jobs
- *      stranded on a halted channel are reported with the channel's
- *      status and the slot is marked dead.
+ *      back, retired into a JobReport, and handed to its callback;
+ *      jobs stranded on a halted channel are reported with the
+ *      channel's status and the slot is marked dead.
  *   2. *Arm*, one pass in global PU order (ISSUE 8): each parked live
  *      slot asks the configured Scheduler which queued job of its
- *      program to run, so no live slot idles while such a job is
- *      queued (work conservation). Jobs that can never arm are then
- *      reported (strandOrphans).
+ *      program to run, and the Scheduler reads the wait queue in
+ *      place, so no live slot idles while such a job is queued (work
+ *      conservation). Jobs that can never arm are then reported
+ *      (strandOrphans).
  *   3. *Advance*: every channel shard steps up to epochCycles cycles
  *      on the worker pool (shards park early when they go idle).
  *
  * step() is schedule() (phases 1–2) then advance() (phase 3). This is
  * the one driver loop: cluster::Pipeline runs each stage visit as a
  * session job and moves its link traffic between the two phases.
+ *
+ * A job's report leaves the session only through the job's completion
+ * callback, which receives it by value; the session keeps no report
+ * after that, so its memory follows the jobs queued and in flight, not
+ * the jobs served. A job submitted without a callback is served and
+ * counted, and its report is dropped.
  *
  * Determinism: harvesting and arming happen only at round boundaries,
  * in a fixed order, and every scheduling policy is a pure function of
@@ -47,7 +54,6 @@
  */
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -108,9 +114,9 @@ struct SessionConfig
      * a channel that halts are re-queued at the *front* of the FIFO
      * (original ids, original arrival cycles, in PU order) and re-run
      * on surviving channels instead of stranding with the channel's
-     * status. Costs one stream copy per armed job. When no live slot
-     * survives, jobs strand as before. Default off: the pre-recovery
-     * stranding semantics.
+     * status. Each armed job's stream is then kept on its slot until
+     * the job retires. When no live slot survives, jobs strand as
+     * before. Default off: the pre-recovery stranding semantics.
      */
     bool requeueStranded = false;
     /**
@@ -327,7 +333,7 @@ class Session
         retireHold_ = std::move(hold);
     }
 
-    /** Run rounds until every submitted job has a report. */
+    /** Run rounds until every submitted job has been reported. */
     void drain();
 
     /**
@@ -348,20 +354,6 @@ class Session
     /** The settled ClusterReport; throws StatusError(InvalidState)
      * before finish()/finishCluster(). */
     const cluster::ClusterReport &clusterReport() const;
-
-    /** A finished job's report. Throws StatusError(InvalidState) while
-     * the job is still queued or in flight. */
-    const JobReport &report(uint64_t job_id) const;
-
-    /** True once `job_id` has a final report. */
-    bool done(uint64_t job_id) const;
-
-    /** A copy of every job's report, indexed by job id (ids with no
-     * final report yet are default-constructed placeholders). */
-    std::vector<JobReport> reports() const
-    {
-        return {reports_.begin(), reports_.end()};
-    }
 
     /// @name Recovery telemetry (ISSUE 7).
     /// @{
@@ -466,8 +458,8 @@ class Session
         uint64_t requeues = 0;
         /** Multi-tenant tag carried from the pending job (ISSUE 8). */
         JobTag tag;
-        /** Pre-truncation stream copy, kept only under
-         * requeueStranded so a halted channel's jobs can re-run. */
+        /** The job's stream, kept only under requeueStranded so a
+         * halted channel's jobs can re-run. */
         BitBuffer stream;
     };
 
@@ -485,11 +477,13 @@ class Session
     /** Sample the scheduler tracks for this round (events mode only). */
     void sampleSessionTracks();
     /** Report a job that never produced a RetiredJob (arm rejection or
-     * a halted channel) and fire its callback. */
+     * a halted channel) through its callback. */
     void finishJobEarly(uint64_t job_id, int pu, Status status,
                         JobCallback &callback, uint64_t enqueue_cycle,
                         uint64_t host_submit_ns, uint32_t requeues,
                         const JobTag &tag);
+    /** Stamp the report final, count it, and move it into the
+     * callback (if any). */
     void record(JobReport report, JobCallback &callback);
 
     SessionConfig config_;
@@ -504,9 +498,6 @@ class Session
     std::function<bool(uint64_t)> retireHold_;
     JobQueue queue_;
     std::vector<Slot> slots_; ///< Indexed by global PU index.
-    /** Indexed by job id; a deque grows without reallocating. */
-    std::deque<JobReport> reports_;
-    std::vector<bool> reported_;     ///< Indexed by job id.
     uint64_t jobsFinished_ = 0;
     bool finished_ = false;
     /** Set by finish(): the cluster's settled report (owned by

@@ -94,6 +94,13 @@ JobTicket::report() const
     return state_->report;
 }
 
+const std::vector<runtime::JobReport> &
+JobTicket::retried() const
+{
+    report(); // the same validity and readiness checks
+    return state_->retried;
+}
+
 // ---------------------------------------------------------------------------
 // FleetService
 
@@ -261,8 +268,8 @@ FleetService::dispatchLocked(std::shared_ptr<Tracked> tracked)
     auto self = tracked;
     session_.submitJob(
         std::move(stream), tracked->tag, tracked->arrivalCycle,
-        [this, self](const runtime::JobReport &report) {
-            onJobDone(self, report);
+        [this, self](runtime::JobReport report) {
+            onJobDone(self, std::move(report));
         },
         tracked->deadlineCycle);
     ++tenants_[tracked->tag.tenant].inSession;
@@ -270,7 +277,7 @@ FleetService::dispatchLocked(std::shared_ptr<Tracked> tracked)
 
 void
 FleetService::onJobDone(const std::shared_ptr<Tracked> &tracked,
-                        const runtime::JobReport &report)
+                        runtime::JobReport report)
 {
     // Runs on the pumping thread, inside Session::step — the session
     // is mid-round, so only service-side state is touched here; the
@@ -285,7 +292,7 @@ FleetService::onJobDone(const std::shared_ptr<Tracked> &tracked,
         session_.cycles() < tracked->deadlineCycle;
     if (attempts_left && statusCodeTransient(report.status.code) &&
         within_deadline && session_.liveSlots() > 0) {
-        tracked->lastReport = report;
+        tracked->ticket->retried.push_back(std::move(report));
         // Linear backoff in simulated cycles: attempt k waits k units.
         // The clock only advances while jobs run, so an otherwise-idle
         // service releases the retry on the next round (feedSession's
@@ -301,17 +308,16 @@ FleetService::onJobDone(const std::shared_ptr<Tracked> &tracked,
         retryWait_.push_back(tracked);
         return;
     }
-    runtime::JobReport final = report;
-    final.attempts = static_cast<uint32_t>(tracked->attempt);
+    report.attempts = static_cast<uint32_t>(tracked->attempt);
     ++tenant.completed;
-    tenant.queueWaitCycles += final.queueWaitCycles();
-    tenant.serviceCycles += final.serviceCycles();
-    if (final.status.code == StatusCode::DeadlineExceeded)
+    tenant.queueWaitCycles += report.queueWaitCycles();
+    tenant.serviceCycles += report.serviceCycles();
+    if (report.status.code == StatusCode::DeadlineExceeded)
         ++tenant.deadlineKilled;
-    if (final.device >= 0 &&
-        final.device < static_cast<int>(deviceCompleted_.size()))
-        ++deviceCompleted_[final.device];
-    tracked->ticket->complete(std::move(final));
+    if (report.device >= 0 &&
+        report.device < static_cast<int>(deviceCompleted_.size()))
+        ++deviceCompleted_[report.device];
+    tracked->ticket->complete(std::move(report));
     completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -405,10 +411,12 @@ FleetService::pumpOnce()
             wait_.clear();
             // A pending retry has a real failure report from its last
             // attempt — that, not a refusal, is the honest terminal
-            // state.
+            // state; it was never retried, so it leaves the list.
             for (auto &tracked : retryWait_) {
-                runtime::JobReport final =
-                    std::move(tracked->lastReport);
+                std::vector<runtime::JobReport> &retried =
+                    tracked->ticket->retried;
+                runtime::JobReport final = std::move(retried.back());
+                retried.pop_back();
                 final.attempts =
                     static_cast<uint32_t>(tracked->attempt - 1);
                 ++tenants_[tracked->tag.tenant].completed;

@@ -237,6 +237,15 @@ class JobTicket
     /** The final report; throws StatusError(InvalidState) if !ready(). */
     const runtime::JobReport &report() const;
 
+    /**
+     * The session reports of this job's earlier attempts, which failed
+     * transiently and were retried (RetryPolicy), oldest first; empty
+     * when the first attempt was final. With report() these are every
+     * session job the ticket ran. Throws StatusError(InvalidState) if
+     * !ready().
+     */
+    const std::vector<runtime::JobReport> &retried() const;
+
   private:
     friend class FleetService;
 
@@ -246,6 +255,8 @@ class JobTicket
         mutable std::condition_variable cv;
         bool ready = false;
         runtime::JobReport report;
+        /** Filled by the pumping thread before `ready` is set. */
+        std::vector<runtime::JobReport> retried;
 
         void complete(runtime::JobReport final);
     };
@@ -332,9 +343,10 @@ class FleetService
     void injectChannelHalt(int c);
 
     /**
-     * The inner session, for offline inspection of per-job reports and
-     * cycle accounting. Only touch after shutdown() (or between paced
-     * pumps): the service thread owns it while running.
+     * The inner session, for its device, cycle and recovery counters
+     * (per-job reports come from the tickets). Only touch after
+     * shutdown() (or between paced pumps): the service thread owns it
+     * while running.
      */
     const runtime::Session &session() const { return session_; }
 
@@ -370,9 +382,6 @@ class FleetService
         int attempt = 1;
         /** Simulated cycle the next attempt may re-enter the queue. */
         uint64_t retryEligibleCycle = 0;
-        /** Last failed attempt's report — completes the ticket if the
-         * pool dies before the retry runs. */
-        runtime::JobReport lastReport;
     };
 
     JobTicket admit(BitBuffer stream, uint64_t arrival_cycle,
@@ -386,7 +395,7 @@ class FleetService
     /** Session callback: complete the ticket or queue a retry. Runs
      * on the pumping thread inside Session::step; takes mu_. */
     void onJobDone(const std::shared_ptr<Tracked> &tracked,
-                   const runtime::JobReport &report);
+                   runtime::JobReport report);
     /** Complete a ticket that never reached the session. */
     static JobTicket refuse(std::shared_ptr<JobTicket::State> state,
                             StatusCode code, const char *why);

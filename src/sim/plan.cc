@@ -258,19 +258,20 @@ class Lowering
         return index;
     }
 
-    /** True if `n` is token-only: the Input, or an operator, slice,
-     * concatenation or mux whose operands are token-only or constant
-     * (when the plan tabulates). */
+    /** True if `n` is token-only: an operator, slice, concatenation
+     * or mux whose operands are the Input, token-only or constant
+     * (when the plan tabulates). The Input itself is flagged once the
+     * whole program is lowered (see EvalPlan's constructor). */
     bool
     tokenOnly(const Node &n) const
     {
-        if (!tabulate_ || n.op == Op::Input)
-            return tabulate_;
-        if (n.op == Op::Const || n.op == Op::StreamFinished ||
-            n.op == Op::State || n.op == Op::Indexed)
+        if (!tabulate_ || n.op == Op::Input || n.op == Op::Const ||
+            n.op == Op::StreamFinished || n.op == Op::State ||
+            n.op == Op::Indexed)
             return false;
         for (const uint32_t i : {n.a, n.b, n.c})
-            if (i != kNone && !tokenOnly_[i] && !isConst(i))
+            if (i != kNone && !tokenOnly_[i] && !isConst(i) &&
+                nodes_[i].op != Op::Input)
                 return false;
         return true;
     }
@@ -774,6 +775,36 @@ class WalkBuilder
     bool sawWhile_ = false;
 };
 
+/** Flag the Input token-only when another node is: the Lowering
+ * lowers it as an ordinary leaf. */
+void
+tabulateInput(EvalPlan &plan)
+{
+    // The Input joins the table only beside other token-only nodes: a
+    // table whose frontier is the Input alone would replace one Input
+    // dispatch per cycle with a row copy per token, and cost its build.
+    const auto input = std::find_if(
+        plan.nodes.begin(), plan.nodes.end(),
+        [](const Node &n) { return n.op == Op::Input; });
+    if (input == plan.nodes.end() ||
+        std::find(plan.tokenOnly.begin(), plan.tokenOnly.end(), 1) ==
+            plan.tokenOnly.end())
+        return;
+    const uint32_t in = uint32_t(input - plan.nodes.begin());
+    plan.tokenOnly[in] = 1;
+    // The cones met the Input as an ordinary leaf; drop it, and shift
+    // each step's cone range by the entries dropped before it.
+    std::vector<uint32_t> &cones = plan.cones;
+    std::vector<uint32_t> kept(cones.size() + 1, 0);
+    for (size_t k = 0; k < cones.size(); ++k)
+        kept[k + 1] = kept[k] + (cones[k] != in);
+    for (EvalPlan::Step &step : plan.walk) {
+        step.coneBegin = kept[step.coneBegin];
+        step.coneEnd = kept[step.coneEnd];
+    }
+    cones.erase(std::remove(cones.begin(), cones.end(), in), cones.end());
+}
+
 } // namespace
 
 EvalPlan::EvalPlan(lang::Program prog) : program(std::move(prog))
@@ -800,6 +831,7 @@ EvalPlan::EvalPlan(lang::Program prog) : program(std::move(prog))
     Lowering lowering(nodes, tokenOnly, vreg_base, bram_base, program);
     WalkBuilder(*this, lowering, vreg_base, bram_base)
         .lowerBody(program.body);
+    tabulateInput(*this);
     tokens = tabulate(*this);
 }
 

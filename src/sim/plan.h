@@ -55,7 +55,9 @@
  *
  * Token tables: when the input token is at most 8 bits wide, the plan
  * also folds over the token's 2^w values. A node is token-only when its
- * leaves are the Input and constants. Each token-only node is evaluated
+ * leaves are the Input and constants; the Input itself is token-only
+ * only beside another token-only node, since a table of the Input alone
+ * saves nothing. Each token-only node is evaluated
  * once per token value at plan build, node by node over the whole
  * column, by the same apply() the simulator runs (one opcode dispatch
  * per column). The token table keeps one row per token value, holding

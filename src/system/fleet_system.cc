@@ -101,7 +101,9 @@ FleetSystem::FleetSystem(const lang::Program &program,
         if (streams[p].sizeBits() % in_width != 0)
             fatal("FleetSystem: stream ", p,
                   " is not a whole number of tokens");
-        truncate(p, streams[p], uint64_t(p));
+        streams[p].resizeBits(
+            truncate(p, streams[p].sizeBits() / in_width, uint64_t(p)) *
+            in_width);
         region_bytes[p] = ceilDiv(streams[p].sizeBits(), 8);
     }
     build(region_bytes);
@@ -114,7 +116,8 @@ FleetSystem::FleetSystem(const lang::Program &program,
     beginSession();
     std::vector<Status> loaded(num_slots);
     parallelFor(resolveThreads(num_slots), num_slots, [&](int p) {
-        loaded[p] = loadSlot(p, std::move(streams[p]));
+        loaded[p] = loadSlot(p, streams[p]);
+        streams[p] = BitBuffer{};
     });
     for (int p = 0; p < num_slots; ++p) {
         ChannelShard &shard = *shards_[puShard_[p]];
@@ -440,7 +443,7 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
 }
 
 Status
-FleetSystem::loadSlot(int pu, BitBuffer stream)
+FleetSystem::loadSlot(int pu, const BitBuffer &stream)
 {
     ChannelShard &shard = *shards_[puShard_[pu]];
     stream.copyBytes(shard.channel().memory().data() +
@@ -474,22 +477,17 @@ FleetSystem::run()
     return report_;
 }
 
-void
-FleetSystem::truncate(int pu, BitBuffer &stream, uint64_t job_id)
+uint64_t
+FleetSystem::truncate(int pu, uint64_t tokens, uint64_t job_id)
 {
     // Stream truncation models a short or interrupted upload. It keys by
     // job id, so a job's fate is independent of the slot it lands on.
-    const int in_width = slotProgram(pu).inputTokenWidth;
-    const uint64_t tokens = stream.sizeBits() / in_width;
-    truncation_[pu] = {tokens, tokens};
-    if (!config_.faults.enabled())
-        return;
     const uint64_t keep =
-        fault::truncatedJobTokens(config_.faults, job_id, tokens);
-    if (keep != tokens) {
-        stream.resizeBits(keep * in_width);
-        truncation_[pu].first = keep;
-    }
+        config_.faults.enabled()
+            ? fault::truncatedJobTokens(config_.faults, job_id, tokens)
+            : tokens;
+    truncation_[pu] = {keep, tokens};
+    return keep;
 }
 
 void
@@ -611,7 +609,7 @@ FleetSystem::beginSession()
 }
 
 Status
-FleetSystem::armJob(int pu, BitBuffer stream, uint64_t job_id)
+FleetSystem::armJob(int pu, const BitBuffer &stream, uint64_t job_id)
 {
     if (!sessionMode_)
         return Status::make(StatusCode::InvalidState,
@@ -644,21 +642,27 @@ FleetSystem::armJob(int pu, BitBuffer stream, uint64_t job_id)
         return Status::make(StatusCode::InvalidArgument, os.str());
     }
 
-    truncate(pu, stream, job_id);
-    if (ceilDiv(stream.sizeBits(), 8) > inputRegions_[pu].regionBytes) {
+    const uint64_t stream_bits =
+        truncate(pu, stream.sizeBits() / in_width, job_id) * in_width;
+    if (ceilDiv(stream_bits, 8) > inputRegions_[pu].regionBytes) {
         std::ostringstream os;
         os << "armJob: job " << job_id << "'s stream ("
-           << ceilDiv(stream.sizeBits(), 8) << " bytes) exceeds the "
+           << ceilDiv(stream_bits, 8) << " bytes) exceeds the "
            << inputRegions_[pu].regionBytes
            << "-byte input region (raise "
               "SystemConfig::inputRegionBytes)";
         return Status::make(StatusCode::InvalidArgument, os.str());
     }
 
-    // A unit that refuses the stream leaves the slot parked for the
-    // next job.
-    const uint64_t stream_bits = stream.sizeBits();
-    Status loaded = loadSlot(pu, std::move(stream));
+    // Only a truncated stream is copied, to cut it. A unit that
+    // refuses the stream leaves the slot parked for the next job.
+    BitBuffer cut;
+    if (stream_bits != stream.sizeBits()) {
+        cut = stream;
+        cut.resizeBits(stream_bits);
+    }
+    Status loaded =
+        loadSlot(pu, stream_bits == stream.sizeBits() ? stream : cut);
     if (loaded.ok())
         shard.rearmPu(local, stream_bits, job_id);
     return loaded;

@@ -229,7 +229,7 @@ class FleetSystem
      * it (a restriction violation in FastPu's pre-run) — the slot then
      * stays parked for the next job.
      */
-    Status armJob(int pu, BitBuffer stream, uint64_t job_id);
+    Status armJob(int pu, const BitBuffer &stream, uint64_t job_id);
 
     /** Step every Active shard up to `epoch_cycles` cycles (worker
      * pool). Shards park early when they drain; the schedule depends
@@ -352,9 +352,10 @@ class FleetSystem
     /** Shared tail of both constructors: layout (one input region per
      * slot, of the given size), shards and parked units. */
     void build(const std::vector<uint64_t> &input_region_bytes);
-    /** Apply the fault plan's stream truncation for job `job_id` to
-     * `stream` (whole tokens) and record `pu`'s kept/original tokens. */
-    void truncate(int pu, BitBuffer &stream, uint64_t job_id);
+    /** Apply the fault plan's stream truncation for job `job_id` to a
+     * stream of `tokens` whole tokens: record `pu`'s kept/original
+     * tokens and return the kept count. */
+    uint64_t truncate(int pu, uint64_t tokens, uint64_t job_id);
     /** Turn an Ok `status` into StreamTruncated when `pu`'s stream was
      * cut; the message names the unit as `what id`. */
     void markTruncated(int pu, const char *what, uint64_t id,
@@ -363,9 +364,9 @@ class FleetSystem
      * Upload `stream` into `pu`'s input region and arm its unit: the
      * first half of arming a slot, which ChannelShard::rearmPu
      * completes. Touches only the slot's own region and unit, so slots
-     * load concurrently. The stream is dropped on return.
+     * load concurrently.
      */
-    Status loadSlot(int pu, BitBuffer stream);
+    Status loadSlot(int pu, const BitBuffer &stream);
     /** Settle every shard and assemble report_ (channel outcomes, PU
      * outcomes, trace, cycles); the run is over. Each slot's last job
      * that ran truncated reports StreamTruncated, named `what <id>`. */

@@ -17,6 +17,7 @@
 #include "apps/registry.h"
 #include "fault/fault.h"
 #include "lang/builder.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
@@ -109,16 +110,17 @@ TEST(ArmViolation, SessionJobFailsAndItsSlotServesTheNextJob)
     config.numSlots = 1;
     config.epochCycles = 256;
     runtime::Session session(program, config);
+    bench::ReportLog log;
     Rng rng(3);
     const BitBuffer good = cleanStream(rng, 300);
-    const uint64_t bad_id = session.submit(tokens({255}));
-    const uint64_t good_id = session.submit(good);
+    const uint64_t bad_id = session.submit(tokens({255}), log.sink());
+    const uint64_t good_id = session.submit(good, log.sink());
     ASSERT_NO_THROW(session.drain());
 
-    const runtime::JobReport &bad = session.report(bad_id);
+    const runtime::JobReport &bad = log[bad_id];
     EXPECT_EQ(bad.status.code, StatusCode::InvalidArgument);
     EXPECT_EQ(bad.status.message, kViolation);
-    const runtime::JobReport &next = session.report(good_id);
+    const runtime::JobReport &next = log[good_id];
     ASSERT_TRUE(next.ok()) << next.status.toString();
     EXPECT_EQ(next.pu, 0);
     EXPECT_TRUE(next.output == golden(program, good));
@@ -277,15 +279,16 @@ TEST(ArmPath, SessionFinishReportsEachSlotsTruncatedLastJob)
     config.system.faults.truncatePermille = 1000;
     config.numSlots = 4;
     runtime::Session session(app->program(), config);
+    bench::ReportLog log;
     Rng rng(41);
     for (int j = 0; j < 4; ++j)
-        session.submit(app->generateStream(rng, 2000));
+        session.submit(app->generateStream(rng, 2000), log.sink());
     session.drain();
     const RunReport report = session.finish();
     EXPECT_EQ(report.truncatedPuCount(), 4) << report.summary();
     ASSERT_EQ(report.pus.size(), 4u);
     for (const system::PuOutcome &pu : report.pus) {
-        const runtime::JobReport &job = session.report(pu.jobId);
+        const runtime::JobReport &job = log[pu.jobId];
         EXPECT_EQ(job.status.code, StatusCode::StreamTruncated);
         EXPECT_TRUE(pu.status == job.status) << pu.status.toString();
     }
@@ -333,15 +336,16 @@ TEST(ArmPath, OneShotEqualsASessionArmingTheSameStreamsOnce)
             session_config.numSlots = pus;
             session_config.epochCycles = 512;
             runtime::Session session(app->program(), session_config);
+            bench::ReportLog log;
             std::vector<uint64_t> ids;
             for (const BitBuffer &stream : streams)
-                ids.push_back(session.submit(stream));
+                ids.push_back(session.submit(stream, log.sink()));
             session.drain();
             const FleetSystem &device = session.system();
             for (int p = 0; p < pus; ++p) {
                 // A one-shot slot's job id is its PU index.
                 ASSERT_EQ(ids[p], uint64_t(p)) << label;
-                const runtime::JobReport &job = session.report(ids[p]);
+                const runtime::JobReport &job = log[ids[p]];
                 ASSERT_TRUE(job.ok()) << label << " job " << p;
                 ASSERT_EQ(job.pu, p) << label;
                 EXPECT_EQ(job.armCycle, 0u) << label;

@@ -17,6 +17,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/pipeline.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "sim/simulator.h"
 #include "test_programs.h"
@@ -156,12 +157,13 @@ TEST(Cluster, TwoDeviceSessionSchedulesAcrossDevices)
     runtime::Session session(program, config);
     ASSERT_EQ(session.numDevices(), 2);
     ASSERT_EQ(session.cluster().numSlots(), 8);
+    bench::ReportLog log;
     for (const auto &stream : streams)
-        session.submit(stream);
+        session.submit(stream, log.sink());
     session.finish();
 
     std::vector<uint64_t> per_device(2, 0);
-    for (const auto &report : session.reports()) {
+    for (const auto &report : log.all()) {
         ASSERT_TRUE(report.ok()) << report.status.toString();
         ASSERT_GE(report.device, 0);
         ASSERT_LT(report.device, 2);

@@ -11,6 +11,7 @@
 
 #include "apps/registry.h"
 #include "fault/fault.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "system/fleet_system.h"
 #include "test_programs.h"
@@ -231,10 +232,11 @@ TEST(Determinism, SessionJobMixTracedThreadCountInvariant)
             config.numSlots = 6;
             config.epochCycles = 512;
             runtime::Session session(program, config);
+            bench::ReportLog log;
             for (const auto &stream : streams)
-                session.submit(stream);
+                session.submit(stream, log.sink());
             RunReport report = session.finish();
-            return std::make_pair(session.reports(), std::move(report));
+            return std::make_pair(log.all(), std::move(report));
         };
         const std::string label = faulty ? "faulty" : "clean";
         auto [serial_jobs, serial_report] = runSession(1);
@@ -285,10 +287,11 @@ TEST(Determinism, TwoDeviceClusterSessionThreadCountInvariant)
             config.numDevices = 2;
             config.epochCycles = 512;
             runtime::Session session(program, config);
+            bench::ReportLog log;
             for (const auto &stream : streams)
-                session.submit(stream);
+                session.submit(stream, log.sink());
             cluster::ClusterReport report = session.finishCluster();
-            return std::make_pair(session.reports(), std::move(report));
+            return std::make_pair(log.all(), std::move(report));
         };
         const std::string label = faulty ? "faulty" : "clean";
         auto [serial_jobs, serial_report] = runSession(1);
@@ -337,10 +340,11 @@ TEST(Determinism, TwoDeviceClusterSessionBackendInvariantSchedule)
         config.numSlots = 3;
         config.numDevices = 2;
         runtime::Session session(program, config);
+        bench::ReportLog log;
         for (const auto &stream : streams)
-            session.submit(stream);
+            session.submit(stream, log.sink());
         session.finish();
-        return session.reports();
+        return log.all();
     };
     auto fast = runSession(PuBackend::Fast);
     auto rtl = runSession(PuBackend::RtlInterp);

@@ -14,6 +14,7 @@
 
 #include "apps/registry.h"
 #include "fault/fault.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "sim/simulator.h"
 #include "system/fleet_system.h"
@@ -353,15 +354,16 @@ TEST(FaultInjection, SessionJobTruncationKeyedByJobId)
     config.numSlots = 4;
     config.epochCycles = 512;
     runtime::Session session(program, config);
+    bench::ReportLog log;
     for (const auto &stream : streams)
-        session.submit(stream);
+        session.submit(stream, log.sink());
     const RunReport &report = session.finish();
     ASSERT_TRUE(report.allOk()) << report.summary();
 
     sim::FunctionalSimulator functional(program);
     int truncated = 0, whole = 0;
     for (uint64_t j = 0; j < streams.size(); ++j) {
-        const runtime::JobReport &job = session.report(j);
+        const runtime::JobReport &job = log[j];
         uint64_t tokens = streams[j].sizeBits() / 8;
         uint64_t kept = fault::truncatedJobTokens(plan, j, tokens);
         ASSERT_EQ(job.originalTokens, tokens) << "job " << j;
@@ -410,8 +412,9 @@ TEST(FaultInjection, SessionParityContainmentThenSlotReuse)
     };
 
     runtime::Session faulty(program, makeConfig(true));
+    bench::ReportLog log;
     for (const auto &stream : streams)
-        faulty.submit(stream);
+        faulty.submit(stream, log.sink());
     faulty.finish();
 
     sim::FunctionalSimulator functional(program);
@@ -419,7 +422,7 @@ TEST(FaultInjection, SessionParityContainmentThenSlotReuse)
     std::vector<uint64_t> last_failed_arm(4, 0);
     std::vector<bool> slot_failed(4, false), reused_after_fail(4, false);
     for (uint64_t j = 0; j < streams.size(); ++j) {
-        const runtime::JobReport &job = faulty.report(j);
+        const runtime::JobReport &job = log[j];
         BitBuffer golden = functional.run(streams[j]).output;
         ASSERT_GE(job.pu, 0);
         if (job.status.code == StatusCode::ParityError) {

@@ -25,6 +25,7 @@
 #include "apps/registry.h"
 #include "fault/fault.h"
 #include "lang/builder.h"
+#include "report_log.h"
 #include "run_fences.h"
 #include "runtime/session.h"
 #include "system/channel_shard.h"
@@ -192,13 +193,14 @@ TEST(LaneSleep, SessionRetireRearmAndDeadlineCancelAgree)
         config.numSlots = 8;
         config.epochCycles = 256;
         runtime::Session session(program, config);
+        bench::ReportLog log;
         for (size_t j = 0; j < streams.size(); ++j) {
             uint64_t deadline = j % 2 == 1 ? 700 + 60 * j : 0;
-            session.submitAt(streams[j], 0, nullptr, deadline);
+            session.submitAt(streams[j], 0, log.sink(), deadline);
         }
         RunReport report = session.finish();
         uint64_t kills = session.deadlineKills();
-        return std::make_tuple(session.reports(), withoutTrace(report),
+        return std::make_tuple(log.all(), withoutTrace(report),
                                kills, session.system().stats());
     };
     auto expectSameSession = [](const auto &a, const auto &b,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "apps/bloom.h"
 #include "apps/dtree.h"
 #include "apps/intcode.h"
@@ -23,9 +25,14 @@ struct SystemGridParam
     int channels;
     int burstRegs;
     system::PuBackend backend;
-    bool blockingOutput;
+    /** Nonzero: blocking output addressing. An int, not a bool, so the
+     * struct has no padding: ctest lists each instance with a dump of
+     * the parameter's bytes, and padding bytes differ between builds. */
+    int blockingOutput;
     int bufferBursts = 1;
 };
+static_assert(std::has_unique_object_representations_v<SystemGridParam>,
+              "padding would make the listed test names build-dependent");
 
 class SystemGrid : public ::testing::TestWithParam<SystemGridParam>
 {

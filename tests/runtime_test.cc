@@ -14,6 +14,7 @@
 #include <algorithm>
 
 #include "apps/registry.h"
+#include "report_log.h"
 #include "runtime/session.h"
 #include "sim/simulator.h"
 #include "test_programs.h"
@@ -22,6 +23,8 @@
 namespace fleet {
 namespace runtime {
 namespace {
+
+using bench::ReportLog;
 
 BitBuffer
 randomStream(Rng &rng, uint64_t bytes)
@@ -93,6 +96,9 @@ TEST(JobQueue, TakeExpiredEdgeCases)
 
     // All-expired: the queue empties in one call.
     EXPECT_EQ(queue.takeExpired(0).size(), 0u); // now too early
+    // Nothing expired: the sweep allocates nothing.
+    EXPECT_EQ(queue.takeExpired(0).capacity(), 0u);
+    EXPECT_EQ(queue.size(), 2u);
     std::vector<PendingJob> rest = queue.takeExpired(UINT64_MAX);
     ASSERT_EQ(rest.size(), 1u); // only id 3 carries a deadline
     EXPECT_EQ(rest[0].id, 3u);
@@ -201,8 +207,9 @@ TEST(RuntimeSession, SixtyFourJobsOverEightSlots)
         streams.push_back(randomStream(rng, 40 + rng.nextBelow(360)));
 
     Session session(program, smallConfig(system::PuBackend::Fast, 2));
+    ReportLog log;
     for (auto &stream : streams)
-        session.submit(stream);
+        session.submit(stream, log.sink());
     EXPECT_EQ(session.jobsSubmitted(), 64u);
     const system::RunReport &report = session.finish();
 
@@ -211,7 +218,7 @@ TEST(RuntimeSession, SixtyFourJobsOverEightSlots)
     EXPECT_EQ(session.jobsPending(), 0u);
     std::vector<uint64_t> jobs_per_slot(8, 0);
     for (uint64_t j = 0; j < 64; ++j) {
-        const JobReport &job = session.report(j);
+        const JobReport &job = log[j];
         EXPECT_EQ(job.jobId, j);
         ASSERT_TRUE(job.ok()) << "job " << j << ": "
                               << job.status.toString();
@@ -244,10 +251,11 @@ TEST(RuntimeSession, BitIdenticalAcrossBackendsAndThreadCounts)
 
     auto runAll = [&](system::PuBackend backend, int threads) {
         Session session(program, smallConfig(backend, threads));
+        ReportLog log;
         for (auto &stream : streams)
-            session.submit(stream);
+            session.submit(stream, log.sink());
         system::RunReport report = session.finish();
-        return std::make_pair(session.reports(), std::move(report));
+        return std::make_pair(log.all(), std::move(report));
     };
 
     auto [fast1, fast1_report] = runAll(system::PuBackend::Fast, 1);
@@ -293,17 +301,18 @@ TEST(RuntimeSession, MixedAppsAcrossSessions)
         config.numSlots = 4;
         config.system.inputRegionBytes = 8192;
         Session session(app->program(), config);
+        ReportLog log;
         std::vector<BitBuffer> streams;
         for (int j = 0; j < 12; ++j) {
             streams.push_back(
                 app->generateStream(rng, 100 + rng.nextBelow(500)));
-            session.submit(streams.back());
+            session.submit(streams.back(), log.sink());
         }
         const system::RunReport &report = session.finish();
         ASSERT_TRUE(report.allOk())
             << app->name() << ": " << report.summary();
         for (uint64_t j = 0; j < streams.size(); ++j) {
-            const JobReport &job = session.report(j);
+            const JobReport &job = log[j];
             ASSERT_TRUE(job.ok()) << app->name() << " job " << j;
             ASSERT_TRUE(job.output ==
                         goldenOutput(app->program(), streams[j]))
@@ -326,17 +335,18 @@ TEST(RuntimeSession, SubmitWhileServing)
         streams.push_back(randomStream(rng, 20 + rng.nextBelow(200)));
 
     Session session(program, smallConfig(system::PuBackend::Fast, 2));
+    ReportLog log;
     for (int j = 0; j < 10; ++j)
-        session.submit(streams[j]);
+        session.submit(streams[j], log.sink());
     for (int round = 0; round < 3; ++round)
         session.step();
     for (int j = 10; j < 30; ++j)
-        session.submit(streams[j]);
+        session.submit(streams[j], log.sink());
     session.finish();
 
     EXPECT_EQ(session.jobsFinished(), 30u);
     for (uint64_t j = 0; j < 30; ++j) {
-        const JobReport &job = session.report(j);
+        const JobReport &job = log[j];
         ASSERT_TRUE(job.ok()) << "job " << j;
         ASSERT_TRUE(job.output == goldenOutput(program, streams[j]))
             << "job " << j;
@@ -351,16 +361,15 @@ TEST(RuntimeSession, CallbacksFireWithFinalReports)
     std::vector<uint64_t> seen;
     for (int j = 0; j < 12; ++j) {
         BitBuffer stream = randomStream(rng, 50);
-        session.submit(stream, [&seen](const JobReport &job) {
+        session.submit(stream, [&seen](JobReport job) {
             seen.push_back(job.jobId);
             EXPECT_TRUE(job.ok());
         });
     }
     session.finish();
     ASSERT_EQ(seen.size(), 12u);
-    for (uint64_t j = 0; j < 12; ++j)
-        EXPECT_TRUE(session.done(j));
-    // Each callback fired exactly once, with the stored report.
+    EXPECT_EQ(session.jobsFinished(), 12u);
+    // Each callback fired exactly once, with its own job's report.
     std::vector<uint64_t> sorted = seen;
     std::sort(sorted.begin(), sorted.end());
     for (uint64_t j = 0; j < 12; ++j)
@@ -378,6 +387,7 @@ TEST(RuntimeSession, BadJobsFailAloneQueueContinues)
     SessionConfig config = smallConfig(system::PuBackend::Fast, 1);
     config.system.inputRegionBytes = 1024;
     Session session(program, config);
+    ReportLog log;
 
     BitBuffer good_a = randomStream(rng, 100);
     BitBuffer misaligned;
@@ -385,24 +395,21 @@ TEST(RuntimeSession, BadJobsFailAloneQueueContinues)
     BitBuffer oversized = randomStream(rng, 5000); // > 1 KiB region
     BitBuffer good_b = randomStream(rng, 200);
 
-    uint64_t id_a = session.submit(good_a);
-    uint64_t id_bad = session.submit(std::move(misaligned));
-    uint64_t id_big = session.submit(std::move(oversized));
-    uint64_t id_b = session.submit(good_b);
+    uint64_t id_a = session.submit(good_a, log.sink());
+    uint64_t id_bad = session.submit(std::move(misaligned), log.sink());
+    uint64_t id_big = session.submit(std::move(oversized), log.sink());
+    uint64_t id_b = session.submit(good_b, log.sink());
     session.finish();
 
-    EXPECT_EQ(session.report(id_bad).status.code,
-              StatusCode::InvalidArgument);
-    EXPECT_EQ(session.report(id_big).status.code,
-              StatusCode::InvalidArgument);
-    EXPECT_NE(session.report(id_big).status.message.find(
-                  "inputRegionBytes"),
+    EXPECT_EQ(log[id_bad].status.code, StatusCode::InvalidArgument);
+    EXPECT_EQ(log[id_big].status.code, StatusCode::InvalidArgument);
+    EXPECT_NE(log[id_big].status.message.find("inputRegionBytes"),
               std::string::npos);
     // The good jobs around them are untouched.
-    EXPECT_TRUE(session.report(id_a).ok());
-    EXPECT_TRUE(session.report(id_a).output == good_a);
-    EXPECT_TRUE(session.report(id_b).ok());
-    EXPECT_TRUE(session.report(id_b).output == good_b);
+    EXPECT_TRUE(log[id_a].ok());
+    EXPECT_TRUE(log[id_a].output == good_a);
+    EXPECT_TRUE(log[id_b].ok());
+    EXPECT_TRUE(log[id_b].output == good_b);
 }
 
 TEST(RuntimeSession, ProtocolMisuse)
@@ -410,20 +417,9 @@ TEST(RuntimeSession, ProtocolMisuse)
     auto program = testprogs::identity();
     Session session(program, smallConfig(system::PuBackend::Fast, 1));
     Rng rng(4);
-    uint64_t id = session.submit(randomStream(rng, 40));
-
-    // Report before the job finished.
-    try {
-        session.report(id);
-        FAIL() << "report() on an in-flight job should throw";
-    } catch (const StatusError &error) {
-        EXPECT_EQ(error.status().code, StatusCode::InvalidState);
-    }
-    EXPECT_FALSE(session.done(id));
-    EXPECT_FALSE(session.done(999)); // unknown ids are just not done
-
+    session.submit(randomStream(rng, 40));
     session.finish();
-    EXPECT_TRUE(session.done(id));
+    EXPECT_EQ(session.jobsFinished(), 1u);
     EXPECT_THROW(session.submit(randomStream(rng, 8)), StatusError);
     EXPECT_THROW(session.step(), StatusError);
 }
@@ -480,6 +476,7 @@ TEST(RuntimeSession, HaltedChannelStrandsItsJobsOthersKeepServing)
         config.numSlots = 8;
         config.epochCycles = 2048;
         Session session(program, config);
+        ReportLog log;
 
         // Slots alternate channels (slot p → channel p % 2). Jobs
         // 0..7 land on slots 0..7: give channel 0's slots (even jobs)
@@ -492,12 +489,13 @@ TEST(RuntimeSession, HaltedChannelStrandsItsJobsOthersKeepServing)
                                     ? (j % 4 == 0 ? 2 : 250) // channel 0
                                     : 128;                   // channel 1
             uint64_t tokens = j % 2 == 0 ? 40000 : 2000;
-            session.submit(filterStream(rng, threshold, tokens));
+            session.submit(filterStream(rng, threshold, tokens),
+                           log.sink());
         }
         for (int j = 8; j < 20; ++j)
-            session.submit(filterStream(rng, 128, 1500));
+            session.submit(filterStream(rng, 128, 1500), log.sink());
         system::RunReport report = session.finish();
-        return std::make_pair(session.reports(), std::move(report));
+        return std::make_pair(log.all(), std::move(report));
     };
 
     auto [reports, report] = runScenario(1);
@@ -560,17 +558,18 @@ TEST(Session, FastRearmStateSizedByPlan)
     config.system.inputRegionBytes = 256;
     config.numSlots = 1;
     Session session(program, config);
+    ReportLog log;
     std::vector<BitBuffer> streams;
     for (int j = 0; j < 201; ++j)
         streams.push_back(randomStream(rng, 64));
     for (const BitBuffer &stream : streams)
-        session.submit(stream);
+        session.submit(stream, log.sink());
     session.drain();
     const system::RunReport &report = session.finish();
     EXPECT_TRUE(report.allOk()) << report.summary();
-    ASSERT_EQ(session.reports().size(), 201u);
+    ASSERT_EQ(log.all().size(), 201u);
     for (int j : {0, 200})
-        EXPECT_TRUE(session.reports()[j].output ==
+        EXPECT_TRUE(log[j].output ==
                     goldenOutput(program, streams[j]))
             << "job " << j;
     EXPECT_EQ(sim::FunctionalSimulator(plan).evalStateSize(), fresh_nodes);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "model/area.h"
+#include "report_log.h"
 #include "runtime/scheduler.h"
 #include "runtime/session.h"
 #include "sim/simulator.h"
@@ -36,6 +37,8 @@
 namespace fleet {
 namespace runtime {
 namespace {
+
+using bench::ReportLog;
 
 BitBuffer
 randomStream(Rng &rng, uint64_t bytes)
@@ -58,18 +61,27 @@ goldenOutput(const lang::Program &program, const BitBuffer &stream)
 // schedulers replaying the same history agree on every pick.
 // ---------------------------------------------------------------------------
 
-QueuedJobView
-randomJobView(Rng &rng, uint64_t id, uint32_t num_programs)
+/** Queue a job of `bits` stream bits: the pure policies read only a
+ * queued job's tag and stream size. */
+void
+pushJob(JobQueue &queue, uint64_t bits, const JobTag &tag,
+        uint64_t enqueue_cycle = 0)
 {
-    QueuedJobView job;
-    job.id = id;
-    job.enqueueCycle = rng.nextBelow(10000);
-    job.streamBits = 8 * (1 + rng.nextBelow(4096));
-    job.tag.tenant = static_cast<uint32_t>(rng.nextBelow(4));
-    job.tag.programIndex =
-        static_cast<uint32_t>(rng.nextBelow(num_programs));
-    job.tag.priority = static_cast<uint32_t>(rng.nextBelow(3));
-    return job;
+    BitBuffer stream;
+    stream.resizeBits(bits);
+    queue.push(std::move(stream), nullptr, enqueue_cycle, 0, 0, tag);
+}
+
+void
+pushRandomJob(Rng &rng, JobQueue &queue, uint32_t num_programs)
+{
+    const uint64_t enqueue_cycle = rng.nextBelow(10000);
+    const uint64_t bits = 8 * (1 + rng.nextBelow(4096));
+    JobTag tag;
+    tag.tenant = static_cast<uint32_t>(rng.nextBelow(4));
+    tag.programIndex = static_cast<uint32_t>(rng.nextBelow(num_programs));
+    tag.priority = static_cast<uint32_t>(rng.nextBelow(3));
+    pushJob(queue, bits, tag, enqueue_cycle);
 }
 
 TEST(SchedulerFuzz, PicksAreValidCompatibleAndDeterministic)
@@ -88,36 +100,34 @@ TEST(SchedulerFuzz, PicksAreValidCompatibleAndDeterministic)
             EXPECT_STREQ(a->name(), b->name());
 
             Rng rng(seed * 71);
-            uint64_t next_id = 0;
             for (int round = 0; round < 40; ++round) {
-                std::vector<QueuedJobView> queued;
+                JobQueue queue;
                 size_t depth = 1 + rng.nextBelow(12);
                 for (size_t i = 0; i < depth; ++i)
-                    queued.push_back(
-                        randomJobView(rng, next_id++, 2));
+                    pushRandomJob(rng, queue, 2);
                 SlotView slot;
                 slot.pu = static_cast<int>(rng.nextBelow(8));
                 slot.programIndex =
                     static_cast<uint32_t>(rng.nextBelow(2));
                 uint64_t now = rng.nextBelow(100000);
 
-                int pick_a = a->pick(slot, queued, now);
-                int pick_b = b->pick(slot, queued, now);
+                int pick_a = a->pick(slot, queue, now);
+                int pick_b = b->pick(slot, queue, now);
                 ASSERT_EQ(pick_a, pick_b)
                     << schedulerPolicyName(policy) << " seed " << seed
                     << " round " << round << ": twin schedulers with "
                        "identical histories disagree";
                 if (pick_a < 0) {
                     // -1 only when no queued job is compatible.
-                    for (const QueuedJobView &job : queued)
-                        EXPECT_NE(job.tag.programIndex,
+                    for (size_t i = 0; i < queue.size(); ++i)
+                        EXPECT_NE(queue.at(i).tag.programIndex,
                                   slot.programIndex)
                             << schedulerPolicyName(policy)
                             << ": refused a compatible job";
                     continue;
                 }
-                ASSERT_LT(static_cast<size_t>(pick_a), queued.size());
-                const QueuedJobView &picked = queued[pick_a];
+                ASSERT_LT(static_cast<size_t>(pick_a), queue.size());
+                const PendingJob &picked = queue.at(pick_a);
                 EXPECT_EQ(picked.tag.programIndex, slot.programIndex);
                 a->onArm(picked, now);
                 b->onArm(picked, now);
@@ -130,24 +140,23 @@ TEST(SchedulerFuzz, PolicyOrderings)
 {
     // Priority: the lowest priority value wins regardless of position;
     // SJF: fewest stream bits; FIFO: always index 0; ties to arrival.
-    std::vector<QueuedJobView> queued(3);
-    for (int i = 0; i < 3; ++i)
-        queued[i].id = static_cast<uint64_t>(i);
-    queued[0].tag.priority = 2;
-    queued[1].tag.priority = 0;
-    queued[2].tag.priority = 0;
-    queued[0].streamBits = 64;
-    queued[1].streamBits = 512;
-    queued[2].streamBits = 64;
+    JobQueue queue;
+    const uint32_t priorities[] = {2, 0, 0};
+    const uint64_t bits[] = {64, 512, 64};
+    for (int i = 0; i < 3; ++i) {
+        JobTag tag;
+        tag.priority = priorities[i];
+        pushJob(queue, bits[i], tag);
+    }
     SlotView slot;
 
     SchedulerConfig config;
     config.policy = SchedulerPolicy::Fifo;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 0);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queue, 0), 0);
     config.policy = SchedulerPolicy::Priority;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 1);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queue, 0), 1);
     config.policy = SchedulerPolicy::Sjf;
-    EXPECT_EQ(makeScheduler(config)->pick(slot, queued, 0), 0);
+    EXPECT_EQ(makeScheduler(config)->pick(slot, queue, 0), 0);
 }
 
 TEST(SchedulerFuzz, WfqWeightsBiasService)
@@ -163,17 +172,16 @@ TEST(SchedulerFuzz, WfqWeightsBiasService)
     std::map<uint32_t, int> armed;
     for (int round = 0; round < 100; ++round) {
         // Both tenants always have a head-of-line job waiting.
-        std::vector<QueuedJobView> queued(2);
-        queued[0].id = static_cast<uint64_t>(2 * round);
-        queued[0].streamBits = 1024;
-        queued[0].tag.tenant = 0;
-        queued[1].id = static_cast<uint64_t>(2 * round + 1);
-        queued[1].streamBits = 1024;
-        queued[1].tag.tenant = 1;
-        int pick = scheduler->pick(slot, queued, round);
+        JobQueue queue;
+        for (uint32_t tenant : {0u, 1u}) {
+            JobTag tag;
+            tag.tenant = tenant;
+            pushJob(queue, 1024, tag);
+        }
+        int pick = scheduler->pick(slot, queue, round);
         ASSERT_GE(pick, 0);
-        scheduler->onArm(queued[pick], round);
-        ++armed[queued[pick].tag.tenant];
+        scheduler->onArm(queue.at(pick), round);
+        ++armed[queue.at(pick).tag.tenant];
     }
     ASSERT_GT(armed[0], 0);
     ASSERT_GT(armed[1], 0);
@@ -240,12 +248,12 @@ TEST(SchedProperty, ScheduleBitIdenticalAcrossBackendsAndThreads)
             config.scheduler.weights = {{0, 4}, {1, 1}, {2, 2}};
             config.system.trace.events = true;
             Session session(program, config);
+            ReportLog log;
             for (const TaggedJob &job : mix)
-                session.submitJob(job.stream, job.tag,
-                                  session.cycles());
+                session.submitJob(job.stream, job.tag, session.cycles(),
+                                  log.sink());
             system::RunReport report = session.finish();
-            return std::make_pair(session.reports(),
-                                  std::move(report));
+            return std::make_pair(log.all(), std::move(report));
         };
 
         auto [base, base_report] =
@@ -346,19 +354,20 @@ TEST(SchedProperty, WfqBoundsVictimLatencyUnderFlood)
         config.scheduler.policy = policy;
         config.scheduler.weights = {{0, 1}, {1, 4}};
         Session session(program, config);
+        ReportLog log;
         JobTag flood_tag, victim_tag;
         flood_tag.tenant = 0;
         victim_tag.tenant = 1;
         std::vector<uint64_t> victim_ids;
         for (const BitBuffer &stream : flood)
-            session.submitJob(stream, flood_tag, 0);
+            session.submitJob(stream, flood_tag, 0, log.sink());
         for (const BitBuffer &stream : victim)
             victim_ids.push_back(
-                session.submitJob(stream, victim_tag, 0));
+                session.submitJob(stream, victim_tag, 0, log.sink()));
         session.finish();
         uint64_t worst = 0;
         for (uint64_t id : victim_ids) {
-            const JobReport &report = session.report(id);
+            const JobReport &report = log[id];
             EXPECT_TRUE(report.ok()) << report.status.toString();
             EXPECT_EQ(report.tenant, 1u);
             worst = std::max(worst, report.completedCycle);
@@ -408,10 +417,12 @@ TEST(MultiProgram, SlotBindingRoutesJobsToTheirProgram)
         SessionConfig config = poolConfig(backend, threads);
         config.system.numChannels = 2;
         Session session({ident, histo}, config, slot_programs);
+        ReportLog log;
         for (const TaggedJob &job : mix)
-            session.submitJob(job.stream, job.tag, session.cycles());
+            session.submitJob(job.stream, job.tag, session.cycles(),
+                              log.sink());
         session.finish();
-        return session.reports();
+        return log.all();
     };
 
     const std::vector<JobReport> base =
@@ -459,21 +470,20 @@ TEST(MultiProgram, OrphanedJobsReportInsteadOfWaitingForever)
     auto histo = testprogs::blockFrequencies(8);
     SessionConfig config = poolConfig(system::PuBackend::Fast, 1);
     Session session({ident, histo}, config, {0, 0, 0, 1, 1, 1});
+    ReportLog log;
 
     Rng rng(12);
     JobTag unknown;
     unknown.programIndex = 9;
     uint64_t bad = session.submitJob(randomStream(rng, 32), unknown,
-                                     session.cycles());
+                                     session.cycles(), log.sink());
     uint64_t good = session.submitJob(randomStream(rng, 32), JobTag{},
-                                      session.cycles());
+                                      session.cycles(), log.sink());
     session.finish();
-    EXPECT_EQ(session.report(bad).status.code,
-              StatusCode::InvalidArgument);
-    EXPECT_NE(session.report(bad).status.message.find(
-                  "unknown program index"),
+    EXPECT_EQ(log[bad].status.code, StatusCode::InvalidArgument);
+    EXPECT_NE(log[bad].status.message.find("unknown program index"),
               std::string::npos);
-    EXPECT_TRUE(session.report(good).ok());
+    EXPECT_TRUE(log[good].ok());
 }
 
 TEST(MultiProgram, MismatchedTokenWidthsRejectedAtConstruction)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "report_log.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
 #include "test_programs.h"
@@ -121,10 +122,12 @@ TEST(ServeRetry, TransientFailureRetriesAndMatchesFaultFreeGolden)
     EXPECT_EQ(service.stats().completed, 1u);
 
     // The session saw two jobs: the truncated attempt and the retry.
-    const auto &reports = service.session().reports();
+    const auto reports = bench::sessionReports({ticket});
     ASSERT_EQ(reports.size(), 2u);
     EXPECT_EQ(reports[0].status.code, StatusCode::StreamTruncated);
     EXPECT_EQ(reports[1].status.code, StatusCode::Ok);
+    ASSERT_EQ(ticket.retried().size(), 1u);
+    EXPECT_EQ(ticket.retried()[0].jobId, 0u);
 }
 
 TEST(ServeRetry, ExhaustedAttemptsReportTheLastFailure)
@@ -148,7 +151,7 @@ TEST(ServeRetry, ExhaustedAttemptsReportTheLastFailure)
     EXPECT_EQ(report.status.code, StatusCode::StreamTruncated);
     EXPECT_EQ(report.attempts, 2u);
     EXPECT_EQ(service.stats().retries, 1u);
-    EXPECT_EQ(service.session().reports().size(), 2u);
+    EXPECT_EQ(bench::sessionReports({ticket}).size(), 2u);
 }
 
 TEST(ServeRetry, RecoveryScheduleBitIdenticalAcrossBackendsAndThreads)
@@ -166,12 +169,19 @@ TEST(ServeRetry, RecoveryScheduleBitIdenticalAcrossBackendsAndThreads)
         config.retry.maxAttempts = 3;
         config.retry.backoffCycles = 64;
         FleetService service(program, config);
+        std::vector<JobTicket> tickets;
         Rng rng(23); // same streams every variant
         for (int j = 0; j < 12; ++j)
-            service.submitAt(randomStream(rng, 48 + rng.nextBelow(160)),
-                             0);
+            tickets.push_back(service.submitAt(
+                randomStream(rng, 48 + rng.nextBelow(160)), 0));
         drain(service);
-        return service.session().reports();
+        std::vector<runtime::JobReport> reports =
+            bench::sessionReports(tickets);
+        // The tickets hold every session job, each once.
+        EXPECT_EQ(reports.size(), service.session().jobsSubmitted());
+        for (size_t j = 0; j < reports.size(); ++j)
+            EXPECT_EQ(reports[j].jobId, j);
+        return reports;
     };
 
     auto reference = runStorm(system::PuBackend::Fast, 1);
@@ -344,7 +354,7 @@ TEST(ServeRequeue, InjectedChannelHaltRequeuesInFlightJobsOntoSurvivors)
     EXPECT_EQ(stats.completed, 6u);
     // The requeue is visible in the survivor's report.
     uint32_t max_requeues = 0;
-    for (const auto &report : service.session().reports())
+    for (const auto &report : bench::sessionReports(tickets))
         max_requeues = std::max(max_requeues, report.requeues);
     EXPECT_GE(max_requeues, 1u);
 }

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "report_log.h"
 #include "serve/load_gen.h"
 #include "serve/service.h"
 #include "sim/simulator.h"
@@ -462,15 +463,16 @@ TEST(ServeLatency, SimulatedLatenciesBitIdenticalAcrossBackendsAndThreads)
         config.backgroundThread = false;
         config.maxQueueDepth = 64;
         FleetService service(program, config);
+        std::vector<JobTicket> tickets;
         Rng rng(77); // same streams every variant
         size_t next = 0;
         for (;;) {
             uint64_t now = service.stats().simCycles;
             while (next < arrivals.size() &&
                    arrivals[next].cycle <= now) {
-                service.submitAt(
+                tickets.push_back(service.submitAt(
                     randomStream(rng, arrivals[next].streamBytes),
-                    arrivals[next].cycle);
+                    arrivals[next].cycle));
                 ++next;
             }
             bool work = service.pump();
@@ -479,14 +481,14 @@ TEST(ServeLatency, SimulatedLatenciesBitIdenticalAcrossBackendsAndThreads)
                     break;
                 // Idle gap: release the next arrival when simulated
                 // time cannot reach it (single deterministic warp).
-                service.submitAt(
+                tickets.push_back(service.submitAt(
                     randomStream(rng, arrivals[next].streamBytes),
-                    now);
+                    now));
                 ++next;
             }
         }
         service.shutdown();
-        return service.session().reports();
+        return bench::sessionReports(tickets);
     };
 
     auto reference = runSchedule(system::PuBackend::Fast, 1);
@@ -696,13 +698,14 @@ TEST(ServeTenants, SchedulerChoiceIsDeterministicAcrossHosts)
         config.session.scheduler.policy = policy;
         config.session.scheduler.weights = {{0, 1}, {1, 4}};
         FleetService service(program, config);
+        std::vector<JobTicket> tickets;
         for (size_t j = 0; j < streams.size(); ++j) {
             SubmitOptions options;
             options.tag = tags[j];
-            service.submitAt(streams[j], 0, options);
+            tickets.push_back(service.submitAt(streams[j], 0, options));
         }
         service.shutdown();
-        return service.session().reports();
+        return bench::sessionReports(tickets);
     };
 
     const runtime::SchedulerPolicy policies[] = {

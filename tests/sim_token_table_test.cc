@@ -173,8 +173,11 @@ TEST(TokenTable, EveryAppsConesLeaveOutTokenOnlyNodes)
 {
     for (const auto &app : apps::allApplications()) {
         const EvalPlan plan(app->program());
+        // SmithWaterman's token-only nodes would be the Input alone,
+        // so its plan builds no table.
         const bool tabulates = plan.program.inputTokenWidth <=
-                               EvalPlan::kMaxTabulatedWidth;
+                                   EvalPlan::kMaxTabulatedWidth &&
+                               app->name() != "SmithWaterman";
         const size_t tabulated = size_t(
             std::count(plan.tokenOnly.begin(), plan.tokenOnly.end(), 1));
         EXPECT_EQ(tabulated > 0, tabulates) << app->name();
