@@ -154,7 +154,7 @@ Pipeline::Pipeline(std::vector<StageSpec> stages,
     // propagates upstream through the bounded queues. A job the
     // liveness backstop already failed is never held.
     session_.holdRetire([this](uint64_t id) {
-        const Visit &visit = visits_[id];
+        const Visit &visit = visits_.at(id);
         return visit.stage + 1 < numStages() && !done_[visit.jobId] &&
                edges_[visit.stage].sendQueue.size() >=
                    static_cast<size_t>(config_.stageQueueDepth);
@@ -185,12 +185,13 @@ Pipeline::submitVisit(uint64_t job_id, int stage, BitBuffer stream)
 {
     runtime::JobTag tag;
     tag.programIndex = static_cast<uint32_t>(stage);
-    visits_.push_back(Visit{job_id, stage, stream.sizeBits(), false});
-    session_.submitJob(
+    const Visit visit{job_id, stage, stream.sizeBits(), false};
+    const uint64_t id = session_.submitJob(
         std::move(stream), tag, cycles(),
         [this](runtime::JobReport report) {
             visitDone(std::move(report));
         });
+    visits_.emplace(id, visit);
 }
 
 void
@@ -244,9 +245,11 @@ Pipeline::noteArms(uint64_t now)
 {
     for (int slot = 0; slot < cluster().numSlots(); ++slot) {
         const auto view = session_.slotState(slot);
-        if (!view.busy || visits_[view.jobId].armed)
+        if (!view.busy)
             continue;
-        Visit &visit = visits_[view.jobId];
+        Visit &visit = visits_.at(view.jobId);
+        if (visit.armed)
+            continue;
         visit.armed = true;
         stages_[visit.stage].inBits += visit.streamBits;
         reports_[visit.jobId].stageArmCycle[visit.stage] = now;
@@ -257,7 +260,8 @@ Pipeline::noteArms(uint64_t now)
 void
 Pipeline::visitDone(runtime::JobReport report)
 {
-    const Visit &visit = visits_[report.jobId];
+    const auto node = visits_.extract(report.jobId);
+    const Visit &visit = node.mapped();
     const uint64_t job = visit.jobId;
     const int s = visit.stage;
     // The session reports on the pipeline clock's current round.

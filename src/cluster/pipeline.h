@@ -51,6 +51,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -207,7 +208,8 @@ class Pipeline
         uint64_t bitsDelivered = 0;
     };
 
-    /** One job's visit to one stage: a session job. */
+    /** One job's visit to one stage: a session job, tracked while it
+     * is queued or armed. */
     struct Visit
     {
         uint64_t jobId = 0;
@@ -231,7 +233,8 @@ class Pipeline
     std::vector<Edge> edges_;
     PipelineConfig config_;
     runtime::Session session_;
-    std::vector<Visit> visits_; ///< Indexed by session job id.
+    /** Live visits, keyed by session job id; visitDone erases. */
+    std::unordered_map<uint64_t, Visit> visits_;
     std::vector<PipelineJobReport> reports_;
     std::vector<bool> done_;
     uint64_t jobsDone_ = 0;

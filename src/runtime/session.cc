@@ -158,14 +158,40 @@ Session::slotState(int pu) const
 {
     const Slot &slot = slots_[pu];
     SlotStateView view;
-    view.busy = slot.busy;
+    view.busy = slot.job.has_value();
     view.dead = slot.dead || cluster_.slotShardState(pu) ==
                                  system::ShardState::Halted;
     view.quarantined = slot.quarantined;
     view.programIndex = cluster_.slotProgramIndex(pu);
     view.device = cluster_.slotDevice(pu);
-    view.jobId = slot.jobId;
+    view.jobId = slot.job ? slot.job->id : 0;
     return view;
+}
+
+bool
+Session::slotLive(int pu) const
+{
+    const Slot &slot = slots_[pu];
+    return !slot.dead && !slot.quarantined &&
+           cluster_.slotShardState(pu) != system::ShardState::Halted;
+}
+
+JobReport
+Session::jobReport(const PendingJob &job, int pu,
+                   uint64_t admitted_cycle) const
+{
+    JobReport report;
+    report.jobId = job.id;
+    report.pu = pu;
+    report.channel = pu >= 0 ? cluster_.slotChannel(pu) : -1;
+    report.device = pu >= 0 ? cluster_.slotDevice(pu) : -1;
+    report.tenant = job.tag.tenant;
+    report.programIndex = job.tag.programIndex;
+    report.requeues = job.requeues;
+    report.enqueueCycle = job.enqueueCycle;
+    report.admittedCycle = admitted_cycle;
+    report.hostSubmitNs = job.hostSubmitNs;
+    return report;
 }
 
 void
@@ -185,26 +211,13 @@ Session::record(JobReport report, JobCallback &callback)
 }
 
 void
-Session::finishJobEarly(uint64_t job_id, int pu, Status status,
-                        JobCallback &callback, uint64_t enqueue_cycle,
-                        uint64_t host_submit_ns, uint32_t requeues,
-                        const JobTag &tag)
+Session::finishJobEarly(PendingJob job, int pu, Status status)
 {
-    JobReport report;
-    report.jobId = job_id;
-    report.status = std::move(status);
-    report.pu = pu;
-    report.channel = pu >= 0 ? cluster_.slotChannel(pu) : -1;
-    report.device = pu >= 0 ? cluster_.slotDevice(pu) : -1;
-    report.tenant = tag.tenant;
-    report.programIndex = tag.programIndex;
-    report.requeues = requeues;
-    report.enqueueCycle = enqueue_cycle;
-    // Never armed: the whole latency is queue wait, so the admission
+    // Never ran: the whole latency is queue wait, so the admission
     // stamp collapses onto the decision round.
-    report.admittedCycle = cycles();
-    report.hostSubmitNs = host_submit_ns;
-    record(std::move(report), callback);
+    JobReport report = jobReport(job, pu, cycles());
+    report.status = std::move(status);
+    record(std::move(report), job.callback);
 }
 
 void
@@ -216,23 +229,19 @@ Session::harvest()
     std::vector<PendingJob> requeued;
     for (int pu = 0; pu < cluster_.numSlots(); ++pu) {
         Slot &slot = slots_[pu];
-        if (!slot.busy)
+        if (!slot.job)
             continue;
         if (cluster_.puDrained(pu)) {
-            if (retireHold_ && retireHold_(slot.jobId))
+            if (retireHold_ && retireHold_(slot.job->id))
                 continue;
             // Read the output region before retiring: retireJob parks
             // the slot and the next arm reuses the region.
             BitBuffer output = cluster_.jobOutput(pu);
             system::RetiredJob retired = cluster_.retireJob(pu);
-            JobReport report;
-            report.jobId = retired.jobId;
+            PendingJob job = std::move(*slot.job);
+            slot.job.reset();
+            JobReport report = jobReport(job, pu, slot.admittedCycle);
             report.status = retired.outcome.status;
-            report.pu = pu;
-            report.channel = cluster_.slotChannel(pu);
-            report.device = cluster_.slotDevice(pu);
-            report.tenant = slot.tag.tenant;
-            report.programIndex = slot.tag.programIndex;
             report.armCycle = retired.armCycle;
             report.retireCycle = retired.retireCycle;
             report.streamBits = retired.streamBits;
@@ -244,18 +253,14 @@ Session::harvest()
                 retired.stats.outputBlockedCycles;
             report.keptTokens = retired.keptTokens;
             report.originalTokens = retired.originalTokens;
-            report.requeues = static_cast<uint32_t>(slot.requeues);
-            report.enqueueCycle = slot.enqueueCycle;
-            report.admittedCycle = slot.admittedCycle;
-            report.hostSubmitNs = slot.hostSubmitNs;
             report.output = std::move(output);
-            slot.busy = false;
-            slot.stream = BitBuffer{};
             scoreSlotHealth(pu, report.status);
-            record(std::move(report), slot.callback);
-            slot.callback = nullptr;
+            record(std::move(report), job.callback);
         } else if (cluster_.slotShardState(pu) ==
                    system::ShardState::Halted) {
+            PendingJob job = std::move(*slot.job);
+            slot.job.reset();
+            slot.dead = true;
             if (config_.requeueStranded) {
                 // Recovery path (ISSUE 7): pull the job off the dead
                 // channel and re-run it on a survivor, provided one
@@ -263,27 +268,11 @@ Session::harvest()
                 bool survivor = false;
                 for (int other = 0; other < cluster_.numSlots();
                      ++other)
-                    survivor |= !slots_[other].dead &&
-                                !slots_[other].quarantined &&
-                                cluster_.slotShardState(other) !=
-                                    system::ShardState::Halted;
+                    survivor |= slotLive(other);
                 if (survivor) {
-                    PendingJob job;
-                    job.id = slot.jobId;
-                    job.stream = std::move(slot.stream);
-                    job.callback = std::move(slot.callback);
-                    job.enqueueCycle = slot.enqueueCycle;
-                    job.hostSubmitNs = slot.hostSubmitNs;
-                    job.deadlineCycle = slot.deadlineCycle;
-                    job.requeues =
-                        static_cast<uint32_t>(slot.requeues + 1);
-                    job.tag = slot.tag;
+                    ++job.requeues;
                     requeued.push_back(std::move(job));
                     ++jobRequeues_;
-                    slot.busy = false;
-                    slot.dead = true;
-                    slot.callback = nullptr;
-                    slot.stream = BitBuffer{};
                     continue;
                 }
             }
@@ -293,29 +282,15 @@ Session::harvest()
             // its channel-mates' jobs are stranded the same way, but
             // every other channel keeps serving.
             std::ostringstream os;
-            os << "job " << slot.jobId << " stranded on halted channel "
+            os << "job " << job.id << " stranded on halted channel "
                << cluster_.slotChannel(pu) << ": "
                << cluster_.slotShardStatus(pu).toString();
-            JobReport report;
-            report.jobId = slot.jobId;
+            JobReport report = jobReport(job, pu, slot.admittedCycle);
             report.status = Status::make(
                 cluster_.slotShardStatus(pu).code, os.str());
-            report.pu = pu;
-            report.channel = cluster_.slotChannel(pu);
-            report.device = cluster_.slotDevice(pu);
-            report.tenant = slot.tag.tenant;
-            report.programIndex = slot.tag.programIndex;
             report.retireCycle =
                 cluster_.channelCycles(cluster_.slotChannel(pu));
-            report.requeues = static_cast<uint32_t>(slot.requeues);
-            report.enqueueCycle = slot.enqueueCycle;
-            report.admittedCycle = slot.admittedCycle;
-            report.hostSubmitNs = slot.hostSubmitNs;
-            slot.busy = false;
-            slot.dead = true;
-            slot.stream = BitBuffer{};
-            record(std::move(report), slot.callback);
-            slot.callback = nullptr;
+            record(std::move(report), job.callback);
         }
     }
     // Reverse order: the lowest-PU job lands at the very front, so
@@ -358,26 +333,23 @@ Session::expireDeadlines()
         os << "job " << job.id << " exceeded its deadline (cycle "
            << job.deadlineCycle << ") while queued";
         ++deadlineKills_;
-        finishJobEarly(job.id, -1,
+        finishJobEarly(std::move(job), -1,
                        Status::make(StatusCode::DeadlineExceeded,
-                                    os.str()),
-                       job.callback, job.enqueueCycle, job.hostSubmitNs,
-                       job.requeues, job.tag);
+                                    os.str()));
     }
     // Mid-flight expiry: abandon the job through the containment path
     // (killPu + flush). The slot drains within a few cycles and the
     // next harvest retires it with DeadlineExceeded, reclaiming the
     // slot for the queue.
     for (int pu = 0; pu < cluster_.numSlots(); ++pu) {
-        Slot &slot = slots_[pu];
-        if (!slot.busy || slot.deadlineCycle == 0 ||
-            now < slot.deadlineCycle)
+        const std::optional<PendingJob> &job = slots_[pu].job;
+        if (!job || job->deadlineCycle == 0 || now < job->deadlineCycle)
             continue;
         if (cluster_.slotShardState(pu) == system::ShardState::Halted)
             continue; // Harvest's stranded/requeue path owns it.
         std::ostringstream os;
-        os << "job " << slot.jobId << " exceeded its deadline (cycle "
-           << slot.deadlineCycle << ") in flight; slot reclaimed";
+        os << "job " << job->id << " exceeded its deadline (cycle "
+           << job->deadlineCycle << ") in flight; slot reclaimed";
         Status cancelled = cluster_.cancelJob(
             pu, Status::make(StatusCode::DeadlineExceeded, os.str()));
         if (cancelled.ok())
@@ -397,7 +369,7 @@ Session::armFromQueue()
     for (int pu = 0; pu < cluster_.numSlots() && !queue_.empty();
          ++pu) {
         Slot &slot = slots_[pu];
-        if (slot.busy || slot.dead || slot.quarantined)
+        if (slot.job || slot.dead || slot.quarantined)
             continue;
         if (cluster_.slotShardState(pu) == system::ShardState::Halted) {
             slot.dead = true;
@@ -418,28 +390,18 @@ Session::armFromQueue()
             if (!armed.ok()) {
                 // A malformed job (bad alignment, oversized stream)
                 // fails alone; the slot re-picks among the rest.
-                finishJobEarly(job.id, pu, std::move(armed),
-                               job.callback, job.enqueueCycle,
-                               job.hostSubmitNs, job.requeues, job.tag);
+                finishJobEarly(std::move(job), pu, std::move(armed));
                 continue;
             }
             scheduler_->onArm(job, now);
-            slot.busy = true;
-            slot.jobId = job.id;
-            slot.callback = std::move(job.callback);
-            slot.enqueueCycle = job.enqueueCycle;
-            slot.admittedCycle = now;
-            slot.hostSubmitNs = job.hostSubmitNs;
-            slot.deadlineCycle = job.deadlineCycle;
-            slot.requeues = job.requeues;
-            slot.tag = job.tag;
-            // Kept so a halted channel's jobs can be re-armed elsewhere.
-            if (config_.requeueStranded)
-                slot.stream = std::move(job.stream);
+            // Kept only so a halted channel's jobs can be re-armed
+            // elsewhere.
+            if (!config_.requeueStranded)
+                job.stream = BitBuffer{};
             totalQueueWaitCycles_ +=
-                slot.admittedCycle > slot.enqueueCycle
-                    ? slot.admittedCycle - slot.enqueueCycle
-                    : 0;
+                now > job.enqueueCycle ? now - job.enqueueCycle : 0;
+            slot.admittedCycle = now;
+            slot.job = std::move(job);
             break;
         }
     }
@@ -462,9 +424,7 @@ Session::strandOrphans()
         static_cast<size_t>(cluster_.numPrograms()), false);
     bool any_live = false;
     for (int pu = 0; pu < cluster_.numSlots(); ++pu) {
-        const Slot &slot = slots_[pu];
-        if (slot.dead || slot.quarantined ||
-            cluster_.slotShardState(pu) == system::ShardState::Halted)
+        if (!slotLive(pu))
             continue;
         live_per_program[cluster_.slotProgramIndex(pu)] = true;
         any_live = true;
@@ -491,10 +451,7 @@ Session::strandOrphans()
             ++i;
             continue;
         }
-        PendingJob job = queue_.take(i);
-        finishJobEarly(job.id, -1, std::move(stranded), job.callback,
-                       job.enqueueCycle, job.hostSubmitNs, job.requeues,
-                       job.tag);
+        finishJobEarly(queue_.take(i), -1, std::move(stranded));
     }
 }
 
@@ -517,24 +474,16 @@ Session::schedule()
     expireDeadlines();
     armFromQueue();
     sampleSessionTracks();
-    bool in_flight = false;
-    for (const Slot &slot : slots_)
-        in_flight |= slot.busy;
-    if (!in_flight) {
+    if (jobsInFlight() == 0) {
         if (queue_.empty())
             return false;
         // Jobs remain but every slot is dead or quarantined: report
         // them stranded rather than spinning.
-        while (!queue_.empty()) {
-            PendingJob job = queue_.pop();
-            finishJobEarly(
-                job.id, -1,
-                Status::make(StatusCode::InvalidState,
-                             "no live processing-unit slots remain "
-                             "(every channel halted)"),
-                job.callback, job.enqueueCycle, job.hostSubmitNs,
-                job.requeues, job.tag);
-        }
+        while (!queue_.empty())
+            finishJobEarly(queue_.pop(), -1,
+                           Status::make(StatusCode::InvalidState,
+                                        "no live processing-unit slots "
+                                        "remain (every channel halted)"));
         return false;
     }
     return true;
@@ -583,7 +532,7 @@ Session::jobsInFlight() const
 {
     int busy = 0;
     for (const Slot &slot : slots_)
-        busy += slot.busy ? 1 : 0;
+        busy += slot.job ? 1 : 0;
     return busy;
 }
 

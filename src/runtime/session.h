@@ -57,6 +57,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -438,31 +439,28 @@ class Session
     /// @}
 
   private:
-    /** Slot bookkeeping: which job a slot holds, if any. */
+    /** Slot bookkeeping: the job a slot holds, if any, and its health. */
     struct Slot
     {
-        bool busy = false;
+        /** The armed job. Its stream is kept only under requeueStranded,
+         * so a halted channel's jobs can re-run. */
+        std::optional<PendingJob> job;
         bool dead = false; ///< Channel halted; never re-armed.
         /** Health registry pulled the slot from the pool (ISSUE 7). */
         bool quarantined = false;
         /** Per-PU containment events (parity, overflow) on this slot. */
         int faultCount = 0;
-        uint64_t jobId = 0;
-        JobCallback callback;
-        /** Latency anchors carried from the pending job to harvest. */
-        uint64_t enqueueCycle = 0;
+        /** Round the armed job was admitted on. */
         uint64_t admittedCycle = 0;
-        uint64_t hostSubmitNs = 0;
-        /** Absolute expiry cycle (0 = none) for mid-flight kills. */
-        uint64_t deadlineCycle = 0;
-        uint64_t requeues = 0;
-        /** Multi-tenant tag carried from the pending job (ISSUE 8). */
-        JobTag tag;
-        /** The job's stream, kept only under requeueStranded so a
-         * halted channel's jobs can re-run. */
-        BitBuffer stream;
     };
 
+    /** Not dead, not quarantined, and its channel has not halted. */
+    bool slotLive(int pu) const;
+    /** A report carrying the job-side fields: id, tag, requeues, the
+     * enqueue/admitted/host-submit stamps and the slot's place (pu -1:
+     * never armed). */
+    JobReport jobReport(const PendingJob &job, int pu,
+                        uint64_t admitted_cycle) const;
     void harvest();
     /** Cancel jobs past their deadline: in-queue and mid-flight. */
     void expireDeadlines();
@@ -476,12 +474,9 @@ class Session
     void strandOrphans();
     /** Sample the scheduler tracks for this round (events mode only). */
     void sampleSessionTracks();
-    /** Report a job that never produced a RetiredJob (arm rejection or
-     * a halted channel) through its callback. */
-    void finishJobEarly(uint64_t job_id, int pu, Status status,
-                        JobCallback &callback, uint64_t enqueue_cycle,
-                        uint64_t host_submit_ns, uint32_t requeues,
-                        const JobTag &tag);
+    /** Report a job that never ran (arm rejection, expiry in the queue
+     * or no slot to run on) through its callback. */
+    void finishJobEarly(PendingJob job, int pu, Status status);
     /** Stamp the report final, count it, and move it into the
      * callback (if any). */
     void record(JobReport report, JobCallback &callback);

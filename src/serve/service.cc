@@ -186,14 +186,21 @@ JobTicket
 FleetService::admit(BitBuffer stream, uint64_t arrival_cycle,
                     const SubmitOptions &options)
 {
-    auto state = std::make_shared<JobTicket::State>();
+    auto tracked = std::make_shared<Tracked>();
+    tracked->ticket = std::make_shared<JobTicket::State>();
+    tracked->stream = std::move(stream);
+    tracked->arrivalCycle = arrival_cycle;
+    tracked->deadlineCycle =
+        options.deadlineCycles ? arrival_cycle + options.deadlineCycles
+                               : 0;
+    tracked->tag = options.tag;
     std::unique_lock<std::mutex> lock(mu_);
     ++submitted_;
     TenantStats &tenant = tenants_[options.tag.tenant];
     ++tenant.submitted;
     if (!accepting_) {
         ++tenant.cancelled;
-        return refuse(std::move(state), StatusCode::Cancelled,
+        return refuse(tracked->ticket, StatusCode::Cancelled,
                       "submit after shutdown: the service is no longer "
                       "accepting jobs");
     }
@@ -214,7 +221,7 @@ FleetService::admit(BitBuffer stream, uint64_t arrival_cycle,
         spaceCv_.notify_all();
         if (!accepting_) {
             ++tenants_[options.tag.tenant].cancelled;
-            return refuse(std::move(state), StatusCode::Cancelled,
+            return refuse(tracked->ticket, StatusCode::Cancelled,
                           "submit released by shutdown while blocked "
                           "on admission");
         }
@@ -222,36 +229,28 @@ FleetService::admit(BitBuffer stream, uint64_t arrival_cycle,
         if (config_.policy == AdmissionPolicy::Reject) {
             ++rejected_;
             ++tenant.rejected;
-            return refuse(std::move(state),
+            return refuse(tracked->ticket,
                           StatusCode::ResourceExhausted,
                           "admission queue full (Reject policy)");
         }
         // ShedOldest: the oldest waiting job pays for the newest. The
         // distinct Shed code tells the evicted client apart from one
         // turned away at the door (ResourceExhausted).
-        Waiting oldest = std::move(wait_.front());
+        std::shared_ptr<Tracked> oldest = std::move(wait_.front());
         wait_.pop_front();
         ++shed_;
-        ++tenants_[oldest.tag.tenant].shed;
-        oldest.ticket->complete(refusalReport(
+        ++tenants_[oldest->tag.tenant].shed;
+        oldest->ticket->complete(refusalReport(
             StatusCode::Shed,
             "shed from the admission queue to make room "
             "(ShedOldest policy)"));
     }
 
-    Waiting waiting;
-    waiting.stream = std::move(stream);
-    waiting.arrivalCycle = arrival_cycle;
-    waiting.deadlineCycle = options.deadlineCycles
-                                ? arrival_cycle + options.deadlineCycles
-                                : 0;
-    waiting.tag = options.tag;
-    waiting.ticket = state;
-    wait_.push_back(std::move(waiting));
+    JobTicket ticket;
+    ticket.state_ = tracked->ticket;
+    wait_.push_back(std::move(tracked));
     ++admitted_;
     ++tenants_[options.tag.tenant].admitted;
-    JobTicket ticket;
-    ticket.state_ = std::move(state);
     return ticket;
 }
 
@@ -372,16 +371,9 @@ FleetService::feedSessionLocked()
 
     bool freed = false;
     while (!wait_.empty() && session_.jobsPending() < target) {
-        Waiting waiting = std::move(wait_.front());
+        dispatchLocked(std::move(wait_.front()));
         wait_.pop_front();
         freed = true;
-        auto tracked = std::make_shared<Tracked>();
-        tracked->ticket = std::move(waiting.ticket);
-        tracked->stream = std::move(waiting.stream);
-        tracked->arrivalCycle = waiting.arrivalCycle;
-        tracked->deadlineCycle = waiting.deadlineCycle;
-        tracked->tag = waiting.tag;
-        dispatchLocked(std::move(tracked));
     }
     if (freed)
         spaceCv_.notify_all();
@@ -400,12 +392,12 @@ FleetService::pumpOnce()
             // drain the wait queue — complete the stranded tickets
             // instead of hanging their owners (the session strands its
             // own jobs the same way).
-            for (Waiting &waiting : wait_) {
-                waiting.ticket->complete(refusalReport(
+            for (const auto &tracked : wait_) {
+                tracked->ticket->complete(refusalReport(
                     StatusCode::InvalidState,
                     "no live processing-unit slots remain "
                     "(every channel halted)"));
-                ++tenants_[waiting.tag.tenant].completed;
+                ++tenants_[tracked->tag.tenant].completed;
                 completed_.fetch_add(1, std::memory_order_relaxed);
             }
             wait_.clear();
@@ -429,16 +421,7 @@ FleetService::pumpOnce()
         feedSessionLocked();
     }
     session_.step();
-    nowCycle_.store(session_.cycles(), std::memory_order_relaxed);
-    inFlightNow_.store(session_.jobsInFlight(),
-                       std::memory_order_relaxed);
-    liveSlotsNow_.store(session_.liveSlots(), std::memory_order_relaxed);
-    deadlineKilledNow_.store(session_.deadlineKills(),
-                             std::memory_order_relaxed);
-    requeuedNow_.store(session_.jobRequeues(),
-                       std::memory_order_relaxed);
-    quarantinedNow_.store(session_.quarantinedSlots(),
-                          std::memory_order_relaxed);
+    publishTelemetry();
     std::lock_guard<std::mutex> lock(mu_);
     return !wait_.empty() || !retryWait_.empty() ||
            session_.jobsPending() > 0;
@@ -488,17 +471,23 @@ FleetService::shutdown()
     if (!finished_) {
         runReport_ = &session_.finish();
         finished_ = true;
-        nowCycle_.store(session_.cycles(), std::memory_order_relaxed);
-        inFlightNow_.store(0, std::memory_order_relaxed);
-        liveSlotsNow_.store(session_.liveSlots(),
-                            std::memory_order_relaxed);
-        deadlineKilledNow_.store(session_.deadlineKills(),
-                                 std::memory_order_relaxed);
-        requeuedNow_.store(session_.jobRequeues(),
-                           std::memory_order_relaxed);
-        quarantinedNow_.store(session_.quarantinedSlots(),
-                              std::memory_order_relaxed);
+        publishTelemetry();
     }
+}
+
+void
+FleetService::publishTelemetry()
+{
+    nowCycle_.store(session_.cycles(), std::memory_order_relaxed);
+    inFlightNow_.store(session_.jobsInFlight(),
+                       std::memory_order_relaxed);
+    liveSlotsNow_.store(session_.liveSlots(), std::memory_order_relaxed);
+    deadlineKilledNow_.store(session_.deadlineKills(),
+                             std::memory_order_relaxed);
+    requeuedNow_.store(session_.jobRequeues(),
+                       std::memory_order_relaxed);
+    quarantinedNow_.store(session_.quarantinedSlots(),
+                          std::memory_order_relaxed);
 }
 
 const system::RunReport &
@@ -541,8 +530,8 @@ FleetService::stats() const
     // TenantStats holds by construction of the state, not by mirrored
     // arithmetic.
     std::map<uint32_t, TenantStats> tenants = tenants_;
-    for (const Waiting &waiting : wait_)
-        ++tenants[waiting.tag.tenant].waiting;
+    for (const auto &tracked : wait_)
+        ++tenants[tracked->tag.tenant].waiting;
     for (const auto &tracked : retryWait_)
         ++tenants[tracked->tag.tenant].retryBacklog;
     stats.tenants.assign(tenants.begin(), tenants.end());

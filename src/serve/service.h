@@ -351,30 +351,22 @@ class FleetService
     const runtime::Session &session() const { return session_; }
 
   private:
-    struct Waiting
-    {
-        BitBuffer stream;
-        uint64_t arrivalCycle = 0;
-        /** Absolute expiry on the session clock (0 = none). */
-        uint64_t deadlineCycle = 0;
-        /** Multi-tenant classification (ISSUE 8). */
-        runtime::JobTag tag;
-        std::shared_ptr<JobTicket::State> ticket;
-    };
-
     /**
-     * Per-job recovery state, shared between the session callback and
-     * the retry queue: alive across attempts, so the original stream
-     * and arrival cycle travel with the job while each attempt runs
-     * under a fresh session job id.
+     * One admitted job, from admission to its ticket's completion:
+     * waiting, in the session, or waiting out a retry backoff. Alive
+     * across attempts, so the original stream and arrival cycle travel
+     * with the job while each attempt runs under a fresh session job
+     * id.
      */
     struct Tracked
     {
         std::shared_ptr<JobTicket::State> ticket;
-        /** Original stream; kept only while another attempt is
-         * possible (retry enabled and attempts remain). */
+        /** Original stream; after the first dispatch, kept only while
+         * another attempt is possible (retry enabled and attempts
+         * remain). */
         BitBuffer stream;
         uint64_t arrivalCycle = 0;
+        /** Absolute expiry on the session clock (0 = none). */
         uint64_t deadlineCycle = 0;
         /** Multi-tenant classification (ISSUE 8). */
         runtime::JobTag tag;
@@ -396,6 +388,8 @@ class FleetService
      * on the pumping thread inside Session::step; takes mu_. */
     void onJobDone(const std::shared_ptr<Tracked> &tracked,
                    runtime::JobReport report);
+    /** Store the session telemetry mirrors. Pumping thread only. */
+    void publishTelemetry();
     /** Complete a ticket that never reached the session. */
     static JobTicket refuse(std::shared_ptr<JobTicket::State> state,
                             StatusCode code, const char *why);
@@ -406,7 +400,7 @@ class FleetService
 
     mutable std::mutex mu_;
     std::condition_variable spaceCv_; ///< Block-policy submitters.
-    std::deque<Waiting> wait_;
+    std::deque<std::shared_ptr<Tracked>> wait_;
     /** Transient failures waiting out their simulated-cycle backoff.
      * Already admitted: they bypass the admission bound on release. */
     std::deque<std::shared_ptr<Tracked>> retryWait_;

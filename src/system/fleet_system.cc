@@ -550,26 +550,12 @@ FleetSystem::report() const
 BitBuffer
 FleetSystem::readOutput(int pu, uint64_t bits) const
 {
+    // Output regions start on a byte boundary: copy the bytes that
+    // hold the flushed bits, then drop the last byte's unused high bits.
     const auto &mem = shards_[puShard_[pu]]->channel().memory();
-    const auto &region = outputRegions_[pu];
-    BitBuffer out;
-    for (uint64_t offset = 0; offset < bits;) {
-        int chunk = static_cast<int>(std::min<uint64_t>(64, bits - offset));
-        uint64_t byte = region.baseAddr + offset / 8;
-        // Offsets are multiples of the token width; assemble from bytes.
-        uint64_t value = 0;
-        int got = 0;
-        int shift = offset % 8;
-        while (got < chunk) {
-            int piece = std::min(chunk - got, 8 - shift);
-            value |= (uint64_t(mem[byte]) >> shift & mask64(piece)) << got;
-            got += piece;
-            shift = 0;
-            ++byte;
-        }
-        out.appendBits(value, chunk);
-        offset += chunk;
-    }
+    BitBuffer out = BitBuffer::fromBytes(
+        mem.data() + outputRegions_[pu].baseAddr, ceilDiv(bits, 8));
+    out.resizeBits(bits);
     return out;
 }
 

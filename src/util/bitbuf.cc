@@ -16,10 +16,18 @@ BitBuffer::BitBuffer(uint64_t size_bits)
 BitBuffer
 BitBuffer::fromBytes(const void *data, size_t size_bytes)
 {
-    BitBuffer buf;
+    // The inverse of copyBytes: on a little-endian host byte k of the
+    // stream is already byte k % 8 of word k / 8, so the bytes are
+    // copied as they lie.
+    BitBuffer buf(uint64_t(size_bytes) * 8);
     const uint8_t *bytes = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < size_bytes; ++i)
-        buf.appendBits(bytes[i], 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        if (size_bytes != 0) // An empty buffer's data() may be null.
+            std::memcpy(buf.words_.data(), bytes, size_bytes);
+    } else {
+        for (size_t i = 0; i < size_bytes; ++i)
+            buf.words_[i / 8] |= uint64_t(bytes[i]) << 8 * (i % 8);
+    }
     return buf;
 }
 

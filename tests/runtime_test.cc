@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "apps/registry.h"
 #include "report_log.h"
@@ -532,6 +533,130 @@ TEST(RuntimeSession, HaltedChannelStrandsItsJobsOthersKeepServing)
         ASSERT_TRUE(reports4[j] == reports[j])
             << "job " << j << " diverges at 4 threads";
     ASSERT_TRUE(report4 == report);
+}
+
+// ---------------------------------------------------------------------------
+// Halted-channel requeue: a job keeps its identity across the move.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+uint64_t
+steadyNowNs()
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+/** Two channels with one slot each (slot p on channel p), both slots
+ * running program 1 of two, with halted-channel requeue on. */
+Session
+requeueSession()
+{
+    SessionConfig config;
+    config.system.numChannels = 2;
+    config.system.numThreads = 1;
+    config.system.inputRegionBytes = 64 * 1024;
+    config.numSlots = 2;
+    config.epochCycles = 512;
+    config.requeueStranded = true;
+    return Session({testprogs::blockFrequencies(32), testprogs::identity()},
+                   config, {1, 1});
+}
+
+JobTag
+tenantSevenTag()
+{
+    JobTag tag;
+    tag.tenant = 7;
+    tag.programIndex = 1;
+    tag.priority = 2;
+    return tag;
+}
+
+} // namespace
+
+TEST(RuntimeSession, RequeuedJobKeepsItsIdentity)
+{
+    Session session = requeueSession();
+    ReportLog log;
+    Rng rng(27);
+    const JobTag tag = tenantSevenTag();
+    // A warm-up job moves the session clock and the id counter off 0.
+    session.submitJob(randomStream(rng, 64), tag, 0, log.sink());
+    session.drain();
+
+    const uint64_t enqueue = session.cycles();
+    ASSERT_GT(enqueue, 0u);
+    const BitBuffer stream = randomStream(rng, 2000);
+    const uint64_t before = steadyNowNs();
+    const uint64_t id = session.submitJob(stream, tag, enqueue,
+                                          log.sink(), enqueue + 1000000);
+    const uint64_t after = steadyNowNs();
+    ASSERT_TRUE(session.step());
+    ASSERT_TRUE(session.slotState(0).busy);
+    ASSERT_EQ(session.slotState(0).jobId, id);
+    session.forceHaltChannel(
+        0, Status::make(StatusCode::InternalError, "test halt"));
+    session.drain();
+
+    EXPECT_EQ(session.jobRequeues(), 1u);
+    const JobReport &report = log[id];
+    EXPECT_TRUE(report.ok()) << report.status.toString();
+    EXPECT_EQ(report.jobId, id);
+    EXPECT_EQ(report.tenant, 7u);
+    EXPECT_EQ(report.programIndex, 1u);
+    EXPECT_EQ(report.requeues, 1u);
+    EXPECT_EQ(report.pu, 1);
+    EXPECT_EQ(report.channel, 1);
+    EXPECT_EQ(report.enqueueCycle, enqueue);
+    EXPECT_GT(report.admittedCycle, enqueue);
+    EXPECT_GE(report.hostSubmitNs, before);
+    EXPECT_LE(report.hostSubmitNs, after);
+    EXPECT_TRUE(report.output == stream); // the identity program
+    session.finish();
+}
+
+TEST(RuntimeSession, RequeuedJobExpiresWhileQueued)
+{
+    Session session = requeueSession();
+    ReportLog log;
+    Rng rng(28);
+    const JobTag tag = tenantSevenTag();
+    // The target arms on slot 0 and the blocker on slot 1. Once
+    // channel 0 halts, the target waits at the queue front until its
+    // deadline passes, because the blocker holds the only survivor.
+    const uint64_t deadline = 1536;
+    const uint64_t target = session.submitJob(
+        randomStream(rng, 2000), tag, 0, log.sink(), deadline);
+    const uint64_t blocker =
+        session.submitJob(randomStream(rng, 16000), tag, 0, log.sink());
+    ASSERT_TRUE(session.step());
+    ASSERT_EQ(session.slotState(0).jobId, target);
+    ASSERT_EQ(session.slotState(1).jobId, blocker);
+    ASSERT_LT(session.cycles(), deadline);
+    session.forceHaltChannel(
+        0, Status::make(StatusCode::InternalError, "test halt"));
+    session.drain();
+
+    const JobReport &report = log[target];
+    EXPECT_EQ(report.status.code, StatusCode::DeadlineExceeded)
+        << report.status.toString();
+    EXPECT_NE(report.status.message.find("while queued"),
+              std::string::npos)
+        << report.status.message;
+    EXPECT_EQ(report.jobId, target);
+    EXPECT_EQ(report.requeues, 1u);
+    EXPECT_EQ(report.pu, -1);
+    EXPECT_EQ(report.tenant, 7u);
+    EXPECT_EQ(report.programIndex, 1u);
+    EXPECT_GE(report.completedCycle, deadline);
+    EXPECT_EQ(session.deadlineKills(), 1u);
+    EXPECT_TRUE(log[blocker].ok()) << log[blocker].status.toString();
+    EXPECT_GT(log[blocker].completedCycle, report.completedCycle);
+    session.finish();
 }
 
 TEST(Session, FastRearmStateSizedByPlan)

@@ -140,6 +140,38 @@ TEST(BitBuffer, CopyBytesMatchesBitReads)
     }
 }
 
+TEST(BitBuffer, FromBytesCopyBytesRoundTrip)
+{
+    // fromBytes and copyBytes are inverses: bytes in, the same bytes
+    // out, with a buffer cut to `bits` keeping only its own bits of
+    // the last byte (the readOutput pattern).
+    for (uint64_t bits : {0, 1, 7, 63, 64, 65, 1000}) {
+        const uint64_t size = (bits + 7) / 8;
+        std::vector<uint8_t> bytes(size);
+        uint64_t x = 0x2545f4914f6cdd1dull ^ bits;
+        for (uint8_t &byte : bytes) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            byte = static_cast<uint8_t>(x >> 56);
+        }
+        BitBuffer buf = BitBuffer::fromBytes(bytes.data(), size);
+        ASSERT_EQ(buf.sizeBits(), size * 8) << bits << " bits";
+        for (uint64_t i = 0; i < size; ++i)
+            EXPECT_EQ(buf.readBits(8 * i, 8), bytes[i])
+                << bits << " bits, byte " << i;
+        buf.resizeBits(bits);
+        if (bits % 8 != 0)
+            bytes.back() &= static_cast<uint8_t>((1u << bits % 8) - 1);
+        std::vector<uint8_t> out(size + 1, 0xee);
+        buf.copyBytes(out.data());
+        for (uint64_t i = 0; i < size; ++i)
+            EXPECT_EQ(out[i], bytes[i]) << bits << " bits, byte " << i;
+        EXPECT_EQ(out[size], 0xee) << bits << " bits";
+        BitBuffer again = BitBuffer::fromBytes(out.data(), size);
+        again.resizeBits(bits);
+        EXPECT_TRUE(again == buf) << bits << " bits";
+    }
+}
+
 TEST(BitBuffer, ResizeShrinkClearsTail)
 {
     BitBuffer buf;
