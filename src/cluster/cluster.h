@@ -114,13 +114,11 @@ class Cluster
     /// @{
     int numSlots() const { return static_cast<int>(slotDevice_.size()); }
     int slotDevice(int slot) const { return slotDevice_[slot]; }
-    int slotLocal(int slot) const { return slotLocal_[slot]; }
     int numChannels() const
     {
         return static_cast<int>(channelDevice_.size());
     }
     int channelDevice(int c) const { return channelDevice_[c]; }
-    int channelLocal(int c) const { return channelLocal_[c]; }
     /** Global channel owning global slot `slot`. */
     int slotChannel(int slot) const
     {

@@ -427,6 +427,9 @@ Pipeline::report(uint64_t job_id) const
 Pipeline::EdgeConservation
 Pipeline::edgeConservation(int edge) const
 {
+    if (edge < 0 || size_t(edge) >= edges_.size())
+        throw StatusError(Status::make(StatusCode::InvalidArgument,
+                                       "edgeConservation: no such edge"));
     const Edge &e = edges_[edge];
     EdgeConservation law;
     law.stageOutBits = stages_[edge].outBits;

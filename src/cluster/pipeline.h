@@ -172,6 +172,7 @@ class Pipeline
         uint64_t stageInBits = 0;       ///< Armed into stage k+1.
         bool crossDevice = false;
     };
+    /** Throws StatusError(InvalidArgument) for an edge out of range. */
     EdgeConservation edgeConservation(int edge) const;
 
   private:

@@ -29,11 +29,15 @@ namespace {
 #endif
 
 /**
- * One op-tape sweep over all lanes. T is the lane element type
- * (TapeProgram::fits32 -> uint32_t); semantics match evalTapeOps()
- * bit-for-bit, with the 64-bit-specific guards rebased onto EB. Marked
- * always_inline so each target_clones wrapper below recompiles the
- * whole switch for its vector ISA.
+ * One op-tape sweep over all lanes: the reference semantics of every
+ * TapeOpcode, which the jit emitter (rtl/jit.cc) reproduces. T is the
+ * lane element type (TapeProgram::fits32 -> uint32_t). T only has to
+ * be wide enough for every node: all semantics are width-masked, so
+ * narrowing the representation never changes a value, and the
+ * 64-bit-specific guards (shift ranges, sign-extension shifts stored
+ * as 64 - width) are rebased onto EB. Marked always_inline so each
+ * target_clones wrapper below recompiles the whole switch for its
+ * vector ISA.
  */
 template <typename T>
 [[gnu::always_inline]] inline void
@@ -285,7 +289,7 @@ template <typename T>
 [[gnu::always_inline]] inline void
 stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
              std::vector<AlignedVec<T>> &bram_mems, T *latch_tmp,
-             const int L, int lane_lo, int lane_hi)
+             const int L)
 {
     // Same commit ordering as rtl::Simulator::step(): BRAM reads latch
     // first (read-first semantics) and no slot is overwritten until
@@ -298,7 +302,7 @@ stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
         const T *wr_data = &slots[size_t(b.wrData) * L];
         auto &mem = bram_mems[i];
         T *latch = &latch_tmp[i * L];
-        for (int l = lane_lo; l < lane_hi; ++l) {
+        for (int l = 0; l < L; ++l) {
             latch[l] = rd_addr[l] < b.elements
                            ? mem[size_t(rd_addr[l]) * L + l]
                            : T(0);
@@ -311,11 +315,11 @@ stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
         const T *next = &slots[size_t(r.next) * L];
         T *rv = &reg_values[i * L];
         if (r.enable < 0) {
-            for (int l = lane_lo; l < lane_hi; ++l)
+            for (int l = 0; l < L; ++l)
                 rv[l] = next[l];
         } else {
             const T *en = &slots[size_t(r.enable) * L];
-            for (int l = lane_lo; l < lane_hi; ++l)
+            for (int l = 0; l < L; ++l)
                 if (en[l] != 0)
                     rv[l] = next[l];
         }
@@ -324,13 +328,13 @@ stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
     for (size_t i = 0; i < t.brams.size(); ++i) {
         T *out = &slots[size_t(t.brams[i].rdData) * L];
         const T *latch = &latch_tmp[i * L];
-        for (int l = lane_lo; l < lane_hi; ++l)
+        for (int l = 0; l < L; ++l)
             out[l] = latch[l];
     }
     for (size_t i = 0; i < t.regs.size(); ++i) {
         T *out = &slots[size_t(t.regs[i].out) * L];
         const T *rv = &reg_values[i * L];
-        for (int l = lane_lo; l < lane_hi; ++l)
+        for (int l = 0; l < L; ++l)
             out[l] = rv[l];
     }
 }
@@ -338,19 +342,17 @@ stepBatchedT(const TapeProgram &t, T *slots, T *reg_values,
 FLEET_BATCH_TARGET_CLONES void
 stepBatched64(const TapeProgram &t, uint64_t *slots, uint64_t *reg_values,
               std::vector<AlignedVec<uint64_t>> &bram_mems,
-              uint64_t *latch_tmp, const int L, int lane_lo, int lane_hi)
+              uint64_t *latch_tmp, const int L)
 {
-    stepBatchedT<uint64_t>(t, slots, reg_values, bram_mems, latch_tmp, L,
-                           lane_lo, lane_hi);
+    stepBatchedT<uint64_t>(t, slots, reg_values, bram_mems, latch_tmp, L);
 }
 
 FLEET_BATCH_TARGET_CLONES void
 stepBatched32(const TapeProgram &t, uint32_t *slots, uint32_t *reg_values,
               std::vector<AlignedVec<uint32_t>> &bram_mems,
-              uint32_t *latch_tmp, const int L, int lane_lo, int lane_hi)
+              uint32_t *latch_tmp, const int L)
 {
-    stepBatchedT<uint32_t>(t, slots, reg_values, bram_mems, latch_tmp, L,
-                           lane_lo, lane_hi);
+    stepBatchedT<uint32_t>(t, slots, reg_values, bram_mems, latch_tmp, L);
 }
 
 template <typename T>
@@ -436,8 +438,7 @@ BatchSimulator::evalAll()
 {
     if (jit_) {
         jit_->eval(elem32_ ? (void *)slots32_.data()
-                           : (void *)slots64_.data(),
-                   0, lanes_);
+                           : (void *)slots64_.data());
         return;
     }
     if (elem32_)
@@ -449,52 +450,23 @@ BatchSimulator::evalAll()
 }
 
 void
-BatchSimulator::evalLane(int lane)
-{
-    if (jit_) {
-        jit_->eval(elem32_ ? (void *)slots32_.data()
-                           : (void *)slots64_.data(),
-                   lane, lane + 1);
-        return;
-    }
-    if (elem32_)
-        evalTapeOps<uint32_t>(tape_->ops, slots32_.data(), lanes_, lane);
-    else
-        evalTapeOps<uint64_t>(tape_->ops, slots64_.data(), lanes_, lane);
-}
-
-void
-BatchSimulator::stepRange(int lane_lo, int lane_hi)
+BatchSimulator::step()
 {
     if (jit_) {
         if (elem32_)
             jit_->step(slots32_.data(), regValues32_.data(),
-                       bramPtrs_.data(), lane_lo, lane_hi);
+                       bramPtrs_.data());
         else
             jit_->step(slots64_.data(), regValues64_.data(),
-                       bramPtrs_.data(), lane_lo, lane_hi);
+                       bramPtrs_.data());
         return;
     }
     if (elem32_)
         stepBatched32(*tape_, slots32_.data(), regValues32_.data(),
-                      bramMems32_, latchTmp32_.data(), lanes_, lane_lo,
-                      lane_hi);
+                      bramMems32_, latchTmp32_.data(), lanes_);
     else
         stepBatched64(*tape_, slots64_.data(), regValues64_.data(),
-                      bramMems64_, latchTmp64_.data(), lanes_, lane_lo,
-                      lane_hi);
-}
-
-void
-BatchSimulator::step()
-{
-    stepRange(0, lanes_);
-}
-
-void
-BatchSimulator::stepLane(int lane)
-{
-    stepRange(lane, lane + 1);
+                      bramMems64_, latchTmp64_.data(), lanes_);
 }
 
 uint64_t

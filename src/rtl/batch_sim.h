@@ -14,8 +14,10 @@
  *
  * Lanes are fully independent (separate registers, BRAMs, inputs); each
  * lane is bit-identical to the rtl::Simulator reference interpreter.
- * evalLane()/stepLane() run a single lane standalone, so one lane can
- * also serve as an ordinary ProcessingUnit in single-PU testbenches.
+ * A batch always evaluates and clocks all of its lanes: there is no
+ * single-lane entry. Driving one lane on its own (a single-PU
+ * testbench) means driving the whole batch, which leaves the viewed
+ * lane bit-identical because no lane reads another.
  */
 
 #include <cstdint>
@@ -63,10 +65,10 @@ class BatchSimulator
     }
 
     /**
-     * Attach a natively compiled kernel (rtl/jit.h): evalAll/evalLane
-     * and step/stepLane dispatch to the generated code instead of the
-     * interpreter sweeps. The kernel must have been compiled for this
-     * exact tape, lane count and element width (checked via
+     * Attach a natively compiled kernel (rtl/jit.h): evalAll and step
+     * dispatch to the generated code instead of the interpreter
+     * sweeps. The kernel must have been compiled for this exact tape,
+     * lane count and element width (checked via
      * JitProgram::cacheKey; panics on mismatch — attaching is a
      * construction-time decision, not a data-dependent one). All state
      * stays in this simulator's arrays, so reset/setInput/value and
@@ -77,8 +79,6 @@ class BatchSimulator
 
     /** Evaluate every lane's combinational logic (SoA, vectorized). */
     void evalAll();
-    /** Evaluate one lane only (scalar; standalone-lane use). */
-    void evalLane(int lane);
 
     /**
      * Value of a source-circuit node as of the last eval. With a jit
@@ -106,15 +106,11 @@ class BatchSimulator
 
     /** Clock edge for every lane. */
     void step();
-    /** Clock edge for one lane only. */
-    void stepLane(int lane);
 
     uint64_t regValue(int lane, int reg_index) const;
     uint64_t bramWord(int lane, int bram_index, int addr) const;
 
   private:
-    void stepRange(int lane_lo, int lane_hi);
-
     std::shared_ptr<const TapeProgram> tape_;
     int lanes_;
     bool elem32_; ///< Storage element type; see elementBits().

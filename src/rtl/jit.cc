@@ -28,7 +28,7 @@ namespace {
 /** Bumping this invalidates every cached artifact (the key mixes it
  * in), so emitter changes can never resurrect a stale .so. */
 constexpr uint64_t kEmitterVersion = 5;
-constexpr int kJitAbi = 1;
+constexpr int kJitAbi = 2;
 
 /**
  * Ops per generated chunk function. Chunking bounds the host
@@ -123,32 +123,6 @@ discoverCompiler(const JitOptions &opts, Status *why)
     *why = Status::make(StatusCode::InvalidArgument,
                         "no working host compiler (tried: " + tried + ")");
     return "";
-}
-
-/** The base (non-lane-uniform) semantics of an opcode. The emitter
- * inlines constant-slot operands as literals for every op, so the U
- * distinction — a batch-interpreter load-hoisting hint — is moot. */
-TapeOpcode
-baseOpcode(TapeOpcode op)
-{
-    switch (op) {
-      case TapeOpcode::BinAddU: return TapeOpcode::BinAdd;
-      case TapeOpcode::BinSubU: return TapeOpcode::BinSub;
-      case TapeOpcode::BinMulU: return TapeOpcode::BinMul;
-      case TapeOpcode::BinAndU: return TapeOpcode::BinAnd;
-      case TapeOpcode::BinOrU:  return TapeOpcode::BinOr;
-      case TapeOpcode::BinXorU: return TapeOpcode::BinXor;
-      case TapeOpcode::BinEqU:  return TapeOpcode::BinEq;
-      case TapeOpcode::BinNeU:  return TapeOpcode::BinNe;
-      case TapeOpcode::BinUltU: return TapeOpcode::BinUlt;
-      case TapeOpcode::BinUleU: return TapeOpcode::BinUle;
-      case TapeOpcode::BinUgtU: return TapeOpcode::BinUgt;
-      case TapeOpcode::BinUgeU: return TapeOpcode::BinUge;
-      case TapeOpcode::MuxAU:
-      case TapeOpcode::MuxBU:
-      case TapeOpcode::MuxU2:   return TapeOpcode::Mux;
-      default: return op;
-    }
 }
 
 /** In-process sharing: (cacheKey -> live program), so many
@@ -279,21 +253,24 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     // lower to SIMD (or to split ops on narrower ISAs). 64-byte
     // vectors when a slot row is at least that wide (gcc splits them
     // for hosts without AVX-512); narrower rows drop to 32 or 16
-    // bytes, and a scalar tail loop covers the remaining lanes (and
-    // single-lane eval calls).
+    // bytes, and a scalar tail loop covers the remaining lanes. The
+    // lane count is a compile-time constant, so a loop that would run
+    // zero times is not emitted at all.
     const int elem_bytes = EB / 8;
     const int64_t row_bytes = int64_t(lanes) * elem_bytes;
     const int VB = row_bytes >= 64 ? 64 : row_bytes >= 32 ? 32 : 16;
     const int VW = VB / elem_bytes;
+    const int vec_end = lanes / VW * VW;
 
     std::ostringstream out;
     out << "/* Generated by the fleet rtl jit emitter (rtl/jit.cc), "
            "version "
         << kEmitterVersion << ".\n"
-        << " * Semantics mirror rtl::evalTapeOps / BatchSimulator::step\n"
-        << " * bit for bit; lanes = " << lanes << ", elem = " << EB
-        << " bits. Do not edit. */\n"
+        << " * Semantics mirror the batched sweep and BatchSimulator::step\n"
+        << " * (rtl/batch_sim.cc) bit for bit; lanes = " << lanes
+        << ", elem = " << EB << " bits. Do not edit. */\n"
         << "#include <stdint.h>\n"
+        << "enum { kLanes = " << lanes << " };\n"
         << "typedef uint" << EB << "_t elem_t;\n"
         << "typedef int" << EB << "_t selem_t;\n"
         << "typedef elem_t vec __attribute__((vector_size(" << VB
@@ -310,14 +287,30 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
         << "extern \"C\" int fleet_jit_abi = " << kJitAbi << ";\n\n";
 
     // ----- Combinational evaluation, chunked into fused lane loops.
-    // Each chunk body is emitted twice: a vector loop advancing VW
-    // lanes per iteration and a scalar remainder loop with identical
-    // semantics (also the single-lane path). Everything is branchless
-    // in both: selects go through all-ones/all-zeros masks, variable
-    // shifts wrap the count and mask the result, UnNot is the
-    // xor-with-mask form — ternaries/branches around stores would
-    // reintroduce the scalarizing patterns described above, and on
-    // narrow values `~x & 1` becomes _Bool arithmetic.
+    // Each chunk body is emitted up to twice: a vector loop advancing
+    // VW lanes per iteration and a scalar remainder loop with identical
+    // semantics (for_lanes). Everything is branchless in both: selects
+    // go through all-ones/all-zeros masks, variable shifts wrap the
+    // count and mask the result, UnNot is the xor-with-mask form —
+    // ternaries/branches around stores would reintroduce the
+    // scalarizing patterns described above, and on narrow values
+    // `~x & 1` becomes _Bool arithmetic.
+    /** Run `body` over every lane: VW lanes per vector iteration, then
+     * a scalar loop for the lanes left over. */
+    auto for_lanes = [&](const auto &body) {
+        if (vec_end > 0) {
+            out << "    for (int l = 0; l < " << vec_end << "; l += " << VW
+                << ") {\n";
+            body(true);
+            out << "    }\n";
+        }
+        if (vec_end < lanes) {
+            out << "    for (int l = " << vec_end
+                << "; l < kLanes; ++l) {\n";
+            body(false);
+            out << "    }\n";
+        }
+    };
     const size_t num_ops = t.ops.size();
     const int num_chunks =
         int((num_ops + size_t(kChunkOps) - 1) / size_t(kChunkOps));
@@ -344,7 +337,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                 return "(" + x + ")";
             return "((vec){0} + " + x + ")";
         };
-        /** Comparison expression -> the 0/1 value evalTapeOps stores.
+        /** Comparison expression -> the 0/1 value the sweep stores.
          * In vector mode a GNU vector ternary: one compare-into-mask
          * plus one masked move, cheaper than materializing the 0/-1
          * mask and anding with 1. */
@@ -360,7 +353,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
             return "((elem_t)0 - (elem_t)" + c + ")";
         };
         /** Sign-extend an EB-bit operand holding a `sh`-bits-narrower
-         * value, as in evalTapeOps(). */
+         * value, as in the batched sweep. */
         auto sxm = [&](const std::string &x, int sh) {
             const char *ST = V ? "svec" : "selem_t";
             if (sh <= 0)
@@ -374,23 +367,32 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
             const std::string A = opr(op.a);
             const std::string B = opr(op.b);
             std::string rhs;
-            switch (baseOpcode(op.op)) {
+            // A uniform (U) variant emits as its base opcode: every
+            // constant-slot operand is inlined as a literal anyway, so
+            // the batched sweep's load-hoisting hint is moot here.
+            switch (op.op) {
               case TapeOpcode::BinAdd:
+              case TapeOpcode::BinAddU:
                 rhs = masked(A + " + " + B, op.imm);
                 break;
               case TapeOpcode::BinSub:
+              case TapeOpcode::BinSubU:
                 rhs = masked(vb(A) + " - " + B, op.imm);
                 break;
               case TapeOpcode::BinMul:
+              case TapeOpcode::BinMulU:
                 rhs = masked(A + " * " + B, op.imm);
                 break;
               case TapeOpcode::BinAnd:
+              case TapeOpcode::BinAndU:
                 rhs = "(" + A + " & " + B + ")";
                 break;
               case TapeOpcode::BinOr:
+              case TapeOpcode::BinOrU:
                 rhs = "(" + A + " | " + B + ")";
                 break;
               case TapeOpcode::BinXor:
+              case TapeOpcode::BinXorU:
                 rhs = "(" + A + " ^ " + B + ")";
                 break;
               case TapeOpcode::BinShlC:
@@ -429,21 +431,27 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                       ")";
                 break;
               case TapeOpcode::BinEq:
+              case TapeOpcode::BinEqU:
                 rhs = cmp01("(" + vb(A) + " == " + B + ")");
                 break;
               case TapeOpcode::BinNe:
+              case TapeOpcode::BinNeU:
                 rhs = cmp01("(" + vb(A) + " != " + B + ")");
                 break;
               case TapeOpcode::BinUlt:
+              case TapeOpcode::BinUltU:
                 rhs = cmp01("(" + vb(A) + " < " + B + ")");
                 break;
               case TapeOpcode::BinUle:
+              case TapeOpcode::BinUleU:
                 rhs = cmp01("(" + vb(A) + " <= " + B + ")");
                 break;
               case TapeOpcode::BinUgt:
+              case TapeOpcode::BinUgtU:
                 rhs = cmp01("(" + vb(A) + " > " + B + ")");
                 break;
               case TapeOpcode::BinUge:
+              case TapeOpcode::BinUgeU:
                 rhs = cmp01("(" + vb(A) + " >= " + B + ")");
                 break;
               case TapeOpcode::BinSlt:
@@ -455,11 +463,10 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                 if (sa < 0 || sb < 0)
                     panic("rtl: jit: signed-compare operand wider than "
                           "the lane element");
-                const TapeOpcode b = baseOpcode(op.op);
-                const char *cmp = b == TapeOpcode::BinSlt   ? "<"
-                                  : b == TapeOpcode::BinSle ? "<="
-                                  : b == TapeOpcode::BinSgt ? ">"
-                                                            : ">=";
+                const char *cmp = op.op == TapeOpcode::BinSlt   ? "<"
+                                  : op.op == TapeOpcode::BinSle ? "<="
+                                  : op.op == TapeOpcode::BinSgt ? ">"
+                                                                : ">=";
                 rhs = cmp01("(" + sxm(A, sa) + " " + cmp + " " +
                             sxm(B, sb) + ")");
                 break;
@@ -485,7 +492,10 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                 rhs = V ? masked("(vec){0} - " + vb(A), op.imm)
                         : masked("(elem_t)0 - " + A, op.imm);
                 break;
-              case TapeOpcode::Mux: {
+              case TapeOpcode::Mux:
+              case TapeOpcode::MuxAU:
+              case TapeOpcode::MuxBU:
+              case TapeOpcode::MuxU2: {
                 if (V) {
                     // Vector ternary: compare-into-mask + one blend.
                     rhs = "((" + vb(opr(op.c)) + " != (elem_t)0) ? " +
@@ -511,8 +521,6 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                           : "((" + vb(A) + " << " + std::to_string(op.sa) +
                                 ") | " + B + ")";
                 break;
-              default:
-                panic("rtl: jit: unhandled opcode in emitter");
             }
             // Keep the value in a local for in-chunk consumers; store
             // it back to the slot row only when some later reader can
@@ -530,24 +538,18 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
         const size_t lo = size_t(ch) * kChunkOps;
         const size_t hi = std::min(num_ops, lo + kChunkOps);
         out << "static void chunk" << ch
-            << "(elem_t *__restrict__ s, int lane_lo, int lane_hi)\n{\n"
-            << "    int l = lane_lo;\n"
-            << "    for (; l + " << VW << " <= lane_hi; l += " << VW
-            << ") {\n";
-        emit_ops(ch, lo, hi, true);
-        out << "    }\n"
-            << "    for (; l < lane_hi; ++l) {\n";
-        emit_ops(ch, lo, hi, false);
-        out << "    }\n}\n\n";
+            << "(elem_t *__restrict__ s)\n{\n";
+        for_lanes([&](bool V) { emit_ops(ch, lo, hi, V); });
+        out << "}\n\n";
     }
 
-    out << "extern \"C\" void fleet_jit_eval(void *vs, int lane_lo, int lane_hi)\n{\n";
+    out << "extern \"C\" void fleet_jit_eval(void *vs)\n{\n";
     if (num_chunks > 0) {
         out << "    elem_t *__restrict__ s = (elem_t *)vs;\n";
         for (int ch = 0; ch < num_chunks; ++ch)
-            out << "    chunk" << ch << "(s, lane_lo, lane_hi);\n";
+            out << "    chunk" << ch << "(s);\n";
     } else {
-        out << "    (void)vs;\n    (void)lane_lo;\n    (void)lane_hi;\n";
+        out << "    (void)vs;\n";
     }
     out << "}\n\n";
 
@@ -569,12 +571,11 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     // is detected at emit time and drops this step back to the fully
     // fused scalar loop, which handles it by ordering within the lane
     // body.
-    out << "extern \"C\" void fleet_jit_step(void *vs, void *vr, void *const *vm,\n"
-           "                    int lane_lo, int lane_hi)\n{\n";
+    out << "extern \"C\" void fleet_jit_step(void *vs, void *vr, "
+           "void *const *vm)\n{\n";
     const bool step_active = !t.regs.empty() || !t.brams.empty();
     if (!step_active) {
-        out << "    (void)vs;\n    (void)vr;\n    (void)vm;\n"
-               "    (void)lane_lo;\n    (void)lane_hi;\n}\n";
+        out << "    (void)vs;\n    (void)vr;\n    (void)vm;\n}\n";
         return out.str();
     }
     out << "    elem_t *__restrict__ s = (elem_t *)vs;\n";
@@ -617,7 +618,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
     if (!publish_early_ok) {
         // Fused scalar fallback: a register reads a BRAM output
         // directly, so every phase must interleave per lane.
-        out << "    for (int l = lane_lo; l < lane_hi; ++l) {\n";
+        out << "    for (int l = 0; l < kLanes; ++l) {\n";
         for (size_t i = 0; i < t.brams.size(); ++i)
             emit_bram_body(i);
         for (size_t i = 0; i < t.regs.size(); ++i) {
@@ -646,7 +647,7 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
         // published at the end of the lane body, after every BRAM port
         // slot of that lane has been read (ports of later BRAMs may be
         // another BRAM's output).
-        out << "    for (int l = lane_lo; l < lane_hi; ++l) {\n";
+        out << "    for (int l = 0; l < kLanes; ++l) {\n";
         for (size_t i = 0; i < t.brams.size(); ++i)
             emit_bram_body(i);
         for (size_t i = 0; i < t.brams.size(); ++i)
@@ -722,21 +723,11 @@ JitProgram::emitSource(const TapeProgram &t, int lanes)
                     << row("s", t.regs[i].out, V, true) << " = "
                     << row("r", int64_t(i), V, false) << ";\n";
         };
-        out << "    int l = lane_lo;\n"
-            << "    for (; l + " << VW << " <= lane_hi; l += " << VW
-            << ") {\n";
-        chained ? emit_commits(true) : emit_fused(true);
-        out << "    }\n    for (; l < lane_hi; ++l) {\n";
-        chained ? emit_commits(false) : emit_fused(false);
-        out << "    }\n";
         if (chained) {
-            out << "    l = lane_lo;\n"
-                << "    for (; l + " << VW << " <= lane_hi; l += " << VW
-                << ") {\n";
-            emit_publishes(true);
-            out << "    }\n    for (; l < lane_hi; ++l) {\n";
-            emit_publishes(false);
-            out << "    }\n";
+            for_lanes(emit_commits);
+            for_lanes(emit_publishes);
+        } else {
+            for_lanes(emit_fused);
         }
     }
     out << "}\n";

@@ -11,8 +11,12 @@
  * toolchain, dlopen() the shared object, and evaluate the PU population
  * by calling the two generated entry points:
  *
- *     fleet_jit_eval(slots, lane_lo, lane_hi)   // comb evaluation
- *     fleet_jit_step(slots, regs, brams, lo, hi) // clock edge
+ *     fleet_jit_eval(slots)               // comb evaluation
+ *     fleet_jit_step(slots, regs, brams)  // clock edge
+ *
+ * Both run every lane of the batch: the kernel is compiled for an
+ * exact lane count, as BatchSimulator always evaluates and clocks all
+ * of its lanes.
  *
  * Why this wins over the interpreter: the SoA sweep is memory-bound and
  * dispatch-bound — every op re-loads its operands from the slot array
@@ -22,12 +26,13 @@
  * host compiler vectorizes with the lane count known statically, and
  * there is no dispatch at all.
  *
- * Determinism contract: the emitted expressions replicate
- * evalTapeOps()'s masking, shift guards, sign-extension rebasing and
- * read-first BRAM step ordering exactly, per lane, so a JIT-backed
- * batch is bit-identical to BatchSimulator's interpreter on every
- * exactly-observed value: output-port nodes, registers (regValue),
- * BRAM words (bramWord), and therefore RunReports and traces —
+ * Determinism contract: the emitted expressions replicate the batched
+ * sweep's masking, shift guards and sign-extension rebasing
+ * (rtl/batch_sim.cc) and BatchSimulator::step()'s read-first BRAM
+ * ordering exactly, per lane, so a JIT-backed batch is bit-identical
+ * to BatchSimulator's interpreter on every exactly-observed value:
+ * output-port nodes, registers (regValue), BRAM words (bramWord), and
+ * therefore RunReports and traces —
  * enforced by tests/rtl_jit_test.cc and the random-program property
  * suite. Interior (non-output) node values are not materialized unless
  * the clock edge or a later chunk reads them — value() on such a node
@@ -117,25 +122,21 @@ class JitProgram
     const std::string &artifactPath() const { return artifactPath_; }
 
     /**
-     * Evaluate combinational logic for lanes [lane_lo, lane_hi).
-     * `slots` is BatchSimulator's SoA slot array (uint32_t* or
-     * uint64_t* per elementBits()).
+     * Evaluate every lane's combinational logic. `slots` is
+     * BatchSimulator's SoA slot array (uint32_t* or uint64_t* per
+     * elementBits()).
      */
-    void eval(void *slots, int lane_lo, int lane_hi) const
-    {
-        eval_(slots, lane_lo, lane_hi);
-    }
+    void eval(void *slots) const { eval_(slots); }
 
     /**
-     * Clock edge for lanes [lane_lo, lane_hi): BRAM read-first latches
-     * + writes, register commits, then publish — the exact
+     * Clock edge for every lane: BRAM read-first latches + writes,
+     * register commits, then publish — the exact
      * BatchSimulator::step() ordering. `bram_mems[i]` is BRAM i's SoA
      * array ([addr * lanes + lane]).
      */
-    void step(void *slots, void *regs, void *const *bram_mems,
-              int lane_lo, int lane_hi) const
+    void step(void *slots, void *regs, void *const *bram_mems) const
     {
-        step_(slots, regs, bram_mems, lane_lo, lane_hi);
+        step_(slots, regs, bram_mems);
     }
 
     /** Cache key: tape contentHash() mixed with lanes, element width
@@ -152,8 +153,8 @@ class JitProgram
   private:
     JitProgram() = default;
 
-    using EvalFn = void (*)(void *, int, int);
-    using StepFn = void (*)(void *, void *, void *const *, int, int);
+    using EvalFn = void (*)(void *);
+    using StepFn = void (*)(void *, void *, void *const *);
 
     void *handle_ = nullptr;
     EvalFn eval_ = nullptr;

@@ -23,11 +23,12 @@
  * or many circuit replicas in structure-of-arrays layout, with the
  * rtl::Simulator cycle contract (setInput -> eval -> observe -> step)
  * and bit-identical to it on every observable: output ports, register
- * values, BRAM words.
+ * values, BRAM words. A tape has exactly two evaluators, and both run
+ * every lane of a batch: BatchSimulator's SoA sweep, which defines
+ * what an op means, and the native kernel rtl/jit.h emits from it.
  */
 
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "rtl/circuit.h"
@@ -64,13 +65,13 @@ enum class TapeOpcode : uint8_t
      * Lane-uniform variants: identical semantics to the base opcode,
      * but the tape compiler has proven the flagged operand is a
      * constant slot, i.e. it holds the same value in every lane of a
-     * BatchSimulator. The single-lane evaluator (evalTapeOps) treats
-     * them exactly like the base opcode; the SoA sweep hoists the
-     * operand load out of the per-lane loop (one scalar read +
-     * broadcast instead of a full lane-stride stream), which matters
-     * because the SoA sweep is memory-bound. Commutative ops are
-     * canonicalized so the uniform operand is B; const-vs-const ops
-     * never reach the tape (folded at circuit construction).
+     * BatchSimulator. The SoA sweep hoists the operand load out of
+     * the per-lane loop (one scalar read + broadcast instead of a full
+     * lane-stride stream), which matters because the sweep is
+     * memory-bound; the jit emitter (rtl/jit.h) emits them as the base
+     * opcode, since its kernels inline constants anyway. Commutative
+     * ops are canonicalized so the uniform operand is B; const-vs-const
+     * ops never reach the tape (folded at circuit construction).
      */
     BinAddU, BinSubU, BinMulU,          ///< B uniform.
     BinAndU, BinOrU, BinXorU,           ///< B uniform.
@@ -184,113 +185,6 @@ struct TapeProgram
     /** Slot of a source-circuit node; panics if the node was eliminated. */
     int32_t slotOf(NodeId source_node) const;
 };
-
-/**
- * Evaluate a tape over a strided slot array: slot s of lane `offset`
- * lives at slots[s * stride + offset]. BatchSimulator's single-lane
- * path runs it with stride = lanes and T per TapeProgram::fits32.
- *
- * The element type T only has to be wide enough for every node of the
- * circuit: all semantics below are width-masked, so narrowing the
- * representation never changes a value. EB-relative guards replace the
- * 64-bit-specific ones (shl64/shr64, sign-extension shifts stored as
- * 64 - width are rebased onto EB).
- */
-template <typename T>
-inline void
-evalTapeOps(const std::vector<TapeOp> &ops, T *slots, size_t stride,
-            size_t offset)
-{
-    constexpr int EB = int(sizeof(T)) * 8; ///< Element bits.
-    auto at = [&](int32_t s) -> T & {
-        return slots[size_t(s) * stride + offset];
-    };
-    for (const TapeOp &op : ops) {
-        const T a = at(op.a);
-        const T b = at(op.b);
-        T v = 0;
-        const T imm = T(op.imm);
-        // The U variants are batch-layout hints only; scalar evaluation
-        // is the base semantics. Sign-extension shift amounts are
-        // stored as 64 - width and rebased onto EB here (EB - width).
-        using S = std::make_signed_t<T>;
-        const int rebase = 64 - EB;
-        switch (op.op) {
-          case TapeOpcode::BinAdd:
-          case TapeOpcode::BinAddU: v = (a + b) & imm; break;
-          case TapeOpcode::BinSub:
-          case TapeOpcode::BinSubU: v = (a - b) & imm; break;
-          case TapeOpcode::BinMul:
-          case TapeOpcode::BinMulU: v = (a * b) & imm; break;
-          case TapeOpcode::BinAnd:
-          case TapeOpcode::BinAndU: v = a & b; break;
-          case TapeOpcode::BinOr:
-          case TapeOpcode::BinOrU:  v = a | b; break;
-          case TapeOpcode::BinXor:
-          case TapeOpcode::BinXorU: v = a ^ b; break;
-          case TapeOpcode::BinShlC:
-            v = op.sa >= EB ? T(0) : T((a << op.sa) & imm);
-            break;
-          case TapeOpcode::BinShrC:
-            v = op.sa >= EB ? T(0) : T(a >> op.sa);
-            break;
-          case TapeOpcode::BinShl:
-            // op.sa (node width) may exceed EB under demanded-width
-            // narrowing; the low EB bits are 0 for any shift >= EB.
-            v = b >= T(op.sa) || b >= T(EB) ? T(0) : T((a << b) & imm);
-            break;
-          case TapeOpcode::BinShr:
-            v = b >= T(EB) ? T(0) : T(a >> b);
-            break;
-          case TapeOpcode::BinEq:
-          case TapeOpcode::BinEqU:  v = a == b; break;
-          case TapeOpcode::BinNe:
-          case TapeOpcode::BinNeU:  v = a != b; break;
-          case TapeOpcode::BinUlt:
-          case TapeOpcode::BinUltU: v = a < b; break;
-          case TapeOpcode::BinUle:
-          case TapeOpcode::BinUleU: v = a <= b; break;
-          case TapeOpcode::BinUgt:
-          case TapeOpcode::BinUgtU: v = a > b; break;
-          case TapeOpcode::BinUge:
-          case TapeOpcode::BinUgeU: v = a >= b; break;
-          case TapeOpcode::BinSlt: {
-            const int sa = op.sa - rebase, sb = op.sb - rebase;
-            v = (S(T(a << sa)) >> sa) < (S(T(b << sb)) >> sb);
-            break;
-          }
-          case TapeOpcode::BinSle: {
-            const int sa = op.sa - rebase, sb = op.sb - rebase;
-            v = (S(T(a << sa)) >> sa) <= (S(T(b << sb)) >> sb);
-            break;
-          }
-          case TapeOpcode::BinSgt: {
-            const int sa = op.sa - rebase, sb = op.sb - rebase;
-            v = (S(T(a << sa)) >> sa) > (S(T(b << sb)) >> sb);
-            break;
-          }
-          case TapeOpcode::BinSge: {
-            const int sa = op.sa - rebase, sb = op.sb - rebase;
-            v = (S(T(a << sa)) >> sa) >= (S(T(b << sb)) >> sb);
-            break;
-          }
-          case TapeOpcode::BinLAnd: v = (a != 0) & (b != 0); break;
-          case TapeOpcode::BinLOr:  v = (a != 0) | (b != 0); break;
-          case TapeOpcode::UnNot:  v = ~a & imm; break;
-          case TapeOpcode::UnLNot: v = a == 0; break;
-          case TapeOpcode::UnNeg:  v = (T(0) - a) & imm; break;
-          case TapeOpcode::Mux:
-          case TapeOpcode::MuxAU:
-          case TapeOpcode::MuxBU:
-          case TapeOpcode::MuxU2:  v = at(op.c) != 0 ? a : b; break;
-          case TapeOpcode::Slice:  v = (a >> op.sa) & imm; break;
-          case TapeOpcode::Concat:
-            v = op.sa >= EB ? b : T((a << op.sa) | b);
-            break;
-        }
-        at(op.dst) = v;
-    }
-}
 
 } // namespace rtl
 } // namespace fleet

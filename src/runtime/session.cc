@@ -156,6 +156,9 @@ Session::submitJob(BitBuffer stream, const JobTag &tag,
 Session::SlotStateView
 Session::slotState(int pu) const
 {
+    if (pu < 0 || size_t(pu) >= slots_.size())
+        throw StatusError(Status::make(StatusCode::InvalidArgument,
+                                       "slotState: no such slot"));
     const Slot &slot = slots_[pu];
     SlotStateView view;
     view.busy = slot.job.has_value();

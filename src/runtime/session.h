@@ -225,12 +225,6 @@ struct JobReport
      */
     uint64_t hostSubmitNs = 0;
     uint64_t hostDoneNs = 0;
-    double hostLatencySeconds() const
-    {
-        return hostDoneNs > hostSubmitNs
-                   ? (hostDoneNs - hostSubmitNs) * 1e-9
-                   : 0.0;
-    }
 
     /** The job's flushed output (partial for contained/stranded jobs —
      * empty when the channel halted before the slot drained). */
@@ -395,11 +389,6 @@ class Session
     cluster::Cluster &cluster() { return cluster_; }
     const cluster::Cluster &cluster() const { return cluster_; }
     int numDevices() const { return cluster_.numDevices(); }
-    /** One device's containment/throughput counters. */
-    system::SystemStats deviceStats(int device) const
-    {
-        return cluster_.deviceSystem(device).stats();
-    }
     /** Halt a *global* channel mid-session (fault-drill hook; the
      * serving layer's injectChannelHalt routes through this). */
     void forceHaltChannel(int global_channel, Status status)
@@ -427,6 +416,7 @@ class Session
         int device = 0; ///< Cluster device hosting the slot.
         uint64_t jobId = 0; ///< Valid while busy.
     };
+    /** Throws StatusError(InvalidArgument) for a slot out of range. */
     SlotStateView slotState(int pu) const;
 
     /** Per-tenant queue-wait/service breakdown, keyed by tenant id

@@ -119,10 +119,6 @@ struct ChannelStats
     {
         return cycles ? double(readQueueOccupancySum) / cycles : 0.0;
     }
-    double avgWriteQueueDepth() const
-    {
-        return cycles ? double(writeQueueOccupancySum) / cycles : 0.0;
-    }
     /** Fraction of cycles the DRAM data bus moved a beat. */
     double busUtilization() const
     {
@@ -328,9 +324,6 @@ class alignas(kCacheLineBytes) ChannelShard
 
     /** Utilization counters (valid after finishRun()). */
     const ChannelStats &stats() const { return stats_; }
-
-    /** True if this shard carries a trace collector. */
-    bool traceEnabled() const { return trace_ != nullptr; }
 
     /**
      * Freeze and take the channel's trace — spans closed at the final

@@ -51,12 +51,16 @@ struct SystemStats
     std::vector<ChannelStats> channels;
 
     double seconds() const { return cycles / (clockMHz * 1e6); }
-    /** Input-side processing throughput (the paper's headline metric). */
+    /** Input-side processing throughput (the paper's headline metric);
+     * 0 before any cycle has run, as bytesPerCycle(). */
     double inputGBps() const
     {
-        return inputBytes / seconds() / 1e9;
+        return cycles ? inputBytes / seconds() / 1e9 : 0.0;
     }
-    double outputGBps() const { return outputBytes / seconds() / 1e9; }
+    double outputGBps() const
+    {
+        return cycles ? outputBytes / seconds() / 1e9 : 0.0;
+    }
     double bytesPerCycle() const
     {
         return cycles ? double(inputBytes) / double(cycles) : 0.0;

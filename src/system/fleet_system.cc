@@ -559,9 +559,26 @@ FleetSystem::readOutput(int pu, uint64_t bits) const
     return out;
 }
 
+void
+FleetSystem::checkPu(int pu, const char *what) const
+{
+    if (pu < 0 || pu >= numPus())
+        throw StatusError(Status::make(
+            StatusCode::InvalidArgument,
+            std::string(what) + ": no such PU " + std::to_string(pu)));
+}
+
+const PuStats &
+FleetSystem::puStats(int pu) const
+{
+    checkPu(pu, "puStats");
+    return shards_[puShard_[pu]]->puStats(puLocal_[pu]);
+}
+
 BitBuffer
 FleetSystem::output(int pu) const
 {
+    checkPu(pu, "output");
     if (!ran_)
         throw StatusError(Status::make(
             StatusCode::InvalidState,

@@ -205,8 +205,8 @@ class FleetSystem
      * Output stream of one processing unit (valid after run()). For a
      * contained unit this is the partial output flushed before the
      * failure; for a unit on a truncated stream, the full output over
-     * the truncated prefix. Throws StatusError(InvalidState) before a
-     * run.
+     * the truncated prefix. Throws StatusError(InvalidArgument) for a
+     * PU index out of range and StatusError(InvalidState) before a run.
      */
     BitBuffer output(int pu) const;
 
@@ -301,11 +301,9 @@ class FleetSystem
      * the run settles (run() / finishSession()); bytes are 0 before. */
     SystemStats stats() const;
 
-    /** Per-PU stall breakdown (valid after run()). */
-    const PuStats &puStats(int pu) const
-    {
-        return shards_[puShard_[pu]]->puStats(puLocal_[pu]);
-    }
+    /** Per-PU stall breakdown (valid after run()). Throws
+     * StatusError(InvalidArgument) for a PU index out of range. */
+    const PuStats &puStats(int pu) const;
 
     int numPus() const { return static_cast<int>(puShard_.size()); }
     int numShards() const { return static_cast<int>(shards_.size()); }
@@ -373,6 +371,8 @@ class FleetSystem
     void settle(const char *what);
     /** Read `bits` payload bits from `pu`'s output region. */
     BitBuffer readOutput(int pu, uint64_t bits) const;
+    /** Throw StatusError(InvalidArgument) unless `pu` names a unit. */
+    void checkPu(int pu, const char *what) const;
 
     /** The hosted programs; one-shot and legacy session constructors
      * store exactly one. Token widths are validated equal across the

@@ -4,12 +4,7 @@ namespace fleet {
 namespace system {
 
 RtlTapeEngine::RtlTapeEngine(const lang::Program &program)
-    : RtlTapeEngine(compile::compileProgram(program))
-{
-}
-
-RtlTapeEngine::RtlTapeEngine(compile::CompiledUnit unit)
-    : unit_(std::move(unit)),
+    : unit_(compile::compileProgram(program)),
       tape_(std::make_shared<const rtl::TapeProgram>(
           rtl::TapeProgram::compile(unit_.circuit)))
 {
@@ -50,12 +45,6 @@ RtlBatch::evalAll()
     sim_.evalAll();
 }
 
-void
-RtlBatch::evalLane(int lane)
-{
-    sim_.evalLane(lane);
-}
-
 PuOutputs
 RtlBatch::laneOutputs(int lane) const
 {
@@ -71,12 +60,6 @@ void
 RtlBatch::step()
 {
     sim_.step();
-}
-
-void
-RtlBatch::stepLane(int lane)
-{
-    sim_.stepLane(lane);
 }
 
 void
@@ -100,14 +83,14 @@ PuOutputs
 RtlBatchLane::eval(const PuInputs &inputs)
 {
     batch_->setLaneInputs(lane_, inputs);
-    batch_->evalLane(lane_);
+    batch_->evalAll();
     return batch_->laneOutputs(lane_);
 }
 
 void
 RtlBatchLane::step()
 {
-    batch_->stepLane(lane_);
+    batch_->step();
 }
 
 void

@@ -12,8 +12,9 @@
  *  - RtlBatch + RtlBatchLane: all PUs of a channel evaluated as lanes
  *    of one structure-of-arrays BatchSimulator. ChannelShard drives the
  *    whole group per cycle (setLaneInputs* -> evalAll -> laneOutputs*
- *    -> step); a lane still works standalone as a ProcessingUnit
- *    (single-PU testbenches), evaluating and stepping only itself.
+ *    -> step). A lane also works standalone as a ProcessingUnit
+ *    (single-PU testbenches) through the same two group calls, so a
+ *    standalone lane clocks its whole batch.
  */
 
 #include <memory>
@@ -31,7 +32,6 @@ class RtlTapeEngine
 {
   public:
     explicit RtlTapeEngine(const lang::Program &program);
-    explicit RtlTapeEngine(compile::CompiledUnit unit);
 
     const compile::CompiledUnit &unit() const { return unit_; }
     const std::shared_ptr<const rtl::TapeProgram> &tape() const
@@ -70,8 +70,6 @@ class RtlBatch
     void setLaneInputs(int lane, const PuInputs &in);
     /** Evaluate every lane (vectorized group path). */
     void evalAll();
-    /** Evaluate one lane only (standalone-lane path). */
-    void evalLane(int lane);
     PuOutputs laneOutputs(int lane) const;
     /// @name One output port of one lane, as of the last evaluation
     /// (what the channel loop's lane masks gather each cycle).
@@ -95,7 +93,6 @@ class RtlBatch
     /// @}
     /** Clock edge for every lane. */
     void step();
-    void stepLane(int lane);
     void resetLane(int lane);
 
   private:
@@ -111,8 +108,11 @@ class RtlBatch
 /**
  * ProcessingUnit view of one batch lane. When its ChannelShard has the
  * batch attached, eval()/step() are bypassed in favour of the group
- * calls; standalone (e.g. under the single-PU testbench) the lane
- * evaluates and steps only itself and is bit-identical to an RtlPu.
+ * calls. Standalone (e.g. under the single-PU testbench) eval() sets
+ * this lane's inputs and evaluates the whole batch, and step() clocks
+ * the whole batch. Lanes never read each other, so the viewed lane is
+ * bit-identical to an RtlPu; but every other lane of the batch moves
+ * too, so drive one lane of a batch at a time.
  */
 class RtlBatchLane : public ProcessingUnit
 {

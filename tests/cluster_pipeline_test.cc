@@ -266,6 +266,25 @@ TEST(Pipeline, ConservationLawHoldsOnEveryEdge)
               link.counters().messagesDelivered);
 }
 
+TEST(Pipeline, EdgeConservationRejectsAnEdgeOutOfRange)
+{
+    PipelineConfig config;
+    config.system.numChannels = 1;
+    std::vector<StageSpec> stages;
+    stages.push_back({testprogs::identity(), 0, 1});
+    stages.push_back({testprogs::identity(), 1, 1});
+    Pipeline pipeline(stages, config);
+    EXPECT_EQ(pipeline.edgeConservation(0).stageOutBits, 0u);
+    for (int edge : {-1, 1}) {
+        try {
+            pipeline.edgeConservation(edge);
+            ADD_FAILURE() << "edge " << edge << ": no StatusError";
+        } catch (const StatusError &error) {
+            EXPECT_EQ(error.status().code, StatusCode::InvalidArgument);
+        }
+    }
+}
+
 TEST(Pipeline, SlowLinkBackpressuresTheUpstreamStage)
 {
     // The same job mix through a wide and a narrow link: the narrow

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "lang/builder.h"
+#include "rtl/jit.h"
 #include "sim/simulator.h"
 #include "system/pu_fast.h"
 #include "system/pu_rtl.h"
@@ -45,7 +47,11 @@ randomStream(int token_width, int tokens, uint64_t seed)
  * interpreter, and the batched SoA evaluator at one lane and at an
  * interior lane of three), and the fast replay model must produce
  * identical outputs, and every cycle model must agree on the exact
- * cycle count, under every stall profile.
+ * cycle count, under every stall profile. When a jit toolchain is
+ * present, two standalone lanes of one jit-attached five-lane batch
+ * join them, run one after the other: each clocks the whole batch
+ * through the native kernel, lane 1 in its vector loop and lane 4 in
+ * its scalar tail (for 32-bit lanes).
  */
 void
 crossCheck(const Program &program, const BitBuffer &input)
@@ -62,6 +68,15 @@ crossCheck(const Program &program, const BitBuffer &input)
     // (values[node][pu]) is actually tested, not just lane 0.
     auto batch = std::make_shared<RtlBatch>(engine, 3);
     RtlBatchLane batch_pu(batch, 1);
+    std::vector<RtlBatchLane> jit_pus;
+    rtl::JitOptions jit_options;
+    jit_options.lanes = 5;
+    if (auto jit = rtl::JitProgram::compile(*engine->tape(), jit_options)) {
+        auto jit_batch = std::make_shared<RtlBatch>(engine, 5);
+        jit_batch->attachJit(std::move(jit));
+        jit_pus.emplace_back(jit_batch, 1);
+        jit_pus.emplace_back(jit_batch, 4);
+    }
 
     const TestbenchOptions profiles[] = {
         {1.0, 1.0, 1, 1ULL << 28},   // no stalls
@@ -99,6 +114,18 @@ crossCheck(const Program &program, const BitBuffer &input)
         ASSERT_EQ(rtl_result.outputTokens, single_result.outputTokens);
         ASSERT_EQ(rtl_result.inputTokens, batch_result.inputTokens);
         ASSERT_EQ(rtl_result.outputTokens, batch_result.outputTokens);
+        for (RtlBatchLane &jit_pu : jit_pus) {
+            TestbenchResult jit_result = runPu(jit_pu, input, profile);
+            ASSERT_TRUE(jit_result.output == golden.output)
+                << program.name << ": jit lane " << jit_pu.lane()
+                << " output mismatch (validProb="
+                << profile.inputValidProb << ")";
+            ASSERT_EQ(rtl_result.cycles, jit_result.cycles)
+                << program.name << ": cycle-count mismatch between "
+                << "interpreter and jit lane " << jit_pu.lane();
+            ASSERT_EQ(rtl_result.inputTokens, jit_result.inputTokens);
+            ASSERT_EQ(rtl_result.outputTokens, jit_result.outputTokens);
+        }
     }
 }
 

@@ -160,8 +160,8 @@ randomCircuit(uint64_t seed)
 
 /**
  * A one-lane BatchSimulator behind the scalar Simulator interface, so
- * lockstep() can drive the tape through the standalone-lane path
- * (evalLane/stepLane) that single-PU testbenches use.
+ * lockstep() drives the tape through the batched sweep production runs
+ * (evalAll/step), the path single-PU testbenches use too.
  */
 class OneLaneBatch
 {
@@ -173,9 +173,9 @@ class OneLaneBatch
 
     void reset() { sim_.reset(); }
     void setInput(int port, uint64_t v) { sim_.setInput(0, port, v); }
-    void evalComb() { sim_.evalLane(0); }
+    void evalComb() { sim_.evalAll(); }
     uint64_t value(NodeId node) const { return sim_.value(0, node); }
-    void step() { sim_.stepLane(0); }
+    void step() { sim_.step(); }
     uint64_t regValue(int reg) const { return sim_.regValue(0, reg); }
     uint64_t bramWord(int bram, int addr) const
     {

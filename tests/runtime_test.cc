@@ -425,6 +425,21 @@ TEST(RuntimeSession, ProtocolMisuse)
     EXPECT_THROW(session.step(), StatusError);
 }
 
+TEST(RuntimeSession, SlotStateRejectsASlotOutOfRange)
+{
+    Session session(testprogs::identity(),
+                    smallConfig(system::PuBackend::Fast, 1));
+    EXPECT_FALSE(session.slotState(7).busy);
+    for (int pu : {-1, 8}) {
+        try {
+            session.slotState(pu);
+            ADD_FAILURE() << "slotState(" << pu << "): no StatusError";
+        } catch (const StatusError &error) {
+            EXPECT_EQ(error.status().code, StatusCode::InvalidArgument);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Failure containment: a halted channel strands only its own jobs.
 // ---------------------------------------------------------------------------

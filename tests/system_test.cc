@@ -223,6 +223,55 @@ TEST(FleetSystem, ThroughputScalesWithPus)
     EXPECT_GT(sixteen, 1.9 * four);
 }
 
+/** `call` must throw StatusError(InvalidArgument). */
+template <typename F>
+void
+expectInvalidArgument(F &&call, const char *what)
+{
+    try {
+        call();
+        ADD_FAILURE() << what << ": no StatusError";
+    } catch (const StatusError &error) {
+        EXPECT_EQ(error.status().code, StatusCode::InvalidArgument)
+            << what;
+    }
+}
+
+TEST(FleetSystem, OutputRejectsAPuOutOfRange)
+{
+    auto streams = randomStreams(3, 8, 10, 40, 30);
+    FleetSystem system(testprogs::identity(), smallConfig(), streams);
+    system.run();
+    expectInvalidArgument([&] { system.output(-1); }, "output(-1)");
+    expectInvalidArgument([&] { system.output(system.numPus()); },
+                          "output(numPus)");
+}
+
+TEST(FleetSystem, PuStatsRejectsAPuOutOfRange)
+{
+    auto streams = randomStreams(3, 8, 10, 40, 31);
+    FleetSystem system(testprogs::identity(), smallConfig(), streams);
+    system.run();
+    expectInvalidArgument([&] { system.puStats(-1); }, "puStats(-1)");
+    expectInvalidArgument([&] { system.puStats(system.numPus()); },
+                          "puStats(numPus)");
+}
+
+TEST(FleetSystem, ThroughputIsZeroBeforeAnyCycleRuns)
+{
+    EXPECT_EQ(SystemStats{}.inputGBps(), 0.0);
+    EXPECT_EQ(SystemStats{}.outputGBps(), 0.0);
+    auto streams = randomStreams(3, 8, 10, 40, 32);
+    FleetSystem system(testprogs::identity(), smallConfig(), streams);
+    SystemStats before = system.stats();
+    ASSERT_EQ(before.cycles, 0u);
+    EXPECT_EQ(before.inputGBps(), 0.0);
+    EXPECT_EQ(before.outputGBps(), 0.0);
+    system.run();
+    EXPECT_GT(system.stats().inputGBps(), 0.0);
+    EXPECT_GT(system.stats().outputGBps(), 0.0);
+}
+
 } // namespace
 } // namespace system
 } // namespace fleet
