@@ -321,10 +321,9 @@ main(int argc, char **argv)
                 seeds.size(), opts.smoke ? "(smoke)" : "");
 
     // Determinism variants replayed against the Fast/1 reference for
-    // every seed. RtlInterp is the slow reference engine; the full run
-    // covers it, smoke keeps CI latency down with the other four
-    // (rtljit silently demotes to the interpreted batch when no host
-    // compiler is available — the determinism fence holds either way).
+    // every seed (rtljit silently demotes to the interpreted batch when
+    // no host compiler is available — the determinism fence holds
+    // either way).
     struct Variant
     {
         system::PuBackend backend;
@@ -342,8 +341,6 @@ main(int argc, char **argv)
         makeVariant(system::PuBackend::Rtl, 1),
         makeVariant(system::PuBackend::RtlJit, 2),
     };
-    if (!opts.smoke)
-        variants.push_back(makeVariant(system::PuBackend::RtlInterp, 2));
 
     bool ok = true;
     std::vector<SoakResult> results;

@@ -31,7 +31,7 @@
  *                  p99 latency per link bandwidth against a previous
  *                  JSON; exact match required.
  *  --threads N     host worker threads (0 = one per hardware thread).
- *  --backend B     fast | rtl | rtlinterp | rtljit.
+ *  --backend B     fast | rtl | rtljit.
  */
 
 #include <algorithm>
@@ -389,10 +389,10 @@ main(int argc, char **argv)
         ok = false;
     }
 
-    // The 2-device point, against the slow reference engine.
+    // The 2-device point, against the batched compiled-RTL engine.
     if (opts.smoke &&
         !bench::crosscheckDeterminism(
-            opts, system::PuBackend::RtlInterp, "2-device/",
+            opts, system::PuBackend::Rtl, "2-device/",
             "per-job tuples", scale[1].signature,
             [&](const bench::CommonFlags &vopts) {
                 return runScalePoint(vopts, shape, 2, streams).signature;

@@ -38,9 +38,8 @@
  *  --trace PREFIX smoke only: also record span events and write one
  *                 Chrome trace_event JSON per app (PREFIX_<app>.json,
  *                 openable in Perfetto). Implies counter collection.
- *  --backend B    PU backend: fast (default), rtl (batched tape engine),
- *                 rtlinterp (per-node interpreter), rtljit
- *                 (native-compiled tape, ISSUE 9).
+ *  --backend B    PU backend: fast (default), rtl (batched tape engine)
+ *                 or rtljit (native-compiled tape).
  *                 All are bit-identical, so every reported number except
  *                 wall-clock must match across backends — combine with
  *                 --baseline to prove it in CI.

@@ -464,11 +464,12 @@ resultsJson(const std::vector<AppResult> &results, bool smoke)
     // the "backend" axis *is* the result rows (interp vs batch vs jit).
     bench::runMetadata(w, "micro_rtl_engines", "rtl-engines", -1);
     w.field("smoke", smoke);
-    // Canonical engine names from the shared backend registry, in row
-    // order (interp / batch / jit columns below).
+    // Engine names in row order (interp / batch / jit columns below):
+    // the per-node interpreter is rtl::Simulator driven directly, not a
+    // PuBackend; the other two are the shared registry's names.
     w.array("engines", true);
-    for (auto engine : {system::PuBackend::RtlInterp,
-                        system::PuBackend::Rtl, system::PuBackend::RtlJit})
+    w.element("rtlinterp");
+    for (auto engine : {system::PuBackend::Rtl, system::PuBackend::RtlJit})
         w.element(system::puBackendName(engine));
     w.end();
     w.array("apps");

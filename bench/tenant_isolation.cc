@@ -28,7 +28,7 @@
  *  --baseline PATH compare victim p99 per policy against a previous
  *                  JSON; exact match required, nonzero exit on drift.
  *  --threads N     host worker threads (0 = one per hardware thread).
- *  --backend B     fast | rtl | rtlinterp | rtljit
+ *  --backend B     fast | rtl | rtljit
  *                  (system/pu_backend.h; rtl* are cycle-accurate).
  */
 

@@ -10,7 +10,7 @@
  *                   run (bytes moved, DRAM beats, stall breakdown);
  *   --trace PATH    also record span events and write a Chrome
  *                   trace_event JSON to PATH (open in Perfetto);
- *   --backend B     PU backend (fast | rtl | rtlinterp | rtljit —
+ *   --backend B     PU backend (fast | rtl | rtljit —
  *                   system/pu_backend.h). Every backend is
  *                   bit-identical; rtljit compiles the tape to native
  *                   code at session start and falls back to rtl (the

@@ -371,8 +371,6 @@ class Session
     int jobsInFlight() const;
     /** Slots that can still serve (their channel has not halted). */
     int liveSlots() const;
-    /** Jobs waiting in the session's FIFO (pending minus in flight). */
-    uint64_t jobsQueued() const { return queue_.size(); }
     /** Simulated cycle count (max over channels so far). */
     uint64_t cycles() const;
 
@@ -402,9 +400,6 @@ class Session
 
     /** The session's wait queue, read-only (arrival order). */
     const JobQueue &queue() const { return queue_; }
-
-    /** The active scheduling policy. */
-    const Scheduler &scheduler() const { return *scheduler_; }
 
     /** Point-in-time view of one slot, for work-conservation checks. */
     struct SlotStateView

@@ -282,13 +282,9 @@ ChannelShard::beginRun(int input_token_width, int output_token_width,
     masks_.assign((pus_.size() + 63) / 64, LaneWord{});
     runFrom_.assign(pus_.size(), 0);
     outToken_.assign(pus_.size(), 0);
-    for (int l = 0; l < numPus(); ++l) {
-        if (laneOfLocal_[l].first >= 0)
-            continue;
-        laneWord(l).unbatched |= laneBit(l);
-        if (pus_[l].pu->readsInputToken())
-            laneWord(l).peeksToken |= laneBit(l);
-    }
+    for (int l = 0; l < numPus(); ++l)
+        if (laneOfLocal_[l].first < 0)
+            laneWord(l).unbatched |= laneBit(l);
     state_ = ShardState::Active;
 }
 
@@ -345,8 +341,7 @@ ChannelShard::step(uint64_t budget)
                 LaneWord &m = masks_[w];
                 forEachLane(m.unbatched & m.live & ~m.asleep, w, [&](int l) {
                     const uint64_t bit = laneBit(l);
-                    PuOutputs out =
-                        pus_[l].pu->eval(laneInputs(l, m.peeksToken & bit));
+                    PuOutputs out = pus_[l].pu->eval(laneInputs(l, false));
                     assignBit(m.inputReady, bit, out.inputReady);
                     assignBit(m.outputValid, bit, out.outputValid);
                     assignBit(m.outputFinished, bit, out.outputFinished);

@@ -47,12 +47,12 @@
  *  1. wake the lanes whose inputs changed, hand each batched engine its
  *     changed lanes' inputs, and evaluate every batch, gathering its
  *     output bits;
- *  2. evaluate the awake unbatched units (peeking the input token only
- *     for units that read it), all before any handshake acts, then
- *     walk only the set bits of the lanes that push, pop or finish. A
- *     lane's stall class (starved, blocked) is a pair of mask bits;
- *     its counters are credited in bulk when the class changes or a
- *     reader needs them;
+ *  2. evaluate the awake unbatched units (FastPu, which replays its
+ *     pre-run and never reads the input token, so none is peeked), all
+ *     before any handshake acts, then walk only the set bits of the
+ *     lanes that push, pop or finish. A lane's stall class (starved,
+ *     blocked) is a pair of mask bits; its counters are credited in
+ *     bulk when the class changes or a reader needs them;
  *  3. tick the controllers and the DRAM model, re-derive the touched
  *     lanes' input bits, and clock the batches and awake units.
  *
@@ -383,8 +383,7 @@ class alignas(kCacheLineBytes) ChannelShard
         uint64_t blocked = 0;
         uint64_t asleep = 0; ///< Quiet unbatched unit, not evaluated.
         uint64_t dirty = 0;  ///< Inputs changed since the last phase 1.
-        uint64_t unbatched = 0;  ///< Evaluated per unit, not by a batch.
-        uint64_t peeksToken = 0; ///< Unbatched unit reading inputToken.
+        uint64_t unbatched = 0; ///< Evaluated per unit, not by a batch.
     };
 
     LaneWord &laneWord(int local) { return masks_[size_t(local) >> 6]; }

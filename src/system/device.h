@@ -26,14 +26,12 @@ enum class PuBackend
     Rtl,  ///< Compiled RTL: optimizer + op tape, evaluated batched
           ///< (structure-of-arrays) across each channel's PUs. The
           ///< default cycle-accurate backend.
-    RtlInterp, ///< Per-node RTL interpreter (the reference engine).
     RtlJit, ///< Compiled RTL lowered to native code (rtl/jit.h): each
             ///< channel's PU population runs a shared-object kernel
             ///< generated and compiled at construction (arm) time,
-            ///< bit-identical to Rtl/RtlInterp. Falls back to the
-            ///< interpreted batch (Rtl) when no host toolchain is
-            ///< available (slotBackend() reports the backend actually
-            ///< used).
+            ///< bit-identical to Rtl. Falls back to the interpreted
+            ///< batch (Rtl) when no host toolchain is available
+            ///< (slotBackend() reports the backend actually used).
 };
 
 struct SystemStats

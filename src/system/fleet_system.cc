@@ -6,7 +6,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -15,7 +14,6 @@
 #include "model/area.h"
 #include "rtl/jit.h"
 #include "system/pu_fast.h"
-#include "system/pu_rtl.h"
 #include "system/pu_rtl_batch.h"
 #include "util/bits.h"
 #include "util/logging.h"
@@ -347,13 +345,11 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
     }
 
     // Instantiate the processing units, parked. Each hosted program is
-    // prepared once for the device's engine (evaluation plan, compiled
-    // circuit, or optimizer + tape) and shared by every slot bound to
-    // it; FastPus share their plan across every arm (see FastPu).
+    // prepared once for the device's engine (evaluation plan, or
+    // optimizer + tape) and shared by every slot bound to it; FastPus
+    // share their plan across every arm (see FastPu).
     const PuBackend backend = config_.backend;
     std::vector<std::shared_ptr<const sim::EvalPlan>> plans(
-        programs_.size());
-    std::vector<std::optional<compile::CompiledUnit>> compiled(
         programs_.size());
     std::vector<std::shared_ptr<const RtlTapeEngine>> engines(
         programs_.size());
@@ -369,10 +365,6 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
             if (!plans[g])
                 plans[g] =
                     std::make_shared<const sim::EvalPlan>(programs_[g]);
-            break;
-          case PuBackend::RtlInterp:
-            if (!compiled[g])
-                compiled[g].emplace(compile::compileProgram(programs_[g]));
             break;
           case PuBackend::Rtl:
           case PuBackend::RtlJit:
@@ -429,14 +421,12 @@ FleetSystem::build(const std::vector<uint64_t> &input_region_bytes)
         const uint32_t g = slotPrograms_[p];
         if (backend == PuBackend::Fast)
             return std::make_unique<FastPu>(programs_[g], plans[g]);
-        if (backend == PuBackend::RtlInterp)
-            return std::make_unique<RtlPu>(*compiled[g]);
         return std::make_unique<RtlBatchLane>(slotBatch[p].first,
                                               slotBatch[p].second);
     };
     // Units are allocated shard by shard, so the state each shard's
-    // thread writes per cycle (FastPu's handshake registers, RtlPu's
-    // simulator arrays) sits together, away from other shards' lines.
+    // thread writes per cycle (FastPu's handshake registers) sits
+    // together, away from other shards' lines.
     for (int ch = 0; ch < channels; ++ch)
         for (int p : layouts[ch].globalPu)
             shards_[ch]->addPu(makeUnit(p), p);

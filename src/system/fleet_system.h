@@ -312,10 +312,6 @@ class FleetSystem
 
     /// @name Per-slot programs (ISSUE 8).
     /// @{
-    int numPrograms() const
-    {
-        return static_cast<int>(programs_.size());
-    }
     uint32_t slotProgramIndex(int pu) const { return slotPrograms_[pu]; }
     /** The engine `pu` actually runs: SystemConfig::backend, or Rtl
      * where an RtlJit kernel could not be built. */

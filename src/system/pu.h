@@ -4,17 +4,21 @@
 /**
  * @file
  * Cycle-level port interface of a Fleet processing unit — exactly the
- * ready-valid IO interface of Section 4 of the paper. Three
- * implementations exist and are cross-checked cycle-for-cycle, mirroring
- * the paper's "full-system RTL simulation vs. software simulator" testing
- * setup:
+ * ready-valid IO interface of Section 4 of the paper. The system builds
+ * two implementations:
  *
- *  - RtlPu (pu_rtl.h): interprets the compiled RTL circuit;
  *  - RtlBatchLane (pu_rtl_batch.h): one lane of a channel's batched
  *    compiled-RTL engine (interpreted tape or jit kernel); and
  *  - FastPu (pu_fast.h): replays the flags of a functional-simulator
  *    pre-run of its stream through the same handshake state machine
  *    (fast timing model for large full-system sweeps).
+ *
+ * A third, RtlPu (pu_rtl.h), interprets the compiled RTL circuit node
+ * by node. It is the test reference, not an engine the system builds:
+ * the cross-check suites drive all three through the single-PU
+ * testbench (pu_testbench.h) and require them to agree cycle for
+ * cycle, mirroring the paper's "full-system RTL simulation vs. software
+ * simulator" testing setup.
  *
  * A unit starts one way, as in the paper's runtime: arm() with the
  * stream it will be fed, which resets it to power-on state (FastPu also
@@ -54,21 +58,14 @@ class ProcessingUnit
   public:
     virtual ~ProcessingUnit() = default;
 
-    /** Reset all state to power-on values. */
-    virtual void reset() = 0;
-
     /**
      * Arm the unit for `stream`, the exact token stream it will be fed
-     * next, and reset it. A unit whose hardware does not depend on the
-     * stream only resets (the default). A stream the unit cannot run
-     * comes back as a Status, not an exception: FastPu returns
+     * next, and reset it to power-on state. A unit whose hardware does
+     * not depend on the stream only resets. A stream the unit cannot
+     * run comes back as a Status, not an exception: FastPu returns
      * InvalidArgument when its pre-run hits a restriction violation.
      */
-    virtual Status arm(const BitBuffer & /* stream */)
-    {
-        reset();
-        return Status::make(StatusCode::Ok);
-    }
+    virtual Status arm(const BitBuffer &stream) = 0;
 
     /** Combinationally evaluate the cycle's outputs from the inputs. */
     virtual PuOutputs eval(const PuInputs &inputs) = 0;
@@ -85,10 +82,6 @@ class ProcessingUnit
      * (the default); answering true wrongly breaks cycle exactness.
      */
     virtual bool quiet() const { return false; }
-
-    /** False when eval() never reads PuInputs::inputToken, so the
-     * channel loop need not peek the input buffer for it. */
-    virtual bool readsInputToken() const { return true; }
 
     virtual int inputTokenWidth() const = 0;
     virtual int outputTokenWidth() const = 0;

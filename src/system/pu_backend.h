@@ -7,9 +7,9 @@
  * every CLI surface — fig7, micro_rtl_engines, the serve/chaos/tenant
  * benches, the examples — parses `--backend` through parsePuBackend()
  * and prints through puBackendName(), instead of each carrying its own
- * copy of the string switch. Only the four canonical names parse;
+ * copy of the string switch. Only the three canonical names parse;
  * parsing is case-insensitive and ignores '-'/'_' separators, so the
- * historical spellings ("rtl-interp", "rtl-jit") keep working.
+ * historical spelling "rtl-jit" keeps working.
  */
 
 #include <cctype>
@@ -24,7 +24,7 @@ namespace system {
 
 /** Canonical spellings, for usage strings. */
 inline constexpr const char kPuBackendChoices[] =
-    "fast|rtl|rtlinterp|rtljit";
+    "fast|rtl|rtljit";
 
 inline std::optional<PuBackend>
 parsePuBackend(std::string_view name)
@@ -37,8 +37,6 @@ parsePuBackend(std::string_view name)
         return PuBackend::Fast;
     if (n == "rtl")
         return PuBackend::Rtl;
-    if (n == "rtlinterp")
-        return PuBackend::RtlInterp;
     if (n == "rtljit")
         return PuBackend::RtlJit;
     return std::nullopt;
@@ -48,10 +46,9 @@ inline const char *
 puBackendName(PuBackend b)
 {
     switch (b) {
-      case PuBackend::Fast:      return "fast";
-      case PuBackend::Rtl:       return "rtl";
-      case PuBackend::RtlInterp: return "rtlinterp";
-      case PuBackend::RtlJit:    return "rtljit";
+      case PuBackend::Fast:   return "fast";
+      case PuBackend::Rtl:    return "rtl";
+      case PuBackend::RtlJit: return "rtljit";
     }
     return "unknown";
 }

@@ -20,7 +20,11 @@ static_assert((sim::kVcycleConsumesToken | sim::kVcycleEmits) < 4,
 Status
 FastPu::arm(const BitBuffer &stream)
 {
-    reset();
+    v_ = false;
+    f_ = false;
+    vcycle_ = 0;
+    outBitPos_ = 0;
+    tokensConsumed_ = 0;
     flags_.clear();
     std::vector<uint8_t> flags;
     try {
@@ -33,16 +37,6 @@ FastPu::arm(const BitBuffer &stream)
     for (size_t i = 0; i < flags.size(); ++i)
         flags_[i / 32] |= uint64_t(flags[i]) << 2 * (i % 32);
     return Status::make(StatusCode::Ok);
-}
-
-void
-FastPu::reset()
-{
-    v_ = false;
-    f_ = false;
-    vcycle_ = 0;
-    outBitPos_ = 0;
-    tokensConsumed_ = 0;
 }
 
 PuOutputs

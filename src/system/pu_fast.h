@@ -50,14 +50,11 @@ class alignas(kCacheLineBytes) FastPu : public ProcessingUnit
      * and leaves the unit unarmed.
      */
     Status arm(const BitBuffer &stream) override;
-    void reset() override;
     PuOutputs eval(const PuInputs &inputs) override;
     void step() override;
     /** Starved, output-blocked or finished: no virtual cycle completes
      * and the v/f registers are at a fixed point. */
     bool quiet() const override;
-    /** The replayed flags stand in for the program's logic. */
-    bool readsInputToken() const override { return false; }
     int inputTokenWidth() const override { return inputTokenWidth_; }
     int outputTokenWidth() const override { return outputTokenWidth_; }
     void appendCounters(trace::CounterSet &out) const override;

@@ -4,19 +4,16 @@ namespace fleet {
 namespace system {
 
 RtlPu::RtlPu(const lang::Program &program)
-    : RtlPu(compile::compileProgram(program))
+    : unit_(compile::compileProgram(program)),
+      sim_(std::make_unique<rtl::Simulator>(unit_.circuit))
 {
 }
 
-RtlPu::RtlPu(compile::CompiledUnit unit) : unit_(std::move(unit))
-{
-    sim_ = std::make_unique<rtl::Simulator>(unit_.circuit);
-}
-
-void
-RtlPu::reset()
+Status
+RtlPu::arm(const BitBuffer &)
 {
     sim_->reset();
+    return Status::make(StatusCode::Ok);
 }
 
 PuOutputs
@@ -40,13 +37,6 @@ void
 RtlPu::step()
 {
     sim_->step();
-}
-
-void
-RtlPu::appendCounters(trace::CounterSet &out) const
-{
-    out.set("backend_rtl", 1);
-    out.set("circuit_nodes", unit_.circuit.nodes().size());
 }
 
 } // namespace system

@@ -3,9 +3,12 @@
 
 /**
  * @file
- * Processing-unit backend that interprets the compiled RTL circuit
- * cycle-accurately. This is the reference timing model: the fast model
- * (pu_fast.h) must match it cycle-for-cycle.
+ * Processing unit that interprets the compiled RTL circuit node by node,
+ * cycle-accurately (rtl::Simulator). It is the test reference, not an
+ * engine the system builds: the cross-check suites drive it through the
+ * single-PU testbench and require the fast model (pu_fast.h) and the
+ * batched tape and jit lanes (pu_rtl_batch.h) to match it cycle for
+ * cycle.
  */
 
 #include <memory>
@@ -22,17 +25,14 @@ class RtlPu : public ProcessingUnit
   public:
     /** Compile and wrap a program. */
     explicit RtlPu(const lang::Program &program);
-    /** Wrap an already-compiled unit. */
-    explicit RtlPu(compile::CompiledUnit unit);
 
-    void reset() override;
+    /** Resets the simulator; the circuit does not depend on the
+     * stream. */
+    Status arm(const BitBuffer &stream) override;
     PuOutputs eval(const PuInputs &inputs) override;
     void step() override;
     int inputTokenWidth() const override { return unit_.inputTokenWidth; }
     int outputTokenWidth() const override { return unit_.outputTokenWidth; }
-    void appendCounters(trace::CounterSet &out) const override;
-
-    const compile::CompiledUnit &unit() const { return unit_; }
 
   private:
     compile::CompiledUnit unit_;

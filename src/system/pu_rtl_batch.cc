@@ -73,10 +73,11 @@ RtlBatchLane::RtlBatchLane(std::shared_ptr<RtlBatch> batch, int lane)
 {
 }
 
-void
-RtlBatchLane::reset()
+Status
+RtlBatchLane::arm(const BitBuffer &)
 {
     batch_->resetLane(lane_);
+    return Status::make(StatusCode::Ok);
 }
 
 PuOutputs

@@ -119,7 +119,8 @@ class RtlBatchLane : public ProcessingUnit
   public:
     RtlBatchLane(std::shared_ptr<RtlBatch> batch, int lane);
 
-    void reset() override;
+    /** Resets this lane only (RtlBatch::resetLane). */
+    Status arm(const BitBuffer &stream) override;
     PuOutputs eval(const PuInputs &inputs) override;
     void step() override;
     int inputTokenWidth() const override

@@ -20,8 +20,12 @@ runPu(ProcessingUnit &pu, const BitBuffer &input,
     TestbenchResult result;
     const uint64_t total_tokens = input.sizeBits() / in_width;
     uint64_t next_token = 0;
+    uint64_t last_handshake = 0;
 
-    for (uint64_t cycle = 0; cycle < options.maxCycles; ++cycle) {
+    for (uint64_t cycle = 0;; ++cycle) {
+        if (cycle - last_handshake > kRunPuStuckCycles)
+            fatal("runPu: unit stuck: no pop, push or finish in ",
+                  kRunPuStuckCycles, " cycles (cycle ", cycle, ")");
         PuInputs in;
         bool have_data = next_token < total_tokens;
         bool present = have_data &&
@@ -44,15 +48,15 @@ runPu(ProcessingUnit &pu, const BitBuffer &input,
             result.output.appendBits(out.outputToken,
                                      pu.outputTokenWidth());
             ++result.outputTokens;
+            last_handshake = cycle;
         }
         if (out.inputReady && in.inputValid) {
             ++next_token;
             ++result.inputTokens;
+            last_handshake = cycle;
         }
         pu.step();
     }
-    fatal("runPu: unit did not finish within ", options.maxCycles,
-          " cycles");
 }
 
 } // namespace system

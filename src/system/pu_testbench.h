@@ -9,6 +9,7 @@
  * fast model vs. functional simulator) and by microbenchmarks.
  */
 
+#include "sim/simulator.h"
 #include "system/pu.h"
 #include "util/bitbuf.h"
 
@@ -22,9 +23,16 @@ struct TestbenchOptions
     /** Probability that the output sink is ready on a given cycle. */
     double outputReadyProb = 1.0;
     uint64_t seed = 1;
-    /** Abort if the unit does not finish within this many cycles. */
-    uint64_t maxCycles = 1ULL << 28;
 };
+
+/**
+ * No legal program goes longer without a handshake than the functional
+ * simulator's per-token loop bound (sim::SimOptions::maxVcyclesPerToken)
+ * allows one token's while loops to run; twice that leaves headroom for
+ * the testbench's random stalls.
+ */
+inline constexpr uint64_t kRunPuStuckCycles =
+    2 * sim::SimOptions{}.maxVcyclesPerToken;
 
 struct TestbenchResult
 {
@@ -34,8 +42,12 @@ struct TestbenchResult
     uint64_t outputTokens = 0;
 };
 
-/** Run a unit over a full stream; arms the unit with it first (a
- * stream the unit refuses throws FatalError). */
+/**
+ * Run a unit over a full stream; arms the unit with it first (a stream
+ * the unit refuses throws FatalError). A unit that goes
+ * kRunPuStuckCycles cycles without a pop, a push or finishing is stuck
+ * and throws FatalError too.
+ */
 TestbenchResult runPu(ProcessingUnit &pu, const BitBuffer &input,
                       const TestbenchOptions &options = {});
 

@@ -47,7 +47,7 @@ checkBackendsMatchGolden(const Application &app, uint64_t seed,
 
     system::RtlPu rtl_pu(app.program());
     system::FastPu fast_pu(app.program());
-    system::TestbenchOptions stalls{0.8, 0.8, seed + 1, 1ULL << 30};
+    system::TestbenchOptions stalls{0.8, 0.8, seed + 1};
 
     auto rtl_result = system::runPu(rtl_pu, stream, stalls);
     auto fast_result = system::runPu(fast_pu, stream, stalls);

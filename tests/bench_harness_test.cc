@@ -130,6 +130,8 @@ TEST(BenchFlags, MalformedOrOutOfRangeNumbersRejected)
         {"--seed", "+3"},       {"--seed", "12abc"},
         {"--faults", ""},       {"--faults", "99999999999999999999999"},
         {"--backend", "gpu"},
+        // The per-node interpreter is a test reference, not a backend.
+        {"--backend", "rtlinterp"},
     };
     for (const auto &args : bad) {
         Options o;

@@ -335,7 +335,7 @@ TEST(Pipeline, DeterministicAcrossThreadCountsAndBackends)
     // The full fence: PipelineJobReports and the settled ClusterReport
     // (traces, link counters, link tracks) are bit-identical across
     // host thread counts; and the schedule-defining fields survive a
-    // backend swap (Fast vs RtlInterp run the same placement).
+    // backend swap (Fast vs Rtl run the same placement).
     auto streams = byteStreams(9, 350, 59);
     auto run = [&](int threads, system::PuBackend backend) {
         PipelineConfig config;
@@ -371,8 +371,7 @@ TEST(Pipeline, DeterministicAcrossThreadCountsAndBackends)
         EXPECT_TRUE(serial_jobs[j] == parallel_jobs[j]) << "job " << j;
     // Backend swap: identical outputs and identical link traffic (the
     // placement/transfer schedule is backend-independent).
-    auto [rtl_jobs, rtl_report] =
-        run(2, system::PuBackend::RtlInterp);
+    auto [rtl_jobs, rtl_report] = run(2, system::PuBackend::Rtl);
     ASSERT_EQ(rtl_jobs.size(), serial_jobs.size());
     for (size_t j = 0; j < serial_jobs.size(); ++j) {
         EXPECT_TRUE(rtl_jobs[j].output == serial_jobs[j].output)

@@ -79,10 +79,10 @@ crossCheck(const Program &program, const BitBuffer &input)
     }
 
     const TestbenchOptions profiles[] = {
-        {1.0, 1.0, 1, 1ULL << 28},   // no stalls
-        {0.7, 1.0, 7, 1ULL << 28},   // input underruns
-        {1.0, 0.6, 11, 1ULL << 28},  // output backpressure
-        {0.5, 0.5, 13, 1ULL << 28},  // both
+        {1.0, 1.0, 1},  // no stalls
+        {0.7, 1.0, 7},  // input underruns
+        {1.0, 0.6, 11}, // output backpressure
+        {0.5, 0.5, 13}, // both
     };
     for (const auto &profile : profiles) {
         TestbenchResult rtl_result = runPu(rtl_pu, input, profile);
@@ -272,6 +272,34 @@ TEST(CrossCheck, RtlThroughputIsOneVcyclePerCycle)
     // + 1 final cycle to deassert v.
     EXPECT_LE(r.cycles, 1000u + 4u);
     EXPECT_GE(r.cycles, 1000u);
+}
+
+/** A unit that never takes a token, emits or finishes. */
+class StuckPu : public system::ProcessingUnit
+{
+  public:
+    Status arm(const BitBuffer &) override
+    {
+        return Status::make(StatusCode::Ok);
+    }
+    system::PuOutputs eval(const system::PuInputs &) override
+    {
+        return {};
+    }
+    void step() override { ++steps; }
+    int inputTokenWidth() const override { return 8; }
+    int outputTokenWidth() const override { return 8; }
+
+    uint64_t steps = 0;
+};
+
+TEST(Testbench, StuckUnitFailsFast)
+{
+    // runPu gives up once the unit has gone kRunPuStuckCycles cycles
+    // with no pop, push or finish, well before any total-cycle cap.
+    StuckPu pu;
+    EXPECT_THROW(runPu(pu, randomStream(8, 4, 3)), FatalError);
+    EXPECT_EQ(pu.steps, system::kRunPuStuckCycles + 1);
 }
 
 } // namespace

@@ -319,7 +319,7 @@ TEST(Determinism, TwoDeviceClusterSessionThreadCountInvariant)
 TEST(Determinism, TwoDeviceClusterSessionBackendInvariantSchedule)
 {
     // The placement schedule (job -> device/slot and all simulated
-    // timestamps) must survive a PU backend swap: Fast and RtlInterp
+    // timestamps) must survive a PU backend swap: Fast and Rtl
     // differ in how a unit computes, never in when the scheduler acts.
     auto program = testprogs::identity();
     Rng stream_rng(91);
@@ -347,7 +347,7 @@ TEST(Determinism, TwoDeviceClusterSessionBackendInvariantSchedule)
         return log.all();
     };
     auto fast = runSession(PuBackend::Fast);
-    auto rtl = runSession(PuBackend::RtlInterp);
+    auto rtl = runSession(PuBackend::Rtl);
     ASSERT_EQ(fast.size(), rtl.size());
     for (size_t j = 0; j < fast.size(); ++j)
         ASSERT_TRUE(fast[j] == rtl[j])

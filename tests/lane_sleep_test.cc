@@ -318,7 +318,6 @@ class FailingPu : public ProcessingUnit
         : inner_(program), failAt_(fail_at)
     {
     }
-    void reset() override { inner_.reset(); }
     Status arm(const BitBuffer &stream) override
     {
         return inner_.arm(stream);

@@ -124,7 +124,7 @@ TEST(RelaxedReads, WhileConditionBramReadCrossCheck)
     system::RtlPu rtl_pu(program);
     system::FastPu fast_pu(program);
     for (double ready : {1.0, 0.6}) {
-        system::TestbenchOptions options{1.0, ready, 5, 1ULL << 26};
+        system::TestbenchOptions options{1.0, ready, 5};
         auto rtl_result = system::runPu(rtl_pu, input, options);
         auto fast_result = system::runPu(fast_pu, input, options);
         ASSERT_TRUE(rtl_result.output == golden.output);

@@ -447,9 +447,9 @@ TEST(MultiProgram, SlotBindingRoutesJobsToTheirProgram)
             << "job " << j;
     }
 
-    const system::PuBackend engines[] = {
-        system::PuBackend::Fast, system::PuBackend::Rtl,
-        system::PuBackend::RtlJit, system::PuBackend::RtlInterp};
+    const system::PuBackend engines[] = {system::PuBackend::Fast,
+                                         system::PuBackend::Rtl,
+                                         system::PuBackend::RtlJit};
     for (system::PuBackend engine : engines) {
         for (int threads : {1, 4}) {
             if (engine == system::PuBackend::Fast && threads == 1)

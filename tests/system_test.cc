@@ -163,16 +163,19 @@ TEST(FleetSystem, RtlAndFastBackendsAgreeExactly)
 TEST(PuBackendNames, ParseRoundTripsEveryBackend)
 {
     const PuBackend all[] = {PuBackend::Fast, PuBackend::Rtl,
-                             PuBackend::RtlJit, PuBackend::RtlInterp};
+                             PuBackend::RtlJit};
     for (PuBackend b : all) {
         std::optional<PuBackend> parsed = parsePuBackend(puBackendName(b));
         ASSERT_TRUE(parsed.has_value()) << puBackendName(b);
         EXPECT_EQ(*parsed, b) << puBackendName(b);
     }
-    EXPECT_EQ(std::string(kPuBackendChoices), "fast|rtl|rtlinterp|rtljit");
+    EXPECT_EQ(std::string(kPuBackendChoices), "fast|rtl|rtljit");
     // Spellings are case- and separator-insensitive.
-    EXPECT_EQ(parsePuBackend("RTL-Interp"), PuBackend::RtlInterp);
+    EXPECT_EQ(parsePuBackend("RTL-Jit"), PuBackend::RtlJit);
     EXPECT_EQ(parsePuBackend("rtl_jit"), PuBackend::RtlJit);
+    // The per-node interpreter is a test reference, not a backend.
+    EXPECT_FALSE(parsePuBackend("rtlinterp").has_value());
+    EXPECT_FALSE(parsePuBackend("rtl-interp").has_value());
     // Only the canonical names parse; aliases are rejected.
     for (const char *alias : {"rtlbatch", "batch", "interp", "jit"})
         EXPECT_FALSE(parsePuBackend(alias).has_value()) << alias;
